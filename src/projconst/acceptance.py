@@ -2,8 +2,8 @@
 
 Each criterion is a named, self-contained check with exact expected values
 (or pinned float tolerances where a numeric path is itself under test).
-`run_all` executes them in order and reports one result per criterion; the
-CLI selftest exits nonzero when any fails.
+`run_all` executes them in order and reports one result per criterion, even
+when a criterion raises; the CLI selftest exits nonzero when any fails.
 
 Setting the environment variable PROJCONST_SELFTEST_FAULT to a criterion key
 corrupts that criterion's expected constant by 1/1000.  This is a negative
@@ -322,4 +322,8 @@ def run_all(ctx: Context = Context(), only: "set[str] | None" = None) -> list[Cr
             results.append(CriterionResult(criterion.key, criterion.title, True, detail))
         except CriterionFailure as exc:
             results.append(CriterionResult(criterion.key, criterion.title, False, str(exc)))
+        except Exception as exc:
+            # A criterion that blows up fails on its own; the rest still run.
+            results.append(CriterionResult(criterion.key, criterion.title, False,
+                                           f"{type(exc).__name__}: {exc}"))
     return results

@@ -58,7 +58,7 @@ class BMParameterSet:
 
     All fields are exact rationals when 2a+1 is a rational square, floats
     otherwise.  Identities that always hold (exactly in the exact case, to
-    1e-12 otherwise): scale * root = 1/mu... concretely: nu = root/a,
+    1e-12 otherwise): mu = 1/a, root^2 = 2a + 1, nu = root/a = mu * root,
     b = a/root = 1/nu, K = 2*nu + root, g = K^2.
     """
 
@@ -382,55 +382,10 @@ def verify_inverse(forward: SeqOperator, inverse: SeqOperator,
 
 
 @dataclass(frozen=True)
-class SquareSystem:
-    """The fixed even/odd machinery shared by both sides of the factorization.
-
-    phi1/phi2 split the domain into its even- and odd-indexed halves,
-    psi1/psi2 do the same on the codomain side; theta/eta embed one space
-    onto the even-indexed subspace of the other; p/r are the norm-one
-    projections zeroing the odd coordinates.  The kernels of p and r (the
-    odd-supported vectors) are exposed as membership predicates.
-    """
-
-    phi1: SeqOperator
-    phi2: SeqOperator
-    psi1: SeqOperator
-    psi2: SeqOperator
-    theta: SeqOperator
-    eta: SeqOperator
-    p: SeqOperator
-    r: SeqOperator
-
-    @staticmethod
-    def kernel_contains(vec: Mapping[int, Fraction]) -> bool:
-        """Membership in ker p = ker r: support on odd indices only."""
-        return all(i % 2 == 1 for i, x in vec.items() if x)
-
-
-def _square_system() -> SquareSystem:
-    split_even = [Clause(1, 0, 2, 0, _ONE)]   # out k <- in 2k
-    split_odd = [Clause(1, 0, 2, 1, _ONE)]    # out k <- in 2k+1
-    embed = [Clause(2, 0, 1, 0, _ONE)]        # out 2k <- in k
-    zero_odd = [Clause(2, 0, 2, 0, _ONE)]     # out 2k <- in 2k
-    mk = SeqOperator.from_clauses
-    return SquareSystem(
-        phi1=mk(split_even, "phi_1"),
-        phi2=mk(split_odd, "phi_2"),
-        psi1=mk(split_even, "psi_1"),
-        psi2=mk(split_odd, "psi_2"),
-        theta=mk(embed, "theta"),
-        eta=mk(embed, "eta"),
-        p=mk(zero_odd, "P"),
-        r=mk(zero_odd, "R"),
-    )
-
-
-@dataclass(frozen=True)
 class SequenceModel:
     """The instantiated factorization: W = U_a o S o T_a and its inverse."""
 
     params: BMParameterSet
-    system: SquareSystem
     stages: tuple[SeqOperator, SeqOperator, SeqOperator]
     inverse_stages: tuple[SeqOperator, SeqOperator, SeqOperator]
     forward: SeqOperator
@@ -502,5 +457,5 @@ def build_model(a) -> SequenceModel:
 
     forward = SeqOperator.compose(u_fwd, SeqOperator.compose(s_mid, t_fwd))
     inverse = SeqOperator.compose(t_inv, SeqOperator.compose(s_inv, u_inv))
-    return SequenceModel(params, _square_system(), (t_fwd, s_mid, u_fwd),
+    return SequenceModel(params, (t_fwd, s_mid, u_fwd),
                          (u_inv, s_inv, t_inv), forward, inverse, params.bound)

@@ -11,7 +11,7 @@ Exit codes:
     2  malformed input, or a parameter out of its documented range
     3  basis rows are linearly dependent
     4  internal solver-integrity failure
-    5  LP budget exceeded (result inconclusive)
+    5  LP budget or pivot limit exceeded (result inconclusive)
     6  demonstration base constant does not match the plan
     7  non-exact shape parameter passed to the sequence model
 """
@@ -47,7 +47,7 @@ from .minproj import (
     projection_constant,
 )
 from .planner import BaseConstantMismatch, PlanRangeError, demonstrate_schedule, plan_parameters
-from .simplex import SimplexError
+from .simplex import PivotLimitExceeded, SimplexError
 from .zerosum import verify_multiplication_law
 
 EXIT_OK = 0
@@ -62,6 +62,24 @@ EXIT_NON_EXACT = 7
 
 class InputError(ValueError):
     """Malformed document or out-of-range parameter (exit 2)."""
+
+
+# Exception class -> (exit code, run-report status).  The first matching row
+# wins, so a subclass must precede its base (PivotLimitExceeded before
+# SimplexError, every ValueError subclass before ValueError).
+EXIT_TABLE: tuple[tuple[type[Exception], int, str], ...] = (
+    (InputError, EXIT_BAD_INPUT, "error"),
+    (RankDeficientError, EXIT_RANK_DEFICIENT, "error"),
+    (BudgetExceededError, EXIT_BUDGET, "inconclusive"),
+    (PivotLimitExceeded, EXIT_BUDGET, "inconclusive"),
+    (OracleInconclusive, EXIT_BUDGET, "inconclusive"),
+    (BaseConstantMismatch, EXIT_BASE_MISMATCH, "error"),
+    (NonExactParameterError, EXIT_NON_EXACT, "error"),
+    (SolverIntegrityError, EXIT_SOLVER_INTEGRITY, "error"),
+    (SimplexError, EXIT_SOLVER_INTEGRITY, "error"),
+    (ValueError, EXIT_BAD_INPUT, "error"),
+)
+_HANDLED = tuple(cls for cls, _, _ in EXIT_TABLE)
 
 
 def load_subspace_document(path: str) -> tuple[Subspace, bytes]:
@@ -79,7 +97,7 @@ def load_subspace_document(path: str) -> tuple[Subspace, bytes]:
         raise InputError(f"{path} must be an object with ambient_dim and basis")
     ambient = doc["ambient_dim"]
     basis = doc["basis"]
-    if not isinstance(ambient, int) or ambient < 1:
+    if isinstance(ambient, bool) or not isinstance(ambient, int) or ambient < 1:
         raise InputError(f"ambient_dim must be a positive integer, got {ambient!r}")
     if (not isinstance(basis, list) or not basis
             or not all(isinstance(row, list) for row in basis)):
@@ -332,30 +350,9 @@ def main(argv=None) -> int:
     try:
         args.budget = _parse_budget(args.budget) if args.budget else LPBudget()
         code, status = args.fn(args)
-    except InputError as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code, status = EXIT_BAD_INPUT, "error"
-    except RankDeficientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, status = EXIT_RANK_DEFICIENT, "error"
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, status = EXIT_BUDGET, "inconclusive"
-    except BaseConstantMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, status = EXIT_BASE_MISMATCH, "error"
-    except NonExactParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, status = EXIT_NON_EXACT, "error"
-    except OracleInconclusive as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, status = EXIT_BUDGET, "inconclusive"
-    except (SolverIntegrityError, SimplexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, status = EXIT_SOLVER_INTEGRITY, "error"
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, status = EXIT_BAD_INPUT, "error"
+        code, status = next((c, st) for cls, c, st in EXIT_TABLE if isinstance(exc, cls))
     wall_ms = int((time.perf_counter() - started) * 1000)
     report = {
         "command": getattr(args, "command", None),

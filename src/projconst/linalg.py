@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-Rat = Fraction
-
-RatLike = "Fraction | int | str"
-
 
 def as_rat(value) -> Fraction:
     """Coerce an int, Fraction or 'p/q' literal to an exact rational."""
@@ -61,26 +57,6 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-_RAT_OPS = {
-    "add": lambda x, y: x + y,
-    "sub": lambda x, y: x - y,
-    "mul": lambda x, y: x * y,
-    "div": lambda x, y: x / y,
-}
-
-
-def rat_arith(x, y, op: str) -> Fraction:
-    """Exact rational arithmetic; `op` is one of add/sub/mul/div.
-
-    Division by zero propagates as ZeroDivisionError.
-    """
-    try:
-        fn = _RAT_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown rational operation {op!r}") from None
-    return fn(as_rat(x), as_rat(y))
 
 
 @dataclass(frozen=True)
@@ -240,19 +216,6 @@ def block_permutation(num_blocks: int, block_dim: int, sigma: Sequence[int]) -> 
     return Mat(size, size, tuple(flat))
 
 
-def flatten_blocks(vectors: Sequence[Sequence]) -> tuple[Fraction, ...]:
-    """Concatenate N block vectors of equal dimension into one dN-vector."""
-    if len(vectors) == 0:
-        raise ValueError("no blocks to flatten")
-    d = len(vectors[0])
-    out = []
-    for v in vectors:
-        if len(v) != d:
-            raise ValueError(f"ragged blocks: expected dimension {d}, got {len(v)}")
-        out.extend(as_rat(x) for x in v)
-    return tuple(out)
-
-
 def split_blocks(vector: Sequence, block_dim: int) -> list[tuple[Fraction, ...]]:
     if len(vector) % block_dim != 0:
         raise ValueError(
@@ -316,17 +279,23 @@ def subspace_contains(space: Subspace, vector: Sequence) -> bool:
 # exact elimination toolkit
 
 
-def rank_of_rows(rows: Iterable[Sequence[Fraction]]) -> int:
+def _reduce(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan elimination of `rows` on their first `ncols` columns.
+
+    Pivots on the first nonzero entry at or below the current rank and stops
+    once every row has a pivot.  Returns the reduced rows and the pivot
+    columns: row r has a 1 in column pivots[r] and every other row a 0 there;
+    the rows after the last pivot row vanish on the first `ncols` columns.
+    Columns beyond `ncols` are carried along (augmented right-hand sides).
+    """
     work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(work):
+            break
         pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if pivot is None:
-            col += 1
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
         prow = work[rank]
@@ -336,9 +305,15 @@ def rank_of_rows(rows: Iterable[Sequence[Fraction]]) -> int:
             if i != rank and work[i][col]:
                 f = work[i][col]
                 work[i] = [a - f * b for a, b in zip(work[i], prow)]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return work, pivots
+
+
+def rank_of_rows(rows: Iterable[Sequence[Fraction]]) -> int:
+    rows = list(rows)
+    if not rows:
+        return 0
+    return len(_reduce(rows, len(rows[0]))[1])
 
 
 def solve_linear_system(rows: Sequence[Sequence[Fraction]],
@@ -348,62 +323,28 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction]],
     if m != len(rhs):
         raise ValueError("system shape mismatch")
     n = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [as_rat(rhs[i])] for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, m) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        prow = aug[rank]
-        inv = 1 / prow[col]
-        aug[rank] = prow = [x * inv for x in prow]
-        for i in range(m):
-            if i != rank and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
-        pivots.append((rank, col))
-        rank += 1
-    for i in range(rank, m):
-        if aug[i][n]:
-            return None
+    aug, pivots = _reduce([list(rows[i]) + [as_rat(rhs[i])] for i in range(m)], n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = aug[r][n]
+    for row, c in zip(aug, pivots):
+        x[c] = row[n]
     return x
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Exact basis of the null space {x : A x = 0}, deterministic order."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    work = [list(r) for r in rows]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, m) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        inv = 1 / prow[col]
-        work[rank] = prow = [x * inv for x in prow]
-        for i in range(m):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
-        pivots.append((rank, col))
-        rank += 1
-    pivot_cols = {c for _, c in pivots}
+    n = len(rows[0]) if rows else 0
+    work, pivots = _reduce(rows, n)
+    pivot_cols = set(pivots)
     basis = []
     for free in range(n):
         if free in pivot_cols:
             continue
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
-        for r, c in pivots:
-            vec[c] = -work[r][free]
+        for row, c in zip(work, pivots):
+            vec[c] = -row[free]
         basis.append(vec)
     return basis
 
@@ -413,18 +354,9 @@ def invert_square(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise ValueError(f"cannot invert {m.rows}x{m.cols} matrix")
     n = m.rows
-    aug = [list(m.row(i)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot is None:
-            raise RankDeficientError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
-        inv = 1 / prow[col]
-        aug[col] = prow = [x * inv for x in prow]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
+    aug, pivots = _reduce(
+        [list(m.row(i)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i in range(n)], n)
+    if len(pivots) < n:
+        raise RankDeficientError("matrix is singular")
     return Mat.from_rows([row[n:] for row in aug])

@@ -38,7 +38,6 @@ from .linalg import (
 from .simplex import (
     InfeasibleProgram,
     LinearProgram,
-    PivotLimitExceeded,
     UnboundedProgram,
     solve_linear_program,
 )
@@ -179,12 +178,13 @@ def solve_lp_exact(lp: ProjectionLP) -> tuple[Fraction, LPAssignment]:
 
     The program is feasible and bounded by construction, so infeasibility or
     unboundedness out of the simplex core is reported as a solver-integrity
-    failure.
+    failure.  Running out of pivots proves nothing about the program, so
+    `PivotLimitExceeded` propagates unchanged.
     """
     n, k = lp.space.ambient_dim, lp.space.dim
     try:
         value, x = solve_linear_program(lp.program)
-    except (InfeasibleProgram, UnboundedProgram, PivotLimitExceeded) as exc:
+    except (InfeasibleProgram, UnboundedProgram) as exc:
         raise SolverIntegrityError(f"minimal-projection LP rejected: {exc}") from exc
     coeffs = Mat(k, n, tuple(x[: k * n]))
     majorants = Mat(n, n, tuple(x[k * n : k * n + n * n]))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from random import Random
 
 from .linalg import (
@@ -27,20 +26,19 @@ from .linalg import (
     format_rational,
     inf_op_norm,
     invert_square,
-    kernel_basis,
     split_blocks,
+    subspace_contains,
 )
 from .minproj import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     LPBudget,
+    feasible_perturbation,
     projection_constant,
 )
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-SYMMETRIZE_MAX_COPIES = 6
 
 
 class NotAProjectionError(ValueError):
@@ -200,15 +198,14 @@ def symmetrize(p: Mat, block_dim: int, copies: int) -> Mat:
     `p` must be a projection of ell_inf^{d N} whose range lies in the
     zero-sum set (both checked).  The average again projects onto the same
     range, commutes with every block permutation, and never has larger norm.
-    Enumerates all N! permutations, so N is capped at 6.
+    Block (i, j) of U_sigma^{-1} P U_sigma is block (sigma(i), sigma(j)) of P,
+    so the average has a closed form: every diagonal block is the mean of the
+    diagonal blocks of P and every off-diagonal block the mean of its
+    off-diagonal blocks.  That costs O(N^2 d^2) for any N >= 2.
     """
     d, n = block_dim, copies
     if n < 2:
         raise ValueError(f"need at least 2 copies, got {copies}")
-    if n > SYMMETRIZE_MAX_COPIES:
-        raise ValueError(
-            f"symmetrization enumerates {n}! permutations; capped at {SYMMETRIZE_MAX_COPIES}"
-        )
     size = d * n
     if (p.rows, p.cols) != (size, size):
         raise ValueError(f"matrix is {p.rows}x{p.cols}, expected {size}x{size}")
@@ -216,17 +213,18 @@ def symmetrize(p: Mat, block_dim: int, copies: int) -> Mat:
         raise NotAProjectionError("matrix is not idempotent")
     if not _block_sums_vanish(p, d, n):
         raise NotAProjectionError("range is not inside the zero-sum set")
-    total = Mat.zeros(size, size)
-    count = 0
-    for sigma in permutations(range(n)):
-        u = block_permutation(n, d, sigma)
-        inverse_sigma = [0] * n
-        for j, t in enumerate(sigma):
-            inverse_sigma[t] = j
-        u_inv = block_permutation(n, d, inverse_sigma)
-        total = total.add(u_inv @ p @ u)
-        count += 1
-    return total.scale(Fraction(1, count))
+    diag = [[_ZERO] * d for _ in range(d)]
+    off = [[_ZERO] * d for _ in range(d)]
+    for row in range(size):
+        i, r = divmod(row, d)
+        for col, x in enumerate(p.row(row)):
+            j, c = divmod(col, d)
+            (diag if i == j else off)[r][c] += x
+    a = [[x / n for x in line] for line in diag]
+    b = [[x / (n * (n - 1)) for x in line] for line in off]
+    return Mat(size, size, tuple((a if i == j else b)[r][c]
+                                 for i in range(n) for r in range(d)
+                                 for j in range(n) for c in range(d)))
 
 
 @dataclass(frozen=True)
@@ -253,8 +251,6 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
     r = a - b, that r fixes the base subspace, the factorization
     p_tilde = lift(r) o centring, and the norm identity.
     """
-    from .linalg import subspace_contains
-
     d, n = base.ambient_dim, copies
     if n < 2:
         raise ValueError(f"need at least 2 copies, got {copies}")
@@ -263,13 +259,9 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
         raise ValueError(f"matrix is {p_tilde.rows}x{p_tilde.cols}, expected {size}x{size}")
 
     # Commuting with a transposition and an N-cycle commutes with everything.
-    generators = []
-    if n >= 2:
-        swap = list(range(n))
-        swap[0], swap[1] = 1, 0
-        generators.append(swap)
-        generators.append([(i + 1) % n for i in range(n)])
-    for sigma in generators:
+    swap = list(range(n))
+    swap[0], swap[1] = 1, 0
+    for sigma in (swap, [(i + 1) % n for i in range(n)]):
         u = block_permutation(n, d, sigma)
         if u @ p_tilde != p_tilde @ u:
             raise NotSymmetrizedError(
@@ -319,16 +311,7 @@ def random_projection_onto(zs: ZeroSumSpace, rng: Random, spread: int = 2) -> Ma
     """
     g = zs.space.basis
     d0 = invert_square(g @ g.transpose()) @ g
-    kernel = kernel_basis(g.row_lists())
-    rows = []
-    for p in range(d0.rows):
-        row = list(d0.row(p))
-        for vec in kernel:
-            weight = Fraction(rng.randint(-spread, spread), rng.randint(1, spread))
-            if weight:
-                row = [x + weight * y for x, y in zip(row, vec)]
-        rows.append(row)
-    return g.transpose() @ Mat.from_rows(rows)
+    return g.transpose() @ feasible_perturbation(zs.space, d0, rng, spread)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from projconst.banach_mazur import (
     Clause,
     NonExactParameterError,
     SeqOperator,
-    SquareSystem,
     bm_params,
     bound_g,
     build_model,
@@ -191,6 +190,18 @@ class TestSeqOperator:
         assert op.descriptor == "I∘I"
         assert op.apply(unit(2)) == unit(2)
 
+    def test_split_embed_round_trip(self):
+        split_even = SeqOperator.from_clauses([Clause(1, 0, 2, 0, F(1))], "phi_1")
+        split_odd = SeqOperator.from_clauses([Clause(1, 0, 2, 1, F(1))], "phi_2")
+        embed = SeqOperator.from_clauses([Clause(2, 0, 1, 0, F(1))], "theta")
+        zero_odd = SeqOperator.from_clauses([Clause(2, 0, 2, 0, F(1))], "P")
+        x = {0: F(1), 1: F(2), 2: F(3), 5: F(-1)}
+        even = split_even.apply(x)
+        assert even == {0: F(1), 1: F(3)}
+        assert split_odd.apply(x) == {0: F(2), 2: F(-1)}
+        assert embed.apply(even) == {0: F(1), 2: F(3)}
+        assert zero_odd.apply(x) == {0: F(1), 2: F(3)}
+
 
 class TestNormWindow:
     def test_identity(self):
@@ -207,23 +218,6 @@ class TestNormWindow:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             operator_norm_window(SeqOperator.identity(), 1)
-
-
-class TestSquareSystem:
-    def test_kernel_membership(self):
-        assert SquareSystem.kernel_contains({1: F(1), 7: F(-2)})
-        assert SquareSystem.kernel_contains({})
-        assert not SquareSystem.kernel_contains({0: F(1)})
-        assert not SquareSystem.kernel_contains({2: F(1), 3: F(1)})
-
-    def test_split_embed_round_trip(self):
-        system = build_model(4).system
-        x = {0: F(1), 1: F(2), 2: F(3), 5: F(-1)}
-        even = system.phi1.apply(x)
-        assert even == {0: F(1), 1: F(3)}
-        assert system.phi2.apply(x) == {0: F(2), 2: F(-1)}
-        assert system.theta.apply(even) == {0: F(1), 2: F(3)}
-        assert system.p.apply(x) == {0: F(1), 2: F(3)}
 
 
 class TestModel:

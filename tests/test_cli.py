@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from projconst import simplex
 from projconst.cli import main
 
 
@@ -75,6 +76,13 @@ class TestMinproj:
         code, _, _ = run(capsys, "--budget", "3,2", "minproj", kernel3)
         assert code == 0
 
+    def test_pivot_limit_is_inconclusive(self, capsys, monkeypatch, kernel3):
+        monkeypatch.setattr(simplex, "PIVOT_LIMIT", 1)
+        code, out, err = run(capsys, "minproj", kernel3)
+        assert code == 5
+        assert out == ""
+        assert report(err)["status"] == "inconclusive"
+
 
 class TestInputValidation:
     def test_missing_file(self, capsys, tmp_path):
@@ -96,6 +104,13 @@ class TestInputValidation:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"ambient_dim": 1, "basis": [["1.5"]]}))
         assert run(capsys, "minproj", str(path))[0] == 2
+
+    def test_boolean_ambient_dim(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"ambient_dim": True, "basis": [["1"]]}))
+        code, _, err = run(capsys, "minproj", str(path))
+        assert code == 2
+        assert report(err)["status"] == "error"
 
     def test_ragged_rows(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -236,6 +251,15 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--only", "centring-norm")
         assert code == 1
         assert "[FAIL] centring-norm" in out
+
+    def test_raising_criterion_does_not_hide_the_others(self, capsys):
+        # the amplification demo needs ell_inf^9, so this budget makes it raise
+        code, out, _ = run(capsys, "--budget", "2,1", "selftest",
+                           "--only", "centring-norm,amplification-demo")
+        assert code == 1
+        assert "[PASS] centring-norm" in out
+        assert "[FAIL] amplification-demo: BudgetExceededError: " in out
+        assert out.strip().endswith("FAILED (1): amplification-demo")
 
     def test_fault_leaves_other_criteria_alone(self, capsys, monkeypatch):
         monkeypatch.setenv("PROJCONST_SELFTEST_FAULT", "centring-norm")

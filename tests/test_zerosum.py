@@ -14,7 +14,6 @@ import pytest
 from projconst.linalg import Mat, Subspace, block_permutation, inf_op_norm, subspace_contains
 from projconst.minproj import LPBudget, projection_constant
 from projconst.zerosum import (
-    SYMMETRIZE_MAX_COPIES,
     DecompositionIntegrityError,
     NotAProjectionError,
     NotSymmetrizedError,
@@ -182,10 +181,20 @@ class TestSymmetrize:
         with pytest.raises(NotAProjectionError):
             symmetrize(Mat.from_rows([[1, -1], [0, 0]]), 1, 2)
 
-    def test_rejects_oversized_enumeration(self):
-        n = SYMMETRIZE_MAX_COPIES + 1
-        with pytest.raises(ValueError):
-            symmetrize(centring_projection(1, n), 1, n)
+    def test_centring_map_is_fixed_beyond_six_copies(self):
+        assert symmetrize(centring_projection(1, 7), 1, 7) == centring_projection(1, 7)
+
+    @pytest.mark.parametrize("d, n", [(1, 3), (2, 4), (3, 5)])
+    def test_matches_enumeration_over_the_group(self, d, n):
+        # reference: the defining average over all N! block permutations
+        base = Subspace.from_rows([[1] + [j % 2 for j in range(1, d)]])
+        p = random_projection_onto(sigma_subspace(base, n), Random(d * 10 + n))
+        total = Mat.zeros(d * n, d * n)
+        perms = list(itertools.permutations(range(n)))
+        for sigma in perms:
+            u = block_permutation(n, d, sigma)
+            total = total.add(u.transpose() @ p @ u)
+        assert symmetrize(p, d, n) == total.scale(F(1, len(perms)))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -69,9 +69,13 @@ class LPBudget:
         return space.ambient_dim <= self.max_ambient and space.dim <= self.max_dim
 
     def require(self, space: Subspace):
-        if not self.admits(space):
+        self.require_shape(space.ambient_dim, space.dim)
+
+    def require_shape(self, ambient_dim: int, dim: int):
+        """`require` for a subspace known only by its shape, before it is built."""
+        if ambient_dim > self.max_ambient or dim > self.max_dim:
             raise BudgetExceededError(
-                f"subspace of dimension {space.dim} in ell_inf^{space.ambient_dim} "
+                f"subspace of dimension {dim} in ell_inf^{ambient_dim} "
                 f"exceeds LP budget (ambient <= {self.max_ambient}, dim <= {self.max_dim})"
             )
 
@@ -219,6 +223,17 @@ class ProjectionConstantResult:
         }
 
 
+def _shared_entries(*mats: Mat) -> list[Mat]:
+    """The matrices again, with one Fraction object per distinct entry value.
+
+    An optimal projection repeats few values (two for ker_n), so a kept
+    result costs one object per value instead of one per entry.
+    """
+    shared: dict[Fraction, Fraction] = {}
+    return [Mat(m.rows, m.cols, tuple(shared.setdefault(x, x) for x in m.entries))
+            for m in mats]
+
+
 def _certify(space: Subspace, value: Fraction, coeffs: Mat) -> ProjectionConstantResult:
     projection = space.basis.transpose() @ coeffs
     norm = inf_op_norm(projection)
@@ -240,7 +255,8 @@ def _certify(space: Subspace, value: Fraction, coeffs: Mat) -> ProjectionConstan
     image = projection.apply(norm.witness)
     if max((abs(x) for x in image), default=_ZERO) != value:
         raise SolverIntegrityError("norm witness does not attain the optimum")
-    return ProjectionConstantResult(value, coeffs, projection, norm.witness)
+    return ProjectionConstantResult(value, *_shared_entries(coeffs, projection),
+                                    norm.witness)
 
 
 def projection_constant(space: Subspace) -> ProjectionConstantResult:

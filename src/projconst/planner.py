@@ -25,6 +25,7 @@ from .minproj import (
     LPBudget,
     projection_constant,
 )
+from .simplex import PivotLimitExceeded
 from .zerosum import amplification_factor, sigma_subspace
 
 _ONE = Fraction(1)
@@ -194,8 +195,10 @@ def demonstrate_schedule(base: Subspace, plan: AmplificationPlan, max_steps: int
 
     Checks lambda(base) == plan.alpha first (mismatch is a hard error), then
     iterates the zero-sum construction, certifying the staged constant
-    mu_N^k * alpha at every level by an exact LP solve.  Steps beyond the LP
-    budget truncate the report rather than raising.
+    mu_N^k * alpha at every level by an exact LP solve.  A step beyond the LP
+    budget or the simplex pivot limit truncates the report rather than
+    raising; the budget is checked on the step's shape before its zero-sum
+    space is built.
     """
     if max_steps < 0:
         raise ValueError(f"negative step count {max_steps}")
@@ -214,18 +217,17 @@ def demonstrate_schedule(base: Subspace, plan: AmplificationPlan, max_steps: int
     expected = base_lambda
     truncated = False
     for k in range(1, max_steps + 1):
-        zs = sigma_subspace(current, plan.copies)
-        current = zs.space
-        expected = expected * zs.mu
+        expected = expected * amplification_factor(plan.copies)
+        ambient = current.ambient_dim * plan.copies
         try:
-            budget.require(current)
-        except BudgetExceededError:
-            steps.append(DemoStep(k, current.ambient_dim, expected, None, False))
+            budget.require_shape(ambient, (plan.copies - 1) * current.dim)
+            current = sigma_subspace(current, plan.copies).space
+            computed = projection_constant(current).value
+        except (BudgetExceededError, PivotLimitExceeded):
+            steps.append(DemoStep(k, ambient, expected, None, False))
             truncated = True
             break
-        computed = projection_constant(current).value
-        steps.append(DemoStep(k, current.ambient_dim, expected, computed,
-                              computed == expected))
+        steps.append(DemoStep(k, ambient, expected, computed, computed == expected))
     return ScheduleReport(base_lambda, tuple(steps), truncated)
 
 

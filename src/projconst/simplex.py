@@ -8,17 +8,36 @@ with each variable either nonnegative or free.  Free variables are split
 into positive and negative parts, inequalities get slack variables, and
 equalities get artificial variables for phase 1.
 
+The tableau is fraction-free.  Each row, and the objective row, is a list
+of Python ints over one positive denominator: entry j of row i stands for
+the rational tableau[i][j] / dens[i].  A row starts over the lcm of its
+input denominators.  A pivot on (r, c) with pivot numerator p rescales the
+pivot row to the denominator |p|, so its entry c reads 1.  Every other row
+with f = row[c] != 0 becomes P*row - f*prow over the denominator den*P,
+where P is the pivot row's denominator.  An updated row is then divided by
+the gcd of its denominator and numerators.  So the tableau is updated by
+integer multiply, subtract and one exact division per row, as in Edmonds'
+(1967) and Bareiss' (1968) integer-preserving elimination, instead of one
+rational normalisation per entry.
+
 Pivoting uses Bland's smallest-index rule for both the entering and the
 leaving choice.  That precludes cycling, so termination is guaranteed, and
 it makes every solve deterministic: identical input programs produce the
-identical pivot sequence and the identical optimal assignment.
+identical pivot sequence and the identical optimal assignment.  The integer
+rows do not change that sequence.  Each row stands for exactly the rational
+row of the textbook tableau, and denominators are positive, so a sign test
+reads the numerator.  The ratio test compares rhs_i / a_i by
+cross-multiplying numerators, since a row's denominator cancels in its own
+ratio.  Hence every entering column, every leaving row, every redundant row
+dropped after phase 1 and the returned assignment are those of the rational
+tableau.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -68,6 +87,27 @@ class LinearProgram:
                 raise ValueError("constraint row width mismatch")
 
 
+def _integer_row(values: list[Fraction]) -> tuple[list[int], int]:
+    """Numerators of `values` over the lcm of their denominators.
+
+    The result is already in lowest terms: for each prime power exactly
+    dividing the lcm, the entry that contributed it keeps a numerator
+    prime to it.
+    """
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """Divide numerators and denominator by their common gcd."""
+    if den == 1:
+        return row, den
+    g = math.gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [x // g for x in row], den // g
+
+
 def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     """Optimal (objective value, assignment) of the program.
 
@@ -77,6 +117,7 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     """
     lp.check_shapes()
     nv = lp.num_vars
+    n_eq = len(lp.eq_rows)
 
     # Column layout: originals, then negative parts of free variables,
     # then slacks, then artificials.  Fixed layout keeps solves deterministic.
@@ -89,93 +130,89 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     slack_start = n_split
     art_start = n_split + n_ub
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    negated: list[bool] = []
-    for row, b in zip(lp.eq_rows, lp.eq_rhs):
-        flip = b < 0
-        sign = -_ONE if flip else _ONE
-        rows.append([sign * x for x in row])
-        rhs.append(sign * b)
-        negated.append(flip)
-    for row, b in zip(lp.ub_rows, lp.ub_rhs):
-        flip = b < 0
-        sign = -_ONE if flip else _ONE
-        rows.append([sign * x for x in row])
-        rhs.append(sign * b)
-        negated.append(flip)
-
-    m = len(rows)
+    # Rows with a negative right-hand side are negated so that b >= 0.
+    constraints = list(zip(lp.eq_rows + lp.ub_rows, lp.eq_rhs + lp.ub_rhs))
+    negated = [b < 0 for _, b in constraints]
+    m = len(constraints)
     basis: list[int] = [-1] * m
     artificial_of_row: dict[int, int] = {}
     n_art = 0
     for i in range(m):
-        if i >= len(lp.eq_rows):
+        if i >= n_eq:
             # inequality row: slack coefficient is +1 unless the row was negated
             if not negated[i]:
-                basis[i] = slack_start + (i - len(lp.eq_rows))
+                basis[i] = slack_start + (i - n_eq)
                 continue
         artificial_of_row[i] = art_start + n_art
         n_art += 1
     ncols = art_start + n_art
 
-    tableau: list[list[Fraction]] = []
-    for i in range(m):
-        full = [_ZERO] * (ncols + 1)
-        row = rows[i]
+    tableau: list[list[int]] = []
+    dens: list[int] = []
+    for i, (row, b) in enumerate(constraints):
+        num, den = _integer_row(list(row) + [b])
+        sign = -1 if negated[i] else 1
+        full = [0] * (ncols + 1)
         for j in range(nv):
-            x = row[j]
+            x = num[j]
             if x:
-                full[j] = x
+                full[j] = sign * x
                 if j in neg_part:
-                    full[neg_part[j]] = -x
-        if i >= len(lp.eq_rows):
-            sidx = slack_start + (i - len(lp.eq_rows))
-            full[sidx] = -_ONE if negated[i] else _ONE
+                    full[neg_part[j]] = -sign * x
+        if i >= n_eq:
+            full[slack_start + (i - n_eq)] = sign * den
         if i in artificial_of_row:
-            full[artificial_of_row[i]] = _ONE
+            full[artificial_of_row[i]] = den
             basis[i] = artificial_of_row[i]
-        full[ncols] = rhs[i]
+        full[ncols] = sign * num[nv]
         tableau.append(full)
+        dens.append(den)
 
     pivots = 0
 
     def pivot(row_i: int, col_j: int):
-        nonlocal pivots
+        nonlocal pivots, objective_row, objective_den
         pivots += 1
         if pivots > PIVOT_LIMIT:
             raise PivotLimitExceeded(f"exceeded {PIVOT_LIMIT} pivots")
+        # The pivot row divided by its entry p / den is its numerators, signs
+        # flipped when p < 0, over |p|; reduced, entry c equals the denominator.
         prow = tableau[row_i]
-        piv = prow[col_j]
-        if piv != 1:
-            inv = 1 / piv
-            tableau[row_i] = prow = [x * inv if x else x for x in prow]
-        nz = [j for j, x in enumerate(prow) if x]
-        for i in range(len(tableau)):
-            if i == row_i:
-                continue
-            r = tableau[i]
+        p = prow[col_j]
+        if p < 0:
+            prow = [-x for x in prow]
+        prow, pden = _reduced(prow, abs(p))
+        tableau[row_i] = prow
+        dens[row_i] = pden
+        nz = [(j, x) for j, x in enumerate(prow) if x]
+
+        def eliminate(r: list[int], den: int) -> tuple[list[int], int]:
             f = r[col_j]
-            if f:
-                for j in nz:
-                    r[j] -= f * prow[j]
-        obj = objective_row
-        f = obj[col_j]
-        if f:
-            for j in nz:
-                obj[j] -= f * prow[j]
+            if pden != 1:
+                r = [pden * x for x in r]
+            for j, x in nz:
+                r[j] -= f * x
+            return _reduced(r, den * pden)
+
+        for i in range(len(tableau)):
+            if i != row_i and tableau[i][col_j]:
+                tableau[i], dens[i] = eliminate(tableau[i], dens[i])
+        if objective_row[col_j]:
+            objective_row, objective_den = eliminate(objective_row, objective_den)
         basis[row_i] = col_j
 
-    def reduced_costs(cost: list[Fraction]) -> list[Fraction]:
-        out = list(cost) + [_ZERO]
+    def reduced_costs(cost: list[Fraction]) -> tuple[list[int], int]:
+        out, den = _integer_row(cost + [_ZERO])
         for i, b in enumerate(basis):
             cb = cost[b]
             if cb:
-                row = tableau[i]
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] -= cb * x
-        return out
+                # out/den - cb * row/dens[i], over the lcm of both denominators
+                scale = cb.denominator * dens[i]
+                common = math.lcm(den, scale)
+                a, c = common // den, cb.numerator * (common // scale)
+                out = [a * x - c * y for x, y in zip(out, tableau[i])]
+                den = common
+        return _reduced(out, den)
 
     def run(eligible_end: int):
         while True:
@@ -187,14 +224,17 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
             if enter < 0:
                 return
             leave = -1
-            best_ratio = None
+            best_a = best_b = 0
             for i in range(m):
-                a = tableau[i][enter]
+                row = tableau[i]
+                a = row[enter]
                 if a > 0:
-                    ratio = tableau[i][ncols] / a
-                    if (best_ratio is None or ratio < best_ratio
-                            or (ratio == best_ratio and basis[i] < basis[leave])):
-                        best_ratio = ratio
+                    b = row[ncols]
+                    # sign of b / a - best_b / best_a, with a, best_a > 0
+                    cross = b * best_a - best_b * a
+                    if (leave < 0 or cross < 0
+                            or (cross == 0 and basis[i] < basis[leave])):
+                        best_a, best_b = a, b
                         leave = i
             if leave < 0:
                 raise UnboundedProgram("objective unbounded below")
@@ -205,11 +245,11 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         phase1_cost = [_ZERO] * ncols
         for j in range(art_start, ncols):
             phase1_cost[j] = _ONE
-        objective_row = reduced_costs(phase1_cost)
+        objective_row, objective_den = reduced_costs(phase1_cost)
         run(ncols)
-        residue = sum((tableau[i][ncols] for i in range(m) if basis[i] >= art_start),
-                      _ZERO)
-        if residue:
+        # Right-hand sides stay nonnegative, so their sum is zero exactly
+        # when each one is.
+        if any(tableau[i][ncols] for i in range(m) if basis[i] >= art_start):
             raise InfeasibleProgram("phase 1 terminated with positive artificial mass")
         # Drive any zero-level artificial out of the basis; a row with no
         # remaining legitimate pivot is redundant and dropped.
@@ -223,10 +263,13 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
                     pivot(i, col)
         for i in reversed(drop):
             del tableau[i]
+            del dens[i]
             del basis[i]
         m = len(tableau)
         for i in range(m):
-            tableau[i] = tableau[i][:art_start] + [tableau[i][ncols]]
+            row = tableau[i]
+            del row[art_start:ncols]
+            tableau[i], dens[i] = _reduced(row, dens[i])
         ncols = art_start
 
     # ---- phase 2 -------------------------------------------------------
@@ -235,12 +278,12 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         phase2_cost[j] = lp.objective[j]
     for j, nj in neg_part.items():
         phase2_cost[nj] = -lp.objective[j]
-    objective_row = reduced_costs(phase2_cost)
+    objective_row, objective_den = reduced_costs(phase2_cost)
     run(ncols)
 
     x_std = [_ZERO] * ncols
     for i, b in enumerate(basis):
-        x_std[b] = tableau[i][ncols]
+        x_std[b] = Fraction(tableau[i][ncols], dens[i])
     assignment = []
     for j in range(nv):
         val = x_std[j]

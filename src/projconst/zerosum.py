@@ -36,6 +36,7 @@ from .minproj import (
     feasible_perturbation,
     projection_constant,
 )
+from .simplex import PivotLimitExceeded
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -355,22 +356,22 @@ def verify_multiplication_law(base: Subspace, copies: int,
                               budget: LPBudget = DEFAULT_BUDGET) -> MultiplicationLawReport:
     """Certify the amplification law for one base subspace by exact LP solves.
 
-    When either side exceeds the LP budget the report comes back flagged
-    inconclusive instead of raising.
+    When either side exceeds the LP budget or the simplex pivot limit, the
+    report comes back flagged inconclusive instead of raising.  The budget
+    is checked on the zero-sum space's shape before that space is built, so
+    a large N costs nothing beyond the base solve.
     """
-    zs = sigma_subspace(base, copies)
-    mu = zs.mu
+    mu = amplification_factor(copies)
+    ambient = base.ambient_dim * copies
     try:
         budget.require(base)
         base_lambda = projection_constant(base).value
-    except BudgetExceededError:
-        return MultiplicationLawReport(None, mu, None, copies, zs.ambient_dim,
-                                       "inconclusive")
+    except (BudgetExceededError, PivotLimitExceeded):
+        return MultiplicationLawReport(None, mu, None, copies, ambient, "inconclusive")
     try:
-        budget.require(zs.space)
-        sigma_lambda = projection_constant(zs.space).value
-    except BudgetExceededError:
-        return MultiplicationLawReport(base_lambda, mu, None, copies,
-                                       zs.ambient_dim, "inconclusive")
-    return MultiplicationLawReport(base_lambda, mu, sigma_lambda, copies,
-                                   zs.ambient_dim, "ok")
+        budget.require_shape(ambient, (copies - 1) * base.dim)
+        sigma_lambda = projection_constant(sigma_subspace(base, copies).space).value
+    except (BudgetExceededError, PivotLimitExceeded):
+        return MultiplicationLawReport(base_lambda, mu, None, copies, ambient,
+                                       "inconclusive")
+    return MultiplicationLawReport(base_lambda, mu, sigma_lambda, copies, ambient, "ok")

@@ -8,8 +8,9 @@ import json
 
 import pytest
 
-from projconst import simplex
-from projconst.cli import main
+from projconst import simplex, zerosum
+from projconst.cli import load_subspace_document, main
+from projconst.minproj import projection_constant
 
 
 def run(capsys, *argv):
@@ -32,6 +33,29 @@ def kernel3(tmp_path):
     path = tmp_path / "kernel3.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@pytest.fixture
+def kernel5(tmp_path):
+    basis = [["0"] * 5 for _ in range(4)]
+    for i in range(4):
+        basis[i][i], basis[i][i + 1] = "1", "-1"
+    doc = {"ambient_dim": 5, "basis": basis}
+    path = tmp_path / "kernel5.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def fewest_pivots(monkeypatch, space) -> int:
+    """The smallest pivot limit under which the LP of `space` still solves."""
+    for limit in range(1, 1000):
+        monkeypatch.setattr(simplex, "PIVOT_LIMIT", limit)
+        try:
+            projection_constant(space)
+            return limit
+        except simplex.PivotLimitExceeded:
+            pass
+    raise AssertionError("no pivot limit below 1000 suffices")
 
 
 @pytest.fixture
@@ -145,9 +169,46 @@ class TestZerosum:
         assert doc["mu_N"] == "4/3"
         assert doc["N"] == 3
 
-    @pytest.mark.parametrize("copies", ["1", "7", "0"])
+    @pytest.mark.parametrize("copies", ["1", "0"])
     def test_copies_out_of_range(self, capsys, scalar_line, copies):
         assert run(capsys, "zerosum", scalar_line, "--copies", copies)[0] == 2
+
+    def test_more_than_six_copies(self, capsys, scalar_line):
+        code, out, _ = run(capsys, "zerosum", scalar_line, "--copies", "7")
+        assert code == 0
+        doc = payload(out)
+        assert doc["sigma_lambda"] == "12/7"
+        assert doc["equal"] is True
+
+    def test_budget_is_checked_before_the_space_is_built(
+            self, capsys, monkeypatch, scalar_line):
+        def refuse(*args):
+            raise AssertionError("zero-sum space built beyond the budget")
+
+        monkeypatch.setattr(zerosum, "sigma_subspace", refuse)
+        code, out, _ = run(capsys, "zerosum", scalar_line, "--copies", "100000")
+        assert code == 5
+        doc = payload(out)
+        assert (doc["status"], doc["base_lambda"], doc["ambient_dim"]) == (
+            "inconclusive", "1", 100000)
+
+    def test_pivot_limit_on_the_base(self, capsys, monkeypatch, kernel3):
+        monkeypatch.setattr(simplex, "PIVOT_LIMIT", 1)
+        code, out, err = run(capsys, "zerosum", kernel3, "--copies", "2")
+        assert code == 5
+        doc = payload(out)
+        assert (doc["status"], doc["base_lambda"]) == ("inconclusive", None)
+        assert report(err)["status"] == "inconclusive"
+
+    def test_pivot_limit_on_the_zero_sum_side(self, capsys, monkeypatch,
+                                              scalar_line):
+        # the line's own LP takes one pivot, ker_3 = Sigma_3(line) takes more
+        monkeypatch.setattr(simplex, "PIVOT_LIMIT", 1)
+        code, out, _ = run(capsys, "zerosum", scalar_line, "--copies", "3")
+        assert code == 5
+        doc = payload(out)
+        assert (doc["status"], doc["base_lambda"], doc["sigma_lambda"]) == (
+            "inconclusive", "1", None)
 
     def test_budget_inconclusive(self, capsys, kernel3):
         # the amplified side lives in ell_inf^6, beyond this budget
@@ -182,6 +243,20 @@ class TestPlan:
         code, _, _ = run(capsys, "plan", "--lambda", "5/2",
                          "--demo", scalar_line)
         assert code == 6
+
+    def test_demo_pivot_limit_truncates(self, capsys, monkeypatch, kernel5):
+        # target 32/15 plans N = 3 and alpha = 8/5 = lambda(ker_5); the base
+        # LP solves within the limit, the step in ell_inf^15 runs out of pivots
+        limit = fewest_pivots(monkeypatch, load_subspace_document(kernel5)[0])
+        monkeypatch.setattr(simplex, "PIVOT_LIMIT", limit)
+        code, out, err = run(capsys, "--budget", "15,8", "plan",
+                             "--lambda", "32/15", "--demo", kernel5)
+        assert code == 5
+        demo = payload(out)["demo"]
+        assert (demo["status"], demo["truncated"]) == ("inconclusive", True)
+        assert demo["steps"] == [{"k": 1, "ambient_dim": 15, "expected": "32/15",
+                                  "computed": None, "certified": False}]
+        assert report(err)["status"] == "inconclusive"
 
     def test_demo_zero_steps(self, capsys, kernel3):
         # lambda = 4/3 needs no amplification, so the demo just certifies it

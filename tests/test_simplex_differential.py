@@ -1,0 +1,127 @@
+"""The fraction-free simplex against the rational-tableau simplex it replaced.
+
+Both run Bland's rule on the same rational tableau, so on every program they
+must return the identical (value, assignment) or raise the same exception.
+Identical assignments on degenerate programs, where many optima exist, pin
+the pivot sequence as well.
+"""
+
+from collections import Counter
+from fractions import Fraction as F
+from random import Random
+
+import pytest
+from simplex_reference import reference_solve
+
+from projconst import simplex
+from projconst.linalg import Subspace
+from projconst.minproj import build_projection_lp
+from projconst.simplex import LinearProgram, SimplexError, solve_linear_program
+from projconst.zerosum import sigma_subspace
+
+
+def outcome(solve, program):
+    try:
+        return solve(program)
+    except SimplexError as exc:
+        return type(exc)
+
+
+def assert_same(program):
+    got = outcome(solve_linear_program, program)
+    want = outcome(reference_solve, program)
+    assert got == want
+    if isinstance(got, tuple):
+        value, assignment = got
+        assert all(type(x) is F for x in [value, *assignment])
+    return got
+
+
+def _entry(rng: Random, zero_share: float) -> F:
+    if rng.random() < zero_share:
+        return F(0)
+    return F(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _with_redundant_row(rng: Random, rows, rhs):
+    """Insert a rational combination of the rows, with the matching rhs."""
+    coeffs = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in rows]
+    width = len(rows[0])
+    combo = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(width)]
+    at = rng.randint(0, len(rows))
+    rows.insert(at, combo)
+    rhs.insert(at, sum(c * b for c, b in zip(coeffs, rhs)))
+
+
+def random_program(rng: Random) -> LinearProgram:
+    """Small programs with rational entries, free variables, right-hand sides
+    of either sign (zero ones give degenerate vertices) and, in about a
+    third of the programs with equalities, a redundant equality."""
+    nv = rng.randint(1, 5)
+    zero_share = rng.choice([0.2, 0.5])
+    n_eq, n_ub = rng.randint(0, 3), rng.randint(0, 4)
+    eq = [[_entry(rng, zero_share) for _ in range(nv)] for _ in range(n_eq)]
+    eq_rhs = [_entry(rng, 0.4) for _ in range(n_eq)]
+    if eq and rng.random() < 0.35:
+        _with_redundant_row(rng, eq, eq_rhs)
+    ub = [[_entry(rng, zero_share) for _ in range(nv)] for _ in range(n_ub)]
+    ub_rhs = [_entry(rng, 0.4) for _ in range(n_ub)]
+    objective = [_entry(rng, zero_share) for _ in range(nv)]
+    free = [rng.random() < 0.3 for _ in range(nv)]
+    return LinearProgram(objective, eq, eq_rhs, ub, ub_rhs, free)
+
+
+def test_identical_results_on_random_programs():
+    rng = Random(20240601)
+    kinds = Counter()
+    for _ in range(1200):
+        got = assert_same(random_program(rng))
+        kinds[got if isinstance(got, type) else "optimal"] += 1
+    assert kinds["optimal"] >= 200
+    assert kinds[simplex.InfeasibleProgram] >= 200
+    assert kinds[simplex.UnboundedProgram] >= 200
+
+
+def test_redundant_equalities_are_dropped_alike():
+    # the second and fourth rows are combinations of the others, so their
+    # artificials end phase 1 at level 0 with no legitimate pivot left
+    program = LinearProgram(
+        [F(1), F(2), F(-1)],
+        [[F(1), F(1), F(0)], [F(2), F(2), F(0)], [F(0), F(1), F(1)],
+         [F(1), F(2), F(1)]],
+        [F(1), F(2), F(3, 2), F(5, 2)],
+        [], [], [False, False, True])
+    assert assert_same(program) == (F(-1, 2), [F(1), F(0), F(3, 2)])
+
+
+def test_negative_pivot_in_artificial_drive_out():
+    # min 2x + y + z with -z = 0 and 2x = 3: phase 1 leaves the artificial of
+    # the first row basic at level 0, and its only legitimate entry is -1
+    program = LinearProgram(
+        [F(2), F(1), F(1)],
+        [[F(0), F(0), F(-1)], [F(2), F(0), F(0)]],
+        [F(0), F(3)],
+        [], [], [False, False, False])
+    assert assert_same(program) == (F(3), [F(3, 2), F(0), F(0)])
+
+
+def test_pivot_limit_is_read_at_pivot_time(monkeypatch):
+    program = build_projection_lp(_kernel(3)).program
+    monkeypatch.setattr(simplex, "PIVOT_LIMIT", 3)
+    assert assert_same(program) is simplex.PivotLimitExceeded
+
+
+def _kernel(n: int) -> Subspace:
+    rows = [[F(0)] * n for _ in range(n - 1)]
+    for i in range(n - 1):
+        rows[i][i], rows[i][i + 1] = F(1), F(-1)
+    return Subspace.from_rows(rows, ambient_dim=n)
+
+
+@pytest.mark.parametrize("space, expected", [
+    *(pytest.param(_kernel(n), 2 - F(2, n), id=f"ker{n}") for n in range(2, 7)),
+    pytest.param(sigma_subspace(_kernel(3), 2).space, F(4, 3), id="sigma2-ker3"),
+])
+def test_identical_results_on_projection_programs(space, expected):
+    value, _ = assert_same(build_projection_lp(space).program)
+    assert value == expected

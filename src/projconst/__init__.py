@@ -44,7 +44,6 @@ from .planner import (
     PlanRangeError,
     ad_hoc_plan,
     demonstrate_schedule,
-    interleave_isometry,
     plan_parameters,
 )
 from .zerosum import (
@@ -90,7 +89,6 @@ __all__ = [
     "float_oracle",
     "format_rational",
     "inf_op_norm",
-    "interleave_isometry",
     "operator_norm_window",
     "optimize_closed_form",
     "optimize_numeric",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -122,18 +123,20 @@ def emit(payload: dict):
 
 
 def _parse_budget(text: str) -> LPBudget:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return LPBudget(max_ambient=int(parts[0]))
-        if len(parts) == 2:
-            return LPBudget(max_ambient=int(parts[0]), max_dim=int(parts[1]))
+        limits = [int(part) for part in text.split(",")]
     except ValueError:
-        pass
-    raise InputError(f"budget must be 'AMBIENT' or 'AMBIENT,DIM', got {text!r}")
+        limits = []
+    if not 1 <= len(limits) <= 2:
+        raise InputError(f"budget must be 'AMBIENT' or 'AMBIENT,DIM', got {text!r}")
+    if min(limits) < 1:
+        raise InputError(f"budget limits must be positive, got {text!r}")
+    return LPBudget(*limits)
 
 
 def cmd_minproj(args) -> tuple[int, str]:
+    if args.oracle and not 0 < args.tol < math.inf:
+        raise InputError(f"oracle tolerance must be finite and positive, got {args.tol}")
     space, _ = load_subspace_document(args.input)
     args.budget.require(space)
     result = projection_constant(space)
@@ -284,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="also run the floating-point oracle and compare")
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="oracle agreement tolerance")
+                   help="oracle agreement tolerance, finite and positive")
     p.set_defaults(fn=cmd_minproj)
 
     p = sub.add_parser("zerosum", help="certify the amplification law for a base subspace")

@@ -194,37 +194,6 @@ def mat_compose(a: Mat, b: Mat) -> Mat:
     return Mat(a.rows, b.cols, tuple(flat))
 
 
-def block_permutation(num_blocks: int, block_dim: int, sigma: Sequence[int]) -> Mat:
-    """0/1 matrix permuting the N blocks of a dN-vector: block j moves to block sigma[j].
-
-    `sigma` is a 0-based permutation of range(num_blocks).  The result always
-    has inf->inf norm 1, and composition of block permutations follows
-    composition of the permutations.
-    """
-    n, d = num_blocks, block_dim
-    if n < 1 or d < 1:
-        raise ValueError(f"invalid block structure: {n} blocks of dimension {d}")
-    if sorted(sigma) != list(range(n)):
-        raise ValueError(f"{sigma!r} is not a permutation of 0..{n - 1}")
-    size = n * d
-    one, zero = Fraction(1), Fraction(0)
-    flat = [zero] * (size * size)
-    for j in range(n):
-        target = sigma[j]
-        for r in range(d):
-            flat[(target * d + r) * size + (j * d + r)] = one
-    return Mat(size, size, tuple(flat))
-
-
-def split_blocks(vector: Sequence, block_dim: int) -> list[tuple[Fraction, ...]]:
-    if len(vector) % block_dim != 0:
-        raise ValueError(
-            f"vector of length {len(vector)} does not split into blocks of {block_dim}"
-        )
-    vec = [as_rat(x) for x in vector]
-    return [tuple(vec[i : i + block_dim]) for i in range(0, len(vec), block_dim)]
-
-
 class RankDeficientError(ValueError):
     """Raised when a basis fails to have full row rank."""
 

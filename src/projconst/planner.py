@@ -8,9 +8,9 @@ smallest block count >= 3 with mu_N^m > lambda / 2, which makes the
 remaining factor alpha = lambda / mu_N^m land in (1, 2].
 
 `demonstrate_schedule` executes a plan on an actual base subspace,
-certifying each staged constant by exact LP solves.  `interleave_isometry`
-realizes the index bookkeeping that splits one sequence of coordinates into
-K interleaved copies by residue classes.
+certifying each staged constant by exact LP solves.  Each step replaces the
+current space by its zero-sum space, which `zerosum.sigma_subspace` builds in
+that module's contiguous block layout.
 """
 
 from __future__ import annotations
@@ -229,47 +229,3 @@ def demonstrate_schedule(base: Subspace, plan: AmplificationPlan, max_steps: int
             break
         steps.append(DemoStep(k, ambient, expected, computed, computed == expected))
     return ScheduleReport(base_lambda, tuple(steps), truncated)
-
-
-@dataclass(frozen=True)
-class InterleaveTable:
-    """Residue-class interleaving of K sequences into one, below a bound.
-
-    Block j occupies the flat indices j + K*i; the map preserves the sup
-    norm because it is an index bijection.
-    """
-
-    copies: int
-    index_bound: int
-    block_to_flat: tuple[tuple[int, ...], ...]
-    flat_to_block: tuple[tuple[int, int], ...]
-
-    def interleave(self, blocks):
-        """Merge K coordinate lists into one; inverse of `split`."""
-        if len(blocks) != self.copies:
-            raise ValueError(f"expected {self.copies} blocks, got {len(blocks)}")
-        length = self.copies * max((len(b) for b in blocks), default=0)
-        out = [Fraction(0)] * length
-        for j, block in enumerate(blocks):
-            for i, x in enumerate(block):
-                out[j + self.copies * i] = x
-        return out
-
-    def split(self, flat):
-        blocks = [[] for _ in range(self.copies)]
-        for idx, x in enumerate(flat):
-            blocks[idx % self.copies].append(x)
-        return blocks
-
-
-def interleave_isometry(copies: int, index_bound: int) -> InterleaveTable:
-    """Index tables for the residue-class interleaving j + K*i below a bound."""
-    if copies < 1:
-        raise ValueError(f"invalid copy count {copies}")
-    if index_bound < 0:
-        raise ValueError(f"negative index bound {index_bound}")
-    block_to_flat = tuple(
-        tuple(range(j, index_bound, copies)) for j in range(copies)
-    )
-    flat_to_block = tuple((i % copies, i // copies) for i in range(index_bound))
-    return InterleaveTable(copies, index_bound, block_to_flat, flat_to_block)

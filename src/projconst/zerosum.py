@@ -2,7 +2,10 @@
 
 For a subspace E of ell_inf^d and N >= 2, the zero-sum space collects the
 N-tuples of E-vectors whose blocks sum to zero, sitting inside ell_inf^{dN}.
-Three exact facts drive everything here:
+Blocks are contiguous: coordinate r of block i sits at flat index i*d + r.
+This module is the only one that knows that layout; a block permutation acts
+on a matrix by re-indexing its entries (`permute_blocks`), never through a
+permutation matrix.  Three exact facts drive everything here:
 
 * the centring map, which subtracts the blockwise mean, projects onto the
   zero-sum space of the full block space with norm exactly 2 - 2/N;
@@ -18,15 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import Sequence
 
 from .linalg import (
     Mat,
     Subspace,
-    block_permutation,
     format_rational,
     inf_op_norm,
     invert_square,
-    split_blocks,
     subspace_contains,
 )
 from .minproj import (
@@ -75,15 +77,11 @@ class ZeroSumSpace:
         return self.space.ambient_dim
 
     def __post_init__(self):
+        # blocks are counted from the ambient dimension, so every one is summed
         d = self.base.ambient_dim
-        for i in range(self.space.dim):
-            blocks = split_blocks(self.space.basis.row(i), d)
-            total = [_ZERO] * d
-            for blk in blocks:
-                for c, x in enumerate(blk):
-                    total[c] += x
-            if any(total):
-                raise ValueError("zero-sum basis row has nonzero block sum")
+        blocks, rest = divmod(self.space.ambient_dim, d)
+        if rest or not _block_sums_vanish(self.space.basis.transpose(), d, blocks):
+            raise ValueError("zero-sum basis row has nonzero block sum")
 
 
 def sigma_subspace(base: Subspace, copies: int) -> ZeroSumSpace:
@@ -165,22 +163,27 @@ def centring_witness(block_dim: int, copies: int) -> tuple[tuple[Fraction, ...],
     return tuple(x), tuple(image)
 
 
-def coordinatewise_lift(q: Mat, copies: int) -> Mat:
-    """Apply `q` to every block: the block-diagonal matrix diag(q, ..., q)."""
-    if q.rows != q.cols:
-        raise ValueError(f"lift needs a square block, got {q.rows}x{q.cols}")
-    if copies < 1:
-        raise ValueError(f"invalid copy count {copies}")
-    d = q.rows
-    size = d * copies
-    flat = [_ZERO] * (size * size)
-    for b in range(copies):
-        for r in range(d):
-            base = (b * d + r) * size + b * d
-            row = q.row(r)
-            for c in range(d):
-                flat[base + c] = row[c]
-    return Mat(size, size, tuple(flat))
+def permute_blocks(m: Mat, block_dim: int, sigma: Sequence[int]) -> Mat:
+    """U_sigma M U_sigma^{-1}, where U_sigma moves block j to block sigma[j].
+
+    Entry ((sigma(i), r), (sigma(j), c)) of the result is entry ((i, r), (j, c))
+    of `m`: a re-indexing of the entries, with no matrix product.  `sigma` is
+    a 0-based permutation of range(N) and `m` must be dN x dN.
+    """
+    n, d = len(sigma), block_dim
+    if n < 1 or d < 1:
+        raise ValueError(f"invalid block structure: {n} blocks of dimension {d}")
+    if sorted(sigma) != list(range(n)):
+        raise ValueError(f"{sigma!r} is not a permutation of 0..{n - 1}")
+    size = n * d
+    if (m.rows, m.cols) != (size, size):
+        raise ValueError(f"matrix is {m.rows}x{m.cols}, expected {size}x{size}")
+    moved_from = [0] * n
+    for j, target in enumerate(sigma):
+        moved_from[target] = j
+    # source[k]: the flat index of `m` that lands on flat index k
+    source = [moved_from[i] * d + r for i in range(n) for r in range(d)]
+    return Mat(size, size, tuple(m.entries[a * size + b] for a in source for b in source))
 
 
 def _block_sums_vanish(m: Mat, block_dim: int, copies: int) -> bool:
@@ -251,6 +254,12 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
     off-diagonal blocks, the trace condition a + (N-1) b = 0, idempotence of
     r = a - b, that r fixes the base subspace, the factorization
     p_tilde = lift(r) o centring, and the norm identity.
+
+    Invariance is checked for two permutations only, the transposition of
+    blocks 0 and 1 and the N-cycle i -> i+1: these two generate S_N, so a
+    matrix fixed by both under `permute_blocks` is fixed by every block
+    permutation.  The factorization is checked entry by entry: block (i, j)
+    of lift(r) o centring is (delta_ij - 1/N) r.
     """
     d, n = base.ambient_dim, copies
     if n < 2:
@@ -259,12 +268,10 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
     if (p_tilde.rows, p_tilde.cols) != (size, size):
         raise ValueError(f"matrix is {p_tilde.rows}x{p_tilde.cols}, expected {size}x{size}")
 
-    # Commuting with a transposition and an N-cycle commutes with everything.
     swap = list(range(n))
     swap[0], swap[1] = 1, 0
     for sigma in (swap, [(i + 1) % n for i in range(n)]):
-        u = block_permutation(n, d, sigma)
-        if u @ p_tilde != p_tilde @ u:
+        if permute_blocks(p_tilde, d, sigma) != p_tilde:
             raise NotSymmetrizedError(
                 "matrix does not commute with the block permutations"
             )
@@ -296,7 +303,9 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
             raise DecompositionIntegrityError("collapsed block map leaves the base subspace")
     if a != r.scale(Fraction(n - 1, n)) or b != r.scale(Fraction(-1, n)):
         raise DecompositionIntegrityError("blocks are not the expected multiples of r")
-    if coordinatewise_lift(r, n) @ centring_projection(d, n) != p_tilde:
+    # block (i, j) must be (delta_ij - 1/N) r: a on the diagonal, b off it
+    if any(x != (a if row // d == col // d else b).at(row % d, col % d)
+           for row in range(size) for col, x in enumerate(p_tilde.row(row))):
         raise DecompositionIntegrityError("matrix does not factor through the centring map")
     if inf_op_norm(p_tilde).value != amplification_factor(n) * inf_op_norm(r).value:
         raise DecompositionIntegrityError("norm identity (2 - 2/N) * norm(r) fails")

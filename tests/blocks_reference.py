@@ -1,0 +1,125 @@
+"""Dense block matrices that `projconst.zerosum` replaced by index maps, kept as a test oracle.
+
+`block_permutation` and `coordinatewise_lift` build the dN x dN 0/1
+permutation and block-diagonal lift matrices, verbatim from the package
+before the change.  `reference_extract_r` is the former `extract_r`
+verbatim, apart from its name: it checks invariance by multiplying with two
+dense block permutations and the factorization by the dense product
+lift(r) @ centring.  The index-map `extract_r` must return the identical
+decomposition, or raise the same exception, on every input.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from projconst.linalg import Mat, Subspace, inf_op_norm, subspace_contains
+from projconst.zerosum import (
+    DecompositionIntegrityError,
+    NotSymmetrizedError,
+    SymmetrizationDecomposition,
+    amplification_factor,
+    centring_projection,
+)
+
+_ZERO = Fraction(0)
+
+
+def block_permutation(num_blocks: int, block_dim: int, sigma: Sequence[int]) -> Mat:
+    """0/1 matrix permuting the N blocks of a dN-vector: block j moves to block sigma[j].
+
+    `sigma` is a 0-based permutation of range(num_blocks).  The result always
+    has inf->inf norm 1, and composition of block permutations follows
+    composition of the permutations.
+    """
+    n, d = num_blocks, block_dim
+    if n < 1 or d < 1:
+        raise ValueError(f"invalid block structure: {n} blocks of dimension {d}")
+    if sorted(sigma) != list(range(n)):
+        raise ValueError(f"{sigma!r} is not a permutation of 0..{n - 1}")
+    size = n * d
+    one, zero = Fraction(1), Fraction(0)
+    flat = [zero] * (size * size)
+    for j in range(n):
+        target = sigma[j]
+        for r in range(d):
+            flat[(target * d + r) * size + (j * d + r)] = one
+    return Mat(size, size, tuple(flat))
+
+
+def coordinatewise_lift(q: Mat, copies: int) -> Mat:
+    """Apply `q` to every block: the block-diagonal matrix diag(q, ..., q)."""
+    if q.rows != q.cols:
+        raise ValueError(f"lift needs a square block, got {q.rows}x{q.cols}")
+    if copies < 1:
+        raise ValueError(f"invalid copy count {copies}")
+    d = q.rows
+    size = d * copies
+    flat = [_ZERO] * (size * size)
+    for b in range(copies):
+        for r in range(d):
+            base = (b * d + r) * size + b * d
+            row = q.row(r)
+            for c in range(d):
+                flat[base + c] = row[c]
+    return Mat(size, size, tuple(flat))
+
+
+def reference_extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomposition:
+    """Read off the block structure of a symmetrized projection.
+
+    Verifies, exactly: invariance under block permutations, equality of the
+    off-diagonal blocks, the trace condition a + (N-1) b = 0, idempotence of
+    r = a - b, that r fixes the base subspace, the factorization
+    p_tilde = lift(r) o centring, and the norm identity.
+    """
+    d, n = base.ambient_dim, copies
+    if n < 2:
+        raise ValueError(f"need at least 2 copies, got {copies}")
+    size = d * n
+    if (p_tilde.rows, p_tilde.cols) != (size, size):
+        raise ValueError(f"matrix is {p_tilde.rows}x{p_tilde.cols}, expected {size}x{size}")
+
+    # Commuting with a transposition and an N-cycle commutes with everything.
+    swap = list(range(n))
+    swap[0], swap[1] = 1, 0
+    for sigma in (swap, [(i + 1) % n for i in range(n)]):
+        u = block_permutation(n, d, sigma)
+        if u @ p_tilde != p_tilde @ u:
+            raise NotSymmetrizedError(
+                "matrix does not commute with the block permutations"
+            )
+
+    def block(bi: int, bj: int) -> Mat:
+        return Mat.from_rows([
+            [p_tilde.at(bi * d + r, bj * d + c) for c in range(d)]
+            for r in range(d)
+        ])
+
+    a = block(0, 0)
+    b = block(1, 0)
+    for i in range(2, n):
+        if block(i, 0) != b:
+            raise NotSymmetrizedError("off-diagonal blocks of the first column differ")
+
+    if a.add(b.scale(n - 1)) != Mat.zeros(d, d):
+        raise DecompositionIntegrityError("block trace a + (N-1) b does not vanish")
+
+    r = a.add(b.scale(-1))
+    if not r.is_idempotent():
+        raise DecompositionIntegrityError("collapsed block map is not idempotent")
+    for i in range(base.dim):
+        row = base.basis.row(i)
+        if r.apply(row) != row:
+            raise DecompositionIntegrityError("collapsed block map moves the base subspace")
+    for j in range(d):
+        if not subspace_contains(base, r.col(j)):
+            raise DecompositionIntegrityError("collapsed block map leaves the base subspace")
+    if a != r.scale(Fraction(n - 1, n)) or b != r.scale(Fraction(-1, n)):
+        raise DecompositionIntegrityError("blocks are not the expected multiples of r")
+    if coordinatewise_lift(r, n) @ centring_projection(d, n) != p_tilde:
+        raise DecompositionIntegrityError("matrix does not factor through the centring map")
+    if inf_op_norm(p_tilde).value != amplification_factor(n) * inf_op_norm(r).value:
+        raise DecompositionIntegrityError("norm identity (2 - 2/N) * norm(r) fails")
+    return SymmetrizationDecomposition(p_tilde, a, b, r)

@@ -6,7 +6,7 @@ criterion; the same registry backs `projconst selftest`.
 
 import pytest
 
-from projconst.acceptance import CRITERIA, Context, CriterionFailure, run_all
+from projconst.acceptance import CRITERIA, FAULT_ENV, Context, CriterionFailure, run_all
 
 
 def test_registry_is_complete():
@@ -32,3 +32,14 @@ def test_criterion(criterion):
         print(f"[FAIL] {criterion.key}: {exc}")
         pytest.fail(f"{criterion.key}: {exc}")
     print(f"[PASS] {criterion.key}: {detail}")
+
+
+@pytest.mark.parametrize("criterion", CRITERIA, ids=[c.key for c in CRITERIA])
+def test_fault_fails_its_own_criterion(criterion, monkeypatch):
+    # negative control: the corrupted constant must fail the criterion's own
+    # comparison, which raises CriterionFailure rather than some other error
+    monkeypatch.setenv(FAULT_ENV, criterion.key)
+    with pytest.raises(CriterionFailure):
+        criterion.run(Context())
+    [result] = run_all(Context(), only={criterion.key})
+    assert not result.passed

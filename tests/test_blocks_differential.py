@@ -1,0 +1,144 @@
+"""Index-map block permutations against the dense 0/1 matrices they replaced.
+
+`permute_blocks` must equal the dense conjugation U_sigma M U_sigma^T for
+every block permutation, and `extract_r` must return the decomposition of
+the former dense `extract_r` (`blocks_reference.reference_extract_r`), or
+raise the same exception type, on symmetrized projections and on mutants
+built to fail each of its checks.
+"""
+
+import itertools
+from fractions import Fraction as F
+from random import Random
+
+import pytest
+from blocks_reference import block_permutation, reference_extract_r
+
+from projconst.linalg import Mat, Subspace
+from projconst.zerosum import (
+    DecompositionIntegrityError,
+    NotSymmetrizedError,
+    SymmetrizationDecomposition,
+    extract_r,
+    permute_blocks,
+    random_projection_onto,
+    sigma_subspace,
+    symmetrize,
+)
+
+
+def random_mat(rng: Random, size: int) -> Mat:
+    return Mat(size, size, tuple(F(rng.randint(-9, 9), rng.randint(1, 4))
+                                 for _ in range(size * size)))
+
+
+@pytest.mark.parametrize("d, n", list(itertools.product((1, 2, 3), (1, 2, 3, 4))))
+def test_permute_blocks_is_dense_conjugation(d, n):
+    rng = Random(100 * d + n)
+    for _ in range(2):
+        m = random_mat(rng, d * n)
+        for sigma in itertools.permutations(range(n)):
+            u = block_permutation(n, d, sigma)
+            assert permute_blocks(m, d, sigma) == u @ m @ u.transpose()
+
+
+def outcome(base: Subspace, copies: int, m: Mat):
+    """The decompositions, or exception types, of both implementations."""
+    results = []
+    for fn in (extract_r, reference_extract_r):
+        try:
+            results.append(fn(m, base, copies))
+        except ValueError as exc:
+            results.append(type(exc))
+    return results
+
+
+def from_blocks(a: Mat, b: Mat, n: int) -> Mat:
+    """The permutation-invariant matrix with `a` on every diagonal block and `b` elsewhere."""
+    d = a.rows
+    return Mat(d * n, d * n, tuple((a if i == j else b).at(r, c)
+                                   for i in range(n) for r in range(d)
+                                   for j in range(n) for c in range(d)))
+
+
+def with_blocks_swapped(m: Mat, d: int, first: tuple[int, int], second: tuple[int, int]) -> Mat:
+    rows = m.row_lists()
+    for r in range(d):
+        for c in range(d):
+            (i, j), (k, l) = first, second
+            rows[i * d + r][j * d + c], rows[k * d + r][l * d + c] = (
+                rows[k * d + r][l * d + c], rows[i * d + r][j * d + c])
+    return Mat.from_rows(rows)
+
+
+def invariant(r: Mat, n: int) -> Mat:
+    """lift(r) o centring: blocks (1 - 1/N) r on the diagonal and -r/N off it."""
+    return from_blocks(r.scale(F(n - 1, n)), r.scale(F(-1, n)), n)
+
+
+BASES = [
+    Subspace.from_rows([[1]]),
+    Subspace.from_rows([[1, 0], [0, 1]]),
+    Subspace.from_rows([[1, 2]]),
+    Subspace.from_rows([[1, 0, -1], [0, 1, 1]]),
+]
+
+
+@pytest.mark.parametrize("base", BASES, ids=["line", "plane", "line-in-plane", "plane-in-3"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_extract_r_matches_dense_reference(base, n):
+    d = base.ambient_dim
+    rng = Random(10 * d + n + base.dim)
+    zs = sigma_subspace(base, n)
+    for _ in range(3):
+        p = random_projection_onto(zs, rng)
+        p_tilde = symmetrize(p, d, n)
+        new, old = outcome(base, n, p_tilde)
+        assert new == old
+        r = new.r
+
+        # the raw projection, one entry changed, and block swaps
+        new, old = outcome(base, n, p)
+        assert new == old
+        k, l = rng.randrange(d * n), rng.randrange(d * n)
+        rows = p_tilde.row_lists()
+        rows[k][l] += 1
+        new, old = outcome(base, n, Mat.from_rows(rows))
+        assert new == old == NotSymmetrizedError
+        new, old = outcome(base, n, with_blocks_swapped(p, d, (0, 0), (1, 1)))
+        assert new == old
+        new, old = outcome(base, n, with_blocks_swapped(p_tilde, d, (0, 0), (1, 1)))
+        assert new == old and isinstance(new, SymmetrizationDecomposition)
+        new, old = outcome(base, n, with_blocks_swapped(p_tilde, d, (0, 0), (1, 0)))
+        assert new == old == NotSymmetrizedError
+
+        # invariant matrices that break the trace, idempotence, or the base
+        a, b = r.scale(F(n - 1, n)), r.scale(F(-1, n))
+        new, old = outcome(base, n, from_blocks(a.add(Mat.identity(d)), b, n))
+        assert new == old == DecompositionIntegrityError
+        new, old = outcome(base, n, invariant(r.scale(2), n))
+        assert new == old == DecompositionIntegrityError
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_block_map_outside_the_base(n):
+    plane = Subspace.from_rows([[1, 0], [0, 1]])
+    line = Subspace.from_rows([[1, 1]])
+    first = Mat.from_rows([[1, 0], [0, 0]])
+    # r = identity is idempotent and fixes the line, but its range leaves it
+    assert outcome(line, n, invariant(Mat.identity(2), n)) == [DecompositionIntegrityError] * 2
+    # r = first-coordinate projection moves the line
+    assert outcome(line, n, invariant(first, n)) == [DecompositionIntegrityError] * 2
+    # over the subspaces they project onto, both are genuine decompositions
+    for base, r in ((plane, Mat.identity(2)), (Subspace.from_rows([[1, 0]]), first)):
+        new, old = outcome(base, n, invariant(r, n))
+        assert new == old and new.r == r
+
+
+def test_shape_and_copy_errors():
+    line = Subspace.from_rows([[1]])
+    assert outcome(line, 2, Mat.identity(3)) == [ValueError] * 2
+    assert outcome(line, 1, Mat.identity(1)) == [ValueError] * 2
+    rng = Random(7)
+    for _ in range(20):
+        assert outcome(line, 3, random_mat(rng, 3)) == [NotSymmetrizedError] * 2

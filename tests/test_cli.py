@@ -152,6 +152,20 @@ class TestInputValidation:
     def test_bad_budget_string(self, capsys, kernel3):
         assert run(capsys, "--budget", "a,b", "minproj", kernel3)[0] == 2
 
+    @pytest.mark.parametrize("budget", ["--budget=0", "--budget=3,0", "--budget=-1"])
+    def test_nonpositive_budget(self, capsys, kernel3, budget):
+        code, out, err = run(capsys, budget, "minproj", kernel3)
+        assert code == 2
+        assert out == ""
+        assert report(err)["status"] == "error"
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_oracle_tolerance_must_be_finite_and_positive(self, capsys, kernel3, tol):
+        code, out, err = run(capsys, "minproj", kernel3, "--oracle", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert report(err)["status"] == "error"
+
     def test_usage_errors(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

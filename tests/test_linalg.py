@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from blocks_reference import block_permutation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,6 @@ from projconst.linalg import (
     RankDeficientError,
     Subspace,
     as_rat,
-    block_permutation,
     format_rational,
     inf_op_norm,
     invert_square,
@@ -18,7 +18,6 @@ from projconst.linalg import (
     parse_rational,
     rank_of_rows,
     solve_linear_system,
-    split_blocks,
     subspace_contains,
 )
 
@@ -128,6 +127,8 @@ class TestInfOpNorm:
 
 
 class TestBlockPermutation:
+    """The dense 0/1 matrices that `zerosum.permute_blocks` is checked against."""
+
     def test_moves_blocks(self):
         u = block_permutation(3, 2, [1, 2, 0])
         x = flatten_blocks([[1, 2], [3, 4], [5, 6]])
@@ -157,14 +158,6 @@ class TestBlockPermutation:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             block_permutation(3, 1, [0, 0, 1])
-
-
-def test_flatten_split_round_trip():
-    blocks = [[F(1), F(2)], [F(-3), F(1, 2)]]
-    flat = flatten_blocks(blocks)
-    assert split_blocks(flat, 2) == [tuple(b) for b in blocks]
-    with pytest.raises(ValueError):
-        split_blocks([1, 2, 3], 2)
 
 
 class TestSubspace:

@@ -10,7 +10,6 @@ from projconst.planner import (
     PlanRangeError,
     ad_hoc_plan,
     demonstrate_schedule,
-    interleave_isometry,
     plan_parameters,
 )
 from projconst.zerosum import amplification_factor, coordinate_sum_kernel
@@ -168,43 +167,3 @@ class TestDemonstrateSchedule:
         assert doc["status"] == "ok"
         assert doc["truncated"] is False
         assert doc["steps"][0]["expected"] == "4/3"
-
-
-class TestInterleave:
-    def test_residue_tables(self):
-        table = interleave_isometry(2, 6)
-        assert table.block_to_flat == ((0, 2, 4), (1, 3, 5))
-        assert table.flat_to_block == ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
-
-    def test_interleave_and_split(self):
-        table = interleave_isometry(3, 0)
-        blocks = [[F(1), F(4)], [F(2)], [F(3)]]
-        flat = table.interleave(blocks)
-        assert flat == [F(1), F(2), F(3), F(4), F(0), F(0)]
-        assert table.split(flat) == [[F(1), F(4)], [F(2), F(0)], [F(3), F(0)]]
-
-    def test_wrong_block_count(self):
-        with pytest.raises(ValueError):
-            interleave_isometry(2, 4).interleave([[F(1)]])
-
-    def test_norm_preservation(self):
-        rng = Random(23)
-        for _ in range(100):
-            copies = rng.randint(2, 4)
-            blocks = [
-                [F(rng.randint(-9, 9), rng.randint(1, 5))
-                 for _ in range(rng.randint(1, 6))]
-                for _ in range(copies)
-            ]
-            flat = interleave_isometry(copies, 0).interleave(blocks)
-            block_sup = max(max(abs(x) for x in b) for b in blocks)
-            flat_sup = max(abs(x) for x in flat)
-            # padding with zeros cannot raise the sup, and the index map is
-            # injective, so the two sups agree unless every block entry is 0
-            assert flat_sup == max(block_sup, F(0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            interleave_isometry(0, 4)
-        with pytest.raises(ValueError):
-            interleave_isometry(2, -1)

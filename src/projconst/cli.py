@@ -135,7 +135,7 @@ def _parse_budget(text: str) -> LPBudget:
 
 
 def cmd_minproj(args) -> tuple[int, str]:
-    if args.oracle and not 0 < args.tol < math.inf:
+    if not 0 < args.tol < math.inf:
         raise InputError(f"oracle tolerance must be finite and positive, got {args.tol}")
     space, _ = load_subspace_document(args.input)
     args.budget.require(space)

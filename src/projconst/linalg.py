@@ -6,11 +6,21 @@ vectors of ell_inf^n; the only operator norm used anywhere in the package is
 the inf->inf norm, which equals the maximum absolute row sum and is attained
 at a +-1 sign vector.
 
+This module holds the package's one exact elimination kernel.  It works on
+integer rows: a row is a list of Python ints over one positive denominator,
+entry j standing for row[j] / den, kept in lowest terms.  `pivot_rows` is the
+single pivot step.  `_reduce` (behind rank, kernel, inverse and
+`projection_defect`) and the simplex tableau in `simplex` both pivot with it,
+so rows are updated by integer multiply, subtract and one gcd division per
+row, as in Edmonds' (1967) and Bareiss' (1968) integer-preserving
+elimination.  `Fraction`s are built only from the final rows.
+
 No floating point enters this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -232,32 +242,73 @@ class Subspace:
         return cls(ambient_dim if ambient_dim is not None else basis.cols, basis)
 
 
-def subspace_contains(space: Subspace, vector: Sequence) -> bool:
-    """Exact membership test: is the vector a combination of the basis rows?"""
-    if len(vector) != space.ambient_dim:
-        raise ValueError(
-            f"vector of length {len(vector)} vs ambient dimension {space.ambient_dim}"
-        )
-    vec = [as_rat(x) for x in vector]
-    # Solve B^T x = v; consistency is exactly membership in the row space.
-    bt = space.basis.transpose().row_lists()
-    return solve_linear_system(bt, vec) is not None
-
-
 # ---------------------------------------------------------------------------
-# exact elimination toolkit
+# exact elimination kernel
 
 
-def _reduce(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int]]:
+def integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators of `values` over the lcm of their denominators.
+
+    The result is already in lowest terms: for each prime power exactly
+    dividing the lcm, the entry that contributed it keeps a numerator
+    prime to it.
+    """
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
+    """Divide numerators and denominator by their common gcd."""
+    if den == 1:
+        return row, den
+    g = math.gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [x // g for x in row], den // g
+
+
+def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int):
+    """One Gauss-Jordan pivot on (r, c), in place; entry (r, c) must be nonzero.
+
+    Row r, with pivot numerator p, becomes its numerators over |p| (signs
+    flipped when p < 0), so entry c reads 1.  Every other row with
+    f = row[c] != 0 becomes P*row - f*prow over den*P, where P is the pivot
+    row's new denominator.  Each changed row is brought to lowest terms.
+    """
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        prow = [-x for x in prow]
+    prow, pden = lowest_terms(prow, abs(p))
+    rows[r], dens[r] = prow, pden
+    nz = [(j, x) for j, x in enumerate(prow) if x]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            if pden != 1:
+                row = [pden * x for x in row]
+            for j, x in nz:
+                row[j] -= f * x
+            rows[i], dens[i] = lowest_terms(row, dens[i] * pden)
+
+
+def _reduce(rows: Sequence[Sequence[Fraction]],
+            ncols: int) -> tuple[list[list[int]], list[int], list[int]]:
     """Gauss-Jordan elimination of `rows` on their first `ncols` columns.
 
     Pivots on the first nonzero entry at or below the current rank and stops
-    once every row has a pivot.  Returns the reduced rows and the pivot
-    columns: row r has a 1 in column pivots[r] and every other row a 0 there;
-    the rows after the last pivot row vanish on the first `ncols` columns.
-    Columns beyond `ncols` are carried along (augmented right-hand sides).
+    once every row has a pivot.  Returns the reduced rows as numerators, their
+    denominators, and the pivot columns: row r reads 1 in column pivots[r]
+    and every other row 0 there; the rows after the last pivot row vanish on
+    the first `ncols` columns.  Columns beyond `ncols` are carried along
+    (augmented right-hand sides).
     """
-    work = [list(r) for r in rows]
+    work: list[list[int]] = []
+    dens: list[int] = []
+    for row in rows:
+        num, den = integer_row(row)
+        work.append(num)
+        dens.append(den)
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
@@ -267,44 +318,23 @@ def _reduce(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int]
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        inv = 1 / prow[col]
-        work[rank] = prow = [x * inv for x in prow]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+        dens[rank], dens[pivot] = dens[pivot], dens[rank]
+        pivot_rows(work, dens, rank, col)
         pivots.append(col)
-    return work, pivots
+    return work, dens, pivots
 
 
 def rank_of_rows(rows: Iterable[Sequence[Fraction]]) -> int:
     rows = list(rows)
     if not rows:
         return 0
-    return len(_reduce(rows, len(rows[0]))[1])
-
-
-def solve_linear_system(rows: Sequence[Sequence[Fraction]],
-                        rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """One exact solution of A x = b (free variables set to 0), or None."""
-    m = len(rows)
-    if m != len(rhs):
-        raise ValueError("system shape mismatch")
-    n = len(rows[0]) if m else 0
-    aug, pivots = _reduce([list(rows[i]) + [as_rat(rhs[i])] for i in range(m)], n)
-    if any(row[n] for row in aug[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, c in zip(aug, pivots):
-        x[c] = row[n]
-    return x
+    return len(_reduce(rows, len(rows[0]))[2])
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Exact basis of the null space {x : A x = 0}, deterministic order."""
     n = len(rows[0]) if rows else 0
-    work, pivots = _reduce(rows, n)
+    work, dens, pivots = _reduce(rows, n)
     pivot_cols = set(pivots)
     basis = []
     for free in range(n):
@@ -312,8 +342,8 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
             continue
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
-        for row, c in zip(work, pivots):
-            vec[c] = -row[free]
+        for row, den, c in zip(work, dens, pivots):
+            vec[c] = Fraction(-row[free], den)
         basis.append(vec)
     return basis
 
@@ -323,9 +353,29 @@ def invert_square(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise ValueError(f"cannot invert {m.rows}x{m.cols} matrix")
     n = m.rows
-    aug, pivots = _reduce(
-        [list(m.row(i)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)], n)
+    aug, dens, pivots = _reduce(
+        [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)], n)
     if len(pivots) < n:
         raise RankDeficientError("matrix is singular")
-    return Mat.from_rows([row[n:] for row in aug])
+    return Mat(n, n, tuple(Fraction(x, den) for row, den in zip(aug, dens)
+                           for x in row[n:]))
+
+
+def projection_defect(m: Mat, space: Subspace) -> str | None:
+    """Why `m` is not a projection onto `space`, or None when it is one.
+
+    Checks, in this order, that m is idempotent, that it fixes every basis
+    row, and that its range lies in the space.  The range test is a single
+    rank test: the columns of m lie in the space exactly when appending them
+    to the basis rows leaves the rank at the dimension.
+    """
+    if not m.is_idempotent():
+        return "is not idempotent"
+    for i in range(space.dim):
+        row = space.basis.row(i)
+        if m.apply(row) != row:
+            return "moves a basis vector"
+    columns = [list(m.col(j)) for j in range(m.cols)]
+    if rank_of_rows(space.basis.row_lists() + columns) != space.dim:
+        return "leaves the subspace"
+    return None

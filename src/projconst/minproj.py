@@ -33,7 +33,7 @@ from .linalg import (
     inf_op_norm,
     invert_square,
     kernel_basis,
-    subspace_contains,
+    projection_defect,
 )
 from .simplex import (
     InfeasibleProgram,
@@ -171,31 +171,6 @@ def build_projection_lp(space: Subspace) -> ProjectionLP:
 
 
 @dataclass(frozen=True)
-class LPAssignment:
-    coeffs: Mat
-    majorants: Mat
-    bound: Fraction
-
-
-def solve_lp_exact(lp: ProjectionLP) -> tuple[Fraction, LPAssignment]:
-    """Solve the program exactly; deterministic for a fixed input.
-
-    The program is feasible and bounded by construction, so infeasibility or
-    unboundedness out of the simplex core is reported as a solver-integrity
-    failure.  Running out of pivots proves nothing about the program, so
-    `PivotLimitExceeded` propagates unchanged.
-    """
-    n, k = lp.space.ambient_dim, lp.space.dim
-    try:
-        value, x = solve_linear_program(lp.program)
-    except (InfeasibleProgram, UnboundedProgram) as exc:
-        raise SolverIntegrityError(f"minimal-projection LP rejected: {exc}") from exc
-    coeffs = Mat(k, n, tuple(x[: k * n]))
-    majorants = Mat(n, n, tuple(x[k * n : k * n + n * n]))
-    return value, LPAssignment(coeffs, majorants, x[-1])
-
-
-@dataclass(frozen=True)
 class ProjectionConstantResult:
     """Certified value of lambda(E, ell_inf^n) with the optimal projection.
 
@@ -243,15 +218,9 @@ def _certify(space: Subspace, value: Fraction, coeffs: Mat) -> ProjectionConstan
         )
     if value < 1:
         raise SolverIntegrityError(f"projection constant below 1: {value}")
-    if not projection.is_idempotent():
-        raise SolverIntegrityError("optimal matrix is not idempotent")
-    for i in range(space.dim):
-        row = space.basis.row(i)
-        if projection.apply(row) != row:
-            raise SolverIntegrityError("optimal projection moves a basis vector")
-    for j in range(space.ambient_dim):
-        if not subspace_contains(space, projection.col(j)):
-            raise SolverIntegrityError("optimal projection leaves the subspace")
+    defect = projection_defect(projection, space)
+    if defect:
+        raise SolverIntegrityError(f"optimal projection {defect}")
     image = projection.apply(norm.witness)
     if max((abs(x) for x in image), default=_ZERO) != value:
         raise SolverIntegrityError("norm witness does not attain the optimum")
@@ -263,14 +232,22 @@ def projection_constant(space: Subspace) -> ProjectionConstantResult:
     """Exact lambda(E, ell_inf^n) for E given by `space`.
 
     The degenerate full-dimensional case k = n short-circuits to the
-    identity; everything else goes through the exact LP.
+    identity; everything else goes through the exact LP.  That program is
+    feasible and bounded by construction, so infeasibility or unboundedness
+    out of the simplex is a solver-integrity failure.  Running out of pivots
+    proves nothing about the program, so `PivotLimitExceeded` propagates
+    unchanged.
     """
     if space.dim == space.ambient_dim:
         coeffs = invert_square(space.basis.transpose())
         return _certify(space, _ONE, coeffs)
     lp = build_projection_lp(space)
-    value, assignment = solve_lp_exact(lp)
-    return _certify(space, value, assignment.coeffs)
+    try:
+        value, x = solve_linear_program(lp.program)
+    except (InfeasibleProgram, UnboundedProgram) as exc:
+        raise SolverIntegrityError(f"minimal-projection LP rejected: {exc}") from exc
+    coeffs = Mat(space.dim, space.ambient_dim, tuple(x[: lp.num_coeff_vars]))
+    return _certify(space, value, coeffs)
 
 
 def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random,

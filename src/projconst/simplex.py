@@ -8,17 +8,14 @@ with each variable either nonnegative or free.  Free variables are split
 into positive and negative parts, inequalities get slack variables, and
 equalities get artificial variables for phase 1.
 
-The tableau is fraction-free.  Each row, and the objective row, is a list
-of Python ints over one positive denominator: entry j of row i stands for
-the rational tableau[i][j] / dens[i].  A row starts over the lcm of its
-input denominators.  A pivot on (r, c) with pivot numerator p rescales the
-pivot row to the denominator |p|, so its entry c reads 1.  Every other row
-with f = row[c] != 0 becomes P*row - f*prow over the denominator den*P,
-where P is the pivot row's denominator.  An updated row is then divided by
-the gcd of its denominator and numerators.  So the tableau is updated by
-integer multiply, subtract and one exact division per row, as in Edmonds'
-(1967) and Bareiss' (1968) integer-preserving elimination, instead of one
-rational normalisation per entry.
+The tableau is fraction-free.  It is a list of integer rows in the sense of
+`linalg`: Python ints over one positive denominator, entry j of row i
+standing for tableau[i][j] / dens[i].  The m constraint rows come first and
+the objective row is the last row.  A row starts over the lcm of its input
+denominators, and every pivot is `linalg.pivot_rows`, the package's one
+elimination kernel: it rescales the pivot row so that the pivot entry reads
+1 and eliminates the pivot column from every other row, objective included,
+by integer multiply, subtract and one exact division per row.
 
 Pivoting uses Bland's smallest-index rule for both the entering and the
 leaving choice.  That precludes cycling, so termination is guaranteed, and
@@ -35,9 +32,10 @@ tableau.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .linalg import integer_row, lowest_terms, pivot_rows
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -87,27 +85,6 @@ class LinearProgram:
                 raise ValueError("constraint row width mismatch")
 
 
-def _integer_row(values: list[Fraction]) -> tuple[list[int], int]:
-    """Numerators of `values` over the lcm of their denominators.
-
-    The result is already in lowest terms: for each prime power exactly
-    dividing the lcm, the entry that contributed it keeps a numerator
-    prime to it.
-    """
-    den = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
-def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
-    """Divide numerators and denominator by their common gcd."""
-    if den == 1:
-        return row, den
-    g = math.gcd(den, *row)
-    if g == 1:
-        return row, den
-    return [x // g for x in row], den // g
-
-
 def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     """Optimal (objective value, assignment) of the program.
 
@@ -150,7 +127,7 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     tableau: list[list[int]] = []
     dens: list[int] = []
     for i, (row, b) in enumerate(constraints):
-        num, den = _integer_row(list(row) + [b])
+        num, den = integer_row(list(row) + [b])
         sign = -1 if negated[i] else 1
         full = [0] * (ncols + 1)
         for j in range(nv):
@@ -168,57 +145,37 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         tableau.append(full)
         dens.append(den)
 
+    # the objective row, written by `set_objective`, is the last row
+    tableau.append([])
+    dens.append(1)
     pivots = 0
 
     def pivot(row_i: int, col_j: int):
-        nonlocal pivots, objective_row, objective_den
+        nonlocal pivots
         pivots += 1
         if pivots > PIVOT_LIMIT:
             raise PivotLimitExceeded(f"exceeded {PIVOT_LIMIT} pivots")
-        # The pivot row divided by its entry p / den is its numerators, signs
-        # flipped when p < 0, over |p|; reduced, entry c equals the denominator.
-        prow = tableau[row_i]
-        p = prow[col_j]
-        if p < 0:
-            prow = [-x for x in prow]
-        prow, pden = _reduced(prow, abs(p))
-        tableau[row_i] = prow
-        dens[row_i] = pden
-        nz = [(j, x) for j, x in enumerate(prow) if x]
-
-        def eliminate(r: list[int], den: int) -> tuple[list[int], int]:
-            f = r[col_j]
-            if pden != 1:
-                r = [pden * x for x in r]
-            for j, x in nz:
-                r[j] -= f * x
-            return _reduced(r, den * pden)
-
-        for i in range(len(tableau)):
-            if i != row_i and tableau[i][col_j]:
-                tableau[i], dens[i] = eliminate(tableau[i], dens[i])
-        if objective_row[col_j]:
-            objective_row, objective_den = eliminate(objective_row, objective_den)
+        pivot_rows(tableau, dens, row_i, col_j)
         basis[row_i] = col_j
 
-    def reduced_costs(cost: list[Fraction]) -> tuple[list[int], int]:
-        out, den = _integer_row(cost + [_ZERO])
+    def set_objective(cost: list[Fraction]):
+        """Make the objective row the reduced costs of `cost`.
+
+        Each basic column reads 1 in its own row and 0 in the other
+        constraint rows, so pricing it out is a pivot on that entry which
+        changes the objective row alone.
+        """
+        tableau[-1], dens[-1] = integer_row(cost + [_ZERO])
         for i, b in enumerate(basis):
-            cb = cost[b]
-            if cb:
-                # out/den - cb * row/dens[i], over the lcm of both denominators
-                scale = cb.denominator * dens[i]
-                common = math.lcm(den, scale)
-                a, c = common // den, cb.numerator * (common // scale)
-                out = [a * x - c * y for x, y in zip(out, tableau[i])]
-                den = common
-        return _reduced(out, den)
+            if tableau[-1][b]:
+                pivot_rows(tableau, dens, i, b)
 
     def run(eligible_end: int):
         while True:
+            objective = tableau[-1]
             enter = -1
             for j in range(eligible_end):
-                if objective_row[j] < 0:
+                if objective[j] < 0:
                     enter = j
                     break
             if enter < 0:
@@ -245,7 +202,7 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         phase1_cost = [_ZERO] * ncols
         for j in range(art_start, ncols):
             phase1_cost[j] = _ONE
-        objective_row, objective_den = reduced_costs(phase1_cost)
+        set_objective(phase1_cost)
         run(ncols)
         # Right-hand sides stay nonnegative, so their sum is zero exactly
         # when each one is.
@@ -265,11 +222,11 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
             del tableau[i]
             del dens[i]
             del basis[i]
-        m = len(tableau)
+        m = len(basis)
         for i in range(m):
             row = tableau[i]
             del row[art_start:ncols]
-            tableau[i], dens[i] = _reduced(row, dens[i])
+            tableau[i], dens[i] = lowest_terms(row, dens[i])
         ncols = art_start
 
     # ---- phase 2 -------------------------------------------------------
@@ -278,7 +235,7 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         phase2_cost[j] = lp.objective[j]
     for j, nj in neg_part.items():
         phase2_cost[nj] = -lp.objective[j]
-    objective_row, objective_den = reduced_costs(phase2_cost)
+    set_objective(phase2_cost)
     run(ncols)
 
     x_std = [_ZERO] * ncols

@@ -29,7 +29,7 @@ from .linalg import (
     format_rational,
     inf_op_norm,
     invert_square,
-    subspace_contains,
+    projection_defect,
 )
 from .minproj import (
     DEFAULT_BUDGET,
@@ -65,22 +65,28 @@ def amplification_factor(copies: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ZeroSumSpace:
-    """The zero-sum tuples of a base subspace, with its amplification data."""
+    """The zero-sum tuples of `copies` blocks of a base subspace."""
 
     base: Subspace
     copies: int
     space: Subspace
-    mu: Fraction
 
     @property
     def ambient_dim(self) -> int:
         return self.space.ambient_dim
 
+    @property
+    def mu(self) -> Fraction:
+        return amplification_factor(self.copies)
+
     def __post_init__(self):
-        # blocks are counted from the ambient dimension, so every one is summed
         d = self.base.ambient_dim
-        blocks, rest = divmod(self.space.ambient_dim, d)
-        if rest or not _block_sums_vanish(self.space.basis.transpose(), d, blocks):
+        if self.space.ambient_dim != d * self.copies:
+            raise ValueError(
+                f"zero-sum space lives in ell_inf^{self.space.ambient_dim}, "
+                f"expected {self.copies} blocks of dimension {d}"
+            )
+        if not _block_sums_vanish(self.space.basis.transpose(), d, self.copies):
             raise ValueError("zero-sum basis row has nonzero block sum")
 
 
@@ -102,7 +108,7 @@ def sigma_subspace(base: Subspace, copies: int) -> ZeroSumSpace:
                 row[j * d + c] = -x
             rows.append(row)
     space = Subspace.from_rows(rows, ambient_dim=d * copies)
-    return ZeroSumSpace(base, copies, space, amplification_factor(copies))
+    return ZeroSumSpace(base, copies, space)
 
 
 def coordinate_sum_kernel(dim: int) -> Subspace:
@@ -292,15 +298,9 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
         raise DecompositionIntegrityError("block trace a + (N-1) b does not vanish")
 
     r = a.add(b.scale(-1))
-    if not r.is_idempotent():
-        raise DecompositionIntegrityError("collapsed block map is not idempotent")
-    for i in range(base.dim):
-        row = base.basis.row(i)
-        if r.apply(row) != row:
-            raise DecompositionIntegrityError("collapsed block map moves the base subspace")
-    for j in range(d):
-        if not subspace_contains(base, r.col(j)):
-            raise DecompositionIntegrityError("collapsed block map leaves the base subspace")
+    defect = projection_defect(r, base)
+    if defect:
+        raise DecompositionIntegrityError(f"collapsed block map {defect}")
     if a != r.scale(Fraction(n - 1, n)) or b != r.scale(Fraction(-1, n)):
         raise DecompositionIntegrityError("blocks are not the expected multiples of r")
     # block (i, j) must be (delta_ij - 1/N) r: a on the diagonal, b off it

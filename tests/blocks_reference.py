@@ -14,7 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from projconst.linalg import Mat, Subspace, inf_op_norm, subspace_contains
+from linalg_reference import subspace_contains
+
+from projconst.linalg import Mat, Subspace, inf_op_norm
 from projconst.zerosum import (
     DecompositionIntegrityError,
     NotSymmetrizedError,

@@ -1,0 +1,118 @@
+"""The `Fraction` Gauss-Jordan elimination that `projconst.linalg` replaced, kept as a test oracle.
+
+`_reduce`, `rank_of_rows`, `solve_linear_system`, `kernel_basis`,
+`invert_square` and `subspace_contains` are the package's former functions,
+verbatim: one elimination loop over `Fraction` rows behind four wrappers.
+The integer-row kernel must give the identical rank, kernel basis and
+inverse, or raise the same exception, on every input.
+`solve_linear_system` and `subspace_contains` have no caller left in the
+package; the tests use them from here.  `maps_into` is the range check the
+package ran before `projection_defect`: one membership test per column.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+from projconst.linalg import Mat, RankDeficientError, Subspace, as_rat
+
+
+def subspace_contains(space: Subspace, vector: Sequence) -> bool:
+    """Exact membership test: is the vector a combination of the basis rows?"""
+    if len(vector) != space.ambient_dim:
+        raise ValueError(
+            f"vector of length {len(vector)} vs ambient dimension {space.ambient_dim}"
+        )
+    vec = [as_rat(x) for x in vector]
+    # Solve B^T x = v; consistency is exactly membership in the row space.
+    bt = space.basis.transpose().row_lists()
+    return solve_linear_system(bt, vec) is not None
+
+
+def _reduce(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan elimination of `rows` on their first `ncols` columns.
+
+    Pivots on the first nonzero entry at or below the current rank and stops
+    once every row has a pivot.  Returns the reduced rows and the pivot
+    columns: row r has a 1 in column pivots[r] and every other row a 0 there;
+    the rows after the last pivot row vanish on the first `ncols` columns.
+    Columns beyond `ncols` are carried along (augmented right-hand sides).
+    """
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(work):
+            break
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        inv = 1 / prow[col]
+        work[rank] = prow = [x * inv for x in prow]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+        pivots.append(col)
+    return work, pivots
+
+
+def rank_of_rows(rows: Iterable[Sequence[Fraction]]) -> int:
+    rows = list(rows)
+    if not rows:
+        return 0
+    return len(_reduce(rows, len(rows[0]))[1])
+
+
+def solve_linear_system(rows: Sequence[Sequence[Fraction]],
+                        rhs: Sequence[Fraction]) -> list[Fraction] | None:
+    """One exact solution of A x = b (free variables set to 0), or None."""
+    m = len(rows)
+    if m != len(rhs):
+        raise ValueError("system shape mismatch")
+    n = len(rows[0]) if m else 0
+    aug, pivots = _reduce([list(rows[i]) + [as_rat(rhs[i])] for i in range(m)], n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(aug, pivots):
+        x[c] = row[n]
+    return x
+
+
+def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Exact basis of the null space {x : A x = 0}, deterministic order."""
+    n = len(rows[0]) if rows else 0
+    work, pivots = _reduce(rows, n)
+    pivot_cols = set(pivots)
+    basis = []
+    for free in range(n):
+        if free in pivot_cols:
+            continue
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for row, c in zip(work, pivots):
+            vec[c] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def invert_square(m: Mat) -> Mat:
+    """Exact inverse of a square matrix; singular input is a rank error."""
+    if m.rows != m.cols:
+        raise ValueError(f"cannot invert {m.rows}x{m.cols} matrix")
+    n = m.rows
+    aug, pivots = _reduce(
+        [list(m.row(i)) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+         for i in range(n)], n)
+    if len(pivots) < n:
+        raise RankDeficientError("matrix is singular")
+    return Mat.from_rows([row[n:] for row in aug])
+
+
+def maps_into(m: Mat, space: Subspace) -> bool:
+    """Does every column of `m` lie in `space`?"""
+    return all(subspace_contains(space, m.col(j)) for j in range(m.cols))

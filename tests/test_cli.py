@@ -159,9 +159,12 @@ class TestInputValidation:
         assert out == ""
         assert report(err)["status"] == "error"
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-    def test_oracle_tolerance_must_be_finite_and_positive(self, capsys, kernel3, tol):
-        code, out, err = run(capsys, "minproj", kernel3, "--oracle", "--tol", tol)
+    @pytest.mark.parametrize("flags", [
+        *(pytest.param(["--oracle", "--tol", tol], id=tol) for tol in ["-1", "0", "nan", "inf"]),
+        pytest.param(["--tol", "nan"], id="nan-without-oracle"),
+    ])
+    def test_oracle_tolerance_must_be_finite_and_positive(self, capsys, kernel3, flags):
+        code, out, err = run(capsys, "minproj", kernel3, *flags)
         assert code == 2
         assert out == ""
         assert report(err)["status"] == "error"

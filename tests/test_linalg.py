@@ -5,6 +5,7 @@ import pytest
 from blocks_reference import block_permutation
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from linalg_reference import solve_linear_system, subspace_contains
 
 from projconst.linalg import (
     Mat,
@@ -16,9 +17,8 @@ from projconst.linalg import (
     invert_square,
     kernel_basis,
     parse_rational,
+    projection_defect,
     rank_of_rows,
-    solve_linear_system,
-    subspace_contains,
 )
 
 rationals = st.fractions(max_denominator=12, min_value=-9, max_value=9)
@@ -221,6 +221,29 @@ class TestElimination:
             invert_square(Mat.from_rows([[1, 2], [2, 4]]))
         with pytest.raises(ValueError):
             invert_square(Mat.from_rows([[1, 2]]))
+
+
+class TestProjectionDefect:
+    """One matrix per check, for the line spanned by e_1 in ell_inf^3."""
+
+    LINE = Subspace.from_rows([[1, 0, 0]])
+
+    def test_projection(self):
+        assert projection_defect(Mat.from_rows([[1, 1, 1], [0, 0, 0], [0, 0, 0]]),
+                                 self.LINE) is None
+
+    def test_not_idempotent(self):
+        m = Mat.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 0]])
+        assert projection_defect(m, self.LINE) == "is not idempotent"
+
+    def test_moves_a_basis_vector(self):
+        m = Mat.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+        assert projection_defect(m, self.LINE) == "moves a basis vector"
+
+    def test_leaves_the_subspace(self):
+        # a projection onto span(e_1, e_2): it fixes e_1, but its range is larger
+        m = Mat.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        assert projection_defect(m, self.LINE) == "leaves the subspace"
 
 
 def _apply(rows, x):

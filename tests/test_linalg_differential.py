@@ -1,0 +1,161 @@
+"""The integer-row elimination kernel against the `Fraction` elimination it replaced.
+
+On seeded random systems (rational entries, zero and dependent rows, wide
+and tall shapes, singular squares) rank, kernel basis and inverse must be
+identical to `linalg_reference`, a singular square must raise
+`RankDeficientError` in both, and `projection_defect` must reach the
+decision of the former checks: idempotence, fixed basis rows, and one
+membership test per column.  The kernel's rows must also stay in lowest
+terms over positive denominators, which is what keeps their entries small.
+"""
+
+import math
+from collections import Counter
+from fractions import Fraction as F
+from random import Random
+
+import linalg_reference as ref
+
+from projconst.linalg import (
+    Mat,
+    RankDeficientError,
+    Subspace,
+    _reduce,
+    invert_square,
+    kernel_basis,
+    projection_defect,
+    rank_of_rows,
+)
+
+SEEDS = range(300)
+
+
+def _entry(rng: Random, zero_share: float) -> F:
+    if rng.random() < zero_share:
+        return F(0)
+    return F(rng.randint(-6, 6), rng.randint(1, 5))
+
+
+def random_rows(rng: Random, nrows: int, ncols: int) -> list[list[F]]:
+    """Random rational rows; some are zero, some combinations of earlier ones."""
+    zero_share = rng.choice([0.0, 0.3, 0.6])
+    rows: list[list[F]] = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([F(0)] * ncols)
+        elif kind < 0.35 and rows:
+            coeffs = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in rows]
+            rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), F(0))
+                         for j in range(ncols)])
+        else:
+            rows.append([_entry(rng, zero_share) for _ in range(ncols)])
+    rng.shuffle(rows)
+    return rows
+
+
+def random_system(seed: int) -> list[list[F]]:
+    rng = Random(f"linalg differential {seed}")
+    return random_rows(rng, rng.randint(1, 7), rng.randint(1, 7))
+
+
+def random_square(seed: int) -> Mat:
+    rng = Random(f"linalg differential square {seed}")
+    n = rng.randint(1, 5)
+    return Mat.from_rows(random_rows(rng, n, n))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_rank_and_kernel_basis():
+    shapes = Counter()
+    for seed in SEEDS:
+        rows = random_system(seed)
+        m, n = len(rows), len(rows[0])
+        rank = rank_of_rows(rows)
+        assert rank == ref.rank_of_rows(rows)
+        assert kernel_basis(rows) == ref.kernel_basis(rows)
+        shapes["wide" if m < n else "tall" if m > n else "square"] += 1
+        shapes["deficient"] += rank < min(m, n)
+        shapes["zero row"] += any(not any(row) for row in rows)
+    assert min(shapes.values()) >= 30, shapes
+
+
+def test_inverse_or_rank_error():
+    singular = 0
+    for seed in SEEDS:
+        m = random_square(seed)
+        got, want = outcome(invert_square, m), outcome(ref.invert_square, m)
+        assert got == want
+        singular += got is RankDeficientError
+    assert 30 <= singular <= len(SEEDS) - 30
+    assert outcome(invert_square, Mat.from_rows([[1, 2]])) is ValueError
+
+
+def test_reduced_rows_stay_in_lowest_terms():
+    for seed in SEEDS:
+        rows = random_system(seed)
+        work, dens, pivots = _reduce(rows, len(rows[0]))
+        assert len(pivots) == ref.rank_of_rows(rows)
+        for row, den in zip(work, dens):
+            assert den > 0
+            assert math.gcd(den, *row) == 1
+
+
+def reference_defect(m: Mat, space: Subspace) -> str | None:
+    """The checks `minproj` and `zerosum` ran before `projection_defect`."""
+    if not m.is_idempotent():
+        return "is not idempotent"
+    for i in range(space.dim):
+        row = space.basis.row(i)
+        if m.apply(row) != row:
+            return "moves a basis vector"
+    if not ref.maps_into(m, space):
+        return "leaves the subspace"
+    return None
+
+
+def oblique_projection(rng: Random, g: Mat) -> Mat | None:
+    """G^T (H G^T)^-1 H for a random H: a projection with the row space of G as range."""
+    h = Mat.from_rows([[_entry(rng, 0.2) for _ in range(g.cols)] for _ in range(g.rows)])
+    try:
+        inv = ref.invert_square(h @ g.transpose())
+    except RankDeficientError:
+        return None
+    return g.transpose() @ inv @ h
+
+
+def test_projection_defect_matches_the_former_checks():
+    decisions = Counter()
+    for seed in SEEDS:
+        rng = Random(f"linalg differential projection {seed}")
+        n = rng.randint(2, 5)
+        k = rng.randint(1, n - 1)
+        try:
+            space = Subspace.from_rows([[_entry(rng, 0.3) for _ in range(n)]
+                                        for _ in range(k)])
+        except RankDeficientError:
+            continue
+        # onto the space itself, onto a larger space containing it, onto an
+        # unrelated space, and a random matrix
+        extra = [[_entry(rng, 0.3) for _ in range(n)] for _ in range(rng.randint(1, n - k))]
+        ranges = [space.basis.row_lists(), space.basis.row_lists() + extra, extra]
+        candidates = []
+        for rows in ranges:
+            if ref.rank_of_rows(rows) == len(rows):
+                candidates.append(oblique_projection(rng, Mat.from_rows(rows)))
+        candidates.append(Mat.from_rows([[_entry(rng, 0.5) for _ in range(n)]
+                                         for _ in range(n)]))
+        for m in candidates:
+            if m is None:
+                continue
+            got = projection_defect(m, space)
+            assert got == reference_defect(m, space)
+            decisions[got] += 1
+    assert len(decisions) == 4 and min(decisions.values()) >= 30, decisions
+

@@ -5,8 +5,9 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from linalg_reference import subspace_contains
 
-from projconst.linalg import Mat, Subspace, inf_op_norm, rank_of_rows, subspace_contains
+from projconst.linalg import Mat, Subspace, inf_op_norm, rank_of_rows
 from projconst.minproj import (
     BudgetExceededError,
     LPBudget,

@@ -11,8 +11,9 @@ from random import Random
 
 import pytest
 from blocks_reference import block_permutation, coordinatewise_lift
+from linalg_reference import subspace_contains
 
-from projconst.linalg import Mat, Subspace, inf_op_norm, subspace_contains
+from projconst.linalg import Mat, Subspace, inf_op_norm
 from projconst.minproj import LPBudget, projection_constant
 from projconst.zerosum import (
     DecompositionIntegrityError,
@@ -75,8 +76,13 @@ class TestSigmaSubspace:
         good = sigma_subspace(SCALAR_LINE, 2)
         with pytest.raises(ValueError):
             # ambient basis rows must block-sum to zero
-            ZeroSumSpace(SCALAR_LINE, 2, Subspace.from_rows([[1, 1]]), F(1))
+            ZeroSumSpace(SCALAR_LINE, 2, Subspace.from_rows([[1, 1]]))
         assert good.mu == F(1)
+
+    def test_copies_must_match_the_ambient_dimension(self):
+        # block sums vanish on three scalar blocks, but two copies were declared
+        with pytest.raises(ValueError):
+            ZeroSumSpace(SCALAR_LINE, 2, Subspace.from_rows([[1, -1, 0]]))
 
 
 def test_coordinate_sum_kernel():

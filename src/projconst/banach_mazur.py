@@ -21,6 +21,11 @@ dense subspace, not a complete space; it is chosen because invertibility and
 row sums are then decidable by exact arithmetic.  The operators work on
 even/odd interleavings of the index set; direct sums of three spaces are
 flattened by residue classes mod 3.
+
+Each operator is a finite tuple of affine clauses
+out[M*k + R] += c * in[C*k + D] for all k >= 0.  Composing two clauses solves
+one linear congruence and gives a clause again, so the three-stage products
+are clause tuples too; rows, columns and application all read that tuple.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .linalg import format_rational
 
@@ -120,11 +125,8 @@ def bound_g(a) -> "Fraction | float":
 
     Satisfies the polynomial identity a^2 g(a) = (a+2)^2 (2a+1).
     """
-    if isinstance(a, float):
-        if a <= 0:
-            raise ValueError(f"shape parameter must be positive, got {a!r}")
-        return 2.0 * a + 9.0 + 12.0 / a + 4.0 / (a * a)
-    a = Fraction(a)
+    if not isinstance(a, float):
+        a = Fraction(a)
     if a <= 0:
         raise ValueError(f"shape parameter must be positive, got {a!r}")
     return 2 * a + 9 + 12 / a + 4 / (a * a)
@@ -224,13 +226,15 @@ def unit(index: int) -> Vector:
     return {index: _ONE}
 
 
-def sup_norm(vec: Mapping[int, Fraction]) -> Fraction:
-    return max((abs(x) for x in vec.values()), default=_ZERO)
-
-
 @dataclass(frozen=True)
 class Clause:
-    """One residue-class rule: out[om*k + or_] += coeff * in[im*k + ir]."""
+    """One affine rule: out[M*k + R] += coeff * in[C*k + D] for every k >= 0.
+
+    M = out_modulus, R = out_residue, C = in_modulus, D = in_residue.  With
+    R < M and D < C (every stage clause and every composite of such clauses)
+    it maps one residue class onto another; a larger R or D is an offset,
+    which the "k >= 0" reading keeps exact.
+    """
 
     out_modulus: int
     out_residue: int
@@ -238,37 +242,63 @@ class Clause:
     in_residue: int
     coeff: Fraction
 
+    def __post_init__(self):
+        if min(self.out_modulus, self.in_modulus) < 1 or min(self.out_residue, self.in_residue) < 0:
+            raise ValueError(f"clause needs moduli >= 1 and residues >= 0, got {self}")
 
+
+def _affine(index: int, m: int, r: int, c: int, d: int) -> int | None:
+    """c*k + d for the k >= 0 with index = m*k + r, or None if there is none."""
+    k, rem = divmod(index - r, m)
+    return c * k + d if k >= 0 and not rem else None
+
+
+def _compose_clauses(outer: Clause, inner: Clause):
+    """((M, R, C, D), coeff) of `outer` after `inner`; maps None if they never meet.
+
+    outer reads mid[C1*t + D1] and inner writes mid[M2*s + R2]; they meet
+    where C1*t + D1 = M2*s + R2, t, s >= 0.  With g = gcd(C1, M2) and (t0, s0)
+    the least such solution, the meetings are t = t0 + (M2/g)*u and
+    s = s0 + (C1/g)*u for u >= 0, which is again a clause in u.
+    """
+    c1, m2 = outer.in_modulus, inner.out_modulus
+    gap = inner.out_residue - outer.in_residue
+    g = math.gcd(c1, m2)
+    if gap % g:
+        return None, _ZERO
+    step = m2 // g
+    t_mod = gap // g * pow(c1 // g, -1, step) % step
+    # s >= 0 needs C1*t >= gap; lift t to the first solution past that
+    t_min = max(0, -(-gap // c1))
+    t0 = t_min + (t_mod - t_min) % step
+    s0 = (c1 * t0 - gap) // m2
+    return ((outer.out_modulus * step, outer.out_modulus * t0 + outer.out_residue,
+             inner.in_modulus * (c1 // g), inner.in_modulus * s0 + inner.in_residue),
+            outer.coeff * inner.coeff)
+
+
+@dataclass(frozen=True)
 class SeqOperator:
     """A column- and row-finite linear operator on finitely supported sequences.
 
-    `row(i)` lists the (input index, coefficient) pairs feeding output i;
-    `col(j)` lists the (output index, coefficient) pairs fed by input j.
-    Both directions are kept so that application (column-driven) and row-sum
-    norms (row-driven) are each direct.
+    It is the sum of its clauses, each adding out[M*k + R] += coeff *
+    in[C*k + D] for every k >= 0 (see `Clause`).  `row(i)` lists the (input
+    index, coefficient) pairs feeding output i and `col(j)` the (output index,
+    coefficient) pairs fed by input j; both read the one clause tuple.
+    `compose(outer, inner)` composes every pair of clauses by one linear
+    congruence (`_compose_clauses`) and merges clauses with equal maps.
     """
 
-    def __init__(self, row_fn: Callable[[int], list], col_fn: Callable[[int], list],
-                 descriptor: str):
-        self._row_fn = row_fn
-        self._col_fn = col_fn
-        self.descriptor = descriptor
-
-    def __repr__(self):
-        return f"SeqOperator({self.descriptor})"
-
-    @staticmethod
-    def _merge(pairs) -> tuple[tuple[int, Fraction], ...]:
-        acc: dict[int, Fraction] = {}
-        for idx, coeff in pairs:
-            acc[idx] = acc.get(idx, _ZERO) + coeff
-        return tuple(sorted((i, c) for i, c in acc.items() if c))
+    clauses: tuple[Clause, ...]
+    descriptor: str
 
     def row(self, i: int) -> tuple[tuple[int, Fraction], ...]:
-        return self._merge(self._row_fn(i))
+        return _merge((_affine(i, cl.out_modulus, cl.out_residue, cl.in_modulus,
+                               cl.in_residue), cl.coeff) for cl in self.clauses)
 
     def col(self, j: int) -> tuple[tuple[int, Fraction], ...]:
-        return self._merge(self._col_fn(j))
+        return _merge((_affine(j, cl.in_modulus, cl.in_residue, cl.out_modulus,
+                               cl.out_residue), cl.coeff) for cl in self.clauses)
 
     def apply(self, vec: Mapping[int, Fraction]) -> Vector:
         out: dict[int, Fraction] = {}
@@ -280,48 +310,19 @@ class SeqOperator:
         return {i: v for i, v in out.items() if v}
 
     @classmethod
-    def identity(cls) -> "SeqOperator":
-        return cls.from_clauses([Clause(1, 0, 1, 0, _ONE)], "I")
-
-    @classmethod
-    def from_clauses(cls, clauses, descriptor: str) -> "SeqOperator":
-        clauses = tuple(clauses)
-
-        def row_fn(i: int):
-            pairs = []
-            for cl in clauses:
-                if i % cl.out_modulus == cl.out_residue:
-                    k = i // cl.out_modulus
-                    pairs.append((cl.in_modulus * k + cl.in_residue, cl.coeff))
-            return pairs
-
-        def col_fn(j: int):
-            pairs = []
-            for cl in clauses:
-                if j % cl.in_modulus == cl.in_residue:
-                    k = j // cl.in_modulus
-                    pairs.append((cl.out_modulus * k + cl.out_residue, cl.coeff))
-            return pairs
-
-        return cls(row_fn, col_fn, descriptor)
-
-    @classmethod
     def compose(cls, outer: "SeqOperator", inner: "SeqOperator") -> "SeqOperator":
-        def row_fn(i: int):
-            pairs = []
-            for mid, c1 in outer.row(i):
-                for j, c2 in inner.row(mid):
-                    pairs.append((j, c1 * c2))
-            return pairs
+        pairs = (_compose_clauses(c1, c2) for c1 in outer.clauses for c2 in inner.clauses)
+        return cls(tuple(Clause(*maps, coeff) for maps, coeff in _merge(pairs)),
+                   f"{outer.descriptor}∘{inner.descriptor}")
 
-        def col_fn(j: int):
-            pairs = []
-            for mid, c1 in inner.col(j):
-                for i, c2 in outer.col(mid):
-                    pairs.append((i, c1 * c2))
-            return pairs
 
-        return cls(row_fn, col_fn, f"{outer.descriptor}∘{inner.descriptor}")
+def _merge(pairs) -> tuple:
+    """Sum the coefficients per key, sorted by key; drop None keys and zeros."""
+    acc: dict = {}
+    for idx, coeff in pairs:
+        if idx is not None:
+            acc[idx] = acc.get(idx, _ZERO) + coeff
+    return tuple(sorted((i, c) for i, c in acc.items() if c))
 
 
 class NormWindow(NamedTuple):
@@ -419,41 +420,39 @@ def build_model(a) -> SequenceModel:
             f"needs exact coefficients"
         )
     av, mu, nu, b = params.a, params.mu, params.nu, params.b
-    mk = SeqOperator.from_clauses
-
-    t_fwd = mk([
+    t_fwd = SeqOperator((
         Clause(3, 0, 4, 0, nu),    # first component k <- nu * x_{4k}
         Clause(3, 1, 4, 2, mu),    # second component k <- mu * x_{4k+2}
         Clause(6, 5, 2, 1, _ONE),  # third component keeps the odd part of x
-    ], "T_a")
-    s_mid = mk([
+    ), "T_a")
+    s_mid = SeqOperator((
         Clause(3, 0, 6, 0, _ONE),  # first out component k <- y1_{2k}
         Clause(6, 1, 3, 1, _ONE),  # second out component 2k <- y2_k
         Clause(3, 1, 3, 2, _ONE),  # second out component k += e_k
         Clause(6, 5, 6, 3, _ONE),  # third out component = odd part of y1
-    ], "S")
-    u_fwd = mk([
+    ), "S")
+    u_fwd = SeqOperator((
         Clause(4, 0, 3, 0, av),    # out 4k <- a * x1_k
         Clause(4, 2, 3, 1, b),     # out 4k+2 <- b * x2_k
         Clause(1, 0, 3, 2, _ONE),  # out i += f_i
-    ], "U_a")
+    ), "U_a")
 
-    u_inv = mk([
+    u_inv = SeqOperator((
         Clause(3, 0, 4, 0, mu),    # x1_k <- mu * y_{4k}
         Clause(3, 1, 4, 2, nu),    # x2_k <- nu * y_{4k+2}
         Clause(6, 5, 2, 1, _ONE),  # f keeps the odd part of y
-    ], "U_a^-1")
-    s_inv = mk([
+    ), "U_a^-1")
+    s_inv = SeqOperator((
         Clause(6, 0, 3, 0, _ONE),  # y1_{2k} <- x1_k
         Clause(3, 0, 3, 2, _ONE),  # y1_i += f_i
         Clause(3, 1, 6, 1, _ONE),  # y2_k <- x2_{2k}
         Clause(6, 5, 6, 4, _ONE),  # e = odd part of x2
-    ], "S^-1")
-    t_inv = mk([
+    ), "S^-1")
+    t_inv = SeqOperator((
         Clause(4, 0, 3, 0, 1 / nu),  # out 4k <- y1_k / nu
         Clause(4, 2, 3, 1, av),      # out 4k+2 <- a * y2_k
         Clause(1, 0, 3, 2, _ONE),    # out i += e_i
-    ], "T_a^-1")
+    ), "T_a^-1")
 
     forward = SeqOperator.compose(u_fwd, SeqOperator.compose(s_mid, t_fwd))
     inverse = SeqOperator.compose(t_inv, SeqOperator.compose(s_inv, u_inv))

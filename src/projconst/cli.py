@@ -47,7 +47,7 @@ from .minproj import (
     float_oracle,
     projection_constant,
 )
-from .planner import BaseConstantMismatch, PlanRangeError, demonstrate_schedule, plan_parameters
+from .planner import BaseConstantMismatch, demonstrate_schedule, plan_parameters
 from .simplex import PivotLimitExceeded, SimplexError
 from .zerosum import verify_multiplication_law
 
@@ -103,19 +103,11 @@ def load_subspace_document(path: str) -> tuple[Subspace, bytes]:
     if (not isinstance(basis, list) or not basis
             or not all(isinstance(row, list) for row in basis)):
         raise InputError("basis must be a nonempty list of rows")
-    try:
-        rows = [[parse_rational(str(x)) for x in row] for row in basis]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    rows = [[parse_rational(str(x)) for x in row] for row in basis]
     widths = {len(row) for row in rows}
     if widths != {ambient}:
         raise InputError(f"basis rows must all have length {ambient}")
-    try:
-        return Subspace.from_rows(rows, ambient_dim=ambient), raw
-    except RankDeficientError:
-        raise
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return Subspace.from_rows(rows, ambient_dim=ambient), raw
 
 
 def emit(payload: dict):
@@ -172,14 +164,7 @@ def cmd_zerosum(args) -> tuple[int, str]:
 
 
 def cmd_plan(args) -> tuple[int, str]:
-    try:
-        target = parse_rational(args.lambda_target)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        plan = plan_parameters(target)
-    except PlanRangeError as exc:
-        raise InputError(str(exc)) from exc
+    plan = plan_parameters(parse_rational(args.lambda_target))
     payload = plan.to_json_dict()
     status = "ok"
     if args.demo is not None:
@@ -215,17 +200,10 @@ def cmd_bm(args) -> tuple[int, str]:
         })
         return EXIT_OK, "ok"
     if args.params is not None:
-        try:
-            params = bm_params(args.params)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        emit(params.to_json_dict())
+        emit(bm_params(args.params).to_json_dict())
         return EXIT_OK, "ok"
     # --model
-    try:
-        value = parse_rational(args.model)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    value = parse_rational(args.model)
     if value <= 0:
         raise InputError(f"shape parameter must be positive, got {args.model}")
     model = build_model(value)

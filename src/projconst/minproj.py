@@ -65,9 +65,6 @@ class LPBudget:
     max_ambient: int = 12
     max_dim: int = 6
 
-    def admits(self, space: Subspace) -> bool:
-        return space.ambient_dim <= self.max_ambient and space.dim <= self.max_dim
-
     def require(self, space: Subspace):
         self.require_shape(space.ambient_dim, space.dim)
 

@@ -17,13 +17,21 @@ from projconst.banach_mazur import (
     operator_norm_window,
     optimize_closed_form,
     optimize_numeric,
-    sup_norm,
     unit,
     verify_inverse,
 )
 
 A_STAR = 1.0 + math.sqrt(3.0)
 G_STAR = 9.0 + 6.0 * math.sqrt(3.0)
+IDENTITY = SeqOperator((Clause(1, 0, 1, 0, F(1)),), "I")
+
+
+def sup_norm(vec):
+    return max((abs(x) for x in vec.values()), default=F(0))
+
+
+def op(*clauses, descriptor="demo"):
+    return SeqOperator(tuple(Clause(*c) for c in clauses), descriptor)
 
 
 class TestParams:
@@ -151,9 +159,8 @@ class TestOptimizers:
 
 class TestSeqOperator:
     def test_identity(self):
-        op = SeqOperator.identity()
-        assert op.apply({3: F(2), 7: F(-1)}) == {3: F(2), 7: F(-1)}
-        assert op.row(5) == ((5, F(1)),)
+        assert IDENTITY.apply({3: F(2), 7: F(-1)}) == {3: F(2), 7: F(-1)}
+        assert IDENTITY.row(5) == ((5, F(1)),)
 
     def test_sup_norm_and_unit(self):
         assert sup_norm(unit(4)) == F(1)
@@ -162,39 +169,57 @@ class TestSeqOperator:
 
     def test_clause_semantics(self):
         # out[2k] += 5 * in[3k+1]
-        op = SeqOperator.from_clauses([Clause(2, 0, 3, 1, F(5))], "demo")
-        assert op.apply(unit(1)) == {0: F(5)}
-        assert op.apply(unit(4)) == {2: F(5)}
-        assert op.apply(unit(0)) == {}
-        assert op.row(2) == ((4, F(5)),)
-        assert op.col(4) == ((2, F(5)),)
+        demo = op((2, 0, 3, 1, F(5)))
+        assert demo.apply(unit(1)) == {0: F(5)}
+        assert demo.apply(unit(4)) == {2: F(5)}
+        assert demo.apply(unit(0)) == {}
+        assert demo.row(2) == ((4, F(5)),)
+        assert demo.col(4) == ((2, F(5)),)
 
     def test_merge_cancellation(self):
-        op = SeqOperator.from_clauses(
-            [Clause(1, 0, 1, 0, F(1)), Clause(1, 0, 1, 0, F(-1))], "zero")
-        assert op.apply(unit(0)) == {}
-        assert op.row(0) == ()
+        zero = op((1, 0, 1, 0, F(1)), (1, 0, 1, 0, F(-1)))
+        assert zero.apply(unit(0)) == {}
+        assert zero.row(0) == ()
+
+    def test_offset_residue_reads_the_same_both_ways(self):
+        # out[k + 5] += in[k]: a residue above its modulus is an offset
+        shift = op((1, 5, 1, 0, F(1)))
+        assert shift.apply(unit(0)) == {5: F(1)}
+        assert shift.row(5) == ((0, F(1)),)
+        assert shift.col(0) == ((5, F(1)),)
+        assert shift.row(4) == ()
+        assert operator_norm_window(shift, 8).lower == F(1)
+
+    @pytest.mark.parametrize("fields", [(1, -1, 1, 0), (1, 0, 2, -1)])
+    def test_negative_residue_is_rejected(self, fields):
+        with pytest.raises(ValueError):
+            Clause(*fields, F(1))
+
+    @pytest.mark.parametrize("fields", [(0, 0, 1, 0), (1, 0, 0, 0), (-2, 0, 1, 0)])
+    def test_modulus_below_one_is_rejected(self, fields):
+        with pytest.raises(ValueError):
+            Clause(*fields, F(1))
 
     def test_row_col_duality(self):
-        model = build_model(4)
-        op = model.forward
+        fwd = build_model(4).forward
         for i in range(40):
-            for j, coeff in op.row(i):
-                assert (i, coeff) in op.col(j)
+            for j, coeff in fwd.row(i):
+                assert (i, coeff) in fwd.col(j)
         for j in range(40):
-            for i, coeff in op.col(j):
-                assert (j, coeff) in op.row(i)
+            for i, coeff in fwd.col(j):
+                assert (j, coeff) in fwd.row(i)
 
     def test_compose_descriptor(self):
-        op = SeqOperator.compose(SeqOperator.identity(), SeqOperator.identity())
-        assert op.descriptor == "I∘I"
-        assert op.apply(unit(2)) == unit(2)
+        both = SeqOperator.compose(IDENTITY, IDENTITY)
+        assert both.descriptor == "I∘I"
+        assert both.apply(unit(2)) == unit(2)
+        assert both.clauses == IDENTITY.clauses
 
     def test_split_embed_round_trip(self):
-        split_even = SeqOperator.from_clauses([Clause(1, 0, 2, 0, F(1))], "phi_1")
-        split_odd = SeqOperator.from_clauses([Clause(1, 0, 2, 1, F(1))], "phi_2")
-        embed = SeqOperator.from_clauses([Clause(2, 0, 1, 0, F(1))], "theta")
-        zero_odd = SeqOperator.from_clauses([Clause(2, 0, 2, 0, F(1))], "P")
+        split_even = op((1, 0, 2, 0, F(1)))
+        split_odd = op((1, 0, 2, 1, F(1)))
+        embed = op((2, 0, 1, 0, F(1)))
+        zero_odd = op((2, 0, 2, 0, F(1)))
         x = {0: F(1), 1: F(2), 2: F(3), 5: F(-1)}
         even = split_even.apply(x)
         assert even == {0: F(1), 1: F(3)}
@@ -205,19 +230,18 @@ class TestSeqOperator:
 
 class TestNormWindow:
     def test_identity(self):
-        window = operator_norm_window(SeqOperator.identity(), 64)
+        window = operator_norm_window(IDENTITY, 64)
         assert window.lower == F(1)
         assert window.stabilized
 
     def test_zero_odd_projection(self):
-        op = SeqOperator.from_clauses([Clause(2, 0, 2, 0, F(1))], "P")
-        window = operator_norm_window(op, 64)
+        window = operator_norm_window(op((2, 0, 2, 0, F(1))), 64)
         assert window.lower == F(1)
         assert window.stabilized
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            operator_norm_window(SeqOperator.identity(), 1)
+            operator_norm_window(IDENTITY, 1)
 
 
 class TestModel:

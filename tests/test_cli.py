@@ -127,7 +127,9 @@ class TestInputValidation:
     def test_bad_rational(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"ambient_dim": 1, "basis": [["1.5"]]}))
-        assert run(capsys, "minproj", str(path))[0] == 2
+        code, _, err = run(capsys, "minproj", str(path))
+        assert code == 2
+        assert err.splitlines()[0] == "error: malformed rational literal '1.5'"
 
     def test_boolean_ambient_dim(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -251,9 +253,18 @@ class TestPlan:
         assert doc["m"] == 0
         assert "N" not in doc
 
-    @pytest.mark.parametrize("lam", ["1", "2/3", "junk", "-4"])
-    def test_rejects_bad_targets(self, capsys, lam):
-        assert run(capsys, "plan", "--lambda", lam)[0] == 2
+    @pytest.mark.parametrize("lam,message", [
+        ("1", "target constant must exceed 1, got 1"),
+        ("2/3", "target constant must exceed 1, got 2/3"),
+        ("junk", "malformed rational literal 'junk'"),
+        ("-4", "target constant must exceed 1, got -4"),
+        ("x", "malformed rational literal 'x'"),
+    ], ids=["1", "2/3", "junk", "-4", "x"])
+    def test_rejects_bad_targets(self, capsys, lam, message):
+        code, out, err = run(capsys, "plan", "--lambda", lam)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"error: {message}"
+        assert report(err)["status"] == "error"
 
     def test_demo_base_mismatch(self, capsys, scalar_line):
         # a target of 5/2 plans alpha = 15/8, but the line has constant 1
@@ -299,7 +310,14 @@ class TestBM:
         assert payload(out)["K"] == "9/2"
 
     def test_params_reject_nonpositive(self, capsys):
-        assert run(capsys, "bm", "--params", "-1")[0] == 2
+        code, out, err = run(capsys, "bm", "--params", "-1")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == "error: shape parameter must be positive, got '-1'"
+
+    def test_params_reject_malformed(self, capsys):
+        code, out, err = run(capsys, "bm", "--params", "x")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == "error: malformed rational literal 'x'"
 
     def test_model(self, capsys):
         code, out, _ = run(capsys, "bm", "--model", "4", "--window", "256")
@@ -315,7 +333,9 @@ class TestBM:
         assert report(err)["status"] == "error"
 
     def test_model_rejects_nonpositive(self, capsys):
-        assert run(capsys, "bm", "--model", "0")[0] == 2
+        code, out, err = run(capsys, "bm", "--model", "0")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == "error: shape parameter must be positive, got 0"
 
     def test_flags_are_exclusive(self, capsys):
         assert run(capsys, "bm", "--optimize", "--params", "4")[0] == 2

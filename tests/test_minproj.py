@@ -131,12 +131,11 @@ class TestBudget:
     def test_admits_and_require(self):
         budget = LPBudget(max_ambient=2, max_dim=1)
         small = Subspace.from_rows([[1, 1]])
-        big = zero_sum_hyperplane(3)
-        assert budget.admits(small)
-        assert not budget.admits(big)
         budget.require(small)
-        with pytest.raises(BudgetExceededError):
-            budget.require(big)
+        # too wide, then too many dimensions in an admitted ambient space
+        for big in (zero_sum_hyperplane(3), Subspace.from_rows([[1, 0], [0, 1]])):
+            with pytest.raises(BudgetExceededError):
+                budget.require(big)
 
 
 class TestFloatOracle:

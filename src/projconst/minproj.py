@@ -279,18 +279,19 @@ class OracleConfig:
     seed: int = 0
     final_step: float = 1e-10
 
+    def __post_init__(self):
+        if self.restarts < 1 or self.iterations < 1:
+            raise ValueError(f"oracle needs restarts >= 1 and iterations >= 1, got {self}")
+        if not (math.isfinite(self.final_step) and self.final_step > 0):
+            raise ValueError(f"oracle final_step must be finite and positive, got {self}")
 
-def float_oracle(space: Subspace, tol: float = 1e-6,
-                 config: OracleConfig = OracleConfig()) -> float:
-    """Estimate lambda(E, ell_inf^n) by a first-order method, independently
-    of the exact LP path.
 
-    Parametrises the feasible coefficient matrices as C0 + Theta K^T with K a
-    kernel basis of B, and runs subgradient descent with geometrically
-    decaying steps on the piecewise-linear objective max-row-abs-sum,
-    restarting from random points.  Raises OracleInconclusive when the
-    restarts fail to agree to within tol/4; that signals an exhausted budget,
-    not a refutation of the exact value.
+def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
+    """The least objective value each restart of the descent reaches, in restart order.
+
+    All restarts advance together as one (restarts, k, n-k) array.  Every
+    product is stacked per restart, so each restart rounds exactly as it
+    would on its own; a restart whose gradient vanishes stops moving.
     """
     import numpy as np
 
@@ -301,49 +302,66 @@ def float_oracle(space: Subspace, tol: float = 1e-6,
     # Base point: C0 = (B B^T)^{-1} B satisfies C0 B^T = I.
     c0 = np.linalg.solve(basis @ basis.T, basis)
     p0 = bt @ c0
+    p0_norm = float(np.abs(p0).sum(axis=1).max())
 
     _, s, vh = np.linalg.svd(basis)
     tol_rank = max(n, k) * (s[0] if len(s) else 1.0) * np.finfo(float).eps
     null = vh[(s > tol_rank).sum():].T  # n x (n-k), orthonormal columns
     n_free = null.shape[1]
-
-    def objective_and_grad(theta):
-        p = p0 + bt @ theta @ null.T
-        sums = np.abs(p).sum(axis=1)
-        i_star = int(np.argmax(sums))
-        signs = np.sign(p[i_star])
-        signs[signs == 0.0] = 1.0
-        grad = np.outer(bt[i_star], signs @ null)
-        return float(sums[i_star]), grad
-
     if n_free == 0:
-        value, _ = objective_and_grad(np.zeros((k, 0)))
-        return value
+        return [p0_norm]
 
-    rng = np.random.default_rng(config.seed)
-    initial_step = max(1.0, float(np.abs(p0).sum(axis=1).max()))
+    initial_step = max(1.0, p0_norm)
     decay = (config.final_step / initial_step) ** (1.0 / config.iterations)
+    # Restart 0 starts at Theta = 0, the others at normal draws taken in
+    # restart order, each Theta row-major.
+    rng = Random(config.seed)
+    theta = np.zeros((config.restarts, k, n_free))
+    theta[1:] = np.reshape([rng.gauss(0.0, initial_step)
+                            for _ in range(theta[1:].size)], theta[1:].shape)
 
-    results = []
-    for restart in range(config.restarts):
-        if restart == 0:
-            theta = np.zeros((k, n_free))
-        else:
-            theta = rng.normal(scale=initial_step, size=(k, n_free))
-        step = initial_step
-        best = math.inf
-        for _ in range(config.iterations):
-            value, grad = objective_and_grad(theta)
-            if value < best:
-                best = value
-            gnorm = np.linalg.norm(grad)
-            if gnorm == 0.0:
-                break
-            theta = theta - (step / gnorm) * grad
-            step *= decay
-        results.append(best)
+    restarts = np.arange(config.restarts)
+    best = np.full(config.restarts, math.inf)
+    moving = np.ones(config.restarts, dtype=bool)
+    step = initial_step
+    for _ in range(config.iterations):
+        p = p0 + bt @ theta @ null.T
+        sums = np.abs(p).sum(axis=2)
+        i_star = sums.argmax(axis=1)
+        np.minimum(best, sums[restarts, i_star], out=best)
+        signs = np.sign(p[restarts, i_star])
+        signs[signs == 0.0] = 1.0
+        # (1 x n) @ (n x n-k) per restart: a 2-D product would round differently.
+        grad = bt[i_star][:, :, None] * (signs[:, None, :] @ null)
+        flat = grad.reshape(config.restarts, 1, -1)
+        # (1 x m) @ (m x 1) per restart: the dot product np.linalg.norm takes.
+        gnorm = np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
+        moving &= gnorm != 0.0
+        if not moving.any():
+            break
+        scale = np.divide(step, gnorm, out=np.zeros_like(gnorm), where=moving)
+        theta = theta - scale[:, None, None] * grad
+        step *= decay
+    return best.tolist()
 
-    results.sort()
+
+def float_oracle(space: Subspace, tol: float = 1e-6,
+                 config: OracleConfig = OracleConfig()) -> float:
+    """Estimate lambda(E, ell_inf^n) by a first-order method, independently
+    of the exact LP path.
+
+    Parametrises the feasible coefficient matrices as C0 + Theta K^T with K a
+    kernel basis of B, and runs subgradient descent with geometrically
+    decaying steps on the piecewise-linear objective max-row-abs-sum.  All
+    `config.restarts` restarts advance together as one batch: restart 0
+    starts at Theta = 0, the others at normal draws of
+    `random.Random(config.seed)` (which reads a negative seed by its absolute
+    value).  Raises OracleInconclusive when the two best restarts fail to
+    agree to within tol/4; that signals an exhausted budget, not a refutation
+    of the exact value.  With n = k there is nothing to descend and the
+    estimate is the norm of the unique projection.
+    """
+    results = sorted(_restart_bests(space, config))
     if len(results) >= 2 and results[1] - results[0] > tol / 4:
         raise OracleInconclusive(
             f"restart agreement {results[1] - results[0]:.3e} exceeds {tol / 4:.3e}"

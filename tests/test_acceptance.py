@@ -24,6 +24,11 @@ def test_run_all_reports_every_criterion():
     assert doc["passed"] is True
 
 
+def test_oracle_agreement_takes_a_negative_seed():
+    [result] = run_all(Context(seed=-1), only={"oracle-agreement"})
+    assert result.passed, result.to_json_dict()
+
+
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[c.key for c in CRITERIA])
 def test_criterion(criterion):
     try:

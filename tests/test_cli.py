@@ -91,6 +91,11 @@ class TestMinproj:
         assert doc["oracle"]["agrees"] is True
         assert abs(doc["oracle"]["estimate"] - 4 / 3) <= doc["oracle"]["tol"]
 
+    def test_oracle_takes_a_negative_seed(self, capsys, kernel3):
+        code, out, err = run(capsys, "--seed", "-1", "minproj", kernel3, "--oracle")
+        assert code == 0, err
+        assert payload(out)["oracle"]["agrees"] is True
+
     def test_budget_exceeded(self, capsys, kernel3):
         code, _, err = run(capsys, "--budget", "2", "minproj", kernel3)
         assert code == 5

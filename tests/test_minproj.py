@@ -1,5 +1,10 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from linalg_reference import subspace_contains
 
+import projconst
 from projconst.linalg import Mat, Subspace, inf_op_norm, rank_of_rows
 from projconst.minproj import (
     BudgetExceededError,
@@ -157,6 +163,40 @@ class TestFloatOracle:
         a = float_oracle(space, config=OracleConfig(seed=5, restarts=2, iterations=500))
         b = float_oracle(space, config=OracleConfig(seed=5, restarts=2, iterations=500))
         assert a == b
+
+    def test_negative_seed_reads_as_its_absolute_value(self):
+        space = Subspace.from_rows([[1, 2, 0, -1], [0, 1, 3, 1]])
+        estimates = [float_oracle(space, tol=math.inf,
+                                  config=OracleConfig(seed=seed, iterations=50))
+                     for seed in (-5, 5, 6)]
+        assert estimates[0] == estimates[1] != estimates[2]
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param({"restarts": 0}, id="no-restarts"),
+        pytest.param({"iterations": 0}, id="no-iterations"),
+        pytest.param({"iterations": -3}, id="negative-iterations"),
+        pytest.param({"final_step": 0.0}, id="zero-final-step"),
+        pytest.param({"final_step": math.nan}, id="nan-final-step"),
+    ])
+    def test_config_rejects_empty_or_degenerate_budget(self, fields):
+        with pytest.raises(ValueError, match="oracle"):
+            OracleConfig(**fields)
+
+    def test_loads_no_numpy_random(self):
+        # numpy.random adds megabytes to a process that needs a few normal draws.
+        code = ("import sys, numpy\n"
+                "eager = 'numpy.random' in sys.modules\n"
+                "from projconst import coordinate_sum_kernel, float_oracle\n"
+                "float_oracle(coordinate_sum_kernel(4))\n"
+                "print(eager, 'numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(projconst.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        eager, loaded = proc.stdout.split()
+        if eager == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert loaded == "False"
 
 
 small_entries = st.integers(min_value=-3, max_value=3)

@@ -3,6 +3,8 @@
 Each script runs in a fresh interpreter on a small input and must exit 0
 with the printed table below.  `decomposition_bound_scan.py` also builds the
 three exact sequence models and prints their window norms and inverse checks.
+With the oracle column the table's float digits depend on the numpy build,
+so that run pins the exact columns and bounds the printed error.
 """
 
 import os
@@ -54,6 +56,22 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 def test_projection_constants_table():
     proc = run_script("projection_constants_table.py", "--max-dim", "3", "--skip-oracle")
     assert (proc.returncode, proc.stdout) == (0, TABLE), proc.stderr
+
+
+def test_projection_constants_table_with_oracle():
+    proc = run_script("projection_constants_table.py", "--max-dim", "4")
+    assert proc.returncode == 0, proc.stderr
+    header, rule, *rows = proc.stdout.splitlines()
+    assert header == ("  n   lambda (exact)   predicted 2-2/n"
+                      "        oracle      |err|")
+    assert rule == "-" * len(header)
+    exact = [("2", "1"), ("3", "4/3"), ("4", "3/2")]
+    assert [tuple(row.split()[:2]) for row in rows] == exact
+    for row in rows:
+        n, lam, predicted, estimate, err = row.split()
+        assert predicted == lam
+        assert float(err) <= 1e-6
+        assert abs(float(estimate) - 2 + 2 / int(n)) <= 1e-6
 
 
 def test_decomposition_bound_scan():

@@ -44,6 +44,7 @@ from .simplex import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 class SolverIntegrityError(RuntimeError):
@@ -97,25 +98,22 @@ class ProjectionLP:
         return self.space.dim * self.space.ambient_dim
 
     @property
-    def num_majorant_vars(self) -> int:
-        return self.space.ambient_dim ** 2
-
-    @property
     def num_vars(self) -> int:
-        return self.num_coeff_vars + self.num_majorant_vars + 1
+        return self.program.num_vars
 
     @property
     def num_equalities(self) -> int:
-        return self.space.dim ** 2
+        return len(self.program.eq_rows)
 
     @property
     def num_inequalities(self) -> int:
-        n = self.space.ambient_dim
-        return 2 * n * n + n
+        return len(self.program.ub_rows)
 
 
 def build_projection_lp(space: Subspace) -> ProjectionLP:
-    """Assemble the LP; pure construction, no solving."""
+    """Assemble the LP; pure construction, no solving.  Rows list only their
+    nonzeros: at most n per equality, k + 1 per majorant row, n + 1 per
+    row-sum row."""
     n, k = space.ambient_dim, space.dim
     basis = space.basis
     nv = k * n + n * n + 1
@@ -130,38 +128,24 @@ def build_projection_lp(space: Subspace) -> ProjectionLP:
     eq_rows, eq_rhs = [], []
     for p in range(k):
         for q in range(k):
-            row = [_ZERO] * nv
-            for j in range(n):
-                x = basis.at(q, j)
-                if x:
-                    row[c_var(p, j)] = x
-            eq_rows.append(row)
+            eq_rows.append({c_var(p, j): x for j in range(n) if (x := basis.at(q, j))})
             eq_rhs.append(_ONE if p == q else _ZERO)
 
-    ub_rows, ub_rhs = [], []
+    ub_rows = []
     for i in range(n):
+        plus = [(p, x) for p in range(k) if (x := basis.at(p, i))]
+        minus = [(p, -x) for p, x in plus]
         for j in range(n):
             # (B^T C)[i,j] = sum_p B[p,i] C[p,j]
-            plus = [_ZERO] * nv
-            minus = [_ZERO] * nv
-            for p in range(k):
-                x = basis.at(p, i)
-                if x:
-                    plus[c_var(p, j)] = x
-                    minus[c_var(p, j)] = -x
-            plus[m_var(i, j)] = -_ONE
-            minus[m_var(i, j)] = -_ONE
-            ub_rows.append(plus)
-            ub_rhs.append(_ZERO)
-            ub_rows.append(minus)
-            ub_rhs.append(_ZERO)
+            for column in (plus, minus):
+                row = {c_var(p, j): x for p, x in column}
+                row[m_var(i, j)] = _MINUS_ONE
+                ub_rows.append(row)
     for i in range(n):
-        row = [_ZERO] * nv
-        for j in range(n):
-            row[m_var(i, j)] = _ONE
-        row[t_var] = -_ONE
+        row = {m_var(i, j): _ONE for j in range(n)}
+        row[t_var] = _MINUS_ONE
         ub_rows.append(row)
-        ub_rhs.append(_ZERO)
+    ub_rhs = [_ZERO] * len(ub_rows)
 
     program = LinearProgram(objective, eq_rows, eq_rhs, ub_rows, ub_rhs, free)
     return ProjectionLP(space, program)
@@ -280,6 +264,9 @@ class OracleConfig:
     final_step: float = 1e-10
 
     def __post_init__(self):
+        counts = (self.restarts, self.iterations)
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in counts):
+            raise ValueError(f"oracle needs integer restarts and iterations, got {self}")
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError(f"oracle needs restarts >= 1 and iterations >= 1, got {self}")
         if not (math.isfinite(self.final_step) and self.final_step > 0):
@@ -359,8 +346,11 @@ def float_oracle(space: Subspace, tol: float = 1e-6,
     value).  Raises OracleInconclusive when the two best restarts fail to
     agree to within tol/4; that signals an exhausted budget, not a refutation
     of the exact value.  With n = k there is nothing to descend and the
-    estimate is the norm of the unique projection.
+    estimate is the norm of the unique projection.  A `tol` that is not
+    finite and positive raises ValueError.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"oracle tol must be finite and positive, got {tol}")
     results = sorted(_restart_bests(space, config))
     if len(results) >= 2 and results[1] - results[0] > tol / 4:
         raise OracleInconclusive(

@@ -4,15 +4,17 @@ Problems arrive as
 
     minimize c.x  subject to  A_eq x = b_eq,  A_ub x <= b_ub,
 
-with each variable either nonnegative or free.  Free variables are split
-into positive and negative parts, inequalities get slack variables, and
+with each variable either nonnegative or free, each constraint row a sparse
+map {column: coefficient} and c dense.  Free variables are split into
+positive and negative parts, inequalities get slack variables, and
 equalities get artificial variables for phase 1.
 
 The tableau is fraction-free.  It is a list of integer rows in the sense of
 `linalg`: Python ints over one positive denominator, entry j of row i
 standing for tableau[i][j] / dens[i].  The m constraint rows come first and
-the objective row is the last row.  A row starts over the lcm of its input
-denominators, and every pivot is `linalg.pivot_rows`, the package's one
+the objective row is the last row.  A row starts over the lcm of the
+denominators of its listed entries and right-hand side (an unlisted zero
+would add 1), and every pivot is `linalg.pivot_rows`, the package's one
 elimination kernel: it rescales the pivot row so that the pivot entry reads
 1 and eliminates the pivot column from every other row, objective included,
 by integer multiply, subtract and one exact division per row.
@@ -61,12 +63,15 @@ class PivotLimitExceeded(SimplexError):
 
 @dataclass
 class LinearProgram:
-    """min objective . x, A_eq x = b_eq, A_ub x <= b_ub; free[j] marks sign-free x_j."""
+    """min objective . x, A_eq x = b_eq, A_ub x <= b_ub; free[j] marks sign-free x_j.
+
+    Rows are sparse maps {j: A[i][j]} with 0 <= j < num_vars; unlisted entries are 0.
+    """
 
     objective: list[Fraction]
-    eq_rows: list[list[Fraction]] = field(default_factory=list)
+    eq_rows: list[dict[int, Fraction]] = field(default_factory=list)
     eq_rhs: list[Fraction] = field(default_factory=list)
-    ub_rows: list[list[Fraction]] = field(default_factory=list)
+    ub_rows: list[dict[int, Fraction]] = field(default_factory=list)
     ub_rhs: list[Fraction] = field(default_factory=list)
     free: list[bool] = field(default_factory=list)
 
@@ -81,8 +86,8 @@ class LinearProgram:
         if len(self.eq_rows) != len(self.eq_rhs) or len(self.ub_rows) != len(self.ub_rhs):
             raise ValueError("constraint row/rhs count mismatch")
         for row in self.eq_rows + self.ub_rows:
-            if len(row) != nv:
-                raise ValueError("constraint row width mismatch")
+            if not all(0 <= j < nv for j in row):
+                raise ValueError("constraint row column out of range")
 
 
 def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
@@ -127,11 +132,10 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     tableau: list[list[int]] = []
     dens: list[int] = []
     for i, (row, b) in enumerate(constraints):
-        num, den = integer_row(list(row) + [b])
+        num, den = integer_row([*row.values(), b])
         sign = -1 if negated[i] else 1
         full = [0] * (ncols + 1)
-        for j in range(nv):
-            x = num[j]
+        for j, x in zip(row, num):
             if x:
                 full[j] = sign * x
                 if j in neg_part:
@@ -141,7 +145,7 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         if i in artificial_of_row:
             full[artificial_of_row[i]] = den
             basis[i] = artificial_of_row[i]
-        full[ncols] = sign * num[nv]
+        full[ncols] = sign * num[-1]
         tableau.append(full)
         dens.append(den)
 

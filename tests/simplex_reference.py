@@ -2,9 +2,13 @@
 
 `reference_solve` is the two-phase Bland simplex with one `Fraction` per
 tableau entry.  It is the former `solve_linear_program` verbatim, apart from
-its name and from reading `projconst.simplex.PIVOT_LIMIT` at pivot time.
-The fraction-free kernel must return the identical (value, assignment), or
-raise the same exception, on every program.
+its name, from reading `projconst.simplex.PIVOT_LIMIT` at pivot time, and
+from turning the sparse constraint rows into dense lists on entry.  Nothing
+after that step changes.  The fraction-free kernel must return the identical
+(value, assignment), or raise the same exception, on every program.
+
+`sparse_row` and `dense_row` convert between the two row formats for tests
+that write or read rows densely.
 """
 
 from __future__ import annotations
@@ -23,6 +27,19 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def sparse_row(values) -> dict[int, Fraction]:
+    """The nonzero entries of a dense row, as {column: value}."""
+    return {j: Fraction(x) for j, x in enumerate(values) if x}
+
+
+def dense_row(row: dict[int, Fraction], width: int) -> list[Fraction]:
+    """The sparse row as a list of `width` entries."""
+    out = [_ZERO] * width
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
 def reference_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     """Optimal (objective value, assignment) of the program.
 
@@ -32,6 +49,8 @@ def reference_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     """
     lp.check_shapes()
     nv = lp.num_vars
+    eq_rows = [dense_row(row, nv) for row in lp.eq_rows]
+    ub_rows = [dense_row(row, nv) for row in lp.ub_rows]
 
     # Column layout: originals, then negative parts of free variables,
     # then slacks, then artificials.  Fixed layout keeps solves deterministic.
@@ -40,20 +59,20 @@ def reference_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         if lp.free[j]:
             neg_part[j] = nv + len(neg_part)
     n_split = nv + len(neg_part)
-    n_ub = len(lp.ub_rows)
+    n_ub = len(ub_rows)
     slack_start = n_split
     art_start = n_split + n_ub
 
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     negated: list[bool] = []
-    for row, b in zip(lp.eq_rows, lp.eq_rhs):
+    for row, b in zip(eq_rows, lp.eq_rhs):
         flip = b < 0
         sign = -_ONE if flip else _ONE
         rows.append([sign * x for x in row])
         rhs.append(sign * b)
         negated.append(flip)
-    for row, b in zip(lp.ub_rows, lp.ub_rhs):
+    for row, b in zip(ub_rows, lp.ub_rhs):
         flip = b < 0
         sign = -_ONE if flip else _ONE
         rows.append([sign * x for x in row])
@@ -65,10 +84,10 @@ def reference_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     artificial_of_row: dict[int, int] = {}
     n_art = 0
     for i in range(m):
-        if i >= len(lp.eq_rows):
+        if i >= len(eq_rows):
             # inequality row: slack coefficient is +1 unless the row was negated
             if not negated[i]:
-                basis[i] = slack_start + (i - len(lp.eq_rows))
+                basis[i] = slack_start + (i - len(eq_rows))
                 continue
         artificial_of_row[i] = art_start + n_art
         n_art += 1
@@ -84,8 +103,8 @@ def reference_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
                 full[j] = x
                 if j in neg_part:
                     full[neg_part[j]] = -x
-        if i >= len(lp.eq_rows):
-            sidx = slack_start + (i - len(lp.eq_rows))
+        if i >= len(eq_rows):
+            sidx = slack_start + (i - len(eq_rows))
             full[sidx] = -_ONE if negated[i] else _ONE
         if i in artificial_of_row:
             full[artificial_of_row[i]] = _ONE

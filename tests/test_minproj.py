@@ -36,7 +36,6 @@ class TestProgramShape:
         lp = build_projection_lp(space)
         n, k = 4, 2
         assert lp.num_coeff_vars == k * n
-        assert lp.num_majorant_vars == n * n
         assert lp.num_vars == k * n + n * n + 1
         assert lp.num_equalities == k * k
         assert lp.num_inequalities == 2 * n * n + n
@@ -166,7 +165,7 @@ class TestFloatOracle:
 
     def test_negative_seed_reads_as_its_absolute_value(self):
         space = Subspace.from_rows([[1, 2, 0, -1], [0, 1, 3, 1]])
-        estimates = [float_oracle(space, tol=math.inf,
+        estimates = [float_oracle(space, tol=sys.float_info.max,
                                   config=OracleConfig(seed=seed, iterations=50))
                      for seed in (-5, 5, 6)]
         assert estimates[0] == estimates[1] != estimates[2]
@@ -181,6 +180,23 @@ class TestFloatOracle:
     def test_config_rejects_empty_or_degenerate_budget(self, fields):
         with pytest.raises(ValueError, match="oracle"):
             OracleConfig(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param({"restarts": 2.5}, id="fractional-restarts"),
+        pytest.param({"restarts": 2.0}, id="float-restarts"),
+        pytest.param({"iterations": F(100)}, id="fraction-iterations"),
+        pytest.param({"restarts": True}, id="bool-restarts"),
+    ])
+    def test_config_rejects_non_integer_counts(self, fields):
+        with pytest.raises(ValueError, match="integer"):
+            OracleConfig(**fields)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_tol_that_is_not_finite_and_positive(self, tol):
+        # these two restarts disagree by 0.64, which a nan or inf tol would pass
+        config = OracleConfig(restarts=2, iterations=10)
+        with pytest.raises(ValueError, match="tol"):
+            float_oracle(zero_sum_hyperplane(3), tol=tol, config=config)
 
     def test_loads_no_numpy_random(self):
         # numpy.random adds megabytes to a process that needs a few normal draws.

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from simplex_reference import dense_row, sparse_row
 
 from projconst.simplex import (
     InfeasibleProgram,
@@ -22,9 +23,9 @@ def lp(objective, eq=(), eq_rhs=(), ub=(), ub_rhs=(), free=None):
     nv = len(objective)
     return LinearProgram(
         objective,
-        [[F(x) for x in row] for row in eq],
+        [sparse_row(row) for row in eq],
         [F(x) for x in eq_rhs],
-        [[F(x) for x in row] for row in ub],
+        [sparse_row(row) for row in ub],
         [F(x) for x in ub_rhs],
         list(free) if free is not None else [False] * nv,
     )
@@ -87,9 +88,24 @@ def test_unbounded():
 
 
 def test_shape_validation():
-    bad = lp([1, 2], ub=[[1]], ub_rhs=[1])
-    with pytest.raises(ValueError):
-        solve_linear_program(bad)
+    # columns run over 0 <= j < num_vars = 2
+    for column in (-1, 2, 3):
+        bad = LinearProgram([F(1), F(2)], [], [], [{0: F(1), column: F(1)}], [F(1)],
+                            [False, False])
+        with pytest.raises(ValueError, match="column out of range"):
+            solve_linear_program(bad)
+    with pytest.raises(ValueError, match="row/rhs"):
+        solve_linear_program(lp([1, 2], ub=[[1, 0]]))
+    with pytest.raises(ValueError, match="mask"):
+        solve_linear_program(lp([1, 2], free=[True]))
+
+
+def test_listed_zero_is_an_unlisted_one():
+    # min -x - y over x + y <= 1 with a zero coefficient written out
+    listed = LinearProgram([F(-1), F(-1)], [], [], [{0: F(1), 1: F(1)}, {0: F(0)}],
+                           [F(1), F(1, 3)], [False, False])
+    assert solve_linear_program(listed) == solve_linear_program(
+        lp([-1, -1], ub=[[1, 1], [0, 0]], ub_rhs=[1, F(1, 3)]))
 
 
 def test_deterministic():
@@ -107,12 +123,10 @@ def _random_bounded_program(rng: Random):
     objective = [F(rng.randint(-5, 5)) for _ in range(nv)]
     ub, ub_rhs = [], []
     for _ in range(nub):
-        ub.append([F(rng.randint(-4, 4)) for _ in range(nv)])
+        ub.append(sparse_row(rng.randint(-4, 4) for _ in range(nv)))
         ub_rhs.append(F(rng.randint(0, 6)))  # rhs >= 0 keeps x = 0 feasible
     for j in range(nv):  # box rows keep the program bounded
-        row = [F(0)] * nv
-        row[j] = F(1)
-        ub.append(row)
+        ub.append({j: F(1)})
         ub_rhs.append(F(1))
     return LinearProgram(objective, [], [], ub, ub_rhs, [False] * nv)
 
@@ -124,10 +138,11 @@ def test_agrees_with_scipy_on_random_programs():
         program = _random_bounded_program(rng)
         value, x = solve_linear_program(program)
         for row, b in zip(program.ub_rows, program.ub_rhs):
-            assert sum(c * v for c, v in zip(row, x)) <= b
+            assert sum(c * x[j] for j, c in row.items()) <= b
         ref = scipy_opt.linprog(
             [float(c) for c in program.objective],
-            A_ub=[[float(c) for c in row] for row in program.ub_rows],
+            A_ub=[[float(c) for c in dense_row(row, program.num_vars)]
+                  for row in program.ub_rows],
             b_ub=[float(b) for b in program.ub_rhs],
             bounds=[(0, None)] * program.num_vars,
             method="highs",

@@ -8,16 +8,20 @@ the pivot sequence as well.
 
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 from random import Random
 
 import pytest
-from simplex_reference import reference_solve
+from simplex_reference import reference_solve, sparse_row
 
 from projconst import simplex
+from projconst.cli import load_subspace_document
 from projconst.linalg import Subspace
 from projconst.minproj import build_projection_lp
 from projconst.simplex import LinearProgram, SimplexError, solve_linear_program
-from projconst.zerosum import sigma_subspace
+from projconst.zerosum import coordinate_sum_kernel, sigma_subspace
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def outcome(solve, program):
@@ -68,7 +72,8 @@ def random_program(rng: Random) -> LinearProgram:
     ub_rhs = [_entry(rng, 0.4) for _ in range(n_ub)]
     objective = [_entry(rng, zero_share) for _ in range(nv)]
     free = [rng.random() < 0.3 for _ in range(nv)]
-    return LinearProgram(objective, eq, eq_rhs, ub, ub_rhs, free)
+    return LinearProgram(objective, [sparse_row(row) for row in eq], eq_rhs,
+                         [sparse_row(row) for row in ub], ub_rhs, free)
 
 
 def test_identical_results_on_random_programs():
@@ -87,8 +92,7 @@ def test_redundant_equalities_are_dropped_alike():
     # artificials end phase 1 at level 0 with no legitimate pivot left
     program = LinearProgram(
         [F(1), F(2), F(-1)],
-        [[F(1), F(1), F(0)], [F(2), F(2), F(0)], [F(0), F(1), F(1)],
-         [F(1), F(2), F(1)]],
+        [sparse_row(row) for row in [[1, 1, 0], [2, 2, 0], [0, 1, 1], [1, 2, 1]]],
         [F(1), F(2), F(3, 2), F(5, 2)],
         [], [], [False, False, True])
     assert assert_same(program) == (F(-1, 2), [F(1), F(0), F(3, 2)])
@@ -99,7 +103,7 @@ def test_negative_pivot_in_artificial_drive_out():
     # the first row basic at level 0, and its only legitimate entry is -1
     program = LinearProgram(
         [F(2), F(1), F(1)],
-        [[F(0), F(0), F(-1)], [F(2), F(0), F(0)]],
+        [sparse_row([0, 0, -1]), sparse_row([2, 0, 0])],
         [F(0), F(3)],
         [], [], [False, False, False])
     assert assert_same(program) == (F(3), [F(3, 2), F(0), F(0)])
@@ -109,6 +113,17 @@ def test_pivot_limit_is_read_at_pivot_time(monkeypatch):
     program = build_projection_lp(_kernel(3)).program
     monkeypatch.setattr(simplex, "PIVOT_LIMIT", 3)
     assert assert_same(program) is simplex.PivotLimitExceeded
+
+
+def test_sigma3_ker3_takes_454_pivots(monkeypatch):
+    # the ell_inf^9 program of Sigma_3(ker_3): Bland's rule on the rational
+    # tableau fixes the pivot count, whatever the row format
+    program = build_projection_lp(sigma_subspace(coordinate_sum_kernel(3), 3).space).program
+    monkeypatch.setattr(simplex, "PIVOT_LIMIT", 453)
+    with pytest.raises(simplex.PivotLimitExceeded):
+        solve_linear_program(program)
+    monkeypatch.setattr(simplex, "PIVOT_LIMIT", 454)
+    assert solve_linear_program(program)[0] == F(16, 9)
 
 
 def _kernel(n: int) -> Subspace:
@@ -121,6 +136,9 @@ def _kernel(n: int) -> Subspace:
 @pytest.mark.parametrize("space, expected", [
     *(pytest.param(_kernel(n), 2 - F(2, n), id=f"ker{n}") for n in range(2, 7)),
     pytest.param(sigma_subspace(_kernel(3), 2).space, F(4, 3), id="sigma2-ker3"),
+    # a basis with denominators 2 and 3, so rows start over a nontrivial lcm
+    pytest.param(load_subspace_document(str(GOLDEN / "rational5.json"))[0], F(216, 181),
+                 id="rational5"),
 ])
 def test_identical_results_on_projection_programs(space, expected):
     value, _ = assert_same(build_projection_lp(space).program)

@@ -52,6 +52,7 @@ from .zerosum import (
     centring_projection,
     coordinate_sum_kernel,
     extract_r,
+    sigma_steps,
     sigma_subspace,
     symmetrize,
     verify_multiplication_law,
@@ -95,6 +96,7 @@ __all__ = [
     "parse_rational",
     "plan_parameters",
     "projection_constant",
+    "sigma_steps",
     "sigma_subspace",
     "symmetrize",
     "verify_inverse",

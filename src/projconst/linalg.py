@@ -21,9 +21,12 @@ No floating point enters this module.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def as_rat(value) -> Fraction:
@@ -40,25 +43,20 @@ def as_rat(value) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal: an optionally signed 'p' or 'p/q'.
 
-    The result is always reduced with a positive denominator.  Anything that
-    is not a pure integer or integer/integer pair (floats included) is
-    rejected.
+    p and q are ASCII digit strings, each with an optional sign; only the
+    literal's outer whitespace is stripped.  The result is always reduced
+    with a positive denominator.  Anything else (floats, digit separators,
+    non-ASCII digits, inner whitespace) is rejected.
     """
     parts = text.strip().split("/")
+    if len(parts) > 2 or not all(_INTEGER.fullmatch(part) for part in parts):
+        raise ValueError(f"malformed rational literal {text!r}")
     if len(parts) == 1:
-        try:
-            return Fraction(int(parts[0]))
-        except ValueError:
-            raise ValueError(f"malformed rational literal {text!r}") from None
-    if len(parts) == 2:
-        try:
-            num, den = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"malformed rational literal {text!r}") from None
-        if den == 0:
-            raise ValueError(f"zero denominator in rational literal {text!r}")
-        return Fraction(num, den)
-    raise ValueError(f"malformed rational literal {text!r}")
+        return Fraction(int(parts[0]))
+    num, den = map(int, parts)
+    if den == 0:
+        raise ValueError(f"zero denominator in rational literal {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:

@@ -256,12 +256,15 @@ def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random,
 # floating-point oracle
 
 
+# the descent's step decays geometrically from max(1, norm(P0)) to this
+ORACLE_FINAL_STEP = 1e-10
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     restarts: int = 8
     iterations: int = 4000
     seed: int = 0
-    final_step: float = 1e-10
 
     def __post_init__(self):
         counts = (self.restarts, self.iterations)
@@ -269,8 +272,6 @@ class OracleConfig:
             raise ValueError(f"oracle needs integer restarts and iterations, got {self}")
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError(f"oracle needs restarts >= 1 and iterations >= 1, got {self}")
-        if not (math.isfinite(self.final_step) and self.final_step > 0):
-            raise ValueError(f"oracle final_step must be finite and positive, got {self}")
 
 
 def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
@@ -299,7 +300,7 @@ def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
         return [p0_norm]
 
     initial_step = max(1.0, p0_norm)
-    decay = (config.final_step / initial_step) ** (1.0 / config.iterations)
+    decay = (ORACLE_FINAL_STEP / initial_step) ** (1.0 / config.iterations)
     # Restart 0 starts at Theta = 0, the others at normal draws taken in
     # restart order, each Theta row-major.
     rng = Random(config.seed)

@@ -7,10 +7,9 @@ Otherwise m is the unique exponent with 2^m <= lambda < 2^{m+1} and N is the
 smallest block count >= 3 with mu_N^m > lambda / 2, which makes the
 remaining factor alpha = lambda / mu_N^m land in (1, 2].
 
-`demonstrate_schedule` executes a plan on an actual base subspace,
-certifying each staged constant by exact LP solves.  Each step replaces the
-current space by its zero-sum space, which `zerosum.sigma_subspace` builds in
-that module's contiguous block layout.
+`demonstrate_schedule` executes a plan on an actual base subspace: it
+certifies the base constant, then compares each level of
+`zerosum.sigma_steps` with the staged constant mu_N^k * alpha.
 """
 
 from __future__ import annotations
@@ -19,14 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Subspace, format_rational
-from .minproj import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    LPBudget,
-    projection_constant,
-)
-from .simplex import PivotLimitExceeded
-from .zerosum import amplification_factor, sigma_subspace
+from .minproj import DEFAULT_BUDGET, LPBudget, projection_constant
+from .zerosum import amplification_factor, sigma_steps
 
 _ONE = Fraction(1)
 _TWO = Fraction(2)
@@ -194,11 +187,9 @@ def demonstrate_schedule(base: Subspace, plan: AmplificationPlan, max_steps: int
     """Execute up to `max_steps` zero-sum amplification steps of a plan.
 
     Checks lambda(base) == plan.alpha first (mismatch is a hard error), then
-    iterates the zero-sum construction, certifying the staged constant
-    mu_N^k * alpha at every level by an exact LP solve.  A step beyond the LP
-    budget or the simplex pivot limit truncates the report rather than
-    raising; the budget is checked on the step's shape before its zero-sum
-    space is built.
+    compares each level of `sigma_steps` with the staged constant
+    mu_N^k * alpha.  A step beyond the LP budget or the simplex pivot limit
+    truncates the report rather than raising.
     """
     if max_steps < 0:
         raise ValueError(f"negative step count {max_steps}")
@@ -213,19 +204,10 @@ def demonstrate_schedule(base: Subspace, plan: AmplificationPlan, max_steps: int
             f"lambda(base) = {base_lambda}, plan needs alpha = {plan.alpha}"
         )
     steps: list[DemoStep] = []
-    current = base
     expected = base_lambda
-    truncated = False
-    for k in range(1, max_steps + 1):
-        expected = expected * amplification_factor(plan.copies)
-        ambient = current.ambient_dim * plan.copies
-        try:
-            budget.require_shape(ambient, (plan.copies - 1) * current.dim)
-            current = sigma_subspace(current, plan.copies).space
-            computed = projection_constant(current).value
-        except (BudgetExceededError, PivotLimitExceeded):
-            steps.append(DemoStep(k, ambient, expected, None, False))
-            truncated = True
-            break
+    for k, (ambient, computed) in enumerate(
+            sigma_steps(base, plan.copies, max_steps, budget), start=1):
+        expected *= plan.mu
         steps.append(DemoStep(k, ambient, expected, computed, computed == expected))
+    truncated = bool(steps) and steps[-1].computed is None
     return ScheduleReport(base_lambda, tuple(steps), truncated)

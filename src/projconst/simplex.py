@@ -86,6 +86,8 @@ class LinearProgram:
         if len(self.eq_rows) != len(self.eq_rhs) or len(self.ub_rows) != len(self.ub_rhs):
             raise ValueError("constraint row/rhs count mismatch")
         for row in self.eq_rows + self.ub_rows:
+            if not all(type(j) is int for j in row):
+                raise ValueError("constraint row column is not an int")
             if not all(0 <= j < nv for j in row):
                 raise ValueError("constraint row column out of range")
 

@@ -12,8 +12,12 @@ permutation matrix.  Three exact facts drive everything here:
 * averaging any projection onto a zero-sum space over all block permutations
   collapses it to (coordinatewise lift of R) o (centring map) for a single
   projection R of ell_inf^d onto E; and
-* that collapse forces lambda(zero-sum space) = (2 - 2/N) * lambda(E),
-  which `verify_multiplication_law` certifies by solving both sides exactly.
+* that collapse forces lambda(zero-sum space) = (2 - 2/N) * lambda(E).
+
+`sigma_steps` is the one certified zero-sum step: it iterates the
+construction and solves each level's LP exactly, under the LP budget.
+`verify_multiplication_law` checks the law with one such step against an
+exact solve of the base, and `planner.demonstrate_schedule` runs several.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .linalg import (
     Mat,
@@ -256,16 +260,16 @@ class SymmetrizationDecomposition:
 def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomposition:
     """Read off the block structure of a symmetrized projection.
 
-    Verifies, exactly: invariance under block permutations, equality of the
-    off-diagonal blocks, the trace condition a + (N-1) b = 0, idempotence of
-    r = a - b, that r fixes the base subspace, the factorization
-    p_tilde = lift(r) o centring, and the norm identity.
+    Verifies, exactly: invariance under block permutations, the trace
+    condition a + (N-1) b = 0, idempotence of r = a - b, that r fixes the
+    base subspace, and the norm identity.
 
-    Invariance is checked for two permutations only, the transposition of
-    blocks 0 and 1 and the N-cycle i -> i+1: these two generate S_N, so a
-    matrix fixed by both under `permute_blocks` is fixed by every block
-    permutation.  The factorization is checked entry by entry: block (i, j)
-    of lift(r) o centring is (delta_ij - 1/N) r.
+    With a = block (0, 0) and b = block (1, 0), one pass checks that every
+    diagonal block is a and every other block b.  S_N maps any block to any
+    other and any ordered pair of distinct blocks to any other, so this is
+    exactly invariance under every block permutation.  The trace condition
+    then gives a = (1 - 1/N) r and b = -r/N, so block (i, j) is already
+    (delta_ij - 1/N) r: p_tilde = lift(r) o centring needs no further check.
     """
     d, n = base.ambient_dim, copies
     if n < 2:
@@ -273,14 +277,6 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
     size = d * n
     if (p_tilde.rows, p_tilde.cols) != (size, size):
         raise ValueError(f"matrix is {p_tilde.rows}x{p_tilde.cols}, expected {size}x{size}")
-
-    swap = list(range(n))
-    swap[0], swap[1] = 1, 0
-    for sigma in (swap, [(i + 1) % n for i in range(n)]):
-        if permute_blocks(p_tilde, d, sigma) != p_tilde:
-            raise NotSymmetrizedError(
-                "matrix does not commute with the block permutations"
-            )
 
     def block(bi: int, bj: int) -> Mat:
         return Mat.from_rows([
@@ -290,9 +286,9 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
 
     a = block(0, 0)
     b = block(1, 0)
-    for i in range(2, n):
-        if block(i, 0) != b:
-            raise NotSymmetrizedError("off-diagonal blocks of the first column differ")
+    if any(x != (a if row // d == col // d else b).at(row % d, col % d)
+           for row in range(size) for col, x in enumerate(p_tilde.row(row))):
+        raise NotSymmetrizedError("matrix does not commute with the block permutations")
 
     if a.add(b.scale(n - 1)) != Mat.zeros(d, d):
         raise DecompositionIntegrityError("block trace a + (N-1) b does not vanish")
@@ -301,12 +297,6 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
     defect = projection_defect(r, base)
     if defect:
         raise DecompositionIntegrityError(f"collapsed block map {defect}")
-    if a != r.scale(Fraction(n - 1, n)) or b != r.scale(Fraction(-1, n)):
-        raise DecompositionIntegrityError("blocks are not the expected multiples of r")
-    # block (i, j) must be (delta_ij - 1/N) r: a on the diagonal, b off it
-    if any(x != (a if row // d == col // d else b).at(row % d, col % d)
-           for row in range(size) for col, x in enumerate(p_tilde.row(row))):
-        raise DecompositionIntegrityError("matrix does not factor through the centring map")
     if inf_op_norm(p_tilde).value != amplification_factor(n) * inf_op_norm(r).value:
         raise DecompositionIntegrityError("norm identity (2 - 2/N) * norm(r) fails")
     return SymmetrizationDecomposition(p_tilde, a, b, r)
@@ -361,14 +351,35 @@ class MultiplicationLawReport:
         }
 
 
+def sigma_steps(base: Subspace, copies: int, steps: int,
+                budget: LPBudget = DEFAULT_BUDGET) -> Iterator[tuple[int, Fraction | None]]:
+    """Certify lambda(Sigma_N^k(base)) for k = 1..steps by exact LP solves.
+
+    Yields (ambient_dim, lambda) for each step.  The budget is checked on a
+    step's shape before its zero-sum space is built, so a large N costs
+    nothing; a step beyond the LP budget or the simplex pivot limit yields
+    (ambient_dim, None) and ends the run.
+    """
+    current = base
+    for _ in range(steps):
+        ambient = current.ambient_dim * copies
+        try:
+            budget.require_shape(ambient, (copies - 1) * current.dim)
+            current = sigma_subspace(current, copies).space
+            lam = projection_constant(current).value
+        except (BudgetExceededError, PivotLimitExceeded):
+            yield ambient, None
+            return
+        yield ambient, lam
+
+
 def verify_multiplication_law(base: Subspace, copies: int,
                               budget: LPBudget = DEFAULT_BUDGET) -> MultiplicationLawReport:
     """Certify the amplification law for one base subspace by exact LP solves.
 
     When either side exceeds the LP budget or the simplex pivot limit, the
-    report comes back flagged inconclusive instead of raising.  The budget
-    is checked on the zero-sum space's shape before that space is built, so
-    a large N costs nothing beyond the base solve.
+    report comes back flagged inconclusive instead of raising.  The zero-sum
+    side is one step of `sigma_steps`.
     """
     mu = amplification_factor(copies)
     ambient = base.ambient_dim * copies
@@ -377,10 +388,6 @@ def verify_multiplication_law(base: Subspace, copies: int,
         base_lambda = projection_constant(base).value
     except (BudgetExceededError, PivotLimitExceeded):
         return MultiplicationLawReport(None, mu, None, copies, ambient, "inconclusive")
-    try:
-        budget.require_shape(ambient, (copies - 1) * base.dim)
-        sigma_lambda = projection_constant(sigma_subspace(base, copies).space).value
-    except (BudgetExceededError, PivotLimitExceeded):
-        return MultiplicationLawReport(base_lambda, mu, None, copies, ambient,
-                                       "inconclusive")
-    return MultiplicationLawReport(base_lambda, mu, sigma_lambda, copies, ambient, "ok")
+    [(ambient, sigma_lambda)] = sigma_steps(base, copies, 1, budget)
+    status = "inconclusive" if sigma_lambda is None else "ok"
+    return MultiplicationLawReport(base_lambda, mu, sigma_lambda, copies, ambient, status)

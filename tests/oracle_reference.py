@@ -9,6 +9,8 @@ order and each Theta row-major, where the former code drew them from
 `numpy.random.default_rng(config.seed)`.  It returns the unsorted list of
 per-restart bests (the former early return for n = k becomes a one-element
 list), and `reference_verdict` applies the former agreement rule to it.
+The final step of the decay, once an `OracleConfig` field, is read from
+the constant `ORACLE_FINAL_STEP`, with the same value.
 The batched descent must return the identical list, bit for bit.
 """
 
@@ -20,7 +22,7 @@ from random import Random
 import numpy as np
 
 from projconst.linalg import Subspace
-from projconst.minproj import OracleConfig, OracleInconclusive
+from projconst.minproj import ORACLE_FINAL_STEP, OracleConfig, OracleInconclusive
 
 
 def reference_restart_bests(space: Subspace, config: OracleConfig = OracleConfig()) -> list[float]:
@@ -52,7 +54,7 @@ def reference_restart_bests(space: Subspace, config: OracleConfig = OracleConfig
 
     rng = Random(config.seed)
     initial_step = max(1.0, float(np.abs(p0).sum(axis=1).max()))
-    decay = (config.final_step / initial_step) ** (1.0 / config.iterations)
+    decay = (ORACLE_FINAL_STEP / initial_step) ** (1.0 / config.iterations)
 
     results = []
     for restart in range(config.restarts):

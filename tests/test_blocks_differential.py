@@ -3,8 +3,8 @@
 `permute_blocks` must equal the dense conjugation U_sigma M U_sigma^T for
 every block permutation, and `extract_r` must return the decomposition of
 the former dense `extract_r` (`blocks_reference.reference_extract_r`), or
-raise the same exception type, on symmetrized projections and on mutants
-built to fail each of its checks.
+raise the same exception type, on symmetrized projections, on mutants
+built to fail each of its checks, and on seeded random block pairs.
 """
 
 import itertools
@@ -14,7 +14,8 @@ from random import Random
 import pytest
 from blocks_reference import block_permutation, reference_extract_r
 
-from projconst.linalg import Mat, Subspace
+from projconst.linalg import Mat, Subspace, invert_square
+from projconst.minproj import feasible_perturbation
 from projconst.zerosum import (
     DecompositionIntegrityError,
     NotSymmetrizedError,
@@ -118,6 +119,41 @@ def test_extract_r_matches_dense_reference(base, n):
         assert new == old == DecompositionIntegrityError
         new, old = outcome(base, n, invariant(r.scale(2), n))
         assert new == old == DecompositionIntegrityError
+
+
+def random_projection(base: Subspace, rng: Random) -> Mat:
+    """A random exact projection of ell_inf^d onto `base`: B^T C with C B^T = I."""
+    g = base.basis
+    c0 = invert_square(g @ g.transpose()) @ g
+    return g.transpose() @ feasible_perturbation(base, c0, rng, 2)
+
+
+@pytest.mark.parametrize("base", BASES, ids=["line", "plane", "line-in-plane", "plane-in-3"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_block_pairs(base, n):
+    # a on every diagonal block and b elsewhere: b random, b = -a/(N-1) with
+    # a random (the trace holds, r rarely projects), or a = (1 - 1/N) r with
+    # r a random projection onto the base (a genuine decomposition)
+    d = base.ambient_dim
+    rng = Random(1000 + 10 * d + n + base.dim)
+    decomposed = 0
+    for trial in range(12):
+        a = random_mat(rng, d)
+        if trial % 3 == 0:
+            b = random_mat(rng, d)
+        elif trial % 3 == 1:
+            b = a.scale(F(-1, n - 1))
+        else:
+            r = random_projection(base, rng)
+            a, b = r.scale(F(n - 1, n)), r.scale(F(-1, n))
+        new, old = outcome(base, n, from_blocks(a, b, n))
+        assert new == old
+        decomposed += isinstance(new, SymmetrizationDecomposition)
+    assert decomposed >= 4
+    # lift(r) for a projection r onto the base: for N = 2 the norm identity
+    # reads norm(r) = norm(r), so only the trace condition rejects it
+    lift = from_blocks(random_projection(base, rng), Mat.zeros(d, d), n)
+    assert outcome(base, n, lift) == [DecompositionIntegrityError] * 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

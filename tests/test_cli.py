@@ -7,10 +7,10 @@ line on stderr, and identical inputs must produce byte-identical stdout.
 import json
 
 import pytest
+from pivot_limits import fewest_pivots
 
 from projconst import simplex, zerosum
 from projconst.cli import load_subspace_document, main
-from projconst.minproj import projection_constant
 
 
 def run(capsys, *argv):
@@ -44,18 +44,6 @@ def kernel5(tmp_path):
     path = tmp_path / "kernel5.json"
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-def fewest_pivots(monkeypatch, space) -> int:
-    """The smallest pivot limit under which the LP of `space` still solves."""
-    for limit in range(1, 1000):
-        monkeypatch.setattr(simplex, "PIVOT_LIMIT", limit)
-        try:
-            projection_constant(space)
-            return limit
-        except simplex.PivotLimitExceeded:
-            pass
-    raise AssertionError("no pivot limit below 1000 suffices")
 
 
 @pytest.fixture
@@ -264,7 +252,8 @@ class TestPlan:
         ("junk", "malformed rational literal 'junk'"),
         ("-4", "target constant must exceed 1, got -4"),
         ("x", "malformed rational literal 'x'"),
-    ], ids=["1", "2/3", "junk", "-4", "x"])
+        ("1_0", "malformed rational literal '1_0'"),
+    ], ids=["1", "2/3", "junk", "-4", "x", "1_0"])
     def test_rejects_bad_targets(self, capsys, lam, message):
         code, out, err = run(capsys, "plan", "--lambda", lam)
         assert (code, out) == (2, "")

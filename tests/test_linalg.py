@@ -44,7 +44,8 @@ class TestRationals:
         assert parse_rational("4/6") == F(2, 3)
         assert parse_rational(" 2/-4 ") == F(-1, 2)
 
-    @pytest.mark.parametrize("bad", ["", "1.5", "x", "1/0", "1/2/3", "2e3"])
+    @pytest.mark.parametrize("bad", ["", "1.5", "x", "1/0", "1/2/3", "2e3",
+                                     "1_0", "\u0661\u0662", "\uff11\uff12", "1/ 2"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)

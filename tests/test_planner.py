@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from pivot_limits import fewest_pivots
 
 from projconst.linalg import Subspace
 from projconst.minproj import LPBudget
@@ -160,6 +161,16 @@ class TestDemonstrateSchedule:
         last = report.steps[-1]
         assert last.computed is None and not last.certified
         assert last.ambient_dim == 9
+
+    def test_pivot_limit_truncates(self, monkeypatch):
+        # the line's LP solves within this limit, ker_3 = Sigma_3(line) does not
+        fewest_pivots(monkeypatch, SCALAR_LINE)
+        report = demonstrate_schedule(SCALAR_LINE, ad_hoc_plan(F(1), 3, 2), 2)
+        assert (report.truncated, report.status) == (True, "inconclusive")
+        assert report.base_lambda == F(1)
+        [step] = report.steps
+        assert (step.ambient_dim, step.expected) == (3, F(4, 3))
+        assert step.computed is None and not step.certified
 
     def test_json_document(self):
         plan = ad_hoc_plan(F(1), 3, 1)

@@ -94,6 +94,12 @@ def test_shape_validation():
                             [False, False])
         with pytest.raises(ValueError, match="column out of range"):
             solve_linear_program(bad)
+    # True would be read as column 1, and 1.0 fails only in the tableau scatter
+    for column in (True, 1.0):
+        bad = LinearProgram([F(1), F(2)], [], [], [{0: F(1), column: F(1)}], [F(1)],
+                            [False, False])
+        with pytest.raises(ValueError, match="not an int"):
+            solve_linear_program(bad)
     with pytest.raises(ValueError, match="row/rhs"):
         solve_linear_program(lp([1, 2], ub=[[1, 0]]))
     with pytest.raises(ValueError, match="mask"):

@@ -12,6 +12,7 @@ from random import Random
 import pytest
 from blocks_reference import block_permutation, coordinatewise_lift
 from linalg_reference import subspace_contains
+from pivot_limits import fewest_pivots
 
 from projconst.linalg import Mat, Subspace, inf_op_norm
 from projconst.minproj import LPBudget, projection_constant
@@ -27,6 +28,7 @@ from projconst.zerosum import (
     extract_r,
     permute_blocks,
     random_projection_onto,
+    sigma_steps,
     sigma_subspace,
     symmetrize,
     verify_multiplication_law,
@@ -309,6 +311,14 @@ class TestMultiplicationLaw:
         assert report.base_lambda == F(4, 3)
         assert report.sigma_lambda is None
 
+    def test_pivot_limit_on_the_big_side(self, monkeypatch):
+        # the line's LP solves within this limit, ker_3 = Sigma_3(line) does not
+        fewest_pivots(monkeypatch, SCALAR_LINE)
+        report = verify_multiplication_law(SCALAR_LINE, 3)
+        assert report.status == "inconclusive"
+        assert report.base_lambda == F(1)
+        assert (report.sigma_lambda, report.equal) == (None, None)
+
     def test_json_document(self):
         doc = verify_multiplication_law(SCALAR_LINE, 2).to_json_dict()
         assert doc == {
@@ -321,3 +331,20 @@ class TestMultiplicationLaw:
             "ambient_dim": 2,
             "status": "ok",
         }
+
+
+class TestSigmaSteps:
+    def test_iterates_on_the_scalar_line(self):
+        # Sigma_3(line) = ker_3 in ell_inf^3, then Sigma_3(ker_3) in ell_inf^9
+        assert list(sigma_steps(SCALAR_LINE, 3, 2)) == [(3, F(4, 3)), (9, F(16, 9))]
+
+    def test_stops_after_the_first_step_beyond_the_budget(self):
+        tight = LPBudget(max_ambient=3, max_dim=4)
+        assert list(sigma_steps(SCALAR_LINE, 3, 3, tight)) == [(3, F(4, 3)), (9, None)]
+
+    def test_stops_at_the_pivot_limit(self, monkeypatch):
+        fewest_pivots(monkeypatch, SCALAR_LINE)
+        assert list(sigma_steps(SCALAR_LINE, 3, 2)) == [(3, None)]
+
+    def test_zero_steps(self):
+        assert list(sigma_steps(SCALAR_LINE, 3, 0)) == []

@@ -30,8 +30,6 @@ def main():
                         help="grid resolution: steps of 1/DEN (default 4)")
     parser.add_argument("--grid-max", type=int, default=8,
                         help="largest grid value of a (default 8)")
-    parser.add_argument("--window", type=int, default=2048,
-                        help="row window for the model norm bounds (default 2048)")
     args = parser.parse_args()
     if args.grid_den < 1 or args.grid_max < 1:
         parser.error("grid parameters must be positive")
@@ -64,9 +62,9 @@ def main():
     for a in EXACT_PARAMS:
         params = bm_params(a)
         model = build_model(a)
-        ok = verify_inverse(model.forward, model.inverse, 128)
-        fwd = operator_norm_window(model.forward, args.window)
-        inv = operator_norm_window(model.inverse, args.window)
+        ok = verify_inverse(model.forward, model.inverse)
+        fwd = operator_norm_window(model.forward)
+        inv = operator_norm_window(model.inverse)
         bounds = f"{format_rational(fwd.lower)} / {format_rational(inv.lower)}"
         print(f"{format_rational(a):>6}  {format_rational(params.root):>10}  "
               f"{format_rational(params.bound):>6}  {bounds:>18}  "

@@ -100,7 +100,9 @@ def _check_centring_witness(ctx: Context) -> str:
 def _check_kernel_constants(ctx: Context) -> str:
     for n in range(2, 7):
         expected = amplification_factor(n) + _fault("kernel-constants")
-        result = projection_constant(coordinate_sum_kernel(n))
+        space = coordinate_sum_kernel(n)
+        ctx.budget.require(space)
+        result = projection_constant(space)
         _require(result.value == expected,
                  f"lambda(ker sum, n={n}): got {result.value}, expected {expected}")
         _require(result.attained, f"minimum not attained for n={n}")
@@ -237,10 +239,10 @@ def _check_sequence_model(ctx: Context) -> str:
         bound += _fault("sequence-model")
         model = build_model(a)
         _require(model.bound == bound, f"K({a}) = {model.bound}, expected {bound}")
-        _require(verify_inverse(model.forward, model.inverse, 256),
+        _require(verify_inverse(model.forward, model.inverse),
                  f"inverse check fails for a={a}")
-        fwd = operator_norm_window(model.forward, 4096)
-        inv = operator_norm_window(model.inverse, 4096)
+        fwd = operator_norm_window(model.forward)
+        inv = operator_norm_window(model.inverse)
         _require(fwd.stabilized and inv.stabilized,
                  f"norm window not stabilized for a={a}")
         _require(fwd.lower <= bound and inv.lower <= bound,
@@ -258,6 +260,7 @@ def _check_oracle_agreement(ctx: Context) -> str:
     config = OracleConfig(seed=ctx.seed)
     worst = 0.0
     for name, space in spaces:
+        ctx.budget.require(space)
         exact = float(projection_constant(space).value + _fault("oracle-agreement"))
         estimate = float_oracle(space, tol=1e-6, config=config)
         err = abs(estimate - exact)

@@ -160,11 +160,11 @@ def optimize_numeric(lo: float, hi: float, tol: float = 1e-9) -> NumericOptimum:
     """Golden-section minimisation of g on [lo, hi]; derivative-free.
 
     Valid because g is strictly convex on (0, inf).  The bracket must be a
-    nondegenerate positive interval.
+    nondegenerate finite positive interval and `tol` finite and positive.
     """
-    if not (0.0 < lo < hi):
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
-    if tol <= 0.0:
+    if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"invalid tolerance {tol}")
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
@@ -358,7 +358,9 @@ def operator_norm_window(op: SeqOperator, window: int = 4096) -> NormWindow:
 
 def verify_inverse(forward: SeqOperator, inverse: SeqOperator,
                    basis_count: int = 256) -> bool:
-    """Check both composition orders on the first `basis_count` unit vectors."""
+    """Check both composition orders on the first `basis_count` >= 1 unit vectors."""
+    if basis_count < 1:
+        raise ValueError(f"inverse check needs basis_count >= 1, got {basis_count}")
     for j in range(basis_count):
         e = unit(j)
         if inverse.apply(forward.apply(e)) != e:

@@ -164,6 +164,8 @@ def cmd_zerosum(args) -> tuple[int, str]:
 
 
 def cmd_plan(args) -> tuple[int, str]:
+    if args.steps is not None and (args.demo is None or args.steps < 0):
+        raise InputError(f"--steps needs --demo and a count >= 0, got {args.steps}")
     plan = plan_parameters(parse_rational(args.lambda_target))
     payload = plan.to_json_dict()
     status = "ok"
@@ -173,13 +175,11 @@ def cmd_plan(args) -> tuple[int, str]:
         report = demonstrate_schedule(space, plan, steps, args.budget)
         payload["demo"] = report.to_json_dict()
         status = report.status
-        emit(payload)
-        if status == "inconclusive":
-            return EXIT_BUDGET, status
-        if status != "ok":
-            raise SolverIntegrityError("schedule demonstration failed an exact check")
-        return EXIT_OK, status
     emit(payload)
+    if status == "inconclusive":
+        return EXIT_BUDGET, status
+    if status != "ok":
+        raise SolverIntegrityError("schedule demonstration failed an exact check")
     return EXIT_OK, status
 
 
@@ -207,9 +207,9 @@ def cmd_bm(args) -> tuple[int, str]:
     if value <= 0:
         raise InputError(f"shape parameter must be positive, got {args.model}")
     model = build_model(value)
-    inverse_ok = verify_inverse(model.forward, model.inverse, 256)
-    fwd = operator_norm_window(model.forward, args.window)
-    inv = operator_norm_window(model.inverse, args.window)
+    inverse_ok = verify_inverse(model.forward, model.inverse)
+    fwd = operator_norm_window(model.forward)
+    inv = operator_norm_window(model.inverse)
     emit({
         "a": format_rational(model.params.a),
         "K": format_rational(model.bound),
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demo", default=None, metavar="DOC",
                    help="base subspace document to run the schedule on")
     p.add_argument("--steps", type=int, default=None,
-                   help="number of demonstration steps (default: all)")
+                   help="demonstration steps, >= 0, with --demo (default: all)")
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("bm", help="decomposition-bound optimizer and sequence model")
@@ -292,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="derived coefficient set for shape parameter a")
     group.add_argument("--model", default=None, metavar="A",
                        help="build and check the exact sequence model")
-    p.add_argument("--window", type=int, default=4096,
-                   help="row window for operator norm lower bounds")
     p.set_defaults(fn=cmd_bm)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")

@@ -142,6 +142,15 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         return mat_compose(self, other)
 
+    def kron(self, other: "Mat") -> "Mat":
+        """Kronecker product: self[i, j] * other[r, c] sits at row i * other.rows + r,
+        column j * other.cols + c.  A product with a factor 0 or 1 is not formed."""
+        zero = Fraction(0)
+        return Mat(self.rows * other.rows, self.cols * other.cols, tuple(
+            (y if x == 1 else x if y == 1 else x * y) if x and y else zero
+            for i in range(self.rows) for r in range(other.rows)
+            for x in self.row(i) for y in other.row(r)))
+
     def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector."""
         if len(vector) != self.cols:

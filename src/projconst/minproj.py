@@ -14,9 +14,10 @@ are lifted with per-entry majorant variables:
 
 At any optimum t equals the exact norm of P = B^T C, so the solved program
 certifies lambda(E, ell_inf^n) together with an optimal projection and a
-sign-vector witness attaining its norm.  Everything on this path is rational
-arithmetic; floating point appears only in `float_oracle`, a structurally
-independent first-order check.
+sign-vector witness attaining its norm.  The proof that P projects onto E
+is the program's own constraint C B^T = I_k, which `_certify` re-checks.
+Everything on this path is rational arithmetic; floating point appears only
+in `float_oracle`, a structurally independent first-order check.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .linalg import (
     inf_op_norm,
     invert_square,
     kernel_basis,
-    projection_defect,
 )
 from .simplex import (
     InfeasibleProgram,
@@ -155,10 +155,10 @@ def build_projection_lp(space: Subspace) -> ProjectionLP:
 class ProjectionConstantResult:
     """Certified value of lambda(E, ell_inf^n) with the optimal projection.
 
-    Invariants verified at construction time: the projection is idempotent,
-    fixes every basis row, maps into E, and its exact norm equals `value`,
-    attained on `witness`.  The minimum is always attained here (finite
-    dimensions), hence `attained` is always True.
+    Invariants verified before construction: C B^T = I, so the projection
+    B^T C is idempotent, fixes every basis row and maps into E, and its
+    exact norm equals `value`, attained on `witness`.  The minimum is
+    always attained here (finite dimensions), hence `attained` is True.
     """
 
     value: Fraction
@@ -191,7 +191,12 @@ def _shared_entries(*mats: Mat) -> list[Mat]:
 
 
 def _certify(space: Subspace, value: Fraction, coeffs: Mat) -> ProjectionConstantResult:
-    projection = space.basis.transpose() @ coeffs
+    """Check an LP optimum exactly.  C B^T = I_k makes P = B^T C a projection onto
+    E: P^2 = B^T (C B^T) C = P, P B^T = B^T and range P lies in the row space of
+    B; conversely P B^T = B^T forces C B^T = I, as B has full row rank.  The norm
+    of P must equal the value, be at least 1 and be attained on the witness."""
+    basis_t = space.basis.transpose()
+    projection = basis_t @ coeffs
     norm = inf_op_norm(projection)
     if norm.value != value:
         raise SolverIntegrityError(
@@ -199,9 +204,8 @@ def _certify(space: Subspace, value: Fraction, coeffs: Mat) -> ProjectionConstan
         )
     if value < 1:
         raise SolverIntegrityError(f"projection constant below 1: {value}")
-    defect = projection_defect(projection, space)
-    if defect:
-        raise SolverIntegrityError(f"optimal projection {defect}")
+    if coeffs @ basis_t != Mat.identity(space.dim):
+        raise SolverIntegrityError("optimal coefficients violate C B^T = I")
     image = projection.apply(norm.witness)
     if max((abs(x) for x in image), default=_ZERO) != value:
         raise SolverIntegrityError("norm witness does not attain the optimum")

@@ -2,10 +2,12 @@
 
 For a subspace E of ell_inf^d and N >= 2, the zero-sum space collects the
 N-tuples of E-vectors whose blocks sum to zero, sitting inside ell_inf^{dN}.
-Blocks are contiguous: coordinate r of block i sits at flat index i*d + r.
-This module is the only one that knows that layout; a block permutation acts
-on a matrix by re-indexing its entries (`permute_blocks`), never through a
-permutation matrix.  Three exact facts drive everything here:
+Blocks are contiguous: coordinate r of block i sits at flat index i*d + r,
+the index order of `Mat.kron`, so the zero-sum space of E is ker_N (x) E
+(ker_N the zero-sum hyperplane of ell_inf^N) and the centring map is
+(I - J/N) (x) I_d.  Only this module knows that layout; a block permutation
+acts on a matrix by re-indexing its entries (`permute_blocks`), never
+through a permutation matrix.  Three exact facts drive everything here:
 
 * the centring map, which subtracts the blockwise mean, projects onto the
   zero-sum space of the full block space with norm exactly 2 - 2/N;
@@ -94,83 +96,64 @@ class ZeroSumSpace:
             raise ValueError("zero-sum basis row has nonzero block sum")
 
 
+def _check_blocks(block_dim: int, copies: int):
+    if block_dim < 1:
+        raise ValueError(f"invalid block dimension {block_dim}")
+    if copies < 2:
+        raise ValueError(f"need at least 2 copies, got {copies}")
+
+
+def _sum_kernel_rows(dim: int) -> Mat:
+    """The rows e_1 - e_j, j = 2..dim: a basis of ker_dim, one row per later block."""
+    return Mat(dim - 1, dim, tuple(_ONE if c == 0 else -_ONE if c == j else _ZERO
+                                   for j in range(1, dim) for c in range(dim)))
+
+
 def sigma_subspace(base: Subspace, copies: int) -> ZeroSumSpace:
-    """The zero-sum space of `copies` blocks of `base` inside ell_inf^{d*copies}.
+    """The zero-sum space ker_N (x) E of `copies` blocks of `base`, in ell_inf^{d*copies}.
 
     Basis rows pair each base row b with one of the later blocks:
     (b in block 1, -b in block j, 0 elsewhere), giving dimension (N-1)*k.
     """
-    if copies < 2:
-        raise ValueError(f"need at least 2 copies, got {copies}")
-    d = base.ambient_dim
-    rows = []
-    for j in range(1, copies):
-        for i in range(base.dim):
-            row = [_ZERO] * (d * copies)
-            for c, x in enumerate(base.basis.row(i)):
-                row[c] = x
-                row[j * d + c] = -x
-            rows.append(row)
-    space = Subspace.from_rows(rows, ambient_dim=d * copies)
+    _check_blocks(base.ambient_dim, copies)
+    space = Subspace(base.ambient_dim * copies, _sum_kernel_rows(copies).kron(base.basis))
     return ZeroSumSpace(base, copies, space)
 
 
 def coordinate_sum_kernel(dim: int) -> Subspace:
-    """The hyperplane {x : x_1 + ... + x_n = 0} of ell_inf^n.
+    """The hyperplane ker_n = {x : x_1 + ... + x_n = 0} of ell_inf^n.
 
     This is exactly the zero-sum space of n scalar blocks; its projection
     constant is 2 - 2/n, attained by the centring projection.
     """
     if dim < 2:
         raise ValueError(f"kernel hyperplane needs dimension >= 2, got {dim}")
-    scalar_line = Subspace.from_rows([[_ONE]])
-    return sigma_subspace(scalar_line, dim).space
+    return Subspace(dim, _sum_kernel_rows(dim))
 
 
 def centring_projection(block_dim: int, copies: int) -> Mat:
-    """The map subtracting the blockwise mean from every block.
+    """The map (I - J/N) (x) I_d subtracting the blockwise mean from every block.
 
     Entry ((i,r),(j,c)) is delta_rc * (delta_ij - 1/N); rows sum in absolute
     value to exactly 2 - 2/N, independent of the block dimension.
     """
-    if block_dim < 1:
-        raise ValueError(f"invalid block dimension {block_dim}")
-    if copies < 2:
-        raise ValueError(f"need at least 2 copies, got {copies}")
-    d, n = block_dim, copies
-    size = d * n
-    inv = Fraction(1, n)
-    flat = [_ZERO] * (size * size)
-    for i in range(n):
-        for j in range(n):
-            val = (_ONE if i == j else _ZERO) - inv
-            for r in range(d):
-                flat[(i * d + r) * size + (j * d + r)] = val
-    return Mat(size, size, tuple(flat))
+    _check_blocks(block_dim, copies)
+    minus_mean = Mat(copies, copies, (Fraction(-1, copies),) * copies ** 2)
+    return Mat.identity(copies).add(minus_mean).kron(Mat.identity(block_dim))
 
 
 def centring_witness(block_dim: int, copies: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """A norm-attaining input for the centring map, and its image.
 
-    The input is (u, -u, ..., -u) with u the first coordinate vector; its
-    image has first block (2 - 2/N) u and the remaining blocks -(2/N) u, so
-    the sup norm of the image is exactly (2 - 2/N).
+    The input is (1, -1, ..., -1) (x) u with u the first coordinate vector.
+    Its image (2 - 2/N, -2/N, ..., -2/N) (x) u, of sup norm exactly 2 - 2/N,
+    is written in closed form, not computed with the map.
     """
-    d, n = block_dim, copies
-    if d < 1:
-        raise ValueError(f"invalid block dimension {block_dim}")
-    if n < 2:
-        raise ValueError(f"need at least 2 copies, got {copies}")
-    u = [_ONE] + [_ZERO] * (d - 1)
-    x = list(u)
-    for _ in range(n - 1):
-        x.extend(-v for v in u)
-    mu = amplification_factor(n)
-    image = [mu * v for v in u]
-    tail = Fraction(-2, n)
-    for _ in range(n - 1):
-        image.extend(tail * v for v in u)
-    return tuple(x), tuple(image)
+    _check_blocks(block_dim, copies)
+    u = Mat(1, block_dim, (_ONE,) + (_ZERO,) * (block_dim - 1))
+    x = Mat(1, copies, (_ONE,) + (-_ONE,) * (copies - 1))
+    image = Mat(1, copies, (amplification_factor(copies),) + (Fraction(-2, copies),) * (copies - 1))
+    return x.kron(u).entries, image.kron(u).entries
 
 
 def permute_blocks(m: Mat, block_dim: int, sigma: Sequence[int]) -> Mat:

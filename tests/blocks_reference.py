@@ -1,12 +1,18 @@
-"""Dense block matrices that `projconst.zerosum` replaced by index maps, kept as a test oracle.
+"""Dense block matrices and index loops that `projconst.zerosum` replaced, kept as a test oracle.
 
 `block_permutation` and `coordinatewise_lift` build the dN x dN 0/1
 permutation and block-diagonal lift matrices, verbatim from the package
 before the change.  `reference_extract_r` is the former `extract_r`
-verbatim, apart from its name: it checks invariance by multiplying with two
-dense block permutations and the factorization by the dense product
-lift(r) @ centring.  The index-map `extract_r` must return the identical
-decomposition, or raise the same exception, on every input.
+verbatim, apart from its name and its use of the reference centring map: it
+checks invariance by multiplying with two dense block permutations and the
+factorization by the dense product lift(r) @ centring.  The index-map
+`extract_r` must return the identical decomposition, or raise the same
+exception, on every input.
+
+`reference_sigma_subspace`, `reference_coordinate_sum_kernel`,
+`reference_centring_projection` and `reference_centring_witness` are the
+index loops the package ran before it built those objects as Kronecker
+products; the `Mat.kron` versions must equal them entry for entry.
 """
 
 from __future__ import annotations
@@ -21,11 +27,79 @@ from projconst.zerosum import (
     DecompositionIntegrityError,
     NotSymmetrizedError,
     SymmetrizationDecomposition,
+    ZeroSumSpace,
     amplification_factor,
-    centring_projection,
 )
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def reference_sigma_subspace(base: Subspace, copies: int) -> ZeroSumSpace:
+    """The zero-sum space of `copies` blocks of `base` inside ell_inf^{d*copies}.
+
+    Basis rows pair each base row b with one of the later blocks:
+    (b in block 1, -b in block j, 0 elsewhere), giving dimension (N-1)*k.
+    """
+    if copies < 2:
+        raise ValueError(f"need at least 2 copies, got {copies}")
+    d = base.ambient_dim
+    rows = []
+    for j in range(1, copies):
+        for i in range(base.dim):
+            row = [_ZERO] * (d * copies)
+            for c, x in enumerate(base.basis.row(i)):
+                row[c] = x
+                row[j * d + c] = -x
+            rows.append(row)
+    space = Subspace.from_rows(rows, ambient_dim=d * copies)
+    return ZeroSumSpace(base, copies, space)
+
+
+def reference_coordinate_sum_kernel(dim: int) -> Subspace:
+    """The hyperplane {x : x_1 + ... + x_n = 0} of ell_inf^n, as n scalar blocks."""
+    if dim < 2:
+        raise ValueError(f"kernel hyperplane needs dimension >= 2, got {dim}")
+    scalar_line = Subspace.from_rows([[_ONE]])
+    return reference_sigma_subspace(scalar_line, dim).space
+
+
+def reference_centring_projection(block_dim: int, copies: int) -> Mat:
+    """Entry ((i,r),(j,c)) is delta_rc * (delta_ij - 1/N), written entry by entry."""
+    if block_dim < 1:
+        raise ValueError(f"invalid block dimension {block_dim}")
+    if copies < 2:
+        raise ValueError(f"need at least 2 copies, got {copies}")
+    d, n = block_dim, copies
+    size = d * n
+    inv = Fraction(1, n)
+    flat = [_ZERO] * (size * size)
+    for i in range(n):
+        for j in range(n):
+            val = (_ONE if i == j else _ZERO) - inv
+            for r in range(d):
+                flat[(i * d + r) * size + (j * d + r)] = val
+    return Mat(size, size, tuple(flat))
+
+
+def reference_centring_witness(block_dim: int,
+                               copies: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(u, -u, ..., -u) with u the first coordinate vector, and its image block by block."""
+    d, n = block_dim, copies
+    if d < 1:
+        raise ValueError(f"invalid block dimension {block_dim}")
+    if n < 2:
+        raise ValueError(f"need at least 2 copies, got {copies}")
+    u = [_ONE] + [_ZERO] * (d - 1)
+    x = list(u)
+    for _ in range(n - 1):
+        x.extend(-v for v in u)
+    mu = amplification_factor(n)
+    image = [mu * v for v in u]
+    tail = Fraction(-2, n)
+    for _ in range(n - 1):
+        image.extend(tail * v for v in u)
+    return tuple(x), tuple(image)
 
 
 def block_permutation(num_blocks: int, block_dim: int, sigma: Sequence[int]) -> Mat:
@@ -120,7 +194,7 @@ def reference_extract_r(p_tilde: Mat, base: Subspace, copies: int) -> Symmetriza
             raise DecompositionIntegrityError("collapsed block map leaves the base subspace")
     if a != r.scale(Fraction(n - 1, n)) or b != r.scale(Fraction(-1, n)):
         raise DecompositionIntegrityError("blocks are not the expected multiples of r")
-    if coordinatewise_lift(r, n) @ centring_projection(d, n) != p_tilde:
+    if coordinatewise_lift(r, n) @ reference_centring_projection(d, n) != p_tilde:
         raise DecompositionIntegrityError("matrix does not factor through the centring map")
     if inf_op_norm(p_tilde).value != amplification_factor(n) * inf_op_norm(r).value:
         raise DecompositionIntegrityError("norm identity (2 - 2/N) * norm(r) fails")

@@ -145,6 +145,21 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             optimize_numeric(lo, hi, tol)
 
+    @pytest.mark.parametrize("lo,hi,tol", [
+        (0.1, 10.0, math.nan), (0.1, 10.0, math.inf), (0.1, 10.0, -math.inf),
+    ], ids=["nan", "inf", "-inf"])
+    def test_tolerance_must_be_finite_and_positive(self, lo, hi, tol):
+        # a nan or inf tolerance used to end the loop at once on the midpoint
+        with pytest.raises(ValueError, match="invalid tolerance"):
+            optimize_numeric(lo, hi, tol)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0.1, math.inf), (0.1, math.nan), (math.nan, 10.0), (math.inf, math.inf),
+    ], ids=["hi-inf", "hi-nan", "lo-nan", "both-inf"])
+    def test_bracket_must_be_finite(self, lo, hi):
+        with pytest.raises(ValueError, match="invalid bracket"):
+            optimize_numeric(lo, hi, 1e-9)
+
     def test_comparison_with_prior(self):
         cmp = compare_with_prior_bound()
         assert cmp.strict
@@ -290,6 +305,13 @@ class TestModel:
         fwd = build_model(4).forward
         inv = build_model(F(3, 2)).inverse
         assert not verify_inverse(fwd, inv, 16)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_inverse_check_needs_a_basis_vector(self, count):
+        # with no vector to test, any pair used to pass
+        twice = SeqOperator((Clause(1, 0, 1, 0, F(2)),), "2I")
+        with pytest.raises(ValueError, match="basis_count >= 1"):
+            verify_inverse(build_model(4).forward, twice, count)
 
     def test_stage_structure(self):
         model = build_model(4)

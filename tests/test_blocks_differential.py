@@ -1,10 +1,12 @@
-"""Index-map block permutations against the dense 0/1 matrices they replaced.
+"""Index-map and Kronecker block constructions against the code they replaced.
 
 `permute_blocks` must equal the dense conjugation U_sigma M U_sigma^T for
 every block permutation, and `extract_r` must return the decomposition of
 the former dense `extract_r` (`blocks_reference.reference_extract_r`), or
 raise the same exception type, on symmetrized projections, on mutants
-built to fail each of its checks, and on seeded random block pairs.
+built to fail each of its checks, and on seeded random block pairs.  The
+Kronecker-product zero-sum spaces, sum kernels, centring maps and witnesses
+must equal the former index loops entry for entry.
 """
 
 import itertools
@@ -12,7 +14,14 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from blocks_reference import block_permutation, reference_extract_r
+from blocks_reference import (
+    block_permutation,
+    reference_centring_projection,
+    reference_centring_witness,
+    reference_coordinate_sum_kernel,
+    reference_extract_r,
+    reference_sigma_subspace,
+)
 
 from projconst.linalg import Mat, Subspace, invert_square
 from projconst.minproj import feasible_perturbation
@@ -20,6 +29,9 @@ from projconst.zerosum import (
     DecompositionIntegrityError,
     NotSymmetrizedError,
     SymmetrizationDecomposition,
+    centring_projection,
+    centring_witness,
+    coordinate_sum_kernel,
     extract_r,
     permute_blocks,
     random_projection_onto,
@@ -178,3 +190,43 @@ def test_shape_and_copy_errors():
     rng = Random(7)
     for _ in range(20):
         assert outcome(line, 3, random_mat(rng, 3)) == [NotSymmetrizedError] * 2
+
+
+KRON_BASES = [
+    Subspace.from_rows([[1]]),
+    Subspace.from_rows([["-2/3"]]),
+    Subspace.from_rows([[1, 2]]),
+    Subspace.from_rows([["1/2", "-3/5"], [0, 7]]),
+    Subspace.from_rows([[1, 0, -1], [0, 1, 1]]),
+    Subspace.from_rows([["3/4", 0, "-5/2"]]),
+    Subspace.from_rows([[1, "1/3", 0], [0, "-2/7", 4], [2, 0, "9/5"]]),
+]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_kron_constructions_match_the_former_loops(n):
+    for base in KRON_BASES:
+        new, old = sigma_subspace(base, n), reference_sigma_subspace(base, n)
+        assert new == old
+        assert new.space.basis.entries == old.space.basis.entries
+    assert coordinate_sum_kernel(n) == reference_coordinate_sum_kernel(n)
+    for d in (1, 2, 3):
+        assert centring_projection(d, n) == reference_centring_projection(d, n)
+        assert centring_witness(d, n) == reference_centring_witness(d, n)
+
+
+def raised(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("d, n", [(0, 3), (2, 1), (0, 1), (1, 0)])
+def test_kron_constructions_reject_what_the_loops_rejected(d, n):
+    for new, old in ((centring_projection, reference_centring_projection),
+                     (centring_witness, reference_centring_witness)):
+        assert raised(new, d, n) == raised(old, d, n)
+    if n < 2:
+        assert raised(coordinate_sum_kernel, n) == raised(reference_coordinate_sum_kernel, n)
+        line = Subspace.from_rows([[1]])
+        assert raised(sigma_subspace, line, n) == raised(reference_sigma_subspace, line, n)

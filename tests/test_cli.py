@@ -280,6 +280,19 @@ class TestPlan:
                                   "computed": None, "certified": False}]
         assert report(err)["status"] == "inconclusive"
 
+    @pytest.mark.parametrize("steps", ["5", "0", "-1"])
+    def test_steps_needs_demo(self, capsys, steps):
+        code, out, err = run(capsys, "plan", "--lambda", "3", "--steps", steps)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"error: --steps needs --demo and a count >= 0, got {steps}"
+        assert report(err)["status"] == "error"
+
+    def test_negative_steps(self, capsys, kernel3):
+        code, out, err = run(capsys, "plan", "--lambda", "4/3",
+                             "--demo", kernel3, "--steps", "-1")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == "error: --steps needs --demo and a count >= 0, got -1"
+
     def test_demo_zero_steps(self, capsys, kernel3):
         # lambda = 4/3 needs no amplification, so the demo just certifies it
         code, out, _ = run(capsys, "plan", "--lambda", "4/3",
@@ -314,7 +327,7 @@ class TestBM:
         assert err.splitlines()[0] == "error: malformed rational literal 'x'"
 
     def test_model(self, capsys):
-        code, out, _ = run(capsys, "bm", "--model", "4", "--window", "256")
+        code, out, _ = run(capsys, "bm", "--model", "4")
         assert code == 0
         doc = payload(out)
         assert doc == {"a": "4", "K": "9/2", "inverse_ok": True,
@@ -333,6 +346,10 @@ class TestBM:
 
     def test_flags_are_exclusive(self, capsys):
         assert run(capsys, "bm", "--optimize", "--params", "4")[0] == 2
+
+    def test_window_is_not_an_option(self, capsys):
+        # the norm window is the fixed default of operator_norm_window
+        assert run(capsys, "bm", "--optimize", "--window", "-3")[0] == 2
 
 
 class TestSelftest:
@@ -366,6 +383,18 @@ class TestSelftest:
         assert "[PASS] centring-norm" in out
         assert "[FAIL] amplification-demo: BudgetExceededError: " in out
         assert out.strip().endswith("FAILED (1): amplification-demo")
+
+    def test_budget_gates_every_exact_solve(self, capsys):
+        # ker_3 lives in ell_inf^3, beyond this budget, so both criteria
+        # that solve it stop there instead of solving outside the budget
+        code, out, _ = run(capsys, "--budget", "2", "selftest",
+                           "--only", "kernel-constants,oracle-agreement")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.split(": ", 2)[:2] for line in lines[:2]] == [
+            ["[FAIL] kernel-constants", "BudgetExceededError"],
+            ["[FAIL] oracle-agreement", "BudgetExceededError"]]
+        assert lines[2:] == ["FAILED (2): kernel-constants, oracle-agreement"]
 
     def test_fault_leaves_other_criteria_alone(self, capsys, monkeypatch):
         monkeypatch.setenv("PROJCONST_SELFTEST_FAULT", "centring-norm")

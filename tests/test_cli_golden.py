@@ -30,7 +30,7 @@ CASES = {
     "plan-7_2": ["plan", "--lambda", "7/2"],
     "plan-4_3-demo-ker3": ["plan", "--lambda", "4/3", "--demo", "ker3.json", "--steps", "0"],
     "bm-params-4": ["bm", "--params", "4"],
-    "bm-model-4": ["bm", "--model", "4", "--window", "256"],
+    "bm-model-4": ["bm", "--model", "4"],
 }
 
 

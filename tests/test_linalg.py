@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 from blocks_reference import block_permutation
@@ -100,6 +101,49 @@ class TestMat:
         assert Mat.from_rows([["1/2", "-1/2"], ["-1/2", "1/2"]]).is_idempotent()
         assert not Mat.from_rows([[2, 0], [0, 0]]).is_idempotent()
         assert not Mat.from_rows([[1, 2, 3]]).is_idempotent()
+
+
+def seeded_mat(rng: Random, rows: int, cols: int) -> Mat:
+    """Rationals with about one zero entry in three, so zero factors are exercised."""
+    return Mat(rows, cols, tuple(F(rng.randint(-4, 4) * (rng.random() < 2 / 3),
+                                   rng.randint(1, 5))
+                                 for _ in range(rows * cols)))
+
+
+class TestKron:
+    SHAPES = [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (2, 4)]
+
+    def test_entrywise_definition(self):
+        rng = Random(11)
+        for (p, q), (r, s) in itertools.product(self.SHAPES, repeat=2):
+            a, b = seeded_mat(rng, p, q), seeded_mat(rng, r, s)
+            k = a.kron(b)
+            assert (k.rows, k.cols) == (p * r, q * s)
+            assert all(type(x) is F for x in k.entries)
+            for i, j, u, v in itertools.product(range(p), range(q), range(r), range(s)):
+                assert k.at(i * r + u, j * s + v) == a.at(i, j) * b.at(u, v)
+
+    def test_mixed_product(self):
+        # (A (x) B)(C (x) D) = AC (x) BD
+        rng = Random(12)
+        for _ in range(40):
+            p, q, t, r, s, u = (rng.randint(1, 3) for _ in range(6))
+            a, c = seeded_mat(rng, p, q), seeded_mat(rng, q, t)
+            b, d = seeded_mat(rng, r, s), seeded_mat(rng, s, u)
+            assert a.kron(b) @ c.kron(d) == (a @ c).kron(b @ d)
+
+    def test_norm_is_multiplicative(self):
+        # absolute row sums multiply, so the inf->inf norms do
+        rng = Random(13)
+        for _ in range(60):
+            a = seeded_mat(rng, rng.randint(1, 4), rng.randint(1, 4))
+            b = seeded_mat(rng, rng.randint(1, 4), rng.randint(1, 4))
+            assert inf_op_norm(a.kron(b)).value == inf_op_norm(a).value * inf_op_norm(b).value
+
+    def test_identity_factors(self):
+        m = Mat.from_rows([["1/2", -3], [0, "2/7"]])
+        assert Mat.identity(1).kron(m) == m == m.kron(Mat.identity(1))
+        assert Mat.identity(2).kron(Mat.identity(3)) == Mat.identity(6)
 
 
 class TestInfOpNorm:

@@ -13,11 +13,20 @@ from hypothesis import strategies as st
 from linalg_reference import subspace_contains
 
 import projconst
-from projconst.linalg import Mat, Subspace, inf_op_norm, rank_of_rows
+from projconst.linalg import (
+    Mat,
+    Subspace,
+    inf_op_norm,
+    invert_square,
+    projection_defect,
+    rank_of_rows,
+)
 from projconst.minproj import (
     BudgetExceededError,
     LPBudget,
     OracleConfig,
+    SolverIntegrityError,
+    _certify,
     build_projection_lp,
     feasible_perturbation,
     float_oracle,
@@ -112,6 +121,56 @@ class TestCertificate:
         assert doc["attained"] is True
         assert doc["witness"] in ([1, -1, -1], [-1, 1, 1])
         assert len(doc["projection"]) == 3
+
+
+class TestPrimalCertificate:
+    """`_certify` checks C B^T = I in place of the projection checks on B^T C."""
+
+    SPACES = [
+        Subspace.from_rows([[1, 1]]),
+        zero_sum_hyperplane(3),
+        zero_sum_hyperplane(4),
+        Subspace.from_rows([["1/2", -1, 0, 3], [0, 2, "-5/3", 1]]),
+        Subspace.from_rows([[1, 0, 2, -1, 0], [0, 1, -1, 0, 2], [1, 1, 0, 0, "1/4"]]),
+    ]
+
+    def test_matches_the_projection_checks(self):
+        # C B^T = I exactly when B^T C is a projection onto the space
+        rng = Random(5)
+        counts = {True: 0, False: 0}
+        for trial in range(240):
+            space = self.SPACES[trial % len(self.SPACES)]
+            b = space.basis
+            coeffs = feasible_perturbation(space, invert_square(b @ b.transpose()) @ b, rng)
+            if trial % 2:
+                rows = coeffs.row_lists()
+                p, q = rng.randrange(coeffs.rows), rng.randrange(coeffs.cols)
+                rows[p][q] += F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                coeffs = Mat.from_rows(rows)
+            identity = coeffs @ b.transpose() == Mat.identity(space.dim)
+            assert identity == (projection_defect(b.transpose() @ coeffs, space) is None)
+            counts[identity] += 1
+        assert min(counts.values()) >= 100
+
+    @pytest.mark.parametrize("space", SPACES[:4], ids=["diag2", "ker3", "ker4", "rational4"])
+    def test_corrupted_value_is_caught(self, space):
+        result = projection_constant(space)
+        _certify(space, result.value, result.minimizer_c)
+        with pytest.raises(SolverIntegrityError, match="disagrees with exact norm"):
+            _certify(space, result.value + F(1, 1000), result.minimizer_c)
+
+    @pytest.mark.parametrize("space", SPACES[:4], ids=["diag2", "ker3", "ker4", "rational4"])
+    def test_corrupted_coefficient_is_caught(self, space):
+        # the value passed is the corrupted projection's own exact norm, so
+        # the norm checks pass and C B^T = I is the first check to reject it
+        coeffs = projection_constant(space).minimizer_c
+        rows = coeffs.row_lists()
+        rows[0][0] += F(1, 1000)
+        corrupted = Mat.from_rows(rows)
+        norm = inf_op_norm(space.basis.transpose() @ corrupted).value
+        assert norm >= 1
+        with pytest.raises(SolverIntegrityError, match="C B\\^T = I"):
+            _certify(space, norm, corrupted)
 
 
 class TestPerturbations:

@@ -75,5 +75,5 @@ def test_projection_constants_table_with_oracle():
 
 
 def test_decomposition_bound_scan():
-    proc = run_script("decomposition_bound_scan.py", "--grid-max", "1", "--window", "64")
+    proc = run_script("decomposition_bound_scan.py", "--grid-max", "1")
     assert (proc.returncode, proc.stdout) == (0, SCAN), proc.stderr

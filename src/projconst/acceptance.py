@@ -53,7 +53,7 @@ class CriterionFailure(AssertionError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Context:
     seed: int = 0
     budget: LPBudget = DEFAULT_BUDGET
@@ -272,7 +272,7 @@ def _check_oracle_agreement(ctx: Context) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Criterion:
     key: str
     title: str
@@ -305,7 +305,7 @@ CRITERIA: tuple[Criterion, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriterionResult:
     key: str
     title: str

@@ -57,7 +57,7 @@ def _rational_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BMParameterSet:
     """The derived coefficients for one value of the shape parameter a.
 
@@ -161,11 +161,18 @@ def optimize_numeric(lo: float, hi: float, tol: float = 1e-9) -> NumericOptimum:
 
     Valid because g is strictly convex on (0, inf).  The bracket must be a
     nondegenerate finite positive interval and `tol` finite and positive.
+    The bracket closes on the minimiser 1 + sqrt(3), or on the nearer end
+    when it misses it, and may stop shrinking at two float spacings of that
+    point (where it straddles a power of two); a smaller `tol` is rejected.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"invalid tolerance {tol}")
+    closing = min(max(optimize_closed_form().a_star, lo), hi)
+    if tol < 2 * math.ulp(closing):
+        raise ValueError(f"tolerance {tol} is below two float spacings "
+                         f"{2 * math.ulp(closing)} at {closing}, where the bracket closes")
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
     f1, f2 = bound_g(x1), bound_g(x2)
@@ -189,7 +196,7 @@ def optimize_numeric(lo: float, hi: float, tol: float = 1e-9) -> NumericOptimum:
 PRIOR_BOUND_SQ = 11.0 + 6.0 * math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundComparison:
     ours: float
     prior: float
@@ -222,11 +229,7 @@ def compare_with_prior_bound() -> BoundComparison:
 Vector = dict  # index -> Fraction, zero entries dropped
 
 
-def unit(index: int) -> Vector:
-    return {index: _ONE}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """One affine rule: out[M*k + R] += coeff * in[C*k + D] for every k >= 0.
 
@@ -277,7 +280,7 @@ def _compose_clauses(outer: Clause, inner: Clause):
             outer.coeff * inner.coeff)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeqOperator:
     """A column- and row-finite linear operator on finitely supported sequences.
 
@@ -337,15 +340,36 @@ def operator_norm_window(op: SeqOperator, window: int = 4096) -> NormWindow:
     reports whether the distinct row-coefficient multisets seen in the full
     window already all occur in its first half, the heuristic for "growing
     the window will not reveal new row shapes".
+
+    Row i is read by its clause key: the indices of the clauses feeding it
+    (i >= R and (i - R) % M == 0) and, when two of them read the same input,
+    which ones coincide.  Rows with equal keys merge equal coefficients, so
+    the absolute row sum and the sorted shape are computed once per key.
     """
     if window < 2:
         raise ValueError(f"window {window} too small")
-    best = _ZERO
+    maps = [(n, cl.out_modulus, cl.out_residue, cl.in_modulus, cl.in_residue)
+            for n, cl in enumerate(op.clauses)]
+    coeffs = [cl.coeff for cl in op.clauses]
+    seen: set = set()
     patterns_full: set = set()
     patterns_half: set = set()
+    best = _ZERO
     half = window // 2
     for i in range(window):
-        row = op.row(i)
+        fed = tuple([n for n, m, r, _, _ in maps if i >= r and not (i - r) % m])
+        key, labels = fed, range(len(fed))
+        if len(fed) > 1:
+            inputs = [c * ((i - r) // m) + d
+                      for n, m, r, c, d in maps if n in fed]
+            if len(set(inputs)) < len(inputs):
+                # label each clause by the first clause reading its input
+                labels = tuple(map(inputs.index, inputs))
+                key = (fed, labels)
+        if key in seen:
+            continue
+        seen.add(key)
+        row = _merge(zip(labels, (coeffs[n] for n in fed)))
         total = sum((abs(c) for _, c in row), _ZERO)
         if total > best:
             best = total
@@ -358,15 +382,18 @@ def operator_norm_window(op: SeqOperator, window: int = 4096) -> NormWindow:
 
 def verify_inverse(forward: SeqOperator, inverse: SeqOperator,
                    basis_count: int = 256) -> bool:
-    """Check both composition orders on the first `basis_count` >= 1 unit vectors."""
+    """Check both composition orders on the first `basis_count` >= 1 unit vectors.
+
+    Each order is composed once from the clauses; column j of the composite
+    must then be the unit vector e_j.
+    """
     if basis_count < 1:
         raise ValueError(f"inverse check needs basis_count >= 1, got {basis_count}")
-    for j in range(basis_count):
-        e = unit(j)
-        if inverse.apply(forward.apply(e)) != e:
-            return False
-        if forward.apply(inverse.apply(e)) != e:
-            return False
+    for composite in (SeqOperator.compose(inverse, forward),
+                      SeqOperator.compose(forward, inverse)):
+        for j in range(basis_count):
+            if composite.col(j) != ((j, _ONE),):
+                return False
     return True
 
 
@@ -384,7 +411,7 @@ def verify_inverse(forward: SeqOperator, inverse: SeqOperator,
 # keeps its native indexing inside its residue class.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceModel:
     """The instantiated factorization: W = U_a o S o T_a and its inverse."""
 

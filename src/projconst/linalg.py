@@ -21,6 +21,7 @@ No floating point enters this module.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,7 +68,7 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mat:
     """Dense exact matrix with row-major entries.
 
@@ -191,31 +192,28 @@ def inf_op_norm(m: Mat) -> OperatorNorm:
 
 
 def mat_compose(a: Mat, b: Mat) -> Mat:
-    """Matrix product a @ b with an exact shape check."""
+    """Matrix product a @ b with an exact shape check.
+
+    The rows of `a` and the columns of `b` are taken once as integer rows
+    (`integer_row`), so entry (i, j) is one integer dot product over the
+    product of the two denominators, reduced by `Fraction`.
+    """
     if a.cols != b.rows:
         raise ValueError(
             f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}"
         )
-    zero = Fraction(0)
-    bt_cols = [b.col(j) for j in range(b.cols)]
-    flat = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            bcol = bt_cols[j]
-            acc = zero
-            for x, y in zip(arow, bcol):
-                if x and y:
-                    acc += x * y
-            flat.append(acc)
-    return Mat(a.rows, b.cols, tuple(flat))
+    left = [integer_row(a.row(i)) for i in range(a.rows)]
+    right = [integer_row(b.col(j)) for j in range(b.cols)]
+    return Mat(a.rows, b.cols, tuple(
+        Fraction(sum(map(operator.mul, x, y)), dx * dy)
+        for x, dx in left for y, dy in right))
 
 
 class RankDeficientError(ValueError):
     """Raised when a basis fails to have full row rank."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     """A k-dimensional subspace of ell_inf^n given by k independent basis rows.
 

@@ -59,7 +59,7 @@ class BudgetExceededError(RuntimeError):
     """An LP instance exceeds the configured size budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LPBudget:
     """Size gate for exact LP solves; generous enough for every shipped check."""
 
@@ -81,7 +81,7 @@ class LPBudget:
 DEFAULT_BUDGET = LPBudget()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectionLP:
     """The minimal-projection program for one subspace.
 
@@ -151,7 +151,7 @@ def build_projection_lp(space: Subspace) -> ProjectionLP:
     return ProjectionLP(space, program)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectionConstantResult:
     """Certified value of lambda(E, ell_inf^n) with the optimal projection.
 
@@ -264,7 +264,7 @@ def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random,
 ORACLE_FINAL_STEP = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleConfig:
     restarts: int = 8
     iterations: int = 4000

@@ -33,7 +33,7 @@ class BaseConstantMismatch(ValueError):
     """Demonstration base space does not have the planned alpha."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleEntry:
     step: int
     lambda_k: Fraction
@@ -47,7 +47,7 @@ class ScheduleEntry:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmplificationPlan:
     """A staged route lambda_k = mu_N^k * alpha ending at the target.
 
@@ -143,7 +143,7 @@ def ad_hoc_plan(alpha: Fraction, copies: int, steps: int) -> AmplificationPlan:
                              _build_schedule(alpha, mu, copies, steps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DemoStep:
     step: int
     ambient_dim: int
@@ -161,7 +161,7 @@ class DemoStep:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleReport:
     base_lambda: Fraction
     steps: tuple[DemoStep, ...]

@@ -69,7 +69,7 @@ def amplification_factor(copies: int) -> Fraction:
     return 2 - Fraction(2, copies)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroSumSpace:
     """The zero-sum tuples of `copies` blocks of a base subspace."""
 
@@ -224,7 +224,7 @@ def symmetrize(p: Mat, block_dim: int, copies: int) -> Mat:
                                  for j in range(n) for c in range(d)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymmetrizationDecomposition:
     """Structure of a permutation-invariant projection onto a zero-sum space.
 
@@ -297,7 +297,7 @@ def random_projection_onto(zs: ZeroSumSpace, rng: Random, spread: int = 2) -> Ma
     return g.transpose() @ feasible_perturbation(zs.space, d0, rng, spread)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiplicationLawReport:
     """Outcome of certifying lambda(zero-sum space) = (2 - 2/N) * lambda(E)."""
 

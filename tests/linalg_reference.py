@@ -8,6 +8,8 @@ inverse, or raise the same exception, on every input.
 `solve_linear_system` and `subspace_contains` have no caller left in the
 package; the tests use them from here.  `maps_into` is the range check the
 package ran before `projection_defect`: one membership test per column.
+`mat_compose` is the former matrix product, one `Fraction` multiply-add per
+nonzero pair of factors.
 """
 
 from __future__ import annotations
@@ -116,3 +118,24 @@ def invert_square(m: Mat) -> Mat:
 def maps_into(m: Mat, space: Subspace) -> bool:
     """Does every column of `m` lie in `space`?"""
     return all(subspace_contains(space, m.col(j)) for j in range(m.cols))
+
+
+def mat_compose(a: Mat, b: Mat) -> Mat:
+    """Matrix product a @ b with an exact shape check."""
+    if a.cols != b.rows:
+        raise ValueError(
+            f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}"
+        )
+    zero = Fraction(0)
+    bt_cols = [b.col(j) for j in range(b.cols)]
+    flat = []
+    for i in range(a.rows):
+        arow = a.row(i)
+        for j in range(b.cols):
+            bcol = bt_cols[j]
+            acc = zero
+            for x, y in zip(arow, bcol):
+                if x and y:
+                    acc += x * y
+            flat.append(acc)
+    return Mat(a.rows, b.cols, tuple(flat))

@@ -1,4 +1,4 @@
-"""The closure-pair `SeqOperator` that `projconst.banach_mazur` replaced, kept as a test oracle.
+"""Former sequence-operator code that `projconst.banach_mazur` replaced, kept as test oracles.
 
 `ReferenceSeqOperator` is the former `SeqOperator` verbatim, apart from its
 name.  It stores one `row_fn`/`col_fn` closure pair per operator; a clause
@@ -6,6 +6,12 @@ matches output i when i % out_modulus == out_residue, which agrees with the
 clause-tuple operator whenever every residue lies below its modulus.
 `compose` chains the two operators' rows and columns index by index, so it
 needs no congruence solving at all.
+
+`operator_norm_window` and `verify_inverse` are the former checks verbatim:
+the window builds every row below it with `row` and sums it in `Fraction`s,
+and the inverse check applies both operators to each unit vector in turn.
+They work on either operator class.  `unit` is the former
+`banach_mazur.unit`, which only these checks and the tests used.
 """
 
 from __future__ import annotations
@@ -13,10 +19,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from projconst.banach_mazur import Clause, Vector
+from projconst.banach_mazur import Clause, NormWindow, Vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def unit(index: int) -> Vector:
+    return {index: _ONE}
 
 
 class ReferenceSeqOperator:
@@ -103,3 +113,42 @@ class ReferenceSeqOperator:
             return pairs
 
         return cls(row_fn, col_fn, f"{outer.descriptor}∘{inner.descriptor}")
+
+
+def operator_norm_window(op, window: int = 4096) -> NormWindow:
+    """Max absolute row sum over output indices below `window`.
+
+    This is a lower bound for the sup-norm operator norm.  `stabilized`
+    reports whether the distinct row-coefficient multisets seen in the full
+    window already all occur in its first half, the heuristic for "growing
+    the window will not reveal new row shapes".
+    """
+    if window < 2:
+        raise ValueError(f"window {window} too small")
+    best = _ZERO
+    patterns_full: set = set()
+    patterns_half: set = set()
+    half = window // 2
+    for i in range(window):
+        row = op.row(i)
+        total = sum((abs(c) for _, c in row), _ZERO)
+        if total > best:
+            best = total
+        shape = tuple(sorted(c for _, c in row))
+        patterns_full.add(shape)
+        if i < half:
+            patterns_half.add(shape)
+    return NormWindow(best, patterns_full == patterns_half)
+
+
+def verify_inverse(forward, inverse, basis_count: int = 256) -> bool:
+    """Check both composition orders on the first `basis_count` >= 1 unit vectors."""
+    if basis_count < 1:
+        raise ValueError(f"inverse check needs basis_count >= 1, got {basis_count}")
+    for j in range(basis_count):
+        e = unit(j)
+        if inverse.apply(forward.apply(e)) != e:
+            return False
+        if forward.apply(inverse.apply(e)) != e:
+            return False
+    return True

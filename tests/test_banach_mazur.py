@@ -17,9 +17,9 @@ from projconst.banach_mazur import (
     operator_norm_window,
     optimize_closed_form,
     optimize_numeric,
-    unit,
     verify_inverse,
 )
+from seqop_reference import unit
 
 A_STAR = 1.0 + math.sqrt(3.0)
 G_STAR = 9.0 + 6.0 * math.sqrt(3.0)
@@ -152,6 +152,24 @@ class TestOptimizers:
         # a nan or inf tolerance used to end the loop at once on the midpoint
         with pytest.raises(ValueError, match="invalid tolerance"):
             optimize_numeric(lo, hi, tol)
+
+    @pytest.mark.parametrize("lo,hi,closing", [
+        (0.1, 10.0, A_STAR), (0.5, 8.0, A_STAR), (1e-3, 1e3, A_STAR),
+        (4.0, 8.0, 4.0), (1.0, 2.0, 2.0),
+        # closes on an end just below a power of two: needs both spacings
+        (math.nextafter(4.0, 0.0), 6.0, math.nextafter(4.0, 0.0)),
+    ])
+    def test_tolerance_must_reach_two_float_spacings(self, lo, hi, closing):
+        # tol=1e-300 used to run 10,001 steps and then raise RuntimeError
+        spacing = 2 * math.ulp(closing)
+        for tol in (1e-300, spacing / 2, math.nextafter(spacing, 0.0)):
+            with pytest.raises(ValueError, match="below two float spacings"):
+                optimize_numeric(lo, hi, tol)
+        for tol in (spacing, math.nextafter(spacing, math.inf)):
+            opt = optimize_numeric(lo, hi, tol)
+            assert lo <= opt.a_star <= hi
+            assert abs(opt.a_star - closing) < 1e-6
+            assert opt.iterations < 200
 
     @pytest.mark.parametrize("lo,hi", [
         (0.1, math.inf), (0.1, math.nan), (math.nan, 10.0), (math.inf, math.inf),

@@ -7,12 +7,16 @@ identical to `linalg_reference`, a singular square must raise
 decision of the former checks: idempotence, fixed basis rows, and one
 membership test per column.  The kernel's rows must also stay in lowest
 terms over positive denominators, which is what keeps their entries small.
+The integer-row matrix product must equal the former `Fraction` product on
+random shapes, including 1x1 factors, zero rows and zero columns.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction as F
 from random import Random
+
+import pytest
 
 import linalg_reference as ref
 
@@ -23,6 +27,7 @@ from projconst.linalg import (
     _reduce,
     invert_square,
     kernel_basis,
+    mat_compose,
     projection_defect,
     rank_of_rows,
 )
@@ -105,6 +110,32 @@ def test_reduced_rows_stay_in_lowest_terms():
         for row, den in zip(work, dens):
             assert den > 0
             assert math.gcd(den, *row) == 1
+
+
+def test_product_matches_the_former_product():
+    seen = Counter()
+    for seed in SEEDS:
+        rng = Random(f"linalg differential product {seed}")
+        n, k, m = (1, 1, 1) if seed < 20 else (rng.randint(1, 6) for _ in range(3))
+        # zero rows in the left factor, zero columns in the right one
+        a = Mat.from_rows(random_rows(rng, n, k))
+        b = Mat.from_rows(random_rows(rng, m, k)).transpose()
+        got = mat_compose(a, b)
+        assert got == ref.mat_compose(a, b)
+        assert all(type(x) is F for x in got.entries)
+        if n == k:
+            assert a.is_idempotent() == (ref.mat_compose(a, a) == a)
+        seen["1x1"] += (n, k, m) == (1, 1, 1)
+        seen["zero row"] += any(not any(a.row(i)) for i in range(n))
+        seen["zero column"] += any(not any(b.col(j)) for j in range(m))
+        seen["zero product"] += not any(got.entries)
+    assert min(seen.values()) >= 20, seen
+    wide = Mat.from_rows([[1, 2]])
+    message = "cannot compose 1x2 with 1x2"
+    with pytest.raises(ValueError, match=message):
+        mat_compose(wide, wide)
+    with pytest.raises(ValueError, match=message):
+        ref.mat_compose(wide, wide)
 
 
 def reference_defect(m: Mat, space: Subspace) -> str | None:

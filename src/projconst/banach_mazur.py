@@ -209,14 +209,6 @@ class BoundComparison:
     def strict(self) -> bool:
         return self.ours < self.prior
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ours": self.ours,
-            "prior": self.prior,
-            "improvement": self.improvement,
-            "strict": self.strict,
-        }
-
 
 def compare_with_prior_bound() -> BoundComparison:
     """Our optimal squared bound against the previous record 11 + 6*sqrt(2)."""

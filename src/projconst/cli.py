@@ -83,7 +83,7 @@ EXIT_TABLE: tuple[tuple[type[Exception], int, str], ...] = (
 _HANDLED = tuple(cls for cls, _, _ in EXIT_TABLE)
 
 
-def load_subspace_document(path: str) -> tuple[Subspace, bytes]:
+def load_subspace_document(path: str) -> Subspace:
     """Read a subspace document: {"ambient_dim": n, "basis": [["p/q", ...], ...]}."""
     try:
         with open(path, "rb") as fh:
@@ -107,7 +107,7 @@ def load_subspace_document(path: str) -> tuple[Subspace, bytes]:
     widths = {len(row) for row in rows}
     if widths != {ambient}:
         raise InputError(f"basis rows must all have length {ambient}")
-    return Subspace.from_rows(rows, ambient_dim=ambient), raw
+    return Subspace.from_rows(rows, ambient_dim=ambient)
 
 
 def emit(payload: dict):
@@ -129,7 +129,7 @@ def _parse_budget(text: str) -> LPBudget:
 def cmd_minproj(args) -> tuple[int, str]:
     if not 0 < args.tol < math.inf:
         raise InputError(f"oracle tolerance must be finite and positive, got {args.tol}")
-    space, _ = load_subspace_document(args.input)
+    space = load_subspace_document(args.input)
     args.budget.require(space)
     result = projection_constant(space)
     payload = result.to_json_dict()
@@ -153,7 +153,7 @@ def cmd_minproj(args) -> tuple[int, str]:
 def cmd_zerosum(args) -> tuple[int, str]:
     if args.copies < 2:
         raise InputError(f"copies must be at least 2, got {args.copies}")
-    space, _ = load_subspace_document(args.input)
+    space = load_subspace_document(args.input)
     report = verify_multiplication_law(space, args.copies, args.budget)
     emit(report.to_json_dict())
     if report.status == "inconclusive":
@@ -170,7 +170,7 @@ def cmd_plan(args) -> tuple[int, str]:
     payload = plan.to_json_dict()
     status = "ok"
     if args.demo is not None:
-        space, _ = load_subspace_document(args.demo)
+        space = load_subspace_document(args.demo)
         steps = plan.m if args.steps is None else args.steps
         report = demonstrate_schedule(space, plan, steps, args.budget)
         payload["demo"] = report.to_json_dict()

@@ -81,39 +81,15 @@ class LPBudget:
 DEFAULT_BUDGET = LPBudget()
 
 
-@dataclass(frozen=True, slots=True)
-class ProjectionLP:
-    """The minimal-projection program for one subspace.
+def build_projection_lp(space: Subspace) -> LinearProgram:
+    """The minimal-projection program for one subspace; pure construction, no solving.
 
     Variables, in fixed order: k*n coefficient entries C[p,q] (sign-free),
     n*n majorants M[i,j] (nonnegative), and the bound t.  Constraints:
     k^2 equalities C B^T = I, 2n^2 majorant inequalities, n row-sum rows.
+    Rows list only their nonzeros: at most n per equality, k + 1 per
+    majorant row, n + 1 per row-sum row.
     """
-
-    space: Subspace
-    program: LinearProgram
-
-    @property
-    def num_coeff_vars(self) -> int:
-        return self.space.dim * self.space.ambient_dim
-
-    @property
-    def num_vars(self) -> int:
-        return self.program.num_vars
-
-    @property
-    def num_equalities(self) -> int:
-        return len(self.program.eq_rows)
-
-    @property
-    def num_inequalities(self) -> int:
-        return len(self.program.ub_rows)
-
-
-def build_projection_lp(space: Subspace) -> ProjectionLP:
-    """Assemble the LP; pure construction, no solving.  Rows list only their
-    nonzeros: at most n per equality, k + 1 per majorant row, n + 1 per
-    row-sum row."""
     n, k = space.ambient_dim, space.dim
     basis = space.basis
     nv = k * n + n * n + 1
@@ -147,8 +123,7 @@ def build_projection_lp(space: Subspace) -> ProjectionLP:
         ub_rows.append(row)
     ub_rhs = [_ZERO] * len(ub_rows)
 
-    program = LinearProgram(objective, eq_rows, eq_rhs, ub_rows, ub_rhs, free)
-    return ProjectionLP(space, program)
+    return LinearProgram(objective, eq_rows, eq_rhs, ub_rows, ub_rhs, free)
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,12 +201,11 @@ def projection_constant(space: Subspace) -> ProjectionConstantResult:
     if space.dim == space.ambient_dim:
         coeffs = invert_square(space.basis.transpose())
         return _certify(space, _ONE, coeffs)
-    lp = build_projection_lp(space)
     try:
-        value, x = solve_linear_program(lp.program)
+        value, x = solve_linear_program(build_projection_lp(space))
     except (InfeasibleProgram, UnboundedProgram) as exc:
         raise SolverIntegrityError(f"minimal-projection LP rejected: {exc}") from exc
-    coeffs = Mat(space.dim, space.ambient_dim, tuple(x[: lp.num_coeff_vars]))
+    coeffs = Mat(space.dim, space.ambient_dim, tuple(x[: space.dim * space.ambient_dim]))
     return _certify(space, value, coeffs)
 
 

@@ -49,17 +49,36 @@ class ScheduleEntry:
 
 @dataclass(frozen=True, slots=True)
 class AmplificationPlan:
-    """A staged route lambda_k = mu_N^k * alpha ending at the target.
+    """A staged route lambda_k = mu_N^k * alpha of m steps with N blocks.
 
-    `copies` is None exactly when no amplification is needed (m = 0).
+    A plan is (m, N, alpha); mu_N, the target and the schedule follow from
+    it.  `copies` is None exactly when no amplification is needed (m = 0).
     """
 
-    lambda_target: Fraction
     m: int
     copies: int | None
-    mu: Fraction | None
     alpha: Fraction
-    schedule: tuple[ScheduleEntry, ...]
+
+    def __post_init__(self):
+        if self.m < 0 or (self.copies is None) != (self.m == 0):
+            raise ValueError(f"a plan of {self.m} steps cannot have block count {self.copies}")
+        if self.copies is not None:
+            amplification_factor(self.copies)  # rejects N < 2
+
+    @property
+    def mu(self) -> Fraction | None:
+        return None if self.copies is None else amplification_factor(self.copies)
+
+    @property
+    def lambda_target(self) -> Fraction:
+        return self.alpha if self.copies is None else self.alpha * self.mu ** self.m
+
+    @property
+    def schedule(self) -> tuple[ScheduleEntry, ...]:
+        mu = self.mu
+        return (ScheduleEntry(0, self.alpha, "ℓ∞"),) + tuple(
+            ScheduleEntry(k, self.alpha * mu ** k, f"(ℓ∞)^({self.copies}^{k})")
+            for k in range(1, self.m + 1))
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -74,23 +93,6 @@ class AmplificationPlan:
         return doc
 
 
-def _ambient_descriptor(copies: int | None, step: int) -> str:
-    if step == 0 or copies is None:
-        return "ℓ∞"
-    return f"(ℓ∞)^({copies}^{step})"
-
-
-def _build_schedule(alpha: Fraction, mu: Fraction | None, copies: int | None,
-                    m: int) -> tuple[ScheduleEntry, ...]:
-    entries = []
-    lam = alpha
-    for k in range(m + 1):
-        entries.append(ScheduleEntry(k, lam, _ambient_descriptor(copies, k)))
-        if mu is not None:
-            lam = lam * mu
-    return tuple(entries)
-
-
 def plan_parameters(lambda_target: Fraction) -> AmplificationPlan:
     """Factor a rational target > 1 into its canonical amplification plan.
 
@@ -101,25 +103,21 @@ def plan_parameters(lambda_target: Fraction) -> AmplificationPlan:
     lam = Fraction(lambda_target)
     if lam <= 1:
         raise PlanRangeError(f"target constant must exceed 1, got {lam}")
-    if lam <= 2:
-        return AmplificationPlan(lam, 0, None, None, lam,
-                                 _build_schedule(lam, None, None, 0))
-    m = 0
-    power = _ONE
-    while power * 2 <= lam:
-        power *= 2
-        m += 1
-    # now 2^m <= lam < 2^{m+1}, m >= 1
-    half = lam / 2
-    copies = 3
-    while amplification_factor(copies) ** m <= half:
-        copies += 1
-    mu = amplification_factor(copies)
+    m, copies, mu = 0, None, _ONE
+    if lam > 2:
+        power = _ONE
+        while power * 2 <= lam:
+            power *= 2
+            m += 1
+        # now 2^m <= lam < 2^{m+1}, m >= 1
+        half = lam / 2
+        copies = 3
+        while amplification_factor(copies) ** m <= half:
+            copies += 1
+        mu = amplification_factor(copies)
     alpha = lam / mu ** m
-    plan = AmplificationPlan(lam, m, copies, mu, alpha,
-                             _build_schedule(alpha, mu, copies, m))
     assert _ONE < alpha <= _TWO
-    return plan
+    return AmplificationPlan(m, copies, alpha)
 
 
 def ad_hoc_plan(alpha: Fraction, copies: int, steps: int) -> AmplificationPlan:
@@ -134,13 +132,7 @@ def ad_hoc_plan(alpha: Fraction, copies: int, steps: int) -> AmplificationPlan:
         raise PlanRangeError(f"base constant must be >= 1, got {alpha}")
     if steps < 0:
         raise ValueError(f"negative step count {steps}")
-    if steps == 0:
-        return AmplificationPlan(alpha, 0, None, None, alpha,
-                                 _build_schedule(alpha, None, None, 0))
-    mu = amplification_factor(copies)
-    target = alpha * mu ** steps
-    return AmplificationPlan(target, steps, copies, mu, alpha,
-                             _build_schedule(alpha, mu, copies, steps))
+    return AmplificationPlan(steps, copies if steps else None, alpha)
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +141,10 @@ class DemoStep:
     ambient_dim: int
     expected: Fraction
     computed: Fraction | None
-    certified: bool
+
+    @property
+    def certified(self) -> bool:
+        return self.computed == self.expected
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,7 +160,10 @@ class DemoStep:
 class ScheduleReport:
     base_lambda: Fraction
     steps: tuple[DemoStep, ...]
-    truncated: bool
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.steps) and self.steps[-1].computed is None
 
     @property
     def status(self) -> str:
@@ -187,27 +185,21 @@ def demonstrate_schedule(base: Subspace, plan: AmplificationPlan, max_steps: int
     """Execute up to `max_steps` zero-sum amplification steps of a plan.
 
     Checks lambda(base) == plan.alpha first (mismatch is a hard error), then
-    compares each level of `sigma_steps` with the staged constant
-    mu_N^k * alpha.  A step beyond the LP budget or the simplex pivot limit
+    compares each level of `sigma_steps` with the plan's staged constant
+    lambda_k = mu_N^k * alpha.  A step beyond the LP budget or the simplex pivot limit
     truncates the report rather than raising.
     """
     if max_steps < 0:
         raise ValueError(f"negative step count {max_steps}")
     if max_steps > plan.m:
         raise ValueError(f"plan has {plan.m} steps, asked for {max_steps}")
-    if max_steps > 0 and plan.copies is None:
-        raise ValueError("plan has no block count; nothing to demonstrate")
     budget.require(base)
     base_lambda = projection_constant(base).value
     if base_lambda != plan.alpha:
         raise BaseConstantMismatch(
             f"lambda(base) = {base_lambda}, plan needs alpha = {plan.alpha}"
         )
-    steps: list[DemoStep] = []
-    expected = base_lambda
-    for k, (ambient, computed) in enumerate(
-            sigma_steps(base, plan.copies, max_steps, budget), start=1):
-        expected *= plan.mu
-        steps.append(DemoStep(k, ambient, expected, computed, computed == expected))
-    truncated = bool(steps) and steps[-1].computed is None
-    return ScheduleReport(base_lambda, tuple(steps), truncated)
+    levels = sigma_steps(base, plan.copies, max_steps, budget)
+    steps = tuple(DemoStep(entry.step, ambient, entry.lambda_k, computed)
+                  for entry, (ambient, computed) in zip(plan.schedule[1:], levels))
+    return ScheduleReport(base_lambda, steps)

@@ -79,6 +79,14 @@ class LinearProgram:
     def num_vars(self) -> int:
         return len(self.objective)
 
+    @property
+    def num_equalities(self) -> int:
+        return len(self.eq_rows)
+
+    @property
+    def num_inequalities(self) -> int:
+        return len(self.ub_rows)
+
     def check_shapes(self):
         nv = self.num_vars
         if len(self.free) != nv:
@@ -101,7 +109,7 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     """
     lp.check_shapes()
     nv = lp.num_vars
-    n_eq = len(lp.eq_rows)
+    n_eq = lp.num_equalities
 
     # Column layout: originals, then negative parts of free variables,
     # then slacks, then artificials.  Fixed layout keeps solves deterministic.
@@ -110,7 +118,7 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
         if lp.free[j]:
             neg_part[j] = nv + len(neg_part)
     n_split = nv + len(neg_part)
-    n_ub = len(lp.ub_rows)
+    n_ub = lp.num_inequalities
     slack_start = n_split
     art_start = n_split + n_ub
 

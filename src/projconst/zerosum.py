@@ -5,9 +5,10 @@ N-tuples of E-vectors whose blocks sum to zero, sitting inside ell_inf^{dN}.
 Blocks are contiguous: coordinate r of block i sits at flat index i*d + r,
 the index order of `Mat.kron`, so the zero-sum space of E is ker_N (x) E
 (ker_N the zero-sum hyperplane of ell_inf^N) and the centring map is
-(I - J/N) (x) I_d.  Only this module knows that layout; a block permutation
-acts on a matrix by re-indexing its entries (`permute_blocks`), never
-through a permutation matrix.  Three exact facts drive everything here:
+(I - J/N) (x) I_d.  Only this module knows that layout.  No block
+permutation is ever applied: `symmetrize` averages over all of them in
+closed form, and `extract_r` decides invariance under all of them in one
+pass over the blocks.  Three exact facts drive everything here:
 
 * the centring map, which subtracts the blockwise mean, projects onto the
   zero-sum space of the full block space with norm exactly 2 - 2/N;
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .linalg import (
     Mat,
@@ -96,11 +97,15 @@ class ZeroSumSpace:
             raise ValueError("zero-sum basis row has nonzero block sum")
 
 
-def _check_blocks(block_dim: int, copies: int):
+def _check_blocks(block_dim: int, copies: int, m: Mat | None = None):
+    """Validate a block structure and, when given, that `m` is dN x dN."""
     if block_dim < 1:
         raise ValueError(f"invalid block dimension {block_dim}")
     if copies < 2:
         raise ValueError(f"need at least 2 copies, got {copies}")
+    size = block_dim * copies
+    if m is not None and (m.rows, m.cols) != (size, size):
+        raise ValueError(f"matrix is {m.rows}x{m.cols}, expected {size}x{size}")
 
 
 def _sum_kernel_rows(dim: int) -> Mat:
@@ -156,29 +161,6 @@ def centring_witness(block_dim: int, copies: int) -> tuple[tuple[Fraction, ...],
     return x.kron(u).entries, image.kron(u).entries
 
 
-def permute_blocks(m: Mat, block_dim: int, sigma: Sequence[int]) -> Mat:
-    """U_sigma M U_sigma^{-1}, where U_sigma moves block j to block sigma[j].
-
-    Entry ((sigma(i), r), (sigma(j), c)) of the result is entry ((i, r), (j, c))
-    of `m`: a re-indexing of the entries, with no matrix product.  `sigma` is
-    a 0-based permutation of range(N) and `m` must be dN x dN.
-    """
-    n, d = len(sigma), block_dim
-    if n < 1 or d < 1:
-        raise ValueError(f"invalid block structure: {n} blocks of dimension {d}")
-    if sorted(sigma) != list(range(n)):
-        raise ValueError(f"{sigma!r} is not a permutation of 0..{n - 1}")
-    size = n * d
-    if (m.rows, m.cols) != (size, size):
-        raise ValueError(f"matrix is {m.rows}x{m.cols}, expected {size}x{size}")
-    moved_from = [0] * n
-    for j, target in enumerate(sigma):
-        moved_from[target] = j
-    # source[k]: the flat index of `m` that lands on flat index k
-    source = [moved_from[i] * d + r for i in range(n) for r in range(d)]
-    return Mat(size, size, tuple(m.entries[a * size + b] for a in source for b in source))
-
-
 def _block_sums_vanish(m: Mat, block_dim: int, copies: int) -> bool:
     for j in range(m.cols):
         col = m.col(j)
@@ -201,11 +183,8 @@ def symmetrize(p: Mat, block_dim: int, copies: int) -> Mat:
     off-diagonal blocks.  That costs O(N^2 d^2) for any N >= 2.
     """
     d, n = block_dim, copies
-    if n < 2:
-        raise ValueError(f"need at least 2 copies, got {copies}")
+    _check_blocks(d, n, p)
     size = d * n
-    if (p.rows, p.cols) != (size, size):
-        raise ValueError(f"matrix is {p.rows}x{p.cols}, expected {size}x{size}")
     if not p.is_idempotent():
         raise NotAProjectionError("matrix is not idempotent")
     if not _block_sums_vanish(p, d, n):
@@ -255,11 +234,8 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
     (delta_ij - 1/N) r: p_tilde = lift(r) o centring needs no further check.
     """
     d, n = base.ambient_dim, copies
-    if n < 2:
-        raise ValueError(f"need at least 2 copies, got {copies}")
+    _check_blocks(d, n, p_tilde)
     size = d * n
-    if (p_tilde.rows, p_tilde.cols) != (size, size):
-        raise ValueError(f"matrix is {p_tilde.rows}x{p_tilde.cols}, expected {size}x{size}")
 
     def block(bi: int, bj: int) -> Mat:
         return Mat.from_rows([

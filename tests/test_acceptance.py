@@ -48,3 +48,12 @@ def test_fault_fails_its_own_criterion(criterion, monkeypatch):
         criterion.run(Context())
     [result] = run_all(Context(), only={criterion.key})
     assert not result.passed
+
+
+def test_symmetrization_fails_without_averaging(monkeypatch):
+    # negative control for the invariance check: an unaveraged projection is
+    # still a projection with no larger norm, but extract_r must reject it
+    monkeypatch.setattr("projconst.acceptance.symmetrize", lambda p, d, n: p)
+    [result] = run_all(Context(), only={"symmetrization"})
+    assert not result.passed
+    assert "NotSymmetrizedError" in result.detail

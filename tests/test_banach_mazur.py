@@ -185,9 +185,6 @@ class TestOptimizers:
         assert abs(cmp.prior - (11.0 + 6.0 * math.sqrt(2.0))) == 0.0
         assert abs(cmp.improvement - (cmp.prior - G_STAR)) < 1e-12
         assert round(cmp.improvement, 3) == 0.093
-        doc = cmp.to_json_dict()
-        assert doc["strict"] is True
-        assert doc["improvement"] == cmp.improvement
 
 
 class TestSeqOperator:

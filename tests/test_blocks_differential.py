@@ -1,21 +1,18 @@
 """Index-map and Kronecker block constructions against the code they replaced.
 
-`permute_blocks` must equal the dense conjugation U_sigma M U_sigma^T for
-every block permutation, and `extract_r` must return the decomposition of
-the former dense `extract_r` (`blocks_reference.reference_extract_r`), or
-raise the same exception type, on symmetrized projections, on mutants
-built to fail each of its checks, and on seeded random block pairs.  The
+`extract_r` must return the decomposition of the former dense `extract_r`
+(`blocks_reference.reference_extract_r`), or raise the same exception type,
+on symmetrized projections, on mutants built to fail each of its checks,
+and on seeded random block pairs.  The
 Kronecker-product zero-sum spaces, sum kernels, centring maps and witnesses
 must equal the former index loops entry for entry.
 """
 
-import itertools
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 from blocks_reference import (
-    block_permutation,
     reference_centring_projection,
     reference_centring_witness,
     reference_coordinate_sum_kernel,
@@ -33,7 +30,6 @@ from projconst.zerosum import (
     centring_witness,
     coordinate_sum_kernel,
     extract_r,
-    permute_blocks,
     random_projection_onto,
     sigma_subspace,
     symmetrize,
@@ -43,16 +39,6 @@ from projconst.zerosum import (
 def random_mat(rng: Random, size: int) -> Mat:
     return Mat(size, size, tuple(F(rng.randint(-9, 9), rng.randint(1, 4))
                                  for _ in range(size * size)))
-
-
-@pytest.mark.parametrize("d, n", list(itertools.product((1, 2, 3), (1, 2, 3, 4))))
-def test_permute_blocks_is_dense_conjugation(d, n):
-    rng = Random(100 * d + n)
-    for _ in range(2):
-        m = random_mat(rng, d * n)
-        for sigma in itertools.permutations(range(n)):
-            u = block_permutation(n, d, sigma)
-            assert permute_blocks(m, d, sigma) == u @ m @ u.transpose()
 
 
 def outcome(base: Subspace, copies: int, m: Mat):

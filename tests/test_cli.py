@@ -5,12 +5,13 @@ line on stderr, and identical inputs must produce byte-identical stdout.
 """
 
 import json
+import sys
 
 import pytest
 from pivot_limits import fewest_pivots
 
 from projconst import simplex, zerosum
-from projconst.cli import load_subspace_document, main
+from projconst.cli import entry_point, load_subspace_document, main
 
 
 def run(capsys, *argv):
@@ -269,7 +270,7 @@ class TestPlan:
     def test_demo_pivot_limit_truncates(self, capsys, monkeypatch, kernel5):
         # target 32/15 plans N = 3 and alpha = 8/5 = lambda(ker_5); the base
         # LP solves within the limit, the step in ell_inf^15 runs out of pivots
-        limit = fewest_pivots(monkeypatch, load_subspace_document(kernel5)[0])
+        limit = fewest_pivots(monkeypatch, load_subspace_document(kernel5))
         monkeypatch.setattr(simplex, "PIVOT_LIMIT", limit)
         code, out, err = run(capsys, "--budget", "15,8", "plan",
                              "--lambda", "32/15", "--demo", kernel5)
@@ -358,6 +359,14 @@ class TestSelftest:
         assert code == 0
         assert "[PASS] kernel-constants" in out
         assert out.strip().endswith("OK (1 criteria)")
+
+    def test_console_script_exits_with_the_command_code(self, capsys, monkeypatch):
+        # `entry_point` is what the installed `projconst` script calls
+        monkeypatch.setattr(sys, "argv", ["projconst", "selftest", "--only", "centring-witness"])
+        with pytest.raises(SystemExit) as exc:
+            entry_point()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.endswith("OK (1 criteria)\n")
 
     def test_json_form(self, capsys):
         code, out, _ = run(capsys, "--json", "selftest",

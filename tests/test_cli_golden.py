@@ -27,7 +27,11 @@ CASES = {
     "zerosum-line-N3": ["zerosum", "line.json", "--copies", "3"],
     "zerosum-line-N4": ["zerosum", "line.json", "--copies", "4"],
     "zerosum-ker3-N2": ["zerosum", "ker3.json", "--copies", "2"],
+    "zerosum-diag3-N3": ["zerosum", "diag3.json", "--copies", "3"],
     "plan-7_2": ["plan", "--lambda", "7/2"],
+    "plan-5": ["plan", "--lambda", "5"],
+    "plan-33_2": ["plan", "--lambda", "33/2"],
+    "plan-3_2": ["plan", "--lambda", "3/2"],
     "plan-4_3-demo-ker3": ["plan", "--lambda", "4/3", "--demo", "ker3.json", "--steps", "0"],
     "bm-params-4": ["bm", "--params", "4"],
     "bm-model-4": ["bm", "--model", "4"],

@@ -172,7 +172,7 @@ class TestInfOpNorm:
 
 
 class TestBlockPermutation:
-    """The dense 0/1 matrices that `zerosum.permute_blocks` is checked against."""
+    """The dense 0/1 block permutations the zero-sum tests conjugate by."""
 
     def test_moves_blocks(self):
         u = block_permutation(3, 2, [1, 2, 0])

@@ -44,20 +44,19 @@ class TestProgramShape:
         space = Subspace.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]])
         lp = build_projection_lp(space)
         n, k = 4, 2
-        assert lp.num_coeff_vars == k * n
         assert lp.num_vars == k * n + n * n + 1
         assert lp.num_equalities == k * k
         assert lp.num_inequalities == 2 * n * n + n
-        assert len(lp.program.eq_rows) == lp.num_equalities
-        assert len(lp.program.ub_rows) == lp.num_inequalities
-        assert len(lp.program.objective) == lp.num_vars
+        assert len(lp.eq_rows) == lp.num_equalities
+        assert len(lp.ub_rows) == lp.num_inequalities
+        assert len(lp.objective) == lp.num_vars
         # only the coefficient block is sign-free
-        assert lp.program.free == [True] * (k * n) + [False] * (n * n + 1)
+        assert lp.free == [True] * (k * n) + [False] * (n * n + 1)
 
     def test_objective_is_the_bound(self):
         lp = build_projection_lp(Subspace.from_rows([[1, 1]]))
-        assert lp.program.objective[-1] == F(1)
-        assert all(c == 0 for c in lp.program.objective[:-1])
+        assert lp.objective[-1] == F(1)
+        assert all(c == 0 for c in lp.objective[:-1])
 
 
 def grid_norms_of_diagonal_projections():

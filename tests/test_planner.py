@@ -7,8 +7,10 @@ from pivot_limits import fewest_pivots
 from projconst.linalg import Subspace
 from projconst.minproj import LPBudget
 from projconst.planner import (
+    AmplificationPlan,
     BaseConstantMismatch,
     PlanRangeError,
+    ScheduleEntry,
     ad_hoc_plan,
     demonstrate_schedule,
     plan_parameters,
@@ -111,6 +113,27 @@ class TestAdHocPlan:
             ad_hoc_plan(F(1, 2), 3, 1)
         with pytest.raises(ValueError):
             ad_hoc_plan(F(3, 2), 3, -1)
+        with pytest.raises(ValueError):
+            ad_hoc_plan(F(1), 1, 1)
+
+
+class TestAmplificationPlan:
+    def test_derived_from_m_copies_alpha(self):
+        plan = AmplificationPlan(1, 3, F(4, 3))
+        assert plan.mu == F(4, 3)
+        assert plan.lambda_target == F(16, 9)
+        assert plan.schedule == (ScheduleEntry(0, F(4, 3), "ℓ∞"),
+                                 ScheduleEntry(1, F(16, 9), "(ℓ∞)^(3^1)"))
+
+    def test_no_amplification(self):
+        plan = AmplificationPlan(0, None, F(3, 2))
+        assert (plan.mu, plan.lambda_target) == (None, F(3, 2))
+        assert plan.schedule == (ScheduleEntry(0, F(3, 2), "ℓ∞"),)
+
+    @pytest.mark.parametrize("m, copies", [(1, None), (0, 3), (-1, None), (2, 1)])
+    def test_rejects_inconsistent_fields(self, m, copies):
+        with pytest.raises(ValueError):
+            AmplificationPlan(m, copies, F(3, 2))
 
 
 class TestDemonstrateSchedule:

@@ -26,7 +26,6 @@ from projconst.zerosum import (
     centring_witness,
     coordinate_sum_kernel,
     extract_r,
-    permute_blocks,
     random_projection_onto,
     sigma_steps,
     sigma_subspace,
@@ -139,35 +138,6 @@ class TestCentring:
             centring_projection(1, 1)
         with pytest.raises(ValueError):
             centring_witness(1, 1)
-
-
-class TestPermuteBlocks:
-    def test_moves_blocks(self):
-        # 2 blocks of dimension 1: swapping them swaps rows and columns
-        m = Mat.from_rows([[1, 2], [3, 4]])
-        assert permute_blocks(m, 1, [1, 0]) == Mat.from_rows([[4, 3], [2, 1]])
-
-    def test_entry_rule(self):
-        d, sigma = 2, [2, 0, 1]
-        m = Mat(6, 6, tuple(F(k) for k in range(36)))
-        out = permute_blocks(m, d, sigma)
-        for i, r, j, c in itertools.product(range(3), range(d), range(3), range(d)):
-            assert out.at(sigma[i] * d + r, sigma[j] * d + c) == m.at(i * d + r, j * d + c)
-
-    def test_identity_permutation_fixes(self):
-        m = Mat(4, 4, tuple(F(k, 3) for k in range(16)))
-        assert permute_blocks(m, 2, [0, 1]) == m
-
-    def test_validation(self):
-        m = Mat.identity(3)
-        with pytest.raises(ValueError):
-            permute_blocks(m, 1, [0, 0, 1])
-        with pytest.raises(ValueError):
-            permute_blocks(m, 0, [0, 1, 2])
-        with pytest.raises(ValueError):
-            permute_blocks(m, 1, [])
-        with pytest.raises(ValueError):
-            permute_blocks(m, 2, [0, 1])
 
 
 def test_coordinatewise_lift():

@@ -138,15 +138,15 @@ def _check_symmetrization(ctx: Context) -> str:
         for _ in range(20):
             p = random_projection_onto(zs, rng)
             p_tilde = symmetrize(p, d, n)
-            _require(inf_op_norm(p_tilde).value <= inf_op_norm(p).value,
+            norm = inf_op_norm(p_tilde).value
+            _require(norm <= inf_op_norm(p).value,
                      f"symmetrization increased the norm for d={d}, N={n}")
             # extract_r raises NotSymmetrizedError unless p_tilde commutes
             # with every block permutation
             dec = extract_r(p_tilde, base, n)
             mu = amplification_factor(n) + _fault("symmetrization")
-            _require(
-                inf_op_norm(p_tilde).value == mu * inf_op_norm(dec.r).value,
-                f"norm identity fails for d={d}, N={n}")
+            _require(norm == mu * inf_op_norm(dec.r).value,
+                     f"norm identity fails for d={d}, N={n}")
     return "20 random projections per config collapse to lift(r) o centring with exact norm law"
 
 

@@ -11,20 +11,23 @@ integer rows: a row is a list of Python ints over one positive denominator,
 entry j standing for row[j] / den, kept in lowest terms.  `pivot_rows` is the
 single pivot step.  `_reduce` (behind rank, kernel, inverse and
 `projection_defect`) and the simplex tableau in `simplex` both pivot with it,
-so rows are updated by integer multiply, subtract and one gcd division per
-row, as in Edmonds' (1967) and Bareiss' (1968) integer-preserving
-elimination.  `Fraction`s are built only from the final rows.
+so rows are updated in place by integer multiply, subtract and one gcd
+division per row, as in Edmonds' (1967) and Bareiss' (1968) integer-preserving
+elimination, with work proportional to a row's nonzeros, not its width.
+`Fraction`s are built only from the final rows.
 
 No floating point enters this module.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -273,28 +276,47 @@ def lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
 
 
 def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int):
-    """One Gauss-Jordan pivot on (r, c), in place; entry (r, c) must be nonzero.
+    """One Gauss-Jordan pivot on (r, c); entry (r, c) must be nonzero.
 
     Row r, with pivot numerator p, becomes its numerators over |p| (signs
     flipped when p < 0), so entry c reads 1.  Every other row with
     f = row[c] != 0 becomes P*row - f*prow over den*P, where P is the pivot
     row's new denominator.  Each changed row is brought to lowest terms.
+
+    Rows are changed in place, so the entries of `rows` must be distinct
+    list objects.  C-level scans (`compress`, `filter`, `itemgetter`) find
+    the touched rows and each row's nonzeros, and only those entries are
+    rescaled, eliminated and divided by their gcd.
     """
     prow = rows[r]
+    cols = range(len(prow))
     p = prow[c]
+    g = functools.reduce(math.gcd, filter(None, prow), 0)
     if p < 0:
-        prow = [-x for x in prow]
-    prow, pden = lowest_terms(prow, abs(p))
-    rows[r], dens[r] = prow, pden
-    nz = [(j, x) for j, x in enumerate(prow) if x]
-    for i, row in enumerate(rows):
+        g = -g
+    if g != 1:
+        for j in compress(cols, prow):
+            prow[j] //= g
+    pden = dens[r] = p // g
+    nz = [(j, prow[j]) for j in compress(cols, prow)]
+    for i in compress(range(len(rows)), map(operator.itemgetter(c), rows)):
+        if i == r:
+            continue
+        row = rows[i]
         f = row[c]
-        if f and i != r:
-            if pden != 1:
-                row = [pden * x for x in row]
-            for j, x in nz:
-                row[j] -= f * x
-            rows[i], dens[i] = lowest_terms(row, dens[i] * pden)
+        if pden != 1:
+            for j in compress(cols, row):
+                row[j] *= pden
+        for j, x in nz:
+            row[j] -= f * x
+        den = dens[i] * pden
+        if den != 1:
+            g = functools.reduce(math.gcd, filter(None, row), den)
+            if g != 1:
+                for j in compress(cols, row):
+                    row[j] //= g
+                den //= g
+        dens[i] = den
 
 
 def _reduce(rows: Sequence[Sequence[Fraction]],

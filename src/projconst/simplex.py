@@ -17,7 +17,8 @@ denominators of its listed entries and right-hand side (an unlisted zero
 would add 1), and every pivot is `linalg.pivot_rows`, the package's one
 elimination kernel: it rescales the pivot row so that the pivot entry reads
 1 and eliminates the pivot column from every other row, objective included,
-by integer multiply, subtract and one exact division per row.
+by integer multiply, subtract and one exact division per row, in work
+proportional to the nonzeros.  The entering and ratio-test scans run in C.
 
 Pivoting uses Bland's smallest-index rule for both the entering and the
 leaving choice.  That precludes cycling, so termination is guaranteed, and
@@ -34,8 +35,10 @@ tableau.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
 
 from .linalg import integer_row, lowest_terms, pivot_rows
 
@@ -186,27 +189,22 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
 
     def run(eligible_end: int):
         while True:
-            objective = tableau[-1]
-            enter = -1
-            for j in range(eligible_end):
-                if objective[j] < 0:
-                    enter = j
-                    break
+            enter = next(compress(range(eligible_end),
+                                  map(operator.lt, tableau[-1], repeat(0))), -1)
             if enter < 0:
                 return
             leave = -1
             best_a = best_b = 0
-            for i in range(m):
+            column = map(operator.itemgetter(enter), tableau)
+            for i in compress(range(m), map(operator.gt, column, repeat(0))):
                 row = tableau[i]
-                a = row[enter]
-                if a > 0:
-                    b = row[ncols]
-                    # sign of b / a - best_b / best_a, with a, best_a > 0
-                    cross = b * best_a - best_b * a
-                    if (leave < 0 or cross < 0
-                            or (cross == 0 and basis[i] < basis[leave])):
-                        best_a, best_b = a, b
-                        leave = i
+                a, b = row[enter], row[ncols]
+                # sign of b / a - best_b / best_a, with a, best_a > 0
+                cross = b * best_a - best_b * a
+                if (leave < 0 or cross < 0
+                        or (cross == 0 and basis[i] < basis[leave])):
+                    best_a, best_b = a, b
+                    leave = i
             if leave < 0:
                 raise UnboundedProgram("objective unbounded below")
             pivot(leave, enter)

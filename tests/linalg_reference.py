@@ -9,11 +9,15 @@ inverse, or raise the same exception, on every input.
 package; the tests use them from here.  `maps_into` is the range check the
 package ran before `projection_defect`: one membership test per column.
 `mat_compose` is the former matrix product, one `Fraction` multiply-add per
-nonzero pair of factors.
+nonzero pair of factors.  `reference_pivot_rows` is the former integer-row
+pivot, verbatim with its `lowest_terms`: it builds every changed row anew at
+full width, where the package's kernel updates rows in place over their
+nonzeros.  Both must leave identical rows and denominators after every pivot.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -139,3 +143,38 @@ def mat_compose(a: Mat, b: Mat) -> Mat:
                     acc += x * y
             flat.append(acc)
     return Mat(a.rows, b.cols, tuple(flat))
+
+
+def lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
+    """Divide numerators and denominator by their common gcd."""
+    if den == 1:
+        return row, den
+    g = math.gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [x // g for x in row], den // g
+
+
+def reference_pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int):
+    """One Gauss-Jordan pivot on (r, c), in place; entry (r, c) must be nonzero.
+
+    Row r, with pivot numerator p, becomes its numerators over |p| (signs
+    flipped when p < 0), so entry c reads 1.  Every other row with
+    f = row[c] != 0 becomes P*row - f*prow over den*P, where P is the pivot
+    row's new denominator.  Each changed row is brought to lowest terms.
+    """
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        prow = [-x for x in prow]
+    prow, pden = lowest_terms(prow, abs(p))
+    rows[r], dens[r] = prow, pden
+    nz = [(j, x) for j, x in enumerate(prow) if x]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            if pden != 1:
+                row = [pden * x for x in row]
+            for j, x in nz:
+                row[j] -= f * x
+            rows[i], dens[i] = lowest_terms(row, dens[i] * pden)

@@ -57,3 +57,21 @@ def test_symmetrization_fails_without_averaging(monkeypatch):
     [result] = run_all(Context(), only={"symmetrization"})
     assert not result.passed
     assert "NotSymmetrizedError" in result.detail
+
+
+def test_symmetrization_takes_each_norm_once(monkeypatch):
+    # per draw: the norms of p, p_tilde and r in the criterion, and those
+    # of p_tilde and r inside extract_r; 60 draws in all
+    from projconst import acceptance, linalg, minproj, zerosum
+
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return linalg.inf_op_norm(m)
+
+    for module in (acceptance, minproj, zerosum):
+        monkeypatch.setattr(module, "inf_op_norm", counted)
+    [result] = run_all(Context(), only={"symmetrization"})
+    assert result.passed
+    assert len(calls) == 5 * 60

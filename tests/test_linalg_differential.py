@@ -8,7 +8,10 @@ decision of the former checks: idempotence, fixed basis rows, and one
 membership test per column.  The kernel's rows must also stay in lowest
 terms over positive denominators, which is what keeps their entries small.
 The integer-row matrix product must equal the former `Fraction` product on
-random shapes, including 1x1 factors, zero rows and zero columns.
+random shapes, including 1x1 factors, zero rows and zero columns.  The
+in-place pivot must leave the rows and denominators of the former pivot
+after every step of seeded pivot sequences, and `_reduce` must hand it
+distinct row lists, which in-place updates require.
 """
 
 import math
@@ -20,6 +23,7 @@ import pytest
 
 import linalg_reference as ref
 
+from projconst import linalg
 from projconst.linalg import (
     Mat,
     RankDeficientError,
@@ -28,6 +32,7 @@ from projconst.linalg import (
     invert_square,
     kernel_basis,
     mat_compose,
+    pivot_rows,
     projection_defect,
     rank_of_rows,
 )
@@ -136,6 +141,73 @@ def test_product_matches_the_former_product():
         mat_compose(wide, wide)
     with pytest.raises(ValueError, match=message):
         ref.mat_compose(wide, wide)
+
+
+def random_tableau(rng: Random) -> tuple[list[list[int]], list[int], float]:
+    """Integer rows in lowest terms over positive denominators, and the density
+    they were drawn with: small and fairly full, or wide and below 15 %."""
+    if rng.random() < 0.3:
+        nrows, ncols, density = rng.randint(2, 12), rng.randint(40, 120), rng.uniform(0.03, 0.14)
+    else:
+        nrows, ncols, density = rng.randint(1, 8), rng.randint(1, 10), rng.uniform(0.2, 1.0)
+    rows, dens = [], []
+    for _ in range(nrows):
+        if rng.random() < 0.1:
+            row = [0] * ncols
+        else:
+            row = [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(ncols)]
+        row, den = ref.lowest_terms(row, rng.randint(1, 12))
+        rows.append(row)
+        dens.append(den)
+    return rows, dens, density
+
+
+def test_pivot_matches_the_former_pivot():
+    seen = Counter()
+    for seed in SEEDS:
+        rng = Random(f"linalg differential pivot {seed}")
+        rows, dens, density = random_tableau(rng)
+        want_rows, want_dens = [list(row) for row in rows], list(dens)
+        last = None
+        for _ in range(rng.randint(1, 6)):
+            entries = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+            if not entries:
+                break
+            # repeating the last pivot pivots on a unit column
+            r, c = last if last and rng.random() < 0.2 else rng.choice(entries)
+            p = rows[r][c]
+            seen["negative pivot"] += p < 0
+            seen["pivot reads 1"] += p == dens[r]
+            seen["pivot row with one nonzero"] += sum(map(bool, rows[r])) == 1
+            seen["unit column"] += all(not row[c] for i, row in enumerate(rows) if i != r)
+            pivot_rows(rows, dens, r, c)
+            ref.reference_pivot_rows(want_rows, want_dens, r, c)
+            assert (rows, dens) == (want_rows, want_dens)
+            seen["pivot denominator != 1"] += dens[r] != 1
+            last = (r, c)
+        seen["zero row"] += any(not any(row) for row in rows)
+        seen["wide, below 15 %"] += len(rows[0]) >= 40 and density < 0.15
+    assert min(seen.values()) >= 30, seen
+
+
+def test_reduce_pivots_distinct_rows(monkeypatch):
+    calls = Counter()
+
+    def checked(rows, dens, r, c):
+        assert len(set(map(id, rows))) == len(rows)
+        calls["pivots"] += 1
+        pivot_rows(rows, dens, r, c)
+
+    monkeypatch.setattr(linalg, "pivot_rows", checked)
+    for seed in range(60):
+        rows = random_system(seed)
+        # the same row object twice
+        rows.append(rows[0])
+        assert rank_of_rows(rows) == ref.rank_of_rows(rows)
+        assert kernel_basis(rows) == ref.kernel_basis(rows)
+        m = random_square(seed)
+        assert outcome(invert_square, m) == outcome(ref.invert_square, m)
+    assert calls["pivots"] >= 300, calls
 
 
 def reference_defect(m: Mat, space: Subspace) -> str | None:

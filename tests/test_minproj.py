@@ -271,6 +271,20 @@ class TestFloatOracle:
         assert loaded == "False"
 
 
+def test_exact_path_loads_no_numpy():
+    # only the float oracle needs numpy, which takes a large share of a
+    # short exact run's start-up time and memory to import
+    code = ("import sys\n"
+            "from projconst import coordinate_sum_kernel, projection_constant\n"
+            "print(projection_constant(coordinate_sum_kernel(3)).value,"
+            " 'numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(projconst.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4/3", "False"]
+
+
 small_entries = st.integers(min_value=-3, max_value=3)
 
 

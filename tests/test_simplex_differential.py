@@ -3,7 +3,8 @@
 Both run Bland's rule on the same rational tableau, so on every program they
 must return the identical (value, assignment) or raise the same exception.
 Identical assignments on degenerate programs, where many optima exist, pin
-the pivot sequence as well.
+the pivot sequence as well.  The kernel updates tableau rows in place, so
+every pivot must see distinct row lists.
 """
 
 from collections import Counter
@@ -16,7 +17,7 @@ from simplex_reference import reference_solve, sparse_row
 
 from projconst import simplex
 from projconst.cli import load_subspace_document
-from projconst.linalg import Subspace
+from projconst.linalg import Subspace, pivot_rows
 from projconst.minproj import build_projection_lp
 from projconst.simplex import LinearProgram, SimplexError, solve_linear_program
 from projconst.zerosum import coordinate_sum_kernel, sigma_subspace
@@ -85,6 +86,26 @@ def test_identical_results_on_random_programs():
     assert kinds["optimal"] >= 200
     assert kinds[simplex.InfeasibleProgram] >= 200
     assert kinds[simplex.UnboundedProgram] >= 200
+
+
+def test_tableau_rows_are_distinct_lists(monkeypatch):
+    # the kernel updates rows in place, so no two tableau rows may share a list
+    calls = Counter()
+
+    def checked(rows, dens, r, c):
+        assert len(set(map(id, rows))) == len(rows)
+        calls["pivots"] += 1
+        pivot_rows(rows, dens, r, c)
+
+    monkeypatch.setattr(simplex, "pivot_rows", checked)
+    rng = Random(20240602)
+    for _ in range(200):
+        assert_same(random_program(rng))
+    # two identical constraint rows, and the projection program of ker_4
+    assert_same(LinearProgram([F(1), F(1)], [{0: F(1)}, {0: F(1)}], [F(2), F(2)],
+                              [{1: F(-1)}], [F(-1)], [False, False]))
+    assert_same(build_projection_lp(_kernel(4)))
+    assert calls["pivots"] >= 300, calls
 
 
 def test_redundant_equalities_are_dropped_alike():

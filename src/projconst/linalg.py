@@ -283,10 +283,9 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int):
     f = row[c] != 0 becomes P*row - f*prow over den*P, where P is the pivot
     row's new denominator.  Each changed row is brought to lowest terms.
 
-    Rows are changed in place, so the entries of `rows` must be distinct
-    list objects.  C-level scans (`compress`, `filter`, `itemgetter`) find
-    the touched rows and each row's nonzeros, and only those entries are
-    rescaled, eliminated and divided by their gcd.
+    Rows change in place, so the entries of `rows` must be distinct lists.
+    C-level scans find the touched rows and each row's nonzeros, and only
+    those entries are rescaled, eliminated and divided by their gcd.
     """
     prow = rows[r]
     cols = range(len(prow))

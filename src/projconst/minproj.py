@@ -158,9 +158,10 @@ def _shared_entries(*mats: Mat) -> list[Mat]:
     """The matrices again, with one Fraction object per distinct entry value.
 
     An optimal projection repeats few values (two for ker_n), so a kept
-    result costs one object per value instead of one per entry.
+    result costs one object per value instead of one per entry; 0 and +-1,
+    the most common, are this module's constants, shared by every result.
     """
-    shared: dict[Fraction, Fraction] = {}
+    shared = {x: x for x in (_ZERO, _ONE, _MINUS_ONE)}
     return [Mat(m.rows, m.cols, tuple(shared.setdefault(x, x) for x in m.entries))
             for m in mats]
 

@@ -284,8 +284,8 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int):
     row's new denominator.  Each changed row is brought to lowest terms.
 
     Rows change in place, so the entries of `rows` must be distinct lists.
-    C-level scans find the touched rows and each row's nonzeros, and only
-    those entries are rescaled, eliminated and divided by their gcd.
+    C-level scans find the touched rows and the nonzeros each row updates.
+    A gcd is a `reduce`: star-args tuples of varying size raise peak RSS.
     """
     prow = rows[r]
     cols = range(len(prow))

@@ -6,6 +6,7 @@ criterion; the same registry backs `projconst selftest`.
 
 import pytest
 
+from projconst import acceptance, linalg, minproj, zerosum
 from projconst.acceptance import CRITERIA, FAULT_ENV, Context, CriterionFailure, run_all
 
 
@@ -62,8 +63,6 @@ def test_symmetrization_fails_without_averaging(monkeypatch):
 def test_symmetrization_takes_each_norm_once(monkeypatch):
     # per draw: the norms of p, p_tilde and r in the criterion, and those
     # of p_tilde and r inside extract_r; 60 draws in all
-    from projconst import acceptance, linalg, minproj, zerosum
-
     calls = []
 
     def counted(m):

@@ -33,9 +33,12 @@ from .minproj import (
     LPBudget,
     OracleConfig,
     OracleInconclusive,
+    ProjectionCertificate,
     ProjectionConstantResult,
     SolverIntegrityError,
+    check_certificate,
     float_oracle,
+    projection_certificate,
     projection_constant,
 )
 from .planner import (
@@ -71,6 +74,7 @@ __all__ = [
     "OracleConfig",
     "OracleInconclusive",
     "PlanRangeError",
+    "ProjectionCertificate",
     "ProjectionConstantResult",
     "RankDeficientError",
     "SeqOperator",
@@ -83,6 +87,7 @@ __all__ = [
     "bound_g",
     "build_model",
     "centring_projection",
+    "check_certificate",
     "compare_with_prior_bound",
     "coordinate_sum_kernel",
     "demonstrate_schedule",
@@ -95,6 +100,7 @@ __all__ = [
     "optimize_numeric",
     "parse_rational",
     "plan_parameters",
+    "projection_certificate",
     "projection_constant",
     "sigma_steps",
     "sigma_subspace",

@@ -16,6 +16,14 @@ At any optimum t equals the exact norm of P = B^T C, so the solved program
 certifies lambda(E, ell_inf^n) together with an optimal projection and a
 sign-vector witness attaining its norm.  The proof that P projects onto E
 is the program's own constraint C B^T = I_k, which `_certify` re-checks.
+
+`projection_certificate` also proves that the value is minimal.  Its
+`ProjectionCertificate` (C, W, w, Lambda) pairs the primal C with a dual
+read off the final simplex tableau, and `check_certificate` proves
+lambda(E) = value from it with products and comparisons only (weak
+duality).  Certificates compose under the Kronecker product, which is how
+`zerosum` certifies its zero-sum spaces without solving their programs.
+
 Everything on this path is rational arithmetic; floating point appears only
 in `float_oracle`, a structurally independent first-order check.
 """
@@ -23,15 +31,18 @@ in `float_oracle`, a structurally independent first-order check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import NamedTuple
 
 from .linalg import (
     Mat,
     Subspace,
     format_rational,
     inf_op_norm,
+    integer_row,
     invert_square,
     kernel_basis,
 )
@@ -189,6 +200,148 @@ def _certify(space: Subspace, value: Fraction, coeffs: Mat) -> ProjectionConstan
                                     norm.witness)
 
 
+class ProjectionCertificate(NamedTuple):
+    """A primal-dual certificate that lambda(E, ell_inf^n) = value, for a basis B of E.
+
+    `coeffs` is C (k x n), `dual` is W (n x n), `weights` is w (n entries)
+    and `restriction` is Lambda (k x k); `check_certificate` states what
+    they must satisfy.  A named tuple rather than a frozen dataclass, which
+    takes several times longer to create when the module is imported.
+    """
+
+    value: Fraction
+    coeffs: Mat
+    dual: Mat
+    weights: tuple[Fraction, ...]
+    restriction: Mat
+
+    def kron(self, other: "ProjectionCertificate") -> "ProjectionCertificate":
+        """The certificate of E (x) F, spanned by the Kronecker products of
+        the basis rows of E (self) and F (other).
+
+        Every part is the Kronecker product of the factors' parts, so each
+        condition of `check_certificate` is the product of the factors'
+        conditions; absolute row sums multiply too.
+        """
+        return ProjectionCertificate(
+            self.value * other.value,
+            self.coeffs.kron(other.coeffs),
+            self.dual.kron(other.dual),
+            tuple(a * b for a in self.weights for b in other.weights),
+            self.restriction.kron(other.restriction))
+
+
+def _integer_matrix(m: Mat) -> tuple[list[list[int]], int]:
+    """The rows of `m` as numerators over one common denominator."""
+    num, den = integer_row(m.entries)
+    return [num[i:i + m.cols] for i in range(0, len(num), m.cols)], den
+
+
+def _products(rows, cols) -> list[list[int]]:
+    """Integer matrix product: entry (i, j) is rows[i] . cols[j]."""
+    return [[sum(map(operator.mul, r, c)) for c in cols] for r in rows]
+
+
+def check_certificate(space: Subspace, cert: ProjectionCertificate):
+    """Prove lambda(space) = cert.value, or raise SolverIntegrityError naming the failed check.
+
+    With B the basis of `space`, the checks are, in order:
+
+    * 'C B^T = I': P = B^T C is then a projection onto E;
+    * 'norm': the largest absolute row sum of P is the value, so
+      lambda(E) <= value;
+    * 'w >= 0' and 'sum w = 1';
+    * '|W_ij| <= w_i';
+    * 'B W = Lambda B';
+    * 'tr Lambda': the trace of Lambda is the value.
+
+    The last four give lambda(E) >= value by weak duality.  Any projection
+    P' onto E is B^T C' with C' B^T = I, so
+    <W, P'> = tr((B W)^T C') = tr(Lambda^T C' B^T) = tr Lambda, while
+    <W, P'> <= sum_i w_i (row sum i of |P'|) <= norm(P').
+
+    Each matrix is taken once as integer rows over one denominator, and
+    every check is one of four integer matrix products or a comparison of
+    integers: no elimination, and no `Fraction` temporaries, whose churn
+    raises peak RSS when many results are kept.  No check trusts the code
+    that made the certificate.
+    """
+    value, coeffs, dual, weights, restriction = cert
+    k, n = space.dim, space.ambient_dim
+
+    def require(holds: bool, check: str, detail: str):
+        if not holds:
+            raise SolverIntegrityError(f"certificate check '{check}' fails: {detail}")
+
+    require((coeffs.rows, coeffs.cols, dual.rows, dual.cols, len(weights),
+             restriction.rows, restriction.cols) == (k, n, n, n, n, k, k),
+            "shape", f"certificate does not fit a {k}-dimensional subspace of ell_inf^{n}")
+    b, db = _integer_matrix(space.basis)
+    c, dc = _integer_matrix(coeffs)
+    b_cols = list(zip(*b))
+    identity = db * dc
+    require(all(x == (identity if p == q else 0)
+                for p, row in enumerate(_products(c, b)) for q, x in enumerate(row)),
+            "C B^T = I", "C is not a left inverse of B^T")
+    # row i of B^T C over db * dc
+    norm = max(sum(map(abs, row)) for row in _products(b_cols, list(zip(*c))))
+    require(norm * value.denominator == value.numerator * identity,
+            "norm", f"norm of B^T C is {Fraction(norm, identity)}, not {value}")
+    w, dw = integer_row(weights)
+    require(min(w) >= 0, "w >= 0", "a weight is negative")
+    require(sum(w) == dw, "sum w = 1", f"weights sum to {Fraction(sum(w), dw)}")
+    dual_rows, d_dual = _integer_matrix(dual)
+    require(all(abs(x) * dw <= wi * d_dual for wi, row in zip(w, dual_rows) for x in row),
+            "|W_ij| <= w_i", "an entry of W exceeds its row weight")
+    lam_rows, d_lam = _integer_matrix(restriction)
+    bw = _products(b, list(zip(*dual_rows)))  # over db * d_dual
+    lb = _products(lam_rows, b_cols)  # over d_lam * db
+    require(all(x * d_lam == y * d_dual for bw_row, lb_row in zip(bw, lb)
+                for x, y in zip(bw_row, lb_row)),
+            "B W = Lambda B", "W does not act on E as Lambda")
+    trace = sum(lam_rows[i][i] for i in range(k))
+    require(trace * value.denominator == value.numerator * d_lam,
+            "tr Lambda", f"trace of Lambda is {Fraction(trace, d_lam)}, not {value}")
+
+
+def _solve(space: Subspace):
+    """The minimal-projection LP's solution; a program that is feasible and
+    bounded by construction but rejected is a solver-integrity failure."""
+    try:
+        return solve_linear_program(build_projection_lp(space))
+    except (InfeasibleProgram, UnboundedProgram) as exc:
+        raise SolverIntegrityError(f"minimal-projection LP rejected: {exc}") from exc
+
+
+def projection_certificate(space: Subspace) -> ProjectionCertificate:
+    """Exact lambda(E, ell_inf^n) with a checked primal-dual certificate, from one LP solve.
+
+    C is the optimal coefficient matrix.  The dual is read off the slack
+    duals u of the program of `build_projection_lp`: W_ij = u+_ij - u-_ij
+    from the two majorant rows of entry (i, j), and w_i = u of row-sum row
+    i.  The optimality conditions of C's free variables say that B W = V B
+    for the equality multipliers V, so Lambda = B W C^T: B C^T = I makes
+    C^T a right inverse of B.  With k = n there is no program; C = B^-T,
+    w = e_1, W = e_1 e_1^T and Lambda = B W C^T = B e_1 e_1^T B^-1.
+    `check_certificate` runs before the certificate is returned.
+    """
+    n, k = space.ambient_dim, space.dim
+    if k == n:
+        value = _ONE
+        coeffs = invert_square(space.basis.transpose())
+        weights = (_ONE,) + (_ZERO,) * (n - 1)
+        dual = Mat(n, n, weights + (_ZERO,) * (n * n - n))  # e_1 e_1^T: row 0 is w
+    else:
+        value, x, u = _solve(space)
+        coeffs = Mat(k, n, tuple(x[: k * n]))
+        dual = Mat(n, n, tuple(u[2 * e] - u[2 * e + 1] for e in range(n * n)))
+        weights = tuple(u[2 * n * n:])
+    restriction = space.basis @ dual @ coeffs.transpose()
+    cert = ProjectionCertificate(value, coeffs, dual, weights, restriction)
+    check_certificate(space, cert)
+    return cert
+
+
 def projection_constant(space: Subspace) -> ProjectionConstantResult:
     """Exact lambda(E, ell_inf^n) for E given by `space`.
 
@@ -202,10 +355,7 @@ def projection_constant(space: Subspace) -> ProjectionConstantResult:
     if space.dim == space.ambient_dim:
         coeffs = invert_square(space.basis.transpose())
         return _certify(space, _ONE, coeffs)
-    try:
-        value, x = solve_linear_program(build_projection_lp(space))
-    except (InfeasibleProgram, UnboundedProgram) as exc:
-        raise SolverIntegrityError(f"minimal-projection LP rejected: {exc}") from exc
+    value, x, _ = _solve(space)
     coeffs = Mat(space.dim, space.ambient_dim, tuple(x[: space.dim * space.ambient_dim]))
     return _certify(space, value, coeffs)
 

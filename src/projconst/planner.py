@@ -8,8 +8,9 @@ smallest block count >= 3 with mu_N^m > lambda / 2, which makes the
 remaining factor alpha = lambda / mu_N^m land in (1, 2].
 
 `demonstrate_schedule` executes a plan on an actual base subspace: it
-certifies the base constant, then compares each level of
-`zerosum.sigma_steps` with the staged constant mu_N^k * alpha.
+certifies the base constant with one exact LP solve, then compares each
+level of `zerosum.sigma_steps`, proven by a tensored certificate and weak
+duality, with the staged constant mu_N^k * alpha.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Subspace, format_rational
-from .minproj import DEFAULT_BUDGET, LPBudget, projection_constant
+from .minproj import DEFAULT_BUDGET, LPBudget, projection_certificate
 from .zerosum import amplification_factor, sigma_steps
 
 _ONE = Fraction(1)
@@ -184,22 +185,25 @@ def demonstrate_schedule(base: Subspace, plan: AmplificationPlan, max_steps: int
                          budget: LPBudget = DEFAULT_BUDGET) -> ScheduleReport:
     """Execute up to `max_steps` zero-sum amplification steps of a plan.
 
-    Checks lambda(base) == plan.alpha first (mismatch is a hard error), then
-    compares each level of `sigma_steps` with the plan's staged constant
-    lambda_k = mu_N^k * alpha.  A step beyond the LP budget or the simplex pivot limit
-    truncates the report rather than raising.
+    Certifies lambda(base) by one exact LP solve and checks it equals
+    plan.alpha first (mismatch is a hard error).  Then it compares each level
+    of `sigma_steps`, which tensors the base's primal-dual certificate with
+    that of ker_N and proves the level by weak duality without an LP, with
+    the plan's staged constant lambda_k = mu_N^k * alpha.  A step beyond the
+    LP budget truncates the report rather than raising; the base's LP is the
+    only one that can run into the simplex pivot limit.
     """
     if max_steps < 0:
         raise ValueError(f"negative step count {max_steps}")
     if max_steps > plan.m:
         raise ValueError(f"plan has {plan.m} steps, asked for {max_steps}")
     budget.require(base)
-    base_lambda = projection_constant(base).value
-    if base_lambda != plan.alpha:
+    certificate = projection_certificate(base)
+    if certificate.value != plan.alpha:
         raise BaseConstantMismatch(
-            f"lambda(base) = {base_lambda}, plan needs alpha = {plan.alpha}"
+            f"lambda(base) = {certificate.value}, plan needs alpha = {plan.alpha}"
         )
-    levels = sigma_steps(base, plan.copies, max_steps, budget)
+    levels = sigma_steps(base, certificate, plan.copies, max_steps, budget)
     steps = tuple(DemoStep(entry.step, ambient, entry.lambda_k, computed)
                   for entry, (ambient, computed) in zip(plan.schedule[1:], levels))
-    return ScheduleReport(base_lambda, steps)
+    return ScheduleReport(certificate.value, steps)

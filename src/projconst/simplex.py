@@ -31,6 +31,11 @@ cross-multiplying numerators, since a row's denominator cancels in its own
 ratio.  Hence every entering column, every leaving row, every redundant row
 dropped after phase 1 and the returned assignment are those of the rational
 tableau.
+
+The optimum also carries its dual: the final objective row, read at the
+slack columns.  Entry i is u_i = -y_i >= 0, where y_i <= 0 is the optimal
+multiplier of inequality i.  A reduced cost does not change when a row is
+scaled, so a row negated for its right-hand side needs no sign correction.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, repeat
+from typing import NamedTuple
 
 from .linalg import integer_row, lowest_terms, pivot_rows
 
@@ -103,8 +109,22 @@ class LinearProgram:
                 raise ValueError("constraint row column out of range")
 
 
-def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
-    """Optimal (objective value, assignment) of the program.
+class LinearProgramSolution(NamedTuple):
+    """An optimum: its value, an optimal assignment, and the dual of the inequalities.
+
+    `slack_duals` is u, the final reduced costs of the inequalities' slacks.
+    With some equality multipliers v, u is an optimal dual: u >= 0,
+    objective + A_ub^T u + A_eq^T v vanishes on free variables and is
+    nonnegative on the others, and value = -(u . ub_rhs) - (v . eq_rhs).
+    """
+
+    value: Fraction
+    assignment: list[Fraction]
+    slack_duals: list[Fraction]
+
+
+def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
+    """Optimal (objective value, assignment, slack duals) of the program.
 
     Raises InfeasibleProgram / UnboundedProgram when the program has no
     optimum; callers that construct programs which are feasible and bounded
@@ -260,4 +280,7 @@ def solve_linear_program(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
             val -= x_std[neg_part[j]]
         assignment.append(val)
     value = sum((c * x for c, x in zip(lp.objective, assignment) if c and x), _ZERO)
-    return value, assignment
+    costs, cost_den = tableau[-1], dens[-1]
+    slack_duals = [Fraction(x, cost_den) if x else _ZERO
+                   for x in costs[slack_start:slack_start + n_ub]]
+    return LinearProgramSolution(value, assignment, slack_duals)

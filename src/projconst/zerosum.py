@@ -17,10 +17,14 @@ pass over the blocks.  Three exact facts drive everything here:
   projection R of ell_inf^d onto E; and
 * that collapse forces lambda(zero-sum space) = (2 - 2/N) * lambda(E).
 
-`sigma_steps` is the one certified zero-sum step: it iterates the
-construction and solves each level's LP exactly, under the LP budget.
-`verify_multiplication_law` checks the law with one such step against an
-exact solve of the base, and `planner.demonstrate_schedule` runs several.
+`sigma_steps` is the one certified zero-sum step.  It proves each level
+Sigma_N^k(E) = ker_N^(x)k (x) E with a tensored primal-dual certificate,
+not with a linear program: the closed-form certificate of ker_N
+(`sum_kernel_certificate`) tensored with the previous level's, checked by
+`minproj.check_certificate` in the level's full space, where weak duality
+proves the value minimal.  No check assumes the law.  Only the base is an
+exact LP solve, made once by the caller: `verify_multiplication_law`
+compares one step with it, and `planner.demonstrate_schedule` runs several.
 """
 
 from __future__ import annotations
@@ -42,8 +46,10 @@ from .minproj import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     LPBudget,
+    ProjectionCertificate,
+    check_certificate,
     feasible_perturbation,
-    projection_constant,
+    projection_certificate,
 )
 from .simplex import PivotLimitExceeded
 
@@ -134,6 +140,25 @@ def coordinate_sum_kernel(dim: int) -> Subspace:
     if dim < 2:
         raise ValueError(f"kernel hyperplane needs dimension >= 2, got {dim}")
     return Subspace(dim, _sum_kernel_rows(dim))
+
+
+def sum_kernel_certificate(copies: int) -> ProjectionCertificate:
+    """The closed-form certificate of lambda(ker_N) = 2 - 2/N, for the basis of
+    `coordinate_sum_kernel`.
+
+    C is read off the centring map I - J/N = B^T C: row j - 1 of C is
+    1/N - e_j.  The dual is w = 1/N, W = (2I - J)/N and Lambda = (2/N) I,
+    since the rows of B sum to zero, so B J = 0 and B W = (2/N) B.
+    """
+    n = copies
+    mean = Fraction(1, n)
+    minus_mean = -mean
+    coeffs = Mat(n - 1, n, tuple(mean - 1 if c == j else mean
+                                 for j in range(1, n) for c in range(n)))
+    dual = Mat(n, n, tuple(mean if r == c else minus_mean
+                           for r in range(n) for c in range(n)))
+    return ProjectionCertificate(amplification_factor(n), coeffs, dual, (mean,) * n,
+                                 Mat.identity(n - 1).scale(2 * mean))
 
 
 def centring_projection(block_dim: int, copies: int) -> Mat:
@@ -310,43 +335,56 @@ class MultiplicationLawReport:
         }
 
 
-def sigma_steps(base: Subspace, copies: int, steps: int,
-                budget: LPBudget = DEFAULT_BUDGET) -> Iterator[tuple[int, Fraction | None]]:
-    """Certify lambda(Sigma_N^k(base)) for k = 1..steps by exact LP solves.
+def sigma_steps(base: Subspace, certificate: ProjectionCertificate, copies: int,
+                steps: int, budget: LPBudget = DEFAULT_BUDGET
+                ) -> Iterator[tuple[int, Fraction | None]]:
+    """Certify lambda(Sigma_N^k(base)) for k = 1..steps from a certificate of the base.
 
-    Yields (ambient_dim, lambda) for each step.  The budget is checked on a
-    step's shape before its zero-sum space is built, so a large N costs
-    nothing; a step beyond the LP budget or the simplex pivot limit yields
-    (ambient_dim, None) and ends the run.
+    Level k's certificate is `sum_kernel_certificate(N)` tensored with level
+    k - 1's, and `check_certificate` proves it in the level's own space,
+    ell_inf^{d N^k}, with products only; weak duality makes the value
+    minimal, so no level solves a linear program.  `certificate` is the
+    base's, as `projection_certificate` returns it.
+
+    Yields (ambient_dim, lambda) for each step.  The LP budget is still
+    checked on a step's shape before its zero-sum space is built, so a large
+    N costs nothing; a step beyond it yields (ambient_dim, None) and ends
+    the run.
     """
     current = base
+    factor = None
     for _ in range(steps):
         ambient = current.ambient_dim * copies
         try:
             budget.require_shape(ambient, (copies - 1) * current.dim)
-            current = sigma_subspace(current, copies).space
-            lam = projection_constant(current).value
-        except (BudgetExceededError, PivotLimitExceeded):
+        except BudgetExceededError:
             yield ambient, None
             return
-        yield ambient, lam
+        if factor is None:
+            factor = sum_kernel_certificate(copies)
+        current = sigma_subspace(current, copies).space
+        certificate = factor.kron(certificate)
+        check_certificate(current, certificate)
+        yield ambient, certificate.value
 
 
 def verify_multiplication_law(base: Subspace, copies: int,
                               budget: LPBudget = DEFAULT_BUDGET) -> MultiplicationLawReport:
-    """Certify the amplification law for one base subspace by exact LP solves.
+    """Certify the amplification law for one base subspace.
 
-    When either side exceeds the LP budget or the simplex pivot limit, the
-    report comes back flagged inconclusive instead of raising.  The zero-sum
-    side is one step of `sigma_steps`.
+    The base is one exact LP solve, whose primal-dual certificate the
+    zero-sum side, one step of `sigma_steps`, tensors with that of ker_N
+    and checks in ell_inf^{dN}.  When the base exceeds the LP budget or the
+    simplex pivot limit, or the zero-sum side the LP budget, the report
+    comes back flagged inconclusive instead of raising.
     """
     mu = amplification_factor(copies)
     ambient = base.ambient_dim * copies
     try:
         budget.require(base)
-        base_lambda = projection_constant(base).value
+        certificate = projection_certificate(base)
     except (BudgetExceededError, PivotLimitExceeded):
         return MultiplicationLawReport(None, mu, None, copies, ambient, "inconclusive")
-    [(ambient, sigma_lambda)] = sigma_steps(base, copies, 1, budget)
+    [(ambient, sigma_lambda)] = sigma_steps(base, certificate, copies, 1, budget)
     status = "inconclusive" if sigma_lambda is None else "ok"
-    return MultiplicationLawReport(base_lambda, mu, sigma_lambda, copies, ambient, status)
+    return MultiplicationLawReport(certificate.value, mu, sigma_lambda, copies, ambient, status)

@@ -215,13 +215,14 @@ class TestZerosum:
 
     def test_pivot_limit_on_the_zero_sum_side(self, capsys, monkeypatch,
                                               scalar_line):
-        # the line's own LP takes one pivot, ker_3 = Sigma_3(line) takes more
+        # the line needs no LP and the zero-sum side ker_3 = Sigma_3(line) is
+        # proven by a tensored certificate, so no pivot limit can stop either
         monkeypatch.setattr(simplex, "PIVOT_LIMIT", 1)
         code, out, _ = run(capsys, "zerosum", scalar_line, "--copies", "3")
-        assert code == 5
+        assert code == 0
         doc = payload(out)
         assert (doc["status"], doc["base_lambda"], doc["sigma_lambda"]) == (
-            "inconclusive", "1", None)
+            "ok", "1", "4/3")
 
     def test_budget_inconclusive(self, capsys, kernel3):
         # the amplified side lives in ell_inf^6, beyond this budget
@@ -268,17 +269,20 @@ class TestPlan:
         assert code == 6
 
     def test_demo_pivot_limit_truncates(self, capsys, monkeypatch, kernel5):
-        # target 32/15 plans N = 3 and alpha = 8/5 = lambda(ker_5); the base
-        # LP solves within the limit, the step in ell_inf^15 runs out of pivots
+        # target 32/15 plans N = 3 and alpha = 8/5 = lambda(ker_5); the base's
+        # LP is the only one, so the pivots it needs certify the step in
+        # ell_inf^15 too, and one pivot fewer stops the demonstration at its base
+        argv = ["--budget", "15,8", "plan", "--lambda", "32/15", "--demo", kernel5]
         limit = fewest_pivots(monkeypatch, load_subspace_document(kernel5))
-        monkeypatch.setattr(simplex, "PIVOT_LIMIT", limit)
-        code, out, err = run(capsys, "--budget", "15,8", "plan",
-                             "--lambda", "32/15", "--demo", kernel5)
-        assert code == 5
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
         demo = payload(out)["demo"]
-        assert (demo["status"], demo["truncated"]) == ("inconclusive", True)
+        assert (demo["status"], demo["truncated"]) == ("ok", False)
         assert demo["steps"] == [{"k": 1, "ambient_dim": 15, "expected": "32/15",
-                                  "computed": None, "certified": False}]
+                                  "computed": "32/15", "certified": True}]
+        monkeypatch.setattr(simplex, "PIVOT_LIMIT", limit - 1)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (5, "")
         assert report(err)["status"] == "inconclusive"
 
     @pytest.mark.parametrize("steps", ["5", "0", "-1"])

@@ -273,16 +273,21 @@ class TestFloatOracle:
 
 def test_exact_path_loads_no_numpy():
     # only the float oracle needs numpy, which takes a large share of a
-    # short exact run's start-up time and memory to import
+    # short exact run's start-up time and memory to import; the LP, the
+    # multiplication law and a staged demonstration all stay exact
     code = ("import sys\n"
-            "from projconst import coordinate_sum_kernel, projection_constant\n"
-            "print(projection_constant(coordinate_sum_kernel(3)).value,"
-            " 'numpy' in sys.modules)\n")
+            "from projconst import (ad_hoc_plan, coordinate_sum_kernel,\n"
+            "    demonstrate_schedule, projection_constant, verify_multiplication_law)\n"
+            "ker3 = coordinate_sum_kernel(3)\n"
+            "law = verify_multiplication_law(ker3, 3)\n"
+            "demo = demonstrate_schedule(ker3, ad_hoc_plan(law.base_lambda, 2, 2), 2)\n"
+            "print(projection_constant(ker3).value, law.sigma_lambda,"
+            " demo.steps[-1].computed, 'numpy' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(projconst.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["4/3", "False"]
+    assert proc.stdout.split() == ["4/3", "16/9", "4/3", "False"]
 
 
 small_entries = st.integers(min_value=-3, max_value=3)

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from pivot_limits import fewest_pivots
 
+from projconst import simplex
 from projconst.linalg import Subspace
 from projconst.minproj import LPBudget
 from projconst.planner import (
@@ -186,14 +187,18 @@ class TestDemonstrateSchedule:
         assert last.ambient_dim == 9
 
     def test_pivot_limit_truncates(self, monkeypatch):
-        # the line's LP solves within this limit, ker_3 = Sigma_3(line) does not
-        fewest_pivots(monkeypatch, SCALAR_LINE)
-        report = demonstrate_schedule(SCALAR_LINE, ad_hoc_plan(F(1), 3, 2), 2)
-        assert (report.truncated, report.status) == (True, "inconclusive")
-        assert report.base_lambda == F(1)
+        # the base's LP is the only one: the pivots it needs certify the step
+        # to ell_inf^9 as well, and one pivot fewer stops the base itself
+        base = coordinate_sum_kernel(3)
+        plan = ad_hoc_plan(F(4, 3), 3, 1)
+        limit = fewest_pivots(monkeypatch, base)
+        report = demonstrate_schedule(base, plan, 1)
+        assert (report.truncated, report.status) == (False, "ok")
         [step] = report.steps
-        assert (step.ambient_dim, step.expected) == (3, F(4, 3))
-        assert step.computed is None and not step.certified
+        assert (step.ambient_dim, step.computed) == (9, F(16, 9))
+        monkeypatch.setattr(simplex, "PIVOT_LIMIT", limit - 1)
+        with pytest.raises(simplex.PivotLimitExceeded):
+            demonstrate_schedule(base, plan, 1)
 
     def test_json_document(self):
         plan = ad_hoc_plan(F(1), 3, 1)

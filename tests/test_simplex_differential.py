@@ -33,12 +33,16 @@ def outcome(solve, program):
 
 
 def assert_same(program):
+    """The (value, assignment) pair or the exception type, checked against the
+    reference; the slack duals, which the reference does not return, are
+    checked in `test_slack_duals_are_an_optimal_dual`."""
     got = outcome(solve_linear_program, program)
     want = outcome(reference_solve, program)
-    assert got == want
     if isinstance(got, tuple):
-        value, assignment = got
-        assert all(type(x) is F for x in [value, *assignment])
+        value, assignment, slack_duals = got
+        assert all(type(x) is F for x in [value, *assignment, *slack_duals])
+        got = value, assignment
+    assert got == want
     return got
 
 
@@ -86,6 +90,33 @@ def test_identical_results_on_random_programs():
     assert kinds["optimal"] >= 200
     assert kinds[simplex.InfeasibleProgram] >= 200
     assert kinds[simplex.UnboundedProgram] >= 200
+
+
+def test_slack_duals_are_an_optimal_dual():
+    # inequality-only programs, so u alone is the dual: u >= 0, the reduced
+    # costs objective + A^T u vanish on free and are >= 0 on other variables,
+    # and the value is -u.b; rows with b < 0 enter the tableau negated
+    rng = Random(20240603)
+    optimal = negated = 0
+    for _ in range(1500):
+        nv, n_ub = rng.randint(1, 5), rng.randint(1, 5)
+        ub = [[_entry(rng, 0.3) for _ in range(nv)] for _ in range(n_ub)]
+        rhs = [_entry(rng, 0.3) for _ in range(n_ub)]
+        objective = [_entry(rng, 0.3) for _ in range(nv)]
+        free = [rng.random() < 0.3 for _ in range(nv)]
+        program = LinearProgram(objective, [], [], [sparse_row(row) for row in ub], rhs, free)
+        try:
+            value, _, u = solve_linear_program(program)
+        except SimplexError:
+            continue
+        assert len(u) == n_ub and min(u, default=0) >= 0
+        for j in range(nv):
+            reduced = objective[j] + sum(ui * row[j] for ui, row in zip(u, ub))
+            assert reduced == 0 if free[j] else reduced >= 0
+        assert value == -sum(ui * b for ui, b in zip(u, rhs))
+        optimal += 1
+        negated += any(ui and b < 0 for ui, b in zip(u, rhs))
+    assert optimal >= 300 and negated >= 50, (optimal, negated)
 
 
 def test_tableau_rows_are_distinct_lists(monkeypatch):

@@ -14,8 +14,9 @@ from blocks_reference import block_permutation, coordinatewise_lift
 from linalg_reference import subspace_contains
 from pivot_limits import fewest_pivots
 
+from projconst import simplex
 from projconst.linalg import Mat, Subspace, inf_op_norm
-from projconst.minproj import LPBudget, projection_constant
+from projconst.minproj import DEFAULT_BUDGET, LPBudget, projection_certificate, projection_constant
 from projconst.zerosum import (
     DecompositionIntegrityError,
     NotAProjectionError,
@@ -282,12 +283,16 @@ class TestMultiplicationLaw:
         assert report.sigma_lambda is None
 
     def test_pivot_limit_on_the_big_side(self, monkeypatch):
-        # the line's LP solves within this limit, ker_3 = Sigma_3(line) does not
-        fewest_pivots(monkeypatch, SCALAR_LINE)
-        report = verify_multiplication_law(SCALAR_LINE, 3)
+        # the base's LP is the only one: the pivots it needs also certify
+        # Sigma_3(ker_3) in ell_inf^9, and one pivot fewer leaves both sides open
+        base = coordinate_sum_kernel(3)
+        limit = fewest_pivots(monkeypatch, base)
+        report = verify_multiplication_law(base, 3)
+        assert (report.status, report.sigma_lambda) == ("ok", F(16, 9))
+        monkeypatch.setattr(simplex, "PIVOT_LIMIT", limit - 1)
+        report = verify_multiplication_law(base, 3)
         assert report.status == "inconclusive"
-        assert report.base_lambda == F(1)
-        assert (report.sigma_lambda, report.equal) == (None, None)
+        assert (report.base_lambda, report.sigma_lambda, report.equal) == (None, None, None)
 
     def test_json_document(self):
         doc = verify_multiplication_law(SCALAR_LINE, 2).to_json_dict()
@@ -303,18 +308,37 @@ class TestMultiplicationLaw:
         }
 
 
+def line_steps(copies: int, steps: int, budget: LPBudget = DEFAULT_BUDGET) -> list:
+    return list(sigma_steps(SCALAR_LINE, projection_certificate(SCALAR_LINE),
+                            copies, steps, budget))
+
+
 class TestSigmaSteps:
     def test_iterates_on_the_scalar_line(self):
         # Sigma_3(line) = ker_3 in ell_inf^3, then Sigma_3(ker_3) in ell_inf^9
-        assert list(sigma_steps(SCALAR_LINE, 3, 2)) == [(3, F(4, 3)), (9, F(16, 9))]
+        assert line_steps(3, 2) == [(3, F(4, 3)), (9, F(16, 9))]
 
     def test_stops_after_the_first_step_beyond_the_budget(self):
         tight = LPBudget(max_ambient=3, max_dim=4)
-        assert list(sigma_steps(SCALAR_LINE, 3, 3, tight)) == [(3, F(4, 3)), (9, None)]
+        assert line_steps(3, 3, tight) == [(3, F(4, 3)), (9, None)]
 
     def test_stops_at_the_pivot_limit(self, monkeypatch):
-        fewest_pivots(monkeypatch, SCALAR_LINE)
-        assert list(sigma_steps(SCALAR_LINE, 3, 2)) == [(3, None)]
+        # only the base's LP can stop at the pivot limit: the levels above
+        # it solve no LP, so the limit that the base needs certifies them all
+        base = coordinate_sum_kernel(3)
+        limit = fewest_pivots(monkeypatch, base)
+        assert list(sigma_steps(base, projection_certificate(base), 2, 2)) == [
+            (6, F(4, 3)), (12, F(4, 3))]
+        monkeypatch.setattr(simplex, "PIVOT_LIMIT", limit - 1)
+        with pytest.raises(simplex.PivotLimitExceeded):
+            projection_certificate(base)
+
+    def test_pivot_limit_of_one_certifies_levels_above_the_scalar_line(self, monkeypatch):
+        # the line (k = n) needs no LP, so no step of its schedule pivots;
+        # Sigma_3(ker_3) alone took 454 pivots as a program of ell_inf^9
+        monkeypatch.setattr(simplex, "PIVOT_LIMIT", 1)
+        assert line_steps(3, 2) == [(3, F(4, 3)), (9, F(16, 9))]
+        assert verify_multiplication_law(SCALAR_LINE, 4).sigma_lambda == F(3, 2)
 
     def test_zero_steps(self):
-        assert list(sigma_steps(SCALAR_LINE, 3, 0)) == []
+        assert line_steps(3, 0) == []

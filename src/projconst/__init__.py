@@ -33,12 +33,9 @@ from .minproj import (
     LPBudget,
     OracleConfig,
     OracleInconclusive,
-    ProjectionCertificate,
     ProjectionConstantResult,
     SolverIntegrityError,
-    check_certificate,
     float_oracle,
-    projection_certificate,
     projection_constant,
 )
 from .planner import (
@@ -74,7 +71,6 @@ __all__ = [
     "OracleConfig",
     "OracleInconclusive",
     "PlanRangeError",
-    "ProjectionCertificate",
     "ProjectionConstantResult",
     "RankDeficientError",
     "SeqOperator",
@@ -87,7 +83,6 @@ __all__ = [
     "bound_g",
     "build_model",
     "centring_projection",
-    "check_certificate",
     "compare_with_prior_bound",
     "coordinate_sum_kernel",
     "demonstrate_schedule",
@@ -100,7 +95,6 @@ __all__ = [
     "optimize_numeric",
     "parse_rational",
     "plan_parameters",
-    "projection_certificate",
     "projection_constant",
     "sigma_steps",
     "sigma_subspace",

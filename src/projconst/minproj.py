@@ -41,7 +41,6 @@ from .linalg import (
     Mat,
     Subspace,
     format_rational,
-    inf_op_norm,
     integer_row,
     invert_square,
     kernel_basis,
@@ -145,59 +144,96 @@ class ProjectionConstantResult:
     B^T C is idempotent, fixes every basis row and maps into E, and its
     exact norm equals `value`, attained on `witness`.  The minimum is
     always attained here (finite dimensions), hence `attained` is True.
+    A result keeps C and the subspace; `projection` is rebuilt from them
+    on each access, so a kept result holds k*n entries instead of n*n more.
     """
 
     value: Fraction
     minimizer_c: Mat
-    projection: Mat
+    space: Subspace
     witness: tuple[int, ...]
     attained: bool = True
 
+    @property
+    def projection(self) -> Mat:
+        """The optimal projection P = B^T C."""
+        return self.space.basis.transpose() @ self.minimizer_c
+
     def to_json_dict(self) -> dict:
+        projection = self.projection
         return {
             "lambda": format_rational(self.value),
             "projection": [
-                [format_rational(x) for x in self.projection.row(i)]
-                for i in range(self.projection.rows)
+                [format_rational(x) for x in projection.row(i)]
+                for i in range(projection.rows)
             ],
             "witness": list(self.witness),
             "attained": self.attained,
         }
 
 
-def _shared_entries(*mats: Mat) -> list[Mat]:
-    """The matrices again, with one Fraction object per distinct entry value.
+def _shared_entries(m: Mat) -> Mat:
+    """The matrix again, with one Fraction object per distinct entry value.
 
-    An optimal projection repeats few values (two for ker_n), so a kept
-    result costs one object per value instead of one per entry; 0 and +-1,
-    the most common, are this module's constants, shared by every result.
+    An optimal solution repeats few values, so a kept result costs one
+    object per value instead of one per entry; 0 and +-1, the most common,
+    are this module's constants, shared by every result.
     """
     shared = {x: x for x in (_ZERO, _ONE, _MINUS_ONE)}
-    return [Mat(m.rows, m.cols, tuple(shared.setdefault(x, x) for x in m.entries))
-            for m in mats]
+    return Mat(m.rows, m.cols, tuple(shared.setdefault(x, x) for x in m.entries))
+
+
+def _require(holds: bool, check: str, detail: str):
+    if not holds:
+        raise SolverIntegrityError(f"certificate check '{check}' fails: {detail}")
+
+
+def _integer_matrix(m: Mat) -> tuple[list[list[int]], int]:
+    """The rows of `m` as numerators over one common denominator."""
+    num, den = integer_row(m.entries)
+    return [num[i:i + m.cols] for i in range(0, len(num), m.cols)], den
+
+
+def _products(rows, cols) -> list[list[int]]:
+    """Integer matrix product: entry (i, j) is rows[i] . cols[j]."""
+    return [[sum(map(operator.mul, r, c)) for c in cols] for r in rows]
+
+
+def _check_primal(basis: Mat, value: Fraction, coeffs: Mat):
+    """The checks 'C B^T = I' and 'norm': P = B^T C projects onto the row
+    space of B, and its largest absolute row sum is `value`.
+
+    Returns B's integer rows and P's rows as integers over `den`, the
+    product of the denominators of B and C, as (b, p_rows, den).
+    """
+    b, db = _integer_matrix(basis)
+    c, dc = _integer_matrix(coeffs)
+    den = db * dc
+    _require(all(x == (den if p == q else 0)
+                 for p, row in enumerate(_products(c, b)) for q, x in enumerate(row)),
+             "C B^T = I", "C is not a left inverse of B^T")
+    p_rows = _products(list(zip(*b)), list(zip(*c)))
+    norm = max(sum(map(abs, row)) for row in p_rows)
+    _require(norm * value.denominator == value.numerator * den, "norm",
+             f"value {value} disagrees with exact norm {Fraction(norm, den)} of B^T C")
+    return b, p_rows, den
 
 
 def _certify(space: Subspace, value: Fraction, coeffs: Mat) -> ProjectionConstantResult:
     """Check an LP optimum exactly.  C B^T = I_k makes P = B^T C a projection onto
     E: P^2 = B^T (C B^T) C = P, P B^T = B^T and range P lies in the row space of
     B; conversely P B^T = B^T forces C B^T = I, as B has full row rank.  The norm
-    of P must equal the value, be at least 1 and be attained on the witness."""
-    basis_t = space.basis.transpose()
-    projection = basis_t @ coeffs
-    norm = inf_op_norm(projection)
-    if norm.value != value:
-        raise SolverIntegrityError(
-            f"LP optimum {value} disagrees with exact norm {norm.value}"
-        )
+    of P must equal the value, be at least 1 and be attained on the witness, the
+    signs of P's first row of largest absolute sum (zeros read as +1)."""
+    _, p_rows, den = _check_primal(space.basis, value, coeffs)
     if value < 1:
         raise SolverIntegrityError(f"projection constant below 1: {value}")
-    if coeffs @ basis_t != Mat.identity(space.dim):
-        raise SolverIntegrityError("optimal coefficients violate C B^T = I")
-    image = projection.apply(norm.witness)
-    if max((abs(x) for x in image), default=_ZERO) != value:
+    sums = [sum(map(abs, row)) for row in p_rows]
+    witness = tuple(1 if x >= 0 else -1 for x in p_rows[sums.index(max(sums))])
+    image = _products(p_rows, [witness])
+    if max(abs(x) for [x] in image) * value.denominator != value.numerator * den:
         raise SolverIntegrityError("norm witness does not attain the optimum")
-    return ProjectionConstantResult(value, *_shared_entries(coeffs, projection),
-                                    norm.witness)
+    return ProjectionConstantResult(value, _shared_entries(coeffs), space, witness)
 
 
 class ProjectionCertificate(NamedTuple):
@@ -231,23 +267,14 @@ class ProjectionCertificate(NamedTuple):
             self.restriction.kron(other.restriction))
 
 
-def _integer_matrix(m: Mat) -> tuple[list[list[int]], int]:
-    """The rows of `m` as numerators over one common denominator."""
-    num, den = integer_row(m.entries)
-    return [num[i:i + m.cols] for i in range(0, len(num), m.cols)], den
+def check_certificate(basis: Mat, cert: ProjectionCertificate):
+    """Prove lambda(E) = cert.value for the row space E of `basis`, or raise
+    SolverIntegrityError naming the failed check.
 
+    With B = `basis`, the checks are, in order:
 
-def _products(rows, cols) -> list[list[int]]:
-    """Integer matrix product: entry (i, j) is rows[i] . cols[j]."""
-    return [[sum(map(operator.mul, r, c)) for c in cols] for r in rows]
-
-
-def check_certificate(space: Subspace, cert: ProjectionCertificate):
-    """Prove lambda(space) = cert.value, or raise SolverIntegrityError naming the failed check.
-
-    With B the basis of `space`, the checks are, in order:
-
-    * 'C B^T = I': P = B^T C is then a projection onto E;
+    * 'C B^T = I': P = B^T C is then a projection onto E, and B has full
+      row rank, so it needs no separate rank check;
     * 'norm': the largest absolute row sum of P is the value, so
       lambda(E) <= value;
     * 'w >= 0' and 'sum w = 1';
@@ -255,8 +282,9 @@ def check_certificate(space: Subspace, cert: ProjectionCertificate):
     * 'B W = Lambda B';
     * 'tr Lambda': the trace of Lambda is the value.
 
-    The last four give lambda(E) >= value by weak duality.  Any projection
-    P' onto E is B^T C' with C' B^T = I, so
+    The first two are `_certify`'s too.  The last four give
+    lambda(E) >= value by weak duality.  Any projection P' onto E is
+    B^T C' with C' B^T = I, so
     <W, P'> = tr((B W)^T C') = tr(Lambda^T C' B^T) = tr Lambda, while
     <W, P'> <= sum_i w_i (row sum i of |P'|) <= norm(P').
 
@@ -267,41 +295,26 @@ def check_certificate(space: Subspace, cert: ProjectionCertificate):
     that made the certificate.
     """
     value, coeffs, dual, weights, restriction = cert
-    k, n = space.dim, space.ambient_dim
-
-    def require(holds: bool, check: str, detail: str):
-        if not holds:
-            raise SolverIntegrityError(f"certificate check '{check}' fails: {detail}")
-
-    require((coeffs.rows, coeffs.cols, dual.rows, dual.cols, len(weights),
-             restriction.rows, restriction.cols) == (k, n, n, n, n, k, k),
-            "shape", f"certificate does not fit a {k}-dimensional subspace of ell_inf^{n}")
-    b, db = _integer_matrix(space.basis)
-    c, dc = _integer_matrix(coeffs)
-    b_cols = list(zip(*b))
-    identity = db * dc
-    require(all(x == (identity if p == q else 0)
-                for p, row in enumerate(_products(c, b)) for q, x in enumerate(row)),
-            "C B^T = I", "C is not a left inverse of B^T")
-    # row i of B^T C over db * dc
-    norm = max(sum(map(abs, row)) for row in _products(b_cols, list(zip(*c))))
-    require(norm * value.denominator == value.numerator * identity,
-            "norm", f"norm of B^T C is {Fraction(norm, identity)}, not {value}")
+    k, n = basis.rows, basis.cols
+    _require((coeffs.rows, coeffs.cols, dual.rows, dual.cols, len(weights),
+              restriction.rows, restriction.cols) == (k, n, n, n, n, k, k),
+             "shape", f"certificate does not fit a {k}-dimensional subspace of ell_inf^{n}")
+    b, _, _ = _check_primal(basis, value, coeffs)
     w, dw = integer_row(weights)
-    require(min(w) >= 0, "w >= 0", "a weight is negative")
-    require(sum(w) == dw, "sum w = 1", f"weights sum to {Fraction(sum(w), dw)}")
+    _require(min(w) >= 0, "w >= 0", "a weight is negative")
+    _require(sum(w) == dw, "sum w = 1", f"weights sum to {Fraction(sum(w), dw)}")
     dual_rows, d_dual = _integer_matrix(dual)
-    require(all(abs(x) * dw <= wi * d_dual for wi, row in zip(w, dual_rows) for x in row),
-            "|W_ij| <= w_i", "an entry of W exceeds its row weight")
+    _require(all(abs(x) * dw <= wi * d_dual for wi, row in zip(w, dual_rows) for x in row),
+             "|W_ij| <= w_i", "an entry of W exceeds its row weight")
     lam_rows, d_lam = _integer_matrix(restriction)
     bw = _products(b, list(zip(*dual_rows)))  # over db * d_dual
-    lb = _products(lam_rows, b_cols)  # over d_lam * db
-    require(all(x * d_lam == y * d_dual for bw_row, lb_row in zip(bw, lb)
-                for x, y in zip(bw_row, lb_row)),
-            "B W = Lambda B", "W does not act on E as Lambda")
+    lb = _products(lam_rows, list(zip(*b)))  # over d_lam * db
+    _require(all(x * d_lam == y * d_dual for bw_row, lb_row in zip(bw, lb)
+                 for x, y in zip(bw_row, lb_row)),
+             "B W = Lambda B", "W does not act on E as Lambda")
     trace = sum(lam_rows[i][i] for i in range(k))
-    require(trace * value.denominator == value.numerator * d_lam,
-            "tr Lambda", f"trace of Lambda is {Fraction(trace, d_lam)}, not {value}")
+    _require(trace * value.denominator == value.numerator * d_lam,
+             "tr Lambda", f"trace of Lambda is {Fraction(trace, d_lam)}, not {value}")
 
 
 def _solve(space: Subspace):
@@ -338,7 +351,7 @@ def projection_certificate(space: Subspace) -> ProjectionCertificate:
         weights = tuple(u[2 * n * n:])
     restriction = space.basis @ dual @ coeffs.transpose()
     cert = ProjectionCertificate(value, coeffs, dual, weights, restriction)
-    check_certificate(space, cert)
+    check_certificate(space.basis, cert)
     return cert
 
 

@@ -347,24 +347,25 @@ def sigma_steps(base: Subspace, certificate: ProjectionCertificate, copies: int,
     base's, as `projection_certificate` returns it.
 
     Yields (ambient_dim, lambda) for each step.  The LP budget is still
-    checked on a step's shape before its zero-sum space is built, so a large
-    N costs nothing; a step beyond it yields (ambient_dim, None) and ends
-    the run.
+    checked on a step's shape before its basis is built, so a large N
+    costs nothing; a step beyond it yields (ambient_dim, None) and ends the
+    run.  A level is kept as its basis alone: the check 'C B^T = I' proves
+    full row rank, so no `Subspace` with its rank elimination is built.
     """
-    current = base
+    basis = base.basis
     factor = None
     for _ in range(steps):
-        ambient = current.ambient_dim * copies
+        ambient = basis.cols * copies
         try:
-            budget.require_shape(ambient, (copies - 1) * current.dim)
+            budget.require_shape(ambient, (copies - 1) * basis.rows)
         except BudgetExceededError:
             yield ambient, None
             return
         if factor is None:
             factor = sum_kernel_certificate(copies)
-        current = sigma_subspace(current, copies).space
+        basis = _sum_kernel_rows(copies).kron(basis)  # as in `sigma_subspace`
         certificate = factor.kron(certificate)
-        check_certificate(current, certificate)
+        check_certificate(basis, certificate)
         yield ambient, certificate.value
 
 

@@ -6,7 +6,7 @@ criterion; the same registry backs `projconst selftest`.
 
 import pytest
 
-from projconst import acceptance, linalg, minproj, zerosum
+from projconst import acceptance, linalg, zerosum
 from projconst.acceptance import CRITERIA, FAULT_ENV, Context, CriterionFailure, run_all
 
 
@@ -69,7 +69,7 @@ def test_symmetrization_takes_each_norm_once(monkeypatch):
         calls.append(m)
         return linalg.inf_op_norm(m)
 
-    for module in (acceptance, minproj, zerosum):
+    for module in (acceptance, zerosum):
         monkeypatch.setattr(module, "inf_op_norm", counted)
     [result] = run_all(Context(), only={"symmetrization"})
     assert result.passed

@@ -48,7 +48,7 @@ class TestLinearProgramCertificates:
             space = _random_space(rng, n, rng.randint(1, n - 1))
             cert = projection_certificate(space)
             assert cert.value == projection_constant(space).value
-            check_certificate(space, cert)
+            check_certificate(space.basis, cert)
 
     def test_full_dimension_needs_no_program(self):
         space = Subspace.from_rows([[1, 2], [0, 3]])
@@ -70,7 +70,7 @@ class TestClosedFormAndTensors:
     @pytest.mark.parametrize("copies", range(2, 9))
     def test_sum_kernel(self, copies):
         cert = sum_kernel_certificate(copies)
-        check_certificate(coordinate_sum_kernel(copies), cert)
+        check_certificate(coordinate_sum_kernel(copies).basis, cert)
         assert cert.value == zerosum.amplification_factor(copies)
 
     def test_sum_kernel_matches_the_centring_map(self):
@@ -81,7 +81,7 @@ class TestClosedFormAndTensors:
     def test_kron_certifies_the_zero_sum_space(self):
         base = Subspace.from_rows([[1, 2, -1]])
         tensored = sum_kernel_certificate(3).kron(projection_certificate(base))
-        check_certificate(sigma_subspace(base, 3).space, tensored)
+        check_certificate(sigma_subspace(base, 3).space.basis, tensored)
         assert tensored.value == F(4, 3) * projection_constant(base).value
 
     def test_kron_of_two_solved_certificates(self):
@@ -89,7 +89,7 @@ class TestClosedFormAndTensors:
         e, f = coordinate_sum_kernel(3), Subspace.from_rows([[1, 1]])
         space = Subspace(6, e.basis.kron(f.basis))
         cert = projection_certificate(e).kron(projection_certificate(f))
-        check_certificate(space, cert)
+        check_certificate(space.basis, cert)
         assert cert.value == projection_constant(space).value
 
 
@@ -144,17 +144,26 @@ def _mutants(space: Subspace, cert: ProjectionCertificate):
 @pytest.mark.parametrize("make", [_base, _tensored], ids=["base", "tensored"])
 def test_every_mutant_fails_its_check(make):
     space, cert = make()
-    check_certificate(space, cert)
+    check_certificate(space.basis, cert)
     for field, mutant, check in _mutants(space, cert):
         with pytest.raises(SolverIntegrityError) as caught:
-            check_certificate(space, mutant)
+            check_certificate(space.basis, mutant)
         assert str(caught.value).startswith(f"certificate check '{check}' fails"), field
 
 
 def test_a_certificate_of_the_wrong_shape_fails():
     space, cert = _base()
     with pytest.raises(SolverIntegrityError, match="certificate check 'shape'"):
-        check_certificate(sigma_subspace(space, 2).space, cert)
+        check_certificate(sigma_subspace(space, 2).space.basis, cert)
+
+
+def test_dependent_rows_fail_the_left_inverse_check():
+    # check_certificate builds no Subspace: 'C B^T = I' alone rules out a
+    # basis without full row rank, as C B^T has rank at most rank B
+    space, cert = _base()
+    rows = space.basis.row_lists()
+    with pytest.raises(SolverIntegrityError, match="certificate check 'C B\\^T = I'"):
+        check_certificate(Mat.from_rows([rows[0], rows[0]]), cert)
 
 
 def test_a_wrong_kernel_factor_fails_the_multiplication_law(monkeypatch):

@@ -9,11 +9,12 @@ at a +-1 sign vector.
 This module holds the package's one exact elimination kernel.  It works on
 integer rows: a row is a list of Python ints over one positive denominator,
 entry j standing for row[j] / den, kept in lowest terms.  `pivot_rows` is the
-single pivot step.  `_reduce` (behind rank, kernel, inverse and
-`projection_defect`) and the simplex tableau in `simplex` both pivot with it,
-so rows are updated in place by integer multiply, subtract and one gcd
-division per row, as in Edmonds' (1967) and Bareiss' (1968) integer-preserving
-elimination, with work proportional to a row's nonzeros, not its width.
+single pivot step: `_reduce` (behind rank, kernel, inverse and
+`projection_defect`) pivots with its Gauss-Jordan form, the condensed simplex
+tableau in `simplex` with its exchange form.  Rows are updated in place by
+integer multiply, subtract and one gcd division per row, as in Edmonds' (1967)
+and Bareiss' (1968) integer-preserving elimination, with work proportional to
+a row's nonzeros, not its width.
 `Fraction`s are built only from the final rows.
 
 No floating point enters this module.
@@ -269,19 +270,23 @@ def lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
     """Divide numerators and denominator by their common gcd."""
     if den == 1:
         return row, den
-    g = math.gcd(den, *row)
+    g = functools.reduce(math.gcd, filter(None, row), den)
     if g == 1:
         return row, den
     return [x // g for x in row], den // g
 
 
-def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int):
-    """One Gauss-Jordan pivot on (r, c); entry (r, c) must be nonzero.
+def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
+               exchange: bool = False):
+    """One pivot on (r, c); entry (r, c), the pivot p, must be nonzero.
 
-    Row r, with pivot numerator p, becomes its numerators over |p| (signs
-    flipped when p < 0), so entry c reads 1.  Every other row with
-    f = row[c] != 0 becomes P*row - f*prow over den*P, where P is the pivot
-    row's new denominator.  Each changed row is brought to lowest terms.
+    Gauss-Jordan form: row r becomes its numerators over |p| (signs flipped
+    when p < 0), so entry c reads 1, and every other row with f = row[c] != 0
+    becomes P*row - f*prow over den*P, where P is the pivot row's new
+    denominator.  Exchange form (`exchange`), for a condensed tableau: column
+    c becomes the leaving variable's, 1/p in row r and -f/p in the others,
+    by writing dens[r] at (r, c) before row r is divided and zeroing row[c]
+    before each update.  Each changed row is brought to lowest terms.
 
     Rows change in place, so the entries of `rows` must be distinct lists.
     C-level scans find the touched rows and the nonzeros each row updates.
@@ -290,7 +295,9 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int):
     prow = rows[r]
     cols = range(len(prow))
     p = prow[c]
-    g = functools.reduce(math.gcd, filter(None, prow), 0)
+    if exchange:
+        prow[c] = dens[r]
+    g = functools.reduce(math.gcd, filter(None, prow), p)
     if p < 0:
         g = -g
     if g != 1:
@@ -303,6 +310,8 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int):
             continue
         row = rows[i]
         f = row[c]
+        if exchange:
+            row[c] = 0
         if pden != 1:
             for j in compress(cols, row):
                 row[j] *= pden

@@ -9,37 +9,42 @@ map {column: coefficient} and c dense.  Free variables are split into
 positive and negative parts, inequalities get slack variables, and
 equalities get artificial variables for phase 1.
 
-The tableau is fraction-free.  It is a list of integer rows in the sense of
-`linalg`: Python ints over one positive denominator, entry j of row i
-standing for tableau[i][j] / dens[i].  The m constraint rows come first and
-the objective row is the last row.  A row starts over the lcm of the
+The tableau is condensed and fraction-free.  It keeps the nonbasic columns
+only (the basic ones are identity columns, half or more of a full row):
+labels[q] names the variable at position q and basis[i] that of row i.  A
+row is a list of Python ints over one positive denominator, in the sense of
+`linalg`.  The m constraint rows come first, the objective row last.  A row starts over the lcm of the
 denominators of its listed entries and right-hand side (an unlisted zero
-would add 1), and every pivot is `linalg.pivot_rows`, the package's one
-elimination kernel: it rescales the pivot row so that the pivot entry reads
-1 and eliminates the pivot column from every other row, objective included,
-by integer multiply, subtract and one exact division per row, in work
+would add 1).  Every pivot is `linalg.pivot_rows` in its exchange form, the
+package's one elimination kernel: a pivot on (r, q) swaps labels[q] with
+basis[r], and position q then holds the leaving variable's column, 1/p in
+row r and -a_iq/p in every other row i, objective included, in work
 proportional to the nonzeros.  The entering and ratio-test scans run in C.
 
 Pivoting uses Bland's smallest-index rule for both the entering and the
-leaving choice.  That precludes cycling, so termination is guaranteed, and
-it makes every solve deterministic: identical input programs produce the
-identical pivot sequence and the identical optimal assignment.  The integer
-rows do not change that sequence.  Each row stands for exactly the rational
-row of the textbook tableau, and denominators are positive, so a sign test
-reads the numerator.  The ratio test compares rhs_i / a_i by
-cross-multiplying numerators, since a row's denominator cancels in its own
-ratio.  Hence every entering column, every leaving row, every redundant row
-dropped after phase 1 and the returned assignment are those of the rational
-tableau.
+leaving choice, by variable label, not by position.  That precludes
+cycling, so termination is guaranteed, and it makes every solve
+deterministic: identical input programs produce the identical pivot
+sequence and the identical optimal assignment.  The condensed integer rows
+do not change that sequence.  Each row stands for exactly the nonbasic part
+of the rational row of the textbook tableau, and denominators are
+positive, so a sign test reads the numerator.  The ratio test compares
+rhs_i / a_i by cross-multiplying numerators, since a row's denominator
+cancels in its own ratio.  Hence every entering variable, every leaving
+row, every redundant row dropped after phase 1 and the returned assignment
+are those of the full rational tableau.
 
 The optimum also carries its dual: the final objective row, read at the
-slack columns.  Entry i is u_i = -y_i >= 0, where y_i <= 0 is the optimal
-multiplier of inequality i.  A reduced cost does not change when a row is
-scaled, so a row negated for its right-hand side needs no sign correction.
+slacks' positions, and 0 for a basic slack.  Entry i is u_i = -y_i >= 0,
+where y_i <= 0 is the optimal multiplier of inequality i.  A reduced cost
+does not change when a row is scaled, so a row negated for its right-hand
+side needs no sign correction.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -150,7 +155,6 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
     negated = [b < 0 for _, b in constraints]
     m = len(constraints)
     basis: list[int] = [-1] * m
-    artificial_of_row: dict[int, int] = {}
     n_art = 0
     for i in range(m):
         if i >= n_eq:
@@ -158,27 +162,30 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
             if not negated[i]:
                 basis[i] = slack_start + (i - n_eq)
                 continue
-        artificial_of_row[i] = art_start + n_art
+        basis[i] = art_start + n_art
         n_art += 1
     ncols = art_start + n_art
 
+    # The tableau keeps nonbasic columns only: position q holds variable
+    # labels[q], and the rhs follows.  At the start the artificials and the
+    # slacks of rows kept as written are basic.
+    labels = [j for j in range(art_start) if j < slack_start or negated[n_eq + j - slack_start]]
+    position = {j: q for q, j in enumerate(labels)}
+    width = len(labels)
     tableau: list[list[int]] = []
     dens: list[int] = []
     for i, (row, b) in enumerate(constraints):
         num, den = integer_row([*row.values(), b])
         sign = -1 if negated[i] else 1
-        full = [0] * (ncols + 1)
+        full = [0] * (width + 1)
         for j, x in zip(row, num):
             if x:
-                full[j] = sign * x
+                full[position[j]] = sign * x
                 if j in neg_part:
-                    full[neg_part[j]] = -sign * x
-        if i >= n_eq:
-            full[slack_start + (i - n_eq)] = sign * den
-        if i in artificial_of_row:
-            full[artificial_of_row[i]] = den
-            basis[i] = artificial_of_row[i]
-        full[ncols] = sign * num[-1]
+                    full[position[neg_part[j]]] = -sign * x
+        if negated[i] and i >= n_eq:
+            full[position[slack_start + (i - n_eq)]] = -den
+        full[width] = sign * num[-1]
         tableau.append(full)
         dens.append(den)
 
@@ -187,30 +194,37 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
     dens.append(1)
     pivots = 0
 
-    def pivot(row_i: int, col_j: int):
+    def pivot(row_i: int, q: int):
         nonlocal pivots
         pivots += 1
         if pivots > PIVOT_LIMIT:
             raise PivotLimitExceeded(f"exceeded {PIVOT_LIMIT} pivots")
-        pivot_rows(tableau, dens, row_i, col_j)
-        basis[row_i] = col_j
+        pivot_rows(tableau, dens, row_i, q, exchange=True)
+        labels[q], basis[row_i] = basis[row_i], labels[q]
 
     def set_objective(cost: list[Fraction]):
         """Make the objective row the reduced costs of `cost`.
 
-        Each basic column reads 1 in its own row and 0 in the other
-        constraint rows, so pricing it out is a pivot on that entry which
-        changes the objective row alone.
+        That is cost at the nonbasic positions less cost[basis[i]] times
+        row i, for every row: one integer combination over the lcm of the
+        rows' denominators, brought to lowest terms.
         """
-        tableau[-1], dens[-1] = integer_row(cost + [_ZERO])
-        for i, b in enumerate(basis):
-            if tableau[-1][b]:
-                pivot_rows(tableau, dens, i, b)
+        num, den = integer_row(cost)
+        priced = [i for i, b in enumerate(basis) if num[b]]
+        scale = functools.reduce(math.lcm, (dens[i] for i in priced), 1)
+        obj = [num[j] * scale for j in labels] + [0]
+        for i in priced:
+            row = tableau[i]
+            f = num[basis[i]] * (scale // dens[i])
+            for j in compress(range(width + 1), row):
+                obj[j] -= f * row[j]
+        tableau[-1], dens[-1] = lowest_terms(obj, den * scale)
 
-    def run(eligible_end: int):
+    def run():
         while True:
-            enter = next(compress(range(eligible_end),
-                                  map(operator.lt, tableau[-1], repeat(0))), -1)
+            costs = tableau[-1]
+            enter = min(compress(range(width), map(operator.lt, costs, repeat(0))),
+                        key=labels.__getitem__, default=-1)
             if enter < 0:
                 return
             leave = -1
@@ -218,7 +232,7 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
             column = map(operator.itemgetter(enter), tableau)
             for i in compress(range(m), map(operator.gt, column, repeat(0))):
                 row = tableau[i]
-                a, b = row[enter], row[ncols]
+                a, b = row[enter], row[width]
                 # sign of b / a - best_b / best_a, with a, best_a > 0
                 cross = b * best_a - best_b * a
                 if (leave < 0 or cross < 0
@@ -235,29 +249,33 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
         for j in range(art_start, ncols):
             phase1_cost[j] = _ONE
         set_objective(phase1_cost)
-        run(ncols)
+        run()
         # Right-hand sides stay nonnegative, so their sum is zero exactly
         # when each one is.
-        if any(tableau[i][ncols] for i in range(m) if basis[i] >= art_start):
+        if any(tableau[i][width] for i in range(m) if basis[i] >= art_start):
             raise InfeasibleProgram("phase 1 terminated with positive artificial mass")
-        # Drive any zero-level artificial out of the basis; a row with no
-        # remaining legitimate pivot is redundant and dropped.
+        # Drive any zero-level artificial out of the basis by the smallest
+        # legitimate label; a row with none left is redundant and dropped.
         drop: list[int] = []
         for i in range(m):
             if basis[i] >= art_start:
-                col = next((j for j in range(art_start) if tableau[i][j]), None)
-                if col is None:
+                q = min((q for q in compress(range(width), tableau[i])
+                         if labels[q] < art_start), key=labels.__getitem__, default=-1)
+                if q < 0:
                     drop.append(i)
                 else:
-                    pivot(i, col)
+                    pivot(i, q)
         for i in reversed(drop):
             del tableau[i]
             del dens[i]
             del basis[i]
         m = len(basis)
+        keep = [j < art_start for j in labels] + [True]
+        labels[:] = compress(labels, keep)
+        width = len(labels)
         for i in range(m):
             row = tableau[i]
-            del row[art_start:ncols]
+            row[:] = compress(row, keep)
             tableau[i], dens[i] = lowest_terms(row, dens[i])
         ncols = art_start
 
@@ -268,11 +286,11 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
     for j, nj in neg_part.items():
         phase2_cost[nj] = -lp.objective[j]
     set_objective(phase2_cost)
-    run(ncols)
+    run()
 
     x_std = [_ZERO] * ncols
     for i, b in enumerate(basis):
-        x_std[b] = Fraction(tableau[i][ncols], dens[i])
+        x_std[b] = Fraction(tableau[i][width], dens[i])
     assignment = []
     for j in range(nv):
         val = x_std[j]
@@ -280,7 +298,7 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
             val -= x_std[neg_part[j]]
         assignment.append(val)
     value = sum((c * x for c, x in zip(lp.objective, assignment) if c and x), _ZERO)
-    costs, cost_den = tableau[-1], dens[-1]
-    slack_duals = [Fraction(x, cost_den) if x else _ZERO
-                   for x in costs[slack_start:slack_start + n_ub]]
+    costs = dict(zip(labels, tableau[-1]))
+    slack_duals = [Fraction(x, dens[-1]) if (x := costs.get(s)) else _ZERO
+                   for s in range(slack_start, art_start)]
     return LinearProgramSolution(value, assignment, slack_duals)

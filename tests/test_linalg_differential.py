@@ -10,7 +10,8 @@ terms over positive denominators, which is what keeps their entries small.
 The integer-row matrix product must equal the former `Fraction` product on
 random shapes, including 1x1 factors, zero rows and zero columns.  The
 in-place pivot must leave the rows and denominators of the former pivot
-after every step of seeded pivot sequences, and `_reduce` must hand it
+after every step of seeded pivot sequences, its exchange form must leave
+the rows of the condensed-tableau exchange, and `_reduce` must hand it
 distinct row lists, which in-place updates require.
 """
 
@@ -187,6 +188,32 @@ def test_pivot_matches_the_former_pivot():
             last = (r, c)
         seen["zero row"] += any(not any(row) for row in rows)
         seen["wide, below 15 %"] += len(rows[0]) >= 40 and density < 0.15
+    assert min(seen.values()) >= 30, seen
+
+
+def test_exchange_pivot_is_the_condensed_exchange():
+    # the exchange form swaps the pivot column for the leaving variable's:
+    # 1/p in the pivot row, -a_ic/p elsewhere, and a_ij - a_ic a_rj / p off it
+    seen = Counter()
+    for seed in SEEDS:
+        rng = Random(f"linalg differential exchange {seed}")
+        rows, dens, _ = random_tableau(rng)
+        for _ in range(rng.randint(1, 6)):
+            entries = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+            if not entries:
+                break
+            r, c = rng.choice(entries)
+            a = [[F(x, den) for x in row] for row, den in zip(rows, dens)]
+            p = a[r][c]
+            want = [[(1 / p if j == c else x / p) if i == r
+                     else (-row[c] / p if j == c else x - row[c] * a[r][j] / p)
+                     for j, x in enumerate(row)] for i, row in enumerate(a)]
+            pivot_rows(rows, dens, r, c, exchange=True)
+            assert [[F(x, den) for x in row] for row, den in zip(rows, dens)] == want
+            assert all(den > 0 and math.gcd(den, *row) == 1 for row, den in zip(rows, dens))
+            seen["negative pivot"] += p < 0
+            seen["pivot reads 1"] += p == 1
+            seen["column touches other rows"] += sum(map(bool, (row[c] for row in a))) > 1
     assert min(seen.values()) >= 30, seen
 
 

@@ -119,23 +119,44 @@ def test_slack_duals_are_an_optimal_dual():
     assert optimal >= 300 and negated >= 50, (optimal, negated)
 
 
-def test_tableau_rows_are_distinct_lists(monkeypatch):
-    # the kernel updates rows in place, so no two tableau rows may share a list
-    calls = Counter()
+def phase_widths(program: LinearProgram) -> list[int]:
+    """The number of tableau variables in each phase: originals, negative
+    parts and slacks, plus in phase 1 one artificial per equality and per
+    negated inequality."""
+    n_split = program.num_vars + sum(program.free) + program.num_inequalities
+    n_art = program.num_equalities + sum(b < 0 for b in program.ub_rhs)
+    return [n_split + n_art, n_split] if n_art else [n_split]
 
-    def checked(rows, dens, r, c):
+
+def test_tableau_rows_are_distinct_lists(monkeypatch):
+    # the kernel updates rows in place, so no two tableau rows may share a
+    # list; and the tableau is condensed, so with m constraint rows over
+    # ncols variables every row holds ncols - m columns and its rhs
+    calls = Counter()
+    phases = []
+
+    def checked(rows, dens, r, c, exchange=False):
+        assert exchange
         assert len(set(map(id, rows))) == len(rows)
+        m = len(rows) - 1
+        if len(phases) > 1 and len(rows[0]) != phases[0] - m + 1:
+            phases.pop(0)
+        assert {len(row) for row in rows} == {phases[0] - m + 1}
         calls["pivots"] += 1
-        pivot_rows(rows, dens, r, c)
+        pivot_rows(rows, dens, r, c, exchange)
+
+    def check(program):
+        phases[:] = phase_widths(program)
+        assert_same(program)
 
     monkeypatch.setattr(simplex, "pivot_rows", checked)
     rng = Random(20240602)
     for _ in range(200):
-        assert_same(random_program(rng))
+        check(random_program(rng))
     # two identical constraint rows, and the projection program of ker_4
-    assert_same(LinearProgram([F(1), F(1)], [{0: F(1)}, {0: F(1)}], [F(2), F(2)],
-                              [{1: F(-1)}], [F(-1)], [False, False]))
-    assert_same(build_projection_lp(_kernel(4)))
+    check(LinearProgram([F(1), F(1)], [{0: F(1)}, {0: F(1)}], [F(2), F(2)],
+                        [{1: F(-1)}], [F(-1)], [False, False]))
+    check(build_projection_lp(_kernel(4)))
     assert calls["pivots"] >= 300, calls
 
 

@@ -13,13 +13,14 @@ The tableau is condensed and fraction-free.  It keeps the nonbasic columns
 only (the basic ones are identity columns, half or more of a full row):
 labels[q] names the variable at position q and basis[i] that of row i.  A
 row is a list of Python ints over one positive denominator, in the sense of
-`linalg`.  The m constraint rows come first, the objective row last.  A row starts over the lcm of the
-denominators of its listed entries and right-hand side (an unlisted zero
-would add 1).  Every pivot is `linalg.pivot_rows` in its exchange form, the
-package's one elimination kernel: a pivot on (r, q) swaps labels[q] with
-basis[r], and position q then holds the leaving variable's column, 1/p in
-row r and -a_iq/p in every other row i, objective included, in work
-proportional to the nonzeros.  The entering and ratio-test scans run in C.
+`linalg`.  The m constraint rows come first, the objective row last.  A row
+starts over the lcm of the denominators of its listed entries and
+right-hand side (an unlisted zero would add 1).  Every pivot is
+`linalg.pivot_rows` in its exchange form, the package's one elimination
+kernel: a pivot on (r, q) swaps labels[q] with basis[r], and position q then
+holds the leaving variable's column, 1/p in row r and -a_iq/p in every other
+row i, objective included, in work proportional to the nonzeros.  The
+entering and ratio-test scans run in C.
 
 Pivoting uses Bland's smallest-index rule for both the entering and the
 leaving choice, by variable label, not by position.  That precludes
@@ -222,8 +223,7 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
 
     def run():
         while True:
-            costs = tableau[-1]
-            enter = min(compress(range(width), map(operator.lt, costs, repeat(0))),
+            enter = min(compress(range(width), map(operator.lt, tableau[-1], repeat(0))),
                         key=labels.__getitem__, default=-1)
             if enter < 0:
                 return
@@ -288,13 +288,15 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
     set_objective(phase2_cost)
     run()
 
+    # every zero is the one _ZERO, so kept assignments hold no copies of it
     x_std = [_ZERO] * ncols
     for i, b in enumerate(basis):
-        x_std[b] = Fraction(tableau[i][width], dens[i])
+        if tableau[i][width]:
+            x_std[b] = Fraction(tableau[i][width], dens[i])
     assignment = []
     for j in range(nv):
         val = x_std[j]
-        if j in neg_part:
+        if j in neg_part and x_std[neg_part[j]]:
             val -= x_std[neg_part[j]]
         assignment.append(val)
     value = sum((c * x for c, x in zip(lp.objective, assignment) if c and x), _ZERO)

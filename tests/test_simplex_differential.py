@@ -4,7 +4,8 @@ Both run Bland's rule on the same rational tableau, so on every program they
 must return the identical (value, assignment) or raise the same exception.
 Identical assignments on degenerate programs, where many optima exist, pin
 the pivot sequence as well.  The kernel updates tableau rows in place, so
-every pivot must see distinct row lists.
+every pivot must see distinct row lists, and the tableau is condensed, so
+every row it sees holds only the nonbasic columns and the right-hand side.
 """
 
 from collections import Counter

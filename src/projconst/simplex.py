@@ -288,15 +288,13 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
     set_objective(phase2_cost)
     run()
 
-    # every zero is the one _ZERO, so kept assignments hold no copies of it
     x_std = [_ZERO] * ncols
     for i, b in enumerate(basis):
-        if tableau[i][width]:
-            x_std[b] = Fraction(tableau[i][width], dens[i])
+        x_std[b] = Fraction(tableau[i][width], dens[i])
     assignment = []
     for j in range(nv):
         val = x_std[j]
-        if j in neg_part and x_std[neg_part[j]]:
+        if j in neg_part:
             val -= x_std[neg_part[j]]
         assignment.append(val)
     value = sum((c * x for c, x in zip(lp.objective, assignment) if c and x), _ZERO)

@@ -57,8 +57,6 @@ def assert_same(monkeypatch):
         if not isinstance(got, type):
             assert type(got) is simplex.LinearProgramSolution
             assert all(type(x) is F for x in [got.value, *got.assignment, *got.slack_duals])
-            # results are kept by callers, so a zero must not be a Fraction of its own
-            assert all(x is simplex._ZERO for x in [*got.assignment, *got.slack_duals] if not x)
         return got, full["pivots"]
     return check
 

@@ -17,6 +17,7 @@ from random import Random
 import pytest
 import tableau_reference
 from simplex_reference import sparse_row
+from test_simplex import lp
 from test_simplex_differential import _entry, _kernel, random_program
 
 from projconst import simplex
@@ -96,14 +97,7 @@ def test_identical_solutions_and_pivots_on_random_programs(assert_same):
     assert kinds["pivots"] >= 1500, kinds
 
 
-def lp(objective, eq=(), eq_rhs=(), ub=(), ub_rhs=(), free=None):
-    return LinearProgram([F(x) for x in objective],
-                         [sparse_row(row) for row in eq], [F(x) for x in eq_rhs],
-                         [sparse_row(row) for row in ub], [F(x) for x in ub_rhs],
-                         list(free) if free is not None else [False] * len(objective))
-
-
-@pytest.mark.parametrize("program, outcome", [
+@pytest.mark.parametrize("program, expected", [
     # redundant equalities: two artificials end phase 1 basic at level 0
     (lp([1, 2, -1], eq=[[1, 1, 0], [2, 2, 0], [0, 1, 1], [1, 2, 1]],
         eq_rhs=[1, 2, F(3, 2), F(5, 2)], free=[False, False, True]), "optimal"),
@@ -118,9 +112,9 @@ def lp(objective, eq=(), eq_rhs=(), ub=(), ub_rhs=(), free=None):
     (lp([-1, -1], ub=[[1, -1]], ub_rhs=[-2]), simplex.UnboundedProgram),
 ], ids=["redundant", "duplicate", "negative-drive-out", "infeasible-ub",
         "infeasible-eq", "unbounded", "unbounded-free", "unbounded-after-phase-1"])
-def test_identical_outcomes_on_hand_cases(assert_same, program, outcome):
+def test_identical_outcomes_on_hand_cases(assert_same, program, expected):
     solution, _ = assert_same(program)
-    assert (solution if isinstance(solution, type) else "optimal") == outcome
+    assert (solution if isinstance(solution, type) else "optimal") == expected
 
 
 def random_subspace(rng: Random) -> Subspace:

@@ -283,10 +283,12 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
     Gauss-Jordan form: row r becomes its numerators over |p| (signs flipped
     when p < 0), so entry c reads 1, and every other row with f = row[c] != 0
     becomes P*row - f*prow over den*P, where P is the pivot row's new
-    denominator.  Exchange form (`exchange`), for a condensed tableau: column
-    c becomes the leaving variable's, 1/p in row r and -f/p in the others,
-    by writing dens[r] at (r, c) before row r is divided and zeroing row[c]
-    before each update.  Each changed row is brought to lowest terms.
+    denominator, f and P first divided by gcd(f, P): the same rational row,
+    scaled less, or not at all when P divides f.  Exchange form, for a
+    condensed tableau: column c becomes the leaving variable's, 1/p in row r
+    and -f/p in the others, by writing dens[r] at (r, c) before row r is
+    divided and zeroing row[c] before each update.  Each changed row is
+    brought to lowest terms.
 
     Rows change in place, so the entries of `rows` must be distinct lists.
     C-level scans find the touched rows and the nonzeros each row updates.
@@ -312,12 +314,16 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
         f = row[c]
         if exchange:
             row[c] = 0
-        if pden != 1:
-            for j in compress(cols, row):
-                row[j] *= pden
+        scale = pden
+        if scale != 1:
+            g = math.gcd(f, scale)
+            f, scale = f // g, scale // g
+            if scale != 1:
+                for j in compress(cols, row):
+                    row[j] *= scale
         for j, x in nz:
             row[j] -= f * x
-        den = dens[i] * pden
+        den = dens[i] * scale
         if den != 1:
             g = functools.reduce(math.gcd, filter(None, row), den)
             if g != 1:

@@ -5,9 +5,11 @@ Problems arrive as
     minimize c.x  subject to  A_eq x = b_eq,  A_ub x <= b_ub,
 
 with each variable either nonnegative or free, each constraint row a sparse
-map {column: coefficient} and c dense.  Free variables are split into
-positive and negative parts, inequalities get slack variables, and
-equalities get artificial variables for phase 1.
+map {column: coefficient} and c dense.  A free variable x = x+ - x- has
+two labels but at most one column: one, labelled by the part that last
+left the basis, while both parts are nonbasic, and none while either is
+basic (the other's column is then -e_r, with reduced cost 0).  Inequalities
+get slack variables, and equalities artificial variables for phase 1.
 
 The tableau is condensed and fraction-free.  It keeps the nonbasic columns
 only (the basic ones are identity columns, half or more of a full row):
@@ -23,7 +25,9 @@ row i, objective included, in work proportional to the nonzeros.  The
 entering and ratio-test scans run in C.
 
 Pivoting uses Bland's smallest-index rule for both the entering and the
-leaving choice, by variable label, not by position.  That precludes
+leaving choice, by variable label, not by position; a stored free column
+with a positive reduced cost offers its twin's label, and is negated in
+every row, objective included, when the twin enters.  That precludes
 cycling, so termination is guaranteed, and it makes every solve
 deterministic: identical input programs produce the identical pivot
 sequence and the identical optimal assignment.  The condensed integer rows
@@ -146,6 +150,7 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
     for j in range(nv):
         if lp.free[j]:
             neg_part[j] = nv + len(neg_part)
+    twin = {**neg_part, **{nj: j for j, nj in neg_part.items()}}
     n_split = nv + len(neg_part)
     n_ub = lp.num_inequalities
     slack_start = n_split
@@ -168,9 +173,12 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
     ncols = art_start + n_art
 
     # The tableau keeps nonbasic columns only: position q holds variable
-    # labels[q], and the rhs follows.  At the start the artificials and the
-    # slacks of rows kept as written are basic.
-    labels = [j for j in range(art_start) if j < slack_start or negated[n_eq + j - slack_start]]
+    # labels[q], whose twin is twins[q] (inf if none), and the rhs follows.
+    # At the start the artificials and the slacks of rows kept as written
+    # are basic, and free columns read x+.
+    labels = [j for j in range(art_start) if j < nv or j >= slack_start
+              and negated[n_eq + j - slack_start]]
+    twins = [twin.get(j, math.inf) for j in labels]
     position = {j: q for q, j in enumerate(labels)}
     width = len(labels)
     tableau: list[list[int]] = []
@@ -182,8 +190,6 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
         for j, x in zip(row, num):
             if x:
                 full[position[j]] = sign * x
-                if j in neg_part:
-                    full[position[neg_part[j]]] = -sign * x
         if negated[i] and i >= n_eq:
             full[position[slack_start + (i - n_eq)]] = -den
         full[width] = sign * num[-1]
@@ -202,6 +208,13 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
             raise PivotLimitExceeded(f"exceeded {PIVOT_LIMIT} pivots")
         pivot_rows(tableau, dens, row_i, q, exchange=True)
         labels[q], basis[row_i] = basis[row_i], labels[q]
+        twins[q] = twin.get(labels[q], math.inf)
+
+    def flip(q: int):
+        """Store the twin's column at q: negate it in every row, objective included."""
+        for row in tableau:
+            row[q] = -row[q]
+        labels[q], twins[q] = twins[q], labels[q]
 
     def set_objective(cost: list[Fraction]):
         """Make the objective row the reduced costs of `cost`.
@@ -225,6 +238,12 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
         while True:
             enter = min(compress(range(width), map(operator.lt, tableau[-1], repeat(0))),
                         key=labels.__getitem__, default=-1)
+            # a positive reduced cost offers the twin, whose cost is its negative
+            q = min(compress(range(width), map(operator.gt, tableau[-1], repeat(0))),
+                    key=twins.__getitem__, default=-1)
+            if q >= 0 and twins[q] < (labels[enter] if enter >= 0 else math.inf):
+                flip(q)
+                enter = q
             if enter < 0:
                 return
             leave = -1
@@ -255,15 +274,19 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
         if any(tableau[i][width] for i in range(m) if basis[i] >= art_start):
             raise InfeasibleProgram("phase 1 terminated with positive artificial mass")
         # Drive any zero-level artificial out of the basis by the smallest
-        # legitimate label; a row with none left is redundant and dropped.
+        # legitimate label, a free column's twin included; a row with none
+        # left is redundant and dropped.
         drop: list[int] = []
         for i in range(m):
             if basis[i] >= art_start:
                 q = min((q for q in compress(range(width), tableau[i])
-                         if labels[q] < art_start), key=labels.__getitem__, default=-1)
+                         if labels[q] < art_start),
+                        key=lambda q: min(labels[q], twins[q]), default=-1)
                 if q < 0:
                     drop.append(i)
                 else:
+                    if twins[q] < labels[q]:
+                        flip(q)
                     pivot(i, q)
         for i in reversed(drop):
             del tableau[i]
@@ -272,6 +295,7 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
         m = len(basis)
         keep = [j < art_start for j in labels] + [True]
         labels[:] = compress(labels, keep)
+        twins[:] = compress(twins, keep)
         width = len(labels)
         for i in range(m):
             row = tableau[i]

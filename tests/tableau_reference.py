@@ -1,12 +1,14 @@
 """The full-tableau simplex that the condensed `projconst.simplex` replaced, kept as a test oracle.
 
 `solve_linear_program` is the former solver verbatim, apart from reading
-`projconst.simplex.PIVOT_LIMIT` at pivot time and from adding one to
-`counter["pivots"]` for each pivot taken when a counter is passed.  Its tableau keeps every column, the basic variables' identity
-columns included, and pivots with `linalg.pivot_rows` in its Gauss-Jordan
-form.  The condensed solver must return the identical
-`LinearProgramSolution`, or raise the same exception, after the identical
-number of pivots.
+`projconst.simplex.PIVOT_LIMIT` at pivot time and from tallying, when a
+counter is passed, each pivot taken and the free-variable events that make
+the condensed solver negate a stored column (see `solve_linear_program`).
+Its tableau keeps every column, the basic variables' identity columns and
+both parts of each free variable included, and pivots with
+`linalg.pivot_rows` in its Gauss-Jordan form.  The condensed solver must
+return the identical `LinearProgramSolution`, or raise the same exception,
+after the identical number of pivots.
 """
 
 from __future__ import annotations
@@ -34,7 +36,16 @@ def solve_linear_program(lp: LinearProgram,
                          counter: Counter | None = None) -> LinearProgramSolution:
     """Optimal (objective value, assignment, slack duals) of the program.
 
-    Each pivot taken adds one to `counter["pivots"]` when a counter is given.
+    When a counter is given, each pivot taken adds one to `counter["pivots"]`,
+    and a pivot whose entering variable is part of a free variable to
+    - `counter["negative part enters"]` when that part is x-;
+    - `counter["twin of a leaver enters"]` when the other part is the one
+      that left the basis last;
+    - `counter["drive-out under the negative label"]` when it drives out an
+      artificial and x- left the basis last.
+    The condensed tableau stores a free variable's column under the part that
+    left the basis last, x+ before either did, so each of the last two
+    events makes it negate that column.
 
     Raises InfeasibleProgram / UnboundedProgram when the program has no
     optimum; callers that construct programs which are feasible and bounded
@@ -71,6 +82,9 @@ def solve_linear_program(lp: LinearProgram,
         artificial_of_row[i] = art_start + n_art
         n_art += 1
     ncols = art_start + n_art
+    twin = {**neg_part, **{nj: j for j, nj in neg_part.items()}}
+    # free variable (its x+ label) -> the part that left the basis last
+    last_left: dict[int, int] = {}
 
     tableau: list[list[int]] = []
     dens: list[int] = []
@@ -97,13 +111,21 @@ def solve_linear_program(lp: LinearProgram,
     dens.append(1)
     pivots = 0
 
-    def pivot(row_i: int, col_j: int):
+    def pivot(row_i: int, col_j: int, drive_out: bool = False):
         nonlocal pivots
         pivots += 1
         if pivots > simplex.PIVOT_LIMIT:
             raise PivotLimitExceeded(f"exceeded {simplex.PIVOT_LIMIT} pivots")
         if counter is not None:
             counter["pivots"] += 1
+            if col_j in twin:
+                plus = min(col_j, twin[col_j])
+                stored = last_left.get(plus, plus)
+                counter["negative part enters"] += col_j != plus
+                counter["twin of a leaver enters"] += plus in last_left and col_j != stored
+                counter["drive-out under the negative label"] += drive_out and stored != plus
+            if basis[row_i] in twin:
+                last_left[min(basis[row_i], twin[basis[row_i]])] = basis[row_i]
         pivot_rows(tableau, dens, row_i, col_j)
         basis[row_i] = col_j
 
@@ -161,7 +183,7 @@ def solve_linear_program(lp: LinearProgram,
                 if col is None:
                     drop.append(i)
                 else:
-                    pivot(i, col)
+                    pivot(i, col, drive_out=True)
         for i in reversed(drop):
             del tableau[i]
             del dens[i]

@@ -10,9 +10,10 @@ terms over positive denominators, which is what keeps their entries small.
 The integer-row matrix product must equal the former `Fraction` product on
 random shapes, including 1x1 factors, zero rows and zero columns.  The
 in-place pivot must leave the rows and denominators of the former pivot
-after every step of seeded pivot sequences, its exchange form must leave
-the rows of the condensed-tableau exchange, and `_reduce` must hand it
-distinct row lists, which in-place updates require.
+after every step of seeded pivot sequences, whichever way it trims a
+touched row's scale, its exchange form must leave the rows of the
+condensed-tableau exchange, and `_reduce` must hand it distinct row lists,
+which in-place updates require.
 """
 
 import math
@@ -189,6 +190,41 @@ def test_pivot_matches_the_former_pivot():
         seen["zero row"] += any(not any(row) for row in rows)
         seen["wide, below 15 %"] += len(rows[0]) >= 40 and density < 0.15
     assert min(seen.values()) >= 30, seen
+
+
+def test_row_scale_branches_match_the_former_pivot():
+    # a touched row with f = row[c] is scaled by P / gcd(f, P), P the pivot
+    # row's new denominator: not at all when P divides f, by a proper factor
+    # of P when 1 < gcd < P, and by P when gcd = 1; entries and denominators
+    # with small prime factors make all three common
+    seen = Counter()
+    smooth = [1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 36]
+    for seed in SEEDS:
+        rng = Random(f"linalg differential row scale {seed}")
+        nrows, ncols = rng.randint(2, 8), rng.randint(2, 8)
+        rows, dens = [], []
+        for _ in range(nrows):
+            row = [rng.choice((1, -1)) * rng.choice(smooth) if rng.random() < 0.6 else 0
+                   for _ in range(ncols)]
+            row, den = ref.lowest_terms(row, rng.choice(smooth))
+            rows.append(row)
+            dens.append(den)
+        want_rows, want_dens = [list(row) for row in rows], list(dens)
+        for _ in range(rng.randint(1, 4)):
+            entries = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+            if not entries:
+                break
+            r, c = rng.choice(entries)
+            fs = [row[c] for i, row in enumerate(rows) if i != r and row[c]]
+            pivot_rows(rows, dens, r, c)
+            ref.reference_pivot_rows(want_rows, want_dens, r, c)
+            assert (rows, dens) == (want_rows, want_dens)
+            if dens[r] == 1:
+                continue
+            for f in fs:
+                g = math.gcd(f, dens[r])
+                seen["P divides f" if g == dens[r] else "gcd 1" if g == 1 else "1 < gcd < P"] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 50, seen
 
 
 def test_exchange_pivot_is_the_condensed_exchange():

@@ -121,18 +121,21 @@ def test_slack_duals_are_an_optimal_dual():
 
 
 def phase_widths(program: LinearProgram) -> list[int]:
-    """The number of tableau variables in each phase: originals, negative
-    parts and slacks, plus in phase 1 one artificial per equality and per
-    negated inequality."""
-    n_split = program.num_vars + sum(program.free) + program.num_inequalities
+    """The number of tableau columns in each phase, the basic ones included:
+    one per original variable, free or not, and one per slack, plus in
+    phase 1 one artificial per equality and per negated inequality.  A free
+    variable's two parts share one column: while both are nonbasic it is
+    stored once, and while either is basic it is stored not at all."""
+    n_vars = program.num_vars + program.num_inequalities
     n_art = program.num_equalities + sum(b < 0 for b in program.ub_rhs)
-    return [n_split + n_art, n_split] if n_art else [n_split]
+    return [n_vars + n_art, n_vars] if n_art else [n_vars]
 
 
 def test_tableau_rows_are_distinct_lists(monkeypatch):
     # the kernel updates rows in place, so no two tableau rows may share a
     # list; and the tableau is condensed, so with m constraint rows over
-    # ncols variables every row holds ncols - m columns and its rhs
+    # ncols columns every row holds ncols - m columns and its rhs, the same
+    # number after every pivot of a phase
     calls = Counter()
     phases = []
 
@@ -159,6 +162,23 @@ def test_tableau_rows_are_distinct_lists(monkeypatch):
                         [{1: F(-1)}], [F(-1)], [False, False]))
     check(build_projection_lp(_kernel(4)))
     assert calls["pivots"] >= 300, calls
+
+
+def test_kernel_program_widths(monkeypatch):
+    # ker_4's program: 12 free coefficients, 17 other variables, 36 slacks
+    # and 9 equalities; its rows hold 29 columns in phase 1 and 20 in phase
+    # 2 (with both parts of each free variable stored: 41 and 32)
+    program = build_projection_lp(_kernel(4))
+    assert phase_widths(program) == [74, 65]
+    widths = Counter()
+
+    def checked(rows, dens, r, c, exchange=False):
+        widths[len(rows) - 1, len(rows[0]) - 1] += 1
+        pivot_rows(rows, dens, r, c, exchange)
+
+    monkeypatch.setattr(simplex, "pivot_rows", checked)
+    assert solve_linear_program(program).value == F(3, 2)
+    assert widths == {(45, 29): 33, (45, 20): 19}
 
 
 def test_redundant_equalities_are_dropped_alike():

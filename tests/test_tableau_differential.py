@@ -1,13 +1,16 @@
 """The condensed-tableau simplex against the full-tableau simplex it replaced.
 
-The condensed tableau drops the basic variables' identity columns and keeps
-each variable's column at the position its label names.  Bland's rule picks
-by label, so both solvers must take the identical pivots: on every program
-they must return the identical `LinearProgramSolution` (value, assignment
-and slack duals) after the identical number of pivots, or raise the same
-exception after the identical number of pivots.  The slack duals and the
+The condensed tableau drops the basic variables' identity columns, stores one
+column per free variable under one of its two part labels, and keeps each
+stored column at the position its label names.  Bland's rule picks by label,
+the twin's label included, so both solvers must take the identical pivots:
+on every program they must return the identical `LinearProgramSolution`
+(value, assignment and slack duals) after the identical number of pivots,
+or raise the same exception after the identical number of pivots.  The slack duals and the
 price-out of the objective row are read differently in the two tableaux,
-so they are pinned here as well.
+so they are pinned here as well.  The reference tallies the free-variable
+events that make the condensed solver negate a stored column, and each test
+asserts that its programs reach them.
 """
 
 from collections import Counter
@@ -38,7 +41,8 @@ def outcome(solve, *args):
 def assert_same(monkeypatch):
     """Solve with both tableaux; require the same outcome after as many pivots.
 
-    Returns the outcome and the number of pivots taken.
+    Returns the outcome and the number of pivots taken, and adds the
+    reference's tallies, free-variable events included, to `check.events`.
     """
     condensed = Counter()
     kernel = simplex.pivot_rows
@@ -55,10 +59,12 @@ def assert_same(monkeypatch):
         got = outcome(simplex.solve_linear_program, program)
         want = outcome(tableau_reference.solve_linear_program, program, full)
         assert (got, condensed["pivots"]) == (want, full["pivots"])
+        check.events.update(full)
         if not isinstance(got, type):
             assert type(got) is simplex.LinearProgramSolution
             assert all(type(x) is F for x in [got.value, *got.assignment, *got.slack_duals])
         return got, full["pivots"]
+    check.events = Counter()
     return check
 
 
@@ -95,6 +101,8 @@ def test_identical_solutions_and_pivots_on_random_programs(assert_same):
     assert kinds["inequality optimal"] >= 150, kinds
     assert kinds["active negated row"] >= 30, kinds
     assert kinds["pivots"] >= 1500, kinds
+    assert assert_same.events["negative part enters"] >= 300, assert_same.events
+    assert assert_same.events["twin of a leaver enters"] >= 50, assert_same.events
 
 
 @pytest.mark.parametrize("program, expected", [
@@ -128,10 +136,27 @@ def random_subspace(rng: Random) -> Subspace:
             return Subspace.from_rows(rows)
 
 
+def test_drive_out_of_a_free_column_stored_under_its_negative_label(assert_same):
+    # x3 and x4 are free, the right-hand sides zero.  Phase 1 ends with x3-
+    # the last part of x3 to leave the basis and the artificial of the last
+    # row basic, and that row holds x3's column and x5's.  The drive-out
+    # ranks x3's column by x3+ < x5 < x3-, so the stored column is negated
+    # before the pivot; ranking it by x3-, and so taking x5, takes 9 pivots.
+    program = lp([0, 0, 0, 2, 0, 1],
+                 eq=[[0, 0, -2, -2, -1, 0], [-2, -1, -2, -2, -1, -1],
+                     [0, -2, -1, 1, -2, 1], [2, 2, -2, 2, 0, 0], [2, 0, -2, 2, -2, 0]],
+                 eq_rhs=[0] * 5, free=[False, False, False, True, True, False])
+    solution, pivots = assert_same(program)
+    assert (solution.value, pivots) == (0, 8)
+    assert assert_same.events["drive-out under the negative label"] == 1, assert_same.events
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_identical_solutions_on_kernel_programs(assert_same, n):
     solution, pivots = assert_same(build_projection_lp(_kernel(n)))
     assert solution.value == 2 - F(2, n) and pivots > 0
+    assert assert_same.events["negative part enters"] >= 1, assert_same.events
+    assert assert_same.events["twin of a leaver enters"] >= (n > 2), assert_same.events
 
 
 def test_identical_solutions_on_random_subspace_programs(assert_same):

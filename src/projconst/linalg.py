@@ -8,14 +8,15 @@ at a +-1 sign vector.
 
 This module holds the package's one exact elimination kernel.  It works on
 integer rows: a row is a list of Python ints over one positive denominator,
-entry j standing for row[j] / den, kept in lowest terms.  `pivot_rows` is the
-single pivot step: `_reduce` (behind rank, kernel, inverse and
-`projection_defect`) pivots with its Gauss-Jordan form, the condensed simplex
-tableau in `simplex` with its exchange form.  Rows are updated in place by
-integer multiply, subtract and one gcd division per row, as in Edmonds' (1967)
-and Bareiss' (1968) integer-preserving elimination, with work proportional to
-a row's nonzeros, not its width.
-`Fraction`s are built only from the final rows.
+entry j standing for row[j] / den.  `pivot_rows` is the single pivot step:
+`_reduce` (behind rank, kernel, inverse and `projection_defect`) pivots with
+its Gauss-Jordan form, the condensed simplex tableau in `simplex` with its
+exchange form.  Rows are updated in place by integer multiply and subtract,
+as in Edmonds' (1967) and Bareiss' (1968) integer-preserving elimination,
+with work proportional to a row's nonzeros, not its width.  A row is divided
+by its gcd only when a pivot gives it a new denominator, so rows need not be
+in lowest terms between pivots; `lowest_terms` reduces the rows that leave
+the kernel.  `Fraction`s are built only from the final rows.
 
 No floating point enters this module.
 """
@@ -287,25 +288,22 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
     scaled less, or not at all when P divides f.  Exchange form, for a
     condensed tableau: column c becomes the leaving variable's, 1/p in row r
     and -f/p in the others, by writing dens[r] at (r, c) before row r is
-    divided and zeroing row[c] before each update.  Each changed row is
-    brought to lowest terms.
+    divided and zeroing row[c] before each update.
+
+    Every denominator stays positive.  Row r is brought to lowest terms, and
+    so is a row scaled by P / gcd(f, P) != 1; any other row keeps its
+    denominator and gets only its nonzero updates, so it need not be in
+    lowest terms.
 
     Rows change in place, so the entries of `rows` must be distinct lists.
     C-level scans find the touched rows and the nonzeros each row updates.
-    A gcd is a `reduce`: star-args tuples of varying size raise peak RSS.
     """
     prow = rows[r]
     cols = range(len(prow))
     p = prow[c]
     if exchange:
         prow[c] = dens[r]
-    g = functools.reduce(math.gcd, filter(None, prow), p)
-    if p < 0:
-        g = -g
-    if g != 1:
-        for j in compress(cols, prow):
-            prow[j] //= g
-    pden = dens[r] = p // g
+    pden = dens[r] = _divide_by_gcd(prow, p)
     nz = [(j, prow[j]) for j in compress(cols, prow)]
     for i in compress(range(len(rows)), map(operator.itemgetter(c), rows)):
         if i == r:
@@ -323,14 +321,20 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
                     row[j] *= scale
         for j, x in nz:
             row[j] -= f * x
-        den = dens[i] * scale
-        if den != 1:
-            g = functools.reduce(math.gcd, filter(None, row), den)
-            if g != 1:
-                for j in compress(cols, row):
-                    row[j] //= g
-                den //= g
-        dens[i] = den
+        if scale != 1:
+            dens[i] = _divide_by_gcd(row, dens[i] * scale)
+
+
+def _divide_by_gcd(row: list[int], den: int) -> int:
+    """Divide `row` in place by its gcd with `den`, negated when den < 0, and
+    return den so divided; the gcd is a `reduce`, as star-args raise peak RSS."""
+    g = functools.reduce(math.gcd, filter(None, row), den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        for j in compress(range(len(row)), row):
+            row[j] //= g
+    return den // g
 
 
 def _reduce(rows: Sequence[Sequence[Fraction]],
@@ -338,11 +342,11 @@ def _reduce(rows: Sequence[Sequence[Fraction]],
     """Gauss-Jordan elimination of `rows` on their first `ncols` columns.
 
     Pivots on the first nonzero entry at or below the current rank and stops
-    once every row has a pivot.  Returns the reduced rows as numerators, their
-    denominators, and the pivot columns: row r reads 1 in column pivots[r]
-    and every other row 0 there; the rows after the last pivot row vanish on
-    the first `ncols` columns.  Columns beyond `ncols` are carried along
-    (augmented right-hand sides).
+    once every row has a pivot.  Returns the reduced rows in lowest terms as
+    numerators, their denominators, and the pivot columns: row r reads 1 in
+    column pivots[r] and every other row 0 there; the rows after the last
+    pivot row vanish on the first `ncols` columns.  Columns beyond `ncols`
+    are carried along (augmented right-hand sides).
     """
     work: list[list[int]] = []
     dens: list[int] = []
@@ -362,6 +366,8 @@ def _reduce(rows: Sequence[Sequence[Fraction]],
         dens[rank], dens[pivot] = dens[pivot], dens[rank]
         pivot_rows(work, dens, rank, col)
         pivots.append(col)
+    for i, (row, den) in enumerate(zip(work, dens)):
+        work[i], dens[i] = lowest_terms(row, den)
     return work, dens, pivots
 
 

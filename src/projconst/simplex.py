@@ -15,9 +15,10 @@ The tableau is condensed and fraction-free.  It keeps the nonbasic columns
 only (the basic ones are identity columns, half or more of a full row):
 labels[q] names the variable at position q and basis[i] that of row i.  A
 row is a list of Python ints over one positive denominator, in the sense of
-`linalg`.  The m constraint rows come first, the objective row last.  A row
-starts over the lcm of the denominators of its listed entries and
-right-hand side (an unlisted zero would add 1).  Every pivot is
+`linalg`, and need not be in lowest terms.  The m constraint rows come
+first, the objective row last.  A row starts over the lcm of the
+denominators of its listed entries and right-hand side (an unlisted zero
+would add 1).  Every pivot is
 `linalg.pivot_rows` in its exchange form, the package's one elimination
 kernel: a pivot on (r, q) swaps labels[q] with basis[r], and position q then
 holds the leaving variable's column, 1/p in row r and -a_iq/p in every other
@@ -35,9 +36,11 @@ do not change that sequence.  Each row stands for exactly the nonbasic part
 of the rational row of the textbook tableau, and denominators are
 positive, so a sign test reads the numerator.  The ratio test compares
 rhs_i / a_i by cross-multiplying numerators, since a row's denominator
-cancels in its own ratio.  Hence every entering variable, every leaving
-row, every redundant row dropped after phase 1 and the returned assignment
-are those of the full rational tableau.
+cancels in its own ratio.  Neither test changes when a row is scaled by a
+positive factor, whichever denominator the kernel leaves it over.  Hence
+every entering variable, every leaving row, every redundant row dropped
+after phase 1 and the returned assignment are those of the full rational
+tableau.
 
 The optimum also carries its dual: the final objective row, read at the
 slacks' positions, and 0 for a basic slack.  Entry i is u_i = -y_i >= 0,

@@ -5,15 +5,20 @@ and tall shapes, singular squares) rank, kernel basis and inverse must be
 identical to `linalg_reference`, a singular square must raise
 `RankDeficientError` in both, and `projection_defect` must reach the
 decision of the former checks: idempotence, fixed basis rows, and one
-membership test per column.  The kernel's rows must also stay in lowest
-terms over positive denominators, which is what keeps their entries small.
-The integer-row matrix product must equal the former `Fraction` product on
-random shapes, including 1x1 factors, zero rows and zero columns.  The
-in-place pivot must leave the rows and denominators of the former pivot
-after every step of seeded pivot sequences, whichever way it trims a
-touched row's scale, its exchange form must leave the rows of the
-condensed-tableau exchange, and `_reduce` must hand it distinct row lists,
-which in-place updates require.
+membership test per column.  The rows `_reduce` returns must also be in
+lowest terms over positive denominators.  The integer-row matrix product
+must equal the former `Fraction` product on random shapes, including 1x1
+factors, zero rows and zero columns.  The in-place pivot must leave the
+rational rows of the former pivot after every step of seeded pivot
+sequences, whichever way it trims a touched row's scale, its exchange form
+must leave the rows of the condensed-tableau exchange, and `_reduce` must
+hand it distinct row lists, which in-place updates require.  After every
+pivot the rows must also keep the kernel's row invariant
+(`assert_row_invariant`): a row is brought to lowest terms exactly when the
+pivot scales it, the pivot row always.  On the projection programs of ker_2
+... ker_8 and Sigma_3(ker_3), the simplex's denominators must grow no
+longer than those of the former solver, whose kernel kept every row in
+lowest terms.
 """
 
 import math
@@ -24,8 +29,9 @@ from random import Random
 import pytest
 
 import linalg_reference as ref
+import tableau_reference
 
-from projconst import linalg
+from projconst import linalg, simplex
 from projconst.linalg import (
     Mat,
     RankDeficientError,
@@ -38,6 +44,8 @@ from projconst.linalg import (
     projection_defect,
     rank_of_rows,
 )
+from projconst.minproj import build_projection_lp
+from projconst.zerosum import coordinate_sum_kernel, sigma_subspace
 
 SEEDS = range(300)
 
@@ -164,6 +172,48 @@ def random_tableau(rng: Random) -> tuple[list[list[int]], list[int], float]:
     return rows, dens, density
 
 
+def in_lowest_terms(row: list[int], den: int) -> bool:
+    return den > 0 and math.gcd(den, *row) == 1
+
+
+def assert_row_invariant(old_rows: list[list[int]], old_dens: list[int],
+                         rows: list[list[int]], dens: list[int], r: int, c: int):
+    """The rows `pivot_rows` leaves after a pivot on (r, c) of `old_rows`.
+
+    Every denominator is positive and row r is in lowest terms.  Another row
+    with f = old_rows[i][c] != 0 is scaled by P / gcd(f, P), P = dens[r], so
+    it is in lowest terms when P does not divide f, and keeps its former
+    denominator when P divides f.  A row with f = 0 is left as it was.
+    """
+    assert all(den > 0 for den in dens)
+    assert in_lowest_terms(rows[r], dens[r])
+    for i, (row, den) in enumerate(zip(rows, dens)):
+        f = old_rows[i][c]
+        if i == r:
+            continue
+        if not f:
+            assert (row, den) == (old_rows[i], old_dens[i])
+        elif f % dens[r]:
+            assert in_lowest_terms(row, den)
+        else:
+            assert den == old_dens[i]
+
+
+def pivot_checked(rows: list[list[int]], dens: list[int], r: int, c: int,
+                  exchange: bool = False):
+    """`pivot_rows`, with the row invariant asserted after the pivot."""
+    old_rows, old_dens = [list(row) for row in rows], list(dens)
+    pivot_rows(rows, dens, r, c, exchange)
+    assert_row_invariant(old_rows, old_dens, rows, dens, r, c)
+
+
+def same_rational_rows(rows: list[list[int]], dens: list[int],
+                       want_rows: list[list[int]], want_dens: list[int]) -> bool:
+    """Whether the rows stand for the reference's rows, which are in lowest terms."""
+    reduced = [ref.lowest_terms(row, den) for row, den in zip(rows, dens)]
+    return reduced == list(zip(want_rows, want_dens))
+
+
 def test_pivot_matches_the_former_pivot():
     seen = Counter()
     for seed in SEEDS:
@@ -182,10 +232,11 @@ def test_pivot_matches_the_former_pivot():
             seen["pivot reads 1"] += p == dens[r]
             seen["pivot row with one nonzero"] += sum(map(bool, rows[r])) == 1
             seen["unit column"] += all(not row[c] for i, row in enumerate(rows) if i != r)
-            pivot_rows(rows, dens, r, c)
+            pivot_checked(rows, dens, r, c)
             ref.reference_pivot_rows(want_rows, want_dens, r, c)
-            assert (rows, dens) == (want_rows, want_dens)
+            assert same_rational_rows(rows, dens, want_rows, want_dens)
             seen["pivot denominator != 1"] += dens[r] != 1
+            seen["row not in lowest terms"] += not all(map(in_lowest_terms, rows, dens))
             last = (r, c)
         seen["zero row"] += any(not any(row) for row in rows)
         seen["wide, below 15 %"] += len(rows[0]) >= 40 and density < 0.15
@@ -216,9 +267,9 @@ def test_row_scale_branches_match_the_former_pivot():
                 break
             r, c = rng.choice(entries)
             fs = [row[c] for i, row in enumerate(rows) if i != r and row[c]]
-            pivot_rows(rows, dens, r, c)
+            pivot_checked(rows, dens, r, c)
             ref.reference_pivot_rows(want_rows, want_dens, r, c)
-            assert (rows, dens) == (want_rows, want_dens)
+            assert same_rational_rows(rows, dens, want_rows, want_dens)
             if dens[r] == 1:
                 continue
             for f in fs:
@@ -244,13 +295,43 @@ def test_exchange_pivot_is_the_condensed_exchange():
             want = [[(1 / p if j == c else x / p) if i == r
                      else (-row[c] / p if j == c else x - row[c] * a[r][j] / p)
                      for j, x in enumerate(row)] for i, row in enumerate(a)]
-            pivot_rows(rows, dens, r, c, exchange=True)
+            pivot_checked(rows, dens, r, c, exchange=True)
             assert [[F(x, den) for x in row] for row, den in zip(rows, dens)] == want
-            assert all(den > 0 and math.gcd(den, *row) == 1 for row, den in zip(rows, dens))
             seen["negative pivot"] += p < 0
             seen["pivot reads 1"] += p == 1
             seen["column touches other rows"] += sum(map(bool, (row[c] for row in a))) > 1
     assert min(seen.values()) >= 30, seen
+
+
+def largest_denominator_bits(monkeypatch, module, kernel, solve, program) -> int:
+    """Solve `program` with `module.pivot_rows` replaced by `kernel`; return the
+    bit length of the largest denominator that the kernel leaves after a pivot."""
+    bits = 0
+
+    def recorded(rows, dens, r, c, **exchange):
+        nonlocal bits
+        kernel(rows, dens, r, c, **exchange)
+        bits = max(bits, max(dens).bit_length())
+
+    monkeypatch.setattr(module, "pivot_rows", recorded)
+    solve(program)
+    return bits
+
+
+@pytest.mark.parametrize("space", [
+    *(coordinate_sum_kernel(n) for n in range(2, 9)),
+    sigma_subspace(coordinate_sum_kernel(3), 3).space,
+], ids=[*(f"ker{n}" for n in range(2, 9)), "sigma3-ker3"])
+def test_denominators_grow_no_longer_than_in_lowest_terms(monkeypatch, space):
+    # the full-tableau solver with the former kernel keeps every row in lowest
+    # terms; both solvers take the same pivots on the same rational rows, so
+    # a row that keeps its denominator must not let the largest one grow
+    program = build_projection_lp(space)
+    got = largest_denominator_bits(monkeypatch, simplex, pivot_rows,
+                                   simplex.solve_linear_program, program)
+    want = largest_denominator_bits(monkeypatch, tableau_reference, ref.reference_pivot_rows,
+                                    tableau_reference.solve_linear_program, program)
+    assert got <= want
 
 
 def test_reduce_pivots_distinct_rows(monkeypatch):

@@ -10,6 +10,7 @@ from random import Random
 import pytest
 from simplex_reference import dense_row, sparse_row
 
+from projconst import simplex
 from projconst.simplex import (
     InfeasibleProgram,
     LinearProgram,
@@ -112,6 +113,14 @@ def test_listed_zero_is_an_unlisted_one():
                            [F(1), F(1, 3)], [False, False])
     assert solve_linear_program(listed) == solve_linear_program(
         lp([-1, -1], ub=[[1, 1], [0, 0]], ub_rhs=[1, F(1, 3)]))
+
+
+def test_tests_run_under_a_capped_pivot_limit(monkeypatch):
+    # `conftest.py` caps the limit, so that a cycling solver fails fast; the
+    # package's own limit is restored with the test's patches
+    assert simplex.PIVOT_LIMIT == 20_000
+    monkeypatch.undo()
+    assert simplex.PIVOT_LIMIT == 2_000_000
 
 
 def test_deterministic():

@@ -15,8 +15,8 @@ exchange form.  Rows are updated in place by integer multiply and subtract,
 as in Edmonds' (1967) and Bareiss' (1968) integer-preserving elimination,
 with work proportional to a row's nonzeros, not its width.  A row is divided
 by its gcd only when a pivot gives it a new denominator, so rows need not be
-in lowest terms between pivots; `lowest_terms` reduces the rows that leave
-the kernel.  `Fraction`s are built only from the final rows.
+in lowest terms between pivots; `_reduce` hands its rows out through
+`lowest_terms`.  `Fraction`s are built only from the final rows.
 
 No floating point enters this module.
 """

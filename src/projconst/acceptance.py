@@ -137,15 +137,13 @@ def _check_symmetrization(ctx: Context) -> str:
         zs = sigma_subspace(base, n)
         for _ in range(20):
             p = random_projection_onto(zs, rng)
-            p_tilde = symmetrize(p, d, n)
-            norm = inf_op_norm(p_tilde).value
-            _require(norm <= inf_op_norm(p).value,
-                     f"symmetrization increased the norm for d={d}, N={n}")
             # extract_r raises NotSymmetrizedError unless p_tilde commutes
             # with every block permutation
-            dec = extract_r(p_tilde, base, n)
+            dec = extract_r(symmetrize(p, d, n), base, n)
+            _require(dec.p_tilde_norm <= inf_op_norm(p).value,
+                     f"symmetrization increased the norm for d={d}, N={n}")
             mu = amplification_factor(n) + _fault("symmetrization")
-            _require(norm == mu * inf_op_norm(dec.r).value,
+            _require(dec.p_tilde_norm == mu * dec.r_norm,
                      f"norm identity fails for d={d}, N={n}")
     return "20 random projections per config collapse to lift(r) o centring with exact norm law"
 

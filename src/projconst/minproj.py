@@ -421,7 +421,10 @@ def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
 
     All restarts advance together as one (restarts, k, n-k) array.  Every
     product is stacked per restart, so each restart rounds exactly as it
-    would on its own; a restart whose gradient vanishes stops moving.
+    would on its own.  Each step writes into buffers allocated once, before
+    the loop.  A restart whose gradient vanishes stops moving: its Theta
+    repeats, so its gradient norm stays 0.  Only a step on which some norm is
+    0 divides under a mask, and the descent ends once every norm is 0.
     """
     import numpy as np
 
@@ -450,27 +453,37 @@ def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
     theta[1:] = np.reshape([rng.gauss(0.0, initial_step)
                             for _ in range(theta[1:].size)], theta[1:].shape)
 
-    restarts = np.arange(config.restarts)
     best = np.full(config.restarts, math.inf)
-    moving = np.ones(config.restarts, dtype=bool)
+    # Buffers and fixed views of them: row i* of restart r is row r*n + i* of
+    # p_rows and entry r*n + i* of flat_sums.
+    p, sums = np.empty((config.restarts, n, n)), np.empty((config.restarts, n))
+    abs_p, grad = np.empty_like(p), np.empty_like(theta)
+    gnorm = np.empty((config.restarts, 1, 1))
+    flat = grad.reshape(config.restarts, 1, -1)
+    flat_t = flat.transpose(0, 2, 1)
+    p_rows, flat_sums = p.reshape(-1, 1, n), sums.reshape(-1)
+    offsets = np.arange(0, config.restarts * n, n)
+    bt_col, null_t = bt[:, :, None], null.T
     step = initial_step
     for _ in range(config.iterations):
-        p = p0 + bt @ theta @ null.T
-        sums = np.abs(p).sum(axis=2)
+        np.add(p0, bt @ theta @ null_t, out=p)
+        np.add.reduce(np.absolute(p, out=abs_p), axis=2, out=sums)
         i_star = sums.argmax(axis=1)
-        np.minimum(best, sums[restarts, i_star], out=best)
-        signs = np.sign(p[restarts, i_star])
-        signs[signs == 0.0] = 1.0
+        rows = i_star + offsets
+        np.minimum(best, flat_sums.take(rows), out=best)
+        # p is finite, so this is np.sign with 0 read as +1, -0.0 included
+        signs = np.where(p_rows.take(rows, axis=0) < 0.0, -1.0, 1.0)
         # (1 x n) @ (n x n-k) per restart: a 2-D product would round differently.
-        grad = bt[i_star][:, :, None] * (signs[:, None, :] @ null)
-        flat = grad.reshape(config.restarts, 1, -1)
+        np.multiply(bt_col.take(i_star, axis=0), signs @ null, out=grad)
         # (1 x m) @ (m x 1) per restart: the dot product np.linalg.norm takes.
-        gnorm = np.sqrt(flat @ flat.transpose(0, 2, 1)).reshape(-1)
-        moving &= gnorm != 0.0
-        if not moving.any():
+        np.sqrt(np.matmul(flat, flat_t, out=gnorm), out=gnorm)
+        if gnorm.all():
+            theta = theta - (step / gnorm) * grad
+        elif gnorm.any():
+            theta = theta - np.divide(step, gnorm, out=np.zeros_like(gnorm),
+                                      where=gnorm != 0.0) * grad
+        else:
             break
-        scale = np.divide(step, gnorm, out=np.zeros_like(gnorm), where=moving)
-        theta = theta - scale[:, None, None] * grad
         step *= decay
     return best.tolist()
 

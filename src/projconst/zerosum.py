@@ -235,13 +235,15 @@ class SymmetrizationDecomposition:
     `a` is its action on a block from that block's own copy, `b` the action
     from every other copy, and `r = a - b` is a projection of the block space
     onto the base subspace with p_tilde = lift(r) o centring and
-    norm(p_tilde) = (2 - 2/N) * norm(r) exactly.
+    norm(p_tilde) = (2 - 2/N) * norm(r) exactly; both norms are kept.
     """
 
     p_tilde: Mat
     a: Mat
     b: Mat
     r: Mat
+    p_tilde_norm: Fraction
+    r_norm: Fraction
 
 
 def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomposition:
@@ -281,9 +283,10 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
     defect = projection_defect(r, base)
     if defect:
         raise DecompositionIntegrityError(f"collapsed block map {defect}")
-    if inf_op_norm(p_tilde).value != amplification_factor(n) * inf_op_norm(r).value:
+    p_tilde_norm, r_norm = inf_op_norm(p_tilde).value, inf_op_norm(r).value
+    if p_tilde_norm != amplification_factor(n) * r_norm:
         raise DecompositionIntegrityError("norm identity (2 - 2/N) * norm(r) fails")
-    return SymmetrizationDecomposition(p_tilde, a, b, r)
+    return SymmetrizationDecomposition(p_tilde, a, b, r, p_tilde_norm, r_norm)
 
 
 def random_projection_onto(zs: ZeroSumSpace, rng: Random, spread: int = 2) -> Mat:

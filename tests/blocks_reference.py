@@ -196,6 +196,7 @@ def reference_extract_r(p_tilde: Mat, base: Subspace, copies: int) -> Symmetriza
         raise DecompositionIntegrityError("blocks are not the expected multiples of r")
     if coordinatewise_lift(r, n) @ reference_centring_projection(d, n) != p_tilde:
         raise DecompositionIntegrityError("matrix does not factor through the centring map")
-    if inf_op_norm(p_tilde).value != amplification_factor(n) * inf_op_norm(r).value:
+    p_tilde_norm, r_norm = inf_op_norm(p_tilde).value, inf_op_norm(r).value
+    if p_tilde_norm != amplification_factor(n) * r_norm:
         raise DecompositionIntegrityError("norm identity (2 - 2/N) * norm(r) fails")
-    return SymmetrizationDecomposition(p_tilde, a, b, r)
+    return SymmetrizationDecomposition(p_tilde, a, b, r, p_tilde_norm, r_norm)

@@ -61,8 +61,8 @@ def test_symmetrization_fails_without_averaging(monkeypatch):
 
 
 def test_symmetrization_takes_each_norm_once(monkeypatch):
-    # per draw: the norms of p, p_tilde and r in the criterion, and those
-    # of p_tilde and r inside extract_r; 60 draws in all
+    # per draw: the norm of p in the criterion, and those of p_tilde and r
+    # inside extract_r, which the decomposition carries; 60 draws in all
     calls = []
 
     def counted(m):
@@ -73,4 +73,4 @@ def test_symmetrization_takes_each_norm_once(monkeypatch):
         monkeypatch.setattr(module, "inf_op_norm", counted)
     [result] = run_all(Context(), only={"symmetrization"})
     assert result.passed
-    assert len(calls) == 5 * 60
+    assert len(calls) == 3 * 60

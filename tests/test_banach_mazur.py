@@ -34,6 +34,51 @@ def op(*clauses, descriptor="demo"):
     return SeqOperator(tuple(Clause(*c) for c in clauses), descriptor)
 
 
+# A number x + y*sqrt(3) of Q(sqrt 3) is the pair (x, y) of Fractions; a
+# polynomial in a is its list of such coefficients, constant term first.
+def surd(x, y=0):
+    return (F(x), F(y))
+
+
+def surd_add(u, v):
+    return (u[0] + v[0], u[1] + v[1])
+
+
+def surd_mul(u, v):
+    return (u[0] * v[0] + 3 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def poly(*coeffs):
+    return [c if isinstance(c, tuple) else surd(c) for c in coeffs]
+
+
+def poly_add(f, g):
+    zeros = [surd(0)] * abs(len(f) - len(g))
+    f, g = (f + zeros, g) if len(f) < len(g) else (f, g + zeros)
+    return [surd_add(u, v) for u, v in zip(f, g)]
+
+
+def poly_mul(f, *gs):
+    for g in gs:
+        out = [surd(0)] * (len(f) + len(g) - 1)
+        for i, u in enumerate(f):
+            for j, v in enumerate(g):
+                out[i + j] = surd_add(out[i + j], surd_mul(u, v))
+        f = out
+    return f
+
+
+def poly_at(f, a):
+    value = surd(0)
+    for c in reversed(f):
+        value = surd_add(surd_mul(value, a), c)
+    return value
+
+
+G_STAR_EXACT = surd(9, 6)  # 9 + 6*sqrt(3)
+A_STAR_EXACT = surd(1, 1)  # 1 + sqrt(3)
+
+
 class TestParams:
     def test_a_four(self):
         p = bm_params(4)
@@ -123,6 +168,63 @@ class TestBoundG:
         assert min(values, key=values.get) == F(2)
         for v in values.values():
             assert float(v) >= G_STAR - 1e-9
+
+
+class TestExactMinimum:
+    """g(a) >= 9 + 6*sqrt(3) for every a > 0, with equality only at 1 + sqrt(3).
+
+    a^2 (g(a) - 9 - 6*sqrt(3)) = 2 (a - 1 - sqrt(3))^2 (a + 2 - sqrt(3)), and
+    a + 2 - sqrt(3) > 0 for a > 0 because 2^2 > 3.
+    """
+
+    @staticmethod
+    def residual(constant):
+        # (2a+1)(a+2)^2 - constant * a^2 - 2 (a - 1 - sqrt3)^2 (a + 2 - sqrt3)
+        numerator = poly_mul(poly(1, 2), poly(2, 1), poly(2, 1))
+        shifted = poly_add(numerator, poly(0, 0, surd_mul(surd(-1), constant)))
+        root = poly(surd(-1, -1), 1)
+        factored = poly_mul(poly(2), root, root, poly(surd(2, -1), 1))
+        return poly_add(shifted, poly_mul(poly(-1), factored))
+
+    def test_factored_identity_holds_coefficient_by_coefficient(self):
+        assert self.residual(G_STAR_EXACT) == [surd(0)] * 4
+
+    def test_perturbed_constant_fails_the_identity(self):
+        assert self.residual((G_STAR_EXACT[0] + F(1, 1000), G_STAR_EXACT[1])) != [surd(0)] * 4
+
+    def test_equality_at_one_plus_sqrt3_only(self):
+        # g(1 + sqrt(3)) = 9 + 6*sqrt(3), and the other factor has no root a >= 0
+        numerator = poly_mul(poly(1, 2), poly(2, 1), poly(2, 1))
+        lhs = poly_at(numerator, A_STAR_EXACT)
+        assert lhs == surd_mul(G_STAR_EXACT, surd_mul(A_STAR_EXACT, A_STAR_EXACT))
+        # a + 2 - sqrt(3) > 0 for every a >= 0: x - |y| sqrt(3) > 0 as x^2 > 3 y^2
+        x, y = poly_at(poly(surd(2, -1), 1), surd(0))
+        assert x > 0 and x ** 2 > 3 * y ** 2
+
+    @pytest.mark.parametrize("a", [F(3, 2), F(4), F(12)])
+    def test_quotient_is_bound_g(self, a):
+        # the exact family: 2a + 1 is a square, so sqrt(2a + 1) is rational
+        root = 2 * a + 1
+        assert math.isqrt(root.numerator) ** 2 == root.numerator
+        assert math.isqrt(root.denominator) ** 2 == root.denominator
+        g = (2 * a + 1) * (a + 2) ** 2 / a ** 2
+        assert g == bound_g(a)
+        # g(a) - 9 > 6*sqrt(3), both sides positive: (g - 9)^2 > 108
+        assert g - 9 > 0 and (g - 9) ** 2 > 36 * 3
+
+    def test_improvement_over_the_prior_bound_reduces_to_16_over_9(self):
+        # 9 + 6*sqrt(3) < 11 + 6*sqrt(2)  <=>  sqrt(3) - sqrt(2) < gap
+        gap = (F(11) - 9) / 6
+        assert gap == F(1, 3)
+        # square sqrt(3) < sqrt(2) + gap, both sides positive:
+        # 3 < 2 + gap^2 + 2 gap sqrt(2)  <=>  rest < 2 gap sqrt(2)
+        rest = 3 - 2 - gap ** 2
+        assert rest == F(8, 9) and rest > 0
+        # rest / (2 gap) < sqrt(2), both sides positive: square again
+        bound = rest / (2 * gap)
+        assert bound == F(4, 3)
+        assert bound ** 2 == F(16, 9) < 2
+        assert PRIOR_BOUND_SQ == 11 + 6 * math.sqrt(2)
 
 
 class TestOptimizers:

@@ -27,6 +27,7 @@ from projconst.minproj import (
     OracleConfig,
     SolverIntegrityError,
     _certify,
+    _restart_bests,
     build_projection_lp,
     feasible_perturbation,
     float_oracle,
@@ -253,6 +254,22 @@ class TestFloatOracle:
         config = OracleConfig(restarts=2, iterations=10)
         with pytest.raises(ValueError, match="tol"):
             float_oracle(zero_sum_hyperplane(3), tol=tol, config=config)
+
+    @pytest.mark.parametrize("space", [
+        pytest.param(Subspace.from_rows([[1, 1]]), id="line"),
+        # restart 0 stops at once while the others keep moving, so every step
+        # divides by the norms under a mask
+        pytest.param(Subspace.from_rows([[1, 1, 1], [1, 0, 0]]), id="plane-stops-at-once"),
+        pytest.param(zero_sum_hyperplane(3), id="ker3"),
+    ])
+    def test_descent_raises_no_floating_point_warning(self, space):
+        import warnings
+
+        import numpy as np
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            bests = _restart_bests(space, OracleConfig())
+        assert len(bests) == 8 and all(map(math.isfinite, bests))
 
     def test_loads_no_numpy_random(self):
         # numpy.random adds megabytes to a process that needs a few normal draws.

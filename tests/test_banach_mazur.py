@@ -177,11 +177,11 @@ class TestExactMinimum:
     a + 2 - sqrt(3) > 0 for a > 0 because 2^2 > 3.
     """
 
-    @staticmethod
-    def residual(constant):
+    NUMERATOR = poly_mul(poly(1, 2), poly(2, 1), poly(2, 1))  # (2a+1)(a+2)^2 = a^2 g(a)
+
+    def residual(self, constant):
         # (2a+1)(a+2)^2 - constant * a^2 - 2 (a - 1 - sqrt3)^2 (a + 2 - sqrt3)
-        numerator = poly_mul(poly(1, 2), poly(2, 1), poly(2, 1))
-        shifted = poly_add(numerator, poly(0, 0, surd_mul(surd(-1), constant)))
+        shifted = poly_add(self.NUMERATOR, poly(0, 0, surd_mul(surd(-1), constant)))
         root = poly(surd(-1, -1), 1)
         factored = poly_mul(poly(2), root, root, poly(surd(2, -1), 1))
         return poly_add(shifted, poly_mul(poly(-1), factored))
@@ -194,8 +194,7 @@ class TestExactMinimum:
 
     def test_equality_at_one_plus_sqrt3_only(self):
         # g(1 + sqrt(3)) = 9 + 6*sqrt(3), and the other factor has no root a >= 0
-        numerator = poly_mul(poly(1, 2), poly(2, 1), poly(2, 1))
-        lhs = poly_at(numerator, A_STAR_EXACT)
+        lhs = poly_at(self.NUMERATOR, A_STAR_EXACT)
         assert lhs == surd_mul(G_STAR_EXACT, surd_mul(A_STAR_EXACT, A_STAR_EXACT))
         # a + 2 - sqrt(3) > 0 for every a >= 0: x - |y| sqrt(3) > 0 as x^2 > 3 y^2
         x, y = poly_at(poly(surd(2, -1), 1), surd(0))

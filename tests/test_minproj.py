@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 from random import Random
@@ -263,8 +264,6 @@ class TestFloatOracle:
         pytest.param(zero_sum_hyperplane(3), id="ker3"),
     ])
     def test_descent_raises_no_floating_point_warning(self, space):
-        import warnings
-
         import numpy as np
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")

@@ -12,17 +12,14 @@ are lifted with per-entry majorant variables:
                 M[i,j] >= -(B^T C)[i,j]
                 sum_j M[i,j] <= t        for every row i.
 
-At any optimum t equals the exact norm of P = B^T C, so the solved program
-certifies lambda(E, ell_inf^n) together with an optimal projection and a
-sign-vector witness attaining its norm.  The proof that P projects onto E
-is the program's own constraint C B^T = I_k, which `_certify` re-checks.
-
-`projection_certificate` also proves that the value is minimal.  Its
-`ProjectionCertificate` (C, W, w, Lambda) pairs the primal C with a dual
-read off the final simplex tableau, and `check_certificate` proves
-lambda(E) = value from it with products and comparisons only (weak
-duality).  Certificates compose under the Kronecker product, which is how
-`zerosum` certifies its zero-sum spaces without solving their programs.
+Every value leaves this module proved minimal.  One solve gives a
+`ProjectionCertificate` (C, W, w, Lambda): the primal C with a dual read off
+the final simplex tableau, and `check_certificate` proves lambda(E) = value
+from it with products and comparisons only (weak duality).
+`projection_certificate` returns the certificate; `projection_constant`
+keeps C alone, with a sign-vector witness attaining the norm of B^T C.
+Certificates compose under the Kronecker product, which is how `zerosum`
+certifies its zero-sum spaces without solving their programs.
 
 Everything on this path is rational arithmetic; floating point appears only
 in `float_oracle`, a structurally independent first-order check.
@@ -35,7 +32,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .linalg import (
     Mat,
@@ -140,19 +137,21 @@ def build_projection_lp(space: Subspace) -> LinearProgram:
 class ProjectionConstantResult:
     """Certified value of lambda(E, ell_inf^n) with the optimal projection.
 
-    Invariants verified before construction: C B^T = I, so the projection
-    B^T C is idempotent, fixes every basis row and maps into E, and its
-    exact norm equals `value`, attained on `witness`.  The minimum is
-    always attained here (finite dimensions), hence `attained` is True.
-    A result keeps C and the subspace; `projection` is rebuilt from them
-    on each access, so a kept result holds k*n entries instead of n*n more.
+    Proved before construction by `check_certificate`: C B^T = I, so the
+    projection B^T C is idempotent, fixes every basis row and maps into E;
+    its exact norm equals `value`, attained on `witness`; and a checked dual
+    shows that no projection onto E has a smaller norm.  The minimum is
+    always attained (finite dimensions), so `attained` is a class constant.
+    A result keeps C and the subspace, not the dual; `projection` is rebuilt
+    from them on each access, so a kept result holds k*n entries instead of
+    n*n more.
     """
 
     value: Fraction
     minimizer_c: Mat
     space: Subspace
     witness: tuple[int, ...]
-    attained: bool = True
+    attained: ClassVar[bool] = True
 
     @property
     def projection(self) -> Mat:
@@ -199,43 +198,6 @@ def _products(rows, cols) -> list[list[int]]:
     return [[sum(map(operator.mul, r, c)) for c in cols] for r in rows]
 
 
-def _check_primal(basis: Mat, value: Fraction, coeffs: Mat):
-    """The checks 'C B^T = I' and 'norm': P = B^T C projects onto the row
-    space of B, and its largest absolute row sum is `value`.
-
-    Returns B's integer rows and P's rows as integers over `den`, the
-    product of the denominators of B and C, as (b, p_rows, den).
-    """
-    b, db = _integer_matrix(basis)
-    c, dc = _integer_matrix(coeffs)
-    den = db * dc
-    _require(all(x == (den if p == q else 0)
-                 for p, row in enumerate(_products(c, b)) for q, x in enumerate(row)),
-             "C B^T = I", "C is not a left inverse of B^T")
-    p_rows = _products(list(zip(*b)), list(zip(*c)))
-    norm = max(sum(map(abs, row)) for row in p_rows)
-    _require(norm * value.denominator == value.numerator * den, "norm",
-             f"value {value} disagrees with exact norm {Fraction(norm, den)} of B^T C")
-    return b, p_rows, den
-
-
-def _certify(space: Subspace, value: Fraction, coeffs: Mat) -> ProjectionConstantResult:
-    """Check an LP optimum exactly.  C B^T = I_k makes P = B^T C a projection onto
-    E: P^2 = B^T (C B^T) C = P, P B^T = B^T and range P lies in the row space of
-    B; conversely P B^T = B^T forces C B^T = I, as B has full row rank.  The norm
-    of P must equal the value, be at least 1 and be attained on the witness, the
-    signs of P's first row of largest absolute sum (zeros read as +1)."""
-    _, p_rows, den = _check_primal(space.basis, value, coeffs)
-    if value < 1:
-        raise SolverIntegrityError(f"projection constant below 1: {value}")
-    sums = [sum(map(abs, row)) for row in p_rows]
-    witness = tuple(1 if x >= 0 else -1 for x in p_rows[sums.index(max(sums))])
-    image = _products(p_rows, [witness])
-    if max(abs(x) for [x] in image) * value.denominator != value.numerator * den:
-        raise SolverIntegrityError("norm witness does not attain the optimum")
-    return ProjectionConstantResult(value, _shared_entries(coeffs), space, witness)
-
-
 class ProjectionCertificate(NamedTuple):
     """A primal-dual certificate that lambda(E, ell_inf^n) = value, for a basis B of E.
 
@@ -267,14 +229,15 @@ class ProjectionCertificate(NamedTuple):
             self.restriction.kron(other.restriction))
 
 
-def check_certificate(basis: Mat, cert: ProjectionCertificate):
+def check_certificate(basis: Mat, cert: ProjectionCertificate) -> tuple[list[list[int]], int]:
     """Prove lambda(E) = cert.value for the row space E of `basis`, or raise
     SolverIntegrityError naming the failed check.
 
     With B = `basis`, the checks are, in order:
 
-    * 'C B^T = I': P = B^T C is then a projection onto E, and B has full
-      row rank, so it needs no separate rank check;
+    * 'C B^T = I': P = B^T C is then a projection onto E, as
+      P^2 = B^T (C B^T) C = P and P B^T = B^T; B has full row rank, so it
+      needs no separate rank check;
     * 'norm': the largest absolute row sum of P is the value, so
       lambda(E) <= value;
     * 'w >= 0' and 'sum w = 1';
@@ -282,9 +245,8 @@ def check_certificate(basis: Mat, cert: ProjectionCertificate):
     * 'B W = Lambda B';
     * 'tr Lambda': the trace of Lambda is the value.
 
-    The first two are `_certify`'s too.  The last four give
-    lambda(E) >= value by weak duality.  Any projection P' onto E is
-    B^T C' with C' B^T = I, so
+    The last four give lambda(E) >= value by weak duality.  Any projection
+    P' onto E is B^T C' with C' B^T = I, so
     <W, P'> = tr((B W)^T C') = tr(Lambda^T C' B^T) = tr Lambda, while
     <W, P'> <= sum_i w_i (row sum i of |P'|) <= norm(P').
 
@@ -292,14 +254,24 @@ def check_certificate(basis: Mat, cert: ProjectionCertificate):
     every check is one of four integer matrix products or a comparison of
     integers: no elimination, and no `Fraction` temporaries, whose churn
     raises peak RSS when many results are kept.  No check trusts the code
-    that made the certificate.
+    that made the certificate.  Returns the rows of P that the 'norm'
+    check computes, as integers over one denominator: (rows, den).
     """
     value, coeffs, dual, weights, restriction = cert
     k, n = basis.rows, basis.cols
     _require((coeffs.rows, coeffs.cols, dual.rows, dual.cols, len(weights),
               restriction.rows, restriction.cols) == (k, n, n, n, n, k, k),
              "shape", f"certificate does not fit a {k}-dimensional subspace of ell_inf^{n}")
-    b, _, _ = _check_primal(basis, value, coeffs)
+    b, db = _integer_matrix(basis)
+    c, dc = _integer_matrix(coeffs)
+    den = db * dc
+    _require(all(x == (den if p == q else 0)
+                 for p, row in enumerate(_products(c, b)) for q, x in enumerate(row)),
+             "C B^T = I", "C is not a left inverse of B^T")
+    p_rows = _products(list(zip(*b)), list(zip(*c)))  # over den
+    norm = max(sum(map(abs, row)) for row in p_rows)
+    _require(norm * value.denominator == value.numerator * den, "norm",
+             f"value {value} disagrees with exact norm {Fraction(norm, den)} of B^T C")
     w, dw = integer_row(weights)
     _require(min(w) >= 0, "w >= 0", "a weight is negative")
     _require(sum(w) == dw, "sum w = 1", f"weights sum to {Fraction(sum(w), dw)}")
@@ -315,19 +287,12 @@ def check_certificate(basis: Mat, cert: ProjectionCertificate):
     trace = sum(lam_rows[i][i] for i in range(k))
     _require(trace * value.denominator == value.numerator * d_lam,
              "tr Lambda", f"trace of Lambda is {Fraction(trace, d_lam)}, not {value}")
+    return p_rows, den
 
 
-def _solve(space: Subspace):
-    """The minimal-projection LP's solution; a program that is feasible and
-    bounded by construction but rejected is a solver-integrity failure."""
-    try:
-        return solve_linear_program(build_projection_lp(space))
-    except (InfeasibleProgram, UnboundedProgram) as exc:
-        raise SolverIntegrityError(f"minimal-projection LP rejected: {exc}") from exc
-
-
-def projection_certificate(space: Subspace) -> ProjectionCertificate:
-    """Exact lambda(E, ell_inf^n) with a checked primal-dual certificate, from one LP solve.
+def _checked_certificate(space: Subspace) -> tuple[ProjectionCertificate, list[list[int]], int]:
+    """The certificate of lambda(E, ell_inf^n) from one LP solve, checked, with
+    the rows of P = B^T C that `check_certificate` returns.
 
     C is the optimal coefficient matrix.  The dual is read off the slack
     duals u of the program of `build_projection_lp`: W_ij = u+_ij - u-_ij
@@ -336,7 +301,11 @@ def projection_certificate(space: Subspace) -> ProjectionCertificate:
     for the equality multipliers V, so Lambda = B W C^T: B C^T = I makes
     C^T a right inverse of B.  With k = n there is no program; C = B^-T,
     w = e_1, W = e_1 e_1^T and Lambda = B W C^T = B e_1 e_1^T B^-1.
-    `check_certificate` runs before the certificate is returned.
+
+    The program is feasible and bounded by construction, so infeasibility
+    or unboundedness out of the simplex is a solver-integrity failure.
+    Running out of pivots proves nothing about the program, so
+    `PivotLimitExceeded` propagates unchanged.
     """
     n, k = space.ambient_dim, space.dim
     if k == n:
@@ -345,32 +314,42 @@ def projection_certificate(space: Subspace) -> ProjectionCertificate:
         weights = (_ONE,) + (_ZERO,) * (n - 1)
         dual = Mat(n, n, weights + (_ZERO,) * (n * n - n))  # e_1 e_1^T: row 0 is w
     else:
-        value, x, u = _solve(space)
+        try:
+            value, x, u = solve_linear_program(build_projection_lp(space))
+        except (InfeasibleProgram, UnboundedProgram) as exc:
+            raise SolverIntegrityError(f"minimal-projection LP rejected: {exc}") from exc
         coeffs = Mat(k, n, tuple(x[: k * n]))
         dual = Mat(n, n, tuple(u[2 * e] - u[2 * e + 1] for e in range(n * n)))
         weights = tuple(u[2 * n * n:])
     restriction = space.basis @ dual @ coeffs.transpose()
     cert = ProjectionCertificate(value, coeffs, dual, weights, restriction)
-    check_certificate(space.basis, cert)
-    return cert
+    return (cert, *check_certificate(space.basis, cert))
+
+
+def projection_certificate(space: Subspace) -> ProjectionCertificate:
+    """Exact lambda(E, ell_inf^n) with a checked primal-dual certificate, from
+    one LP solve (none when E is the whole space)."""
+    return _checked_certificate(space)[0]
 
 
 def projection_constant(space: Subspace) -> ProjectionConstantResult:
-    """Exact lambda(E, ell_inf^n) for E given by `space`.
+    """Exact lambda(E, ell_inf^n) for E given by `space`, proved minimal.
 
-    The degenerate full-dimensional case k = n short-circuits to the
-    identity; everything else goes through the exact LP.  That program is
-    feasible and bounded by construction, so infeasibility or unboundedness
-    out of the simplex is a solver-integrity failure.  Running out of pivots
-    proves nothing about the program, so `PivotLimitExceeded` propagates
-    unchanged.
+    The certificate of `projection_certificate` is checked but not kept:
+    the result keeps its C.  The value must be at least 1 and be attained on
+    the witness, the signs of P's first row of largest absolute sum (zeros
+    read as +1), both read off the integer rows of P that the check returns.
     """
-    if space.dim == space.ambient_dim:
-        coeffs = invert_square(space.basis.transpose())
-        return _certify(space, _ONE, coeffs)
-    value, x, _ = _solve(space)
-    coeffs = Mat(space.dim, space.ambient_dim, tuple(x[: space.dim * space.ambient_dim]))
-    return _certify(space, value, coeffs)
+    cert, p_rows, den = _checked_certificate(space)
+    value = cert.value
+    if value < 1:
+        raise SolverIntegrityError(f"projection constant below 1: {value}")
+    sums = [sum(map(abs, row)) for row in p_rows]
+    witness = tuple(1 if x >= 0 else -1 for x in p_rows[sums.index(max(sums))])
+    image = _products(p_rows, [witness])
+    if max(abs(x) for [x] in image) * value.denominator != value.numerator * den:
+        raise SolverIntegrityError("norm witness does not attain the optimum")
+    return ProjectionConstantResult(value, _shared_entries(cert.coeffs), space, witness)
 
 
 def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random,

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from projconst import zerosum
+from projconst import minproj, zerosum
 from projconst.acceptance import Context, run_all
 from projconst.linalg import Mat, RankDeficientError, Subspace, inf_op_norm
 from projconst.minproj import (
@@ -41,14 +41,32 @@ class TestLinearProgramCertificates:
         assert cert.value == 2 - F(2, n)
         assert (cert.dual.rows, len(cert.weights), cert.restriction.rows) == (n, n, n - 1)
 
-    def test_seeded_subspaces_agree_with_projection_constant(self):
+    def test_seeded_subspaces_agree_with_projection_constant(self, monkeypatch):
+        # every LP solve that projection_constant makes carries one checked
+        # dual, and the certificate it checked is the result's
+        calls, checked = [], []
+        original_solve = minproj.solve_linear_program
+
+        def solve(lp):
+            calls.append(lp)
+            return original_solve(lp)
+
+        def check(basis, cert):
+            checked.append(cert)
+            return check_certificate(basis, cert)
+
+        monkeypatch.setattr(minproj, "solve_linear_program", solve)
+        monkeypatch.setattr(minproj, "check_certificate", check)
         rng = Random(20261019)
         for _ in range(25):
             n = rng.randint(2, 6)
             space = _random_space(rng, n, rng.randint(1, n - 1))
-            cert = projection_certificate(space)
-            assert cert.value == projection_constant(space).value
+            result = projection_constant(space)
+            assert len(calls) == len(checked)
+            cert = checked[-1]
+            assert (cert.value, cert.coeffs) == (result.value, result.minimizer_c)
             check_certificate(space.basis, cert)
+        assert len(calls) == 25
 
     def test_full_dimension_needs_no_program(self):
         space = Subspace.from_rows([[1, 2], [0, 3]])
@@ -164,6 +182,52 @@ def test_dependent_rows_fail_the_left_inverse_check():
     rows = space.basis.row_lists()
     with pytest.raises(SolverIntegrityError, match="certificate check 'C B\\^T = I'"):
         check_certificate(Mat.from_rows([rows[0], rows[0]]), cert)
+
+
+def _corrupt_slack_duals(monkeypatch, index, replace):
+    """Make each LP solve of `minproj` return its slack duals u with u[index]
+    replaced by replace(u[index])."""
+    solve = minproj.solve_linear_program
+
+    def corrupted(lp):
+        solution = solve(lp)
+        u = list(solution.slack_duals)
+        u[index] = replace(u[index])
+        return solution._replace(slack_duals=u)
+
+    monkeypatch.setattr(minproj, "solve_linear_program", corrupted)
+
+
+# (index into u, change, the check that must fail).  Index 0 is the dual
+# of the + majorant row of entry (0, 0), which adds 3 to W_00 >= -w_0, so
+# W_00 ends at least 2 and exceeds w_0 <= 1.  Index -1 is the dual of the
+# last row-sum row, a weight.
+SLACK_DUAL_CHANGES = [
+    pytest.param(0, lambda x: x + 3, "|W_ij| <= w_i", id="majorant"),
+    pytest.param(-1, lambda x: x + F(1, 7), "sum w = 1", id="weight"),
+]
+
+
+@pytest.mark.parametrize("index, replace, check", SLACK_DUAL_CHANGES)
+@pytest.mark.parametrize("space", [
+    coordinate_sum_kernel(3),
+    Subspace.from_rows([[1, 2, 0, -1], [0, 1, 1, 1]]),
+], ids=["ker3", "rational4"])
+def test_projection_constant_checks_the_dual(monkeypatch, space, index, replace, check):
+    # a changed slack dual leaves the primal optimal, so only a dual check
+    # can reject it
+    _corrupt_slack_duals(monkeypatch, index, replace)
+    with pytest.raises(SolverIntegrityError) as caught:
+        projection_constant(space)
+    assert str(caught.value).startswith(f"certificate check '{check}' fails")
+
+
+@pytest.mark.parametrize("index, replace, check", SLACK_DUAL_CHANGES)
+def test_a_wrong_slack_dual_fails_the_kernel_constants(monkeypatch, index, replace, check):
+    _corrupt_slack_duals(monkeypatch, index, replace)
+    [result] = run_all(Context(), only={"kernel-constants"})
+    assert not result.passed
+    assert result.detail.startswith(f"SolverIntegrityError: certificate check '{check}'")
 
 
 def test_a_wrong_kernel_factor_fails_the_multiplication_law(monkeypatch):

@@ -1,0 +1,29 @@
+"""The CI workflow must not go stale in silence.
+
+`.github/workflows/tests.yml` names test files and benchmark paths, and
+expects `selftest` to end with a summary line that counts the criteria.  A
+renamed file or a new criterion would break the workflow only when it runs;
+these tests break at once instead.  Needs nothing beyond pytest.
+"""
+
+import re
+from pathlib import Path
+
+from projconst.acceptance import CRITERIA
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+
+
+def _workflow() -> str:
+    return WORKFLOW.read_text()
+
+
+def test_every_named_path_exists():
+    paths = set(re.findall(r"(?<![\w/$.-])((?:tests|perfbench)/[\w./-]*\w)", _workflow()))
+    assert {"tests/test_certificate.py", "perfbench/run.py", "perfbench/tests"} <= paths
+    assert sorted(p for p in paths if not (ROOT / p).exists()) == []
+
+
+def test_expected_selftest_summary_counts_every_criterion():
+    assert re.findall(r"OK \(\d+ criteria\)", _workflow()) == [f"OK ({len(CRITERIA)} criteria)"]

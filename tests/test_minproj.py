@@ -27,11 +27,12 @@ from projconst.minproj import (
     LPBudget,
     OracleConfig,
     SolverIntegrityError,
-    _certify,
     _restart_bests,
     build_projection_lp,
+    check_certificate,
     feasible_perturbation,
     float_oracle,
+    projection_certificate,
     projection_constant,
 )
 from projconst.zerosum import coordinate_sum_kernel
@@ -125,7 +126,7 @@ class TestCertificate:
 
 
 class TestPrimalCertificate:
-    """`_certify` checks C B^T = I in place of the projection checks on B^T C."""
+    """`check_certificate` checks C B^T = I in place of the projection checks on B^T C."""
 
     SPACES = [
         Subspace.from_rows([[1, 1]]),
@@ -155,23 +156,23 @@ class TestPrimalCertificate:
 
     @pytest.mark.parametrize("space", SPACES[:4], ids=["diag2", "ker3", "ker4", "rational4"])
     def test_corrupted_value_is_caught(self, space):
-        result = projection_constant(space)
-        _certify(space, result.value, result.minimizer_c)
+        cert = projection_certificate(space)
+        check_certificate(space.basis, cert)
         with pytest.raises(SolverIntegrityError, match="disagrees with exact norm"):
-            _certify(space, result.value + F(1, 1000), result.minimizer_c)
+            check_certificate(space.basis, cert._replace(value=cert.value + F(1, 1000)))
 
     @pytest.mark.parametrize("space", SPACES[:4], ids=["diag2", "ker3", "ker4", "rational4"])
     def test_corrupted_coefficient_is_caught(self, space):
         # the value passed is the corrupted projection's own exact norm, so
         # the norm checks pass and C B^T = I is the first check to reject it
-        coeffs = projection_constant(space).minimizer_c
-        rows = coeffs.row_lists()
+        cert = projection_certificate(space)
+        rows = cert.coeffs.row_lists()
         rows[0][0] += F(1, 1000)
         corrupted = Mat.from_rows(rows)
         norm = inf_op_norm(space.basis.transpose() @ corrupted).value
         assert norm >= 1
         with pytest.raises(SolverIntegrityError, match="C B\\^T = I"):
-            _certify(space, norm, corrupted)
+            check_certificate(space.basis, cert._replace(value=norm, coeffs=corrupted))
 
 
 class TestPerturbations:
@@ -321,8 +322,9 @@ def test_random_subspaces_certify(data, n):
     result = projection_constant(space)
     assert result.value >= 1
     assert result.projection.is_idempotent()
-    # _certify reads the witness off integer rows; inf_op_norm reads it off
-    # the Fraction projection, which the golden witnesses were made with
+    # projection_constant reads the witness off the integer rows of P that
+    # check_certificate returns; inf_op_norm reads it off the Fraction
+    # projection, which the golden witnesses were made with
     norm = inf_op_norm(result.projection)
     assert (norm.value, norm.witness) == (result.value, result.witness)
 

@@ -402,8 +402,9 @@ def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
     product is stacked per restart, so each restart rounds exactly as it
     would on its own.  Each step writes into buffers allocated once, before
     the loop.  A restart whose gradient vanishes stops moving: its Theta
-    repeats, so its gradient norm stays 0.  Only a step on which some norm is
-    0 divides under a mask, and the descent ends once every norm is 0.
+    repeats, so its gradient norm stays 0.  Each step counts the nonzero
+    norms: only a step on which some norm is 0 divides under a mask, and the
+    descent ends once every norm is 0.
     """
     import numpy as np
 
@@ -413,7 +414,10 @@ def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
     bt = basis.T
     # Base point: C0 = (B B^T)^{-1} B satisfies C0 B^T = I.
     c0 = np.linalg.solve(basis @ basis.T, basis)
-    p0 = bt @ c0
+    # + 0.0 turns -0.0 into +0.0 and leaves every other entry as it is.  In
+    # round-to-nearest x + y is -0.0 only when x and y both are, so no
+    # p = P0 + X of the descent holds -0.0 either.
+    p0 = bt @ c0 + 0.0
     p0_norm = float(np.abs(p0).sum(axis=1).max())
 
     _, s, vh = np.linalg.svd(basis)
@@ -450,15 +454,17 @@ def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
         i_star = sums.argmax(axis=1)
         rows = i_star + offsets
         np.minimum(best, flat_sums.take(rows), out=best)
-        # p is finite, so this is np.sign with 0 read as +1, -0.0 included
-        signs = np.where(p_rows.take(rows, axis=0) < 0.0, -1.0, 1.0)
+        # p is finite and never -0.0 (see P0 above), so copysign is np.sign
+        # with 0 read as +1
+        signs = np.copysign(1.0, p_rows.take(rows, axis=0))
         # (1 x n) @ (n x n-k) per restart: a 2-D product would round differently.
         np.multiply(bt_col.take(i_star, axis=0), signs @ null, out=grad)
         # (1 x m) @ (m x 1) per restart: the dot product np.linalg.norm takes.
         np.sqrt(np.matmul(flat, flat_t, out=gnorm), out=gnorm)
-        if gnorm.all():
+        moving = np.count_nonzero(gnorm)
+        if moving == config.restarts:
             theta = theta - (step / gnorm) * grad
-        elif gnorm.any():
+        elif moving:
             theta = theta - np.divide(step, gnorm, out=np.zeros_like(gnorm),
                                       where=gnorm != 0.0) * grad
         else:

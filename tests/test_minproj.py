@@ -271,6 +271,32 @@ class TestFloatOracle:
             bests = _restart_bests(space, OracleConfig())
         assert len(bests) == 8 and all(map(math.isfinite, bests))
 
+    def test_sign_rule_premise_holds_on_this_numpy(self):
+        # The descent reads the signs of a row of p = P0 + X with np.copysign,
+        # which reads -0.0 as -1, and clears -0.0 from P0 once with + 0.0.  So
+        # on this numpy, P0 + 0.0 and every P0 + X must hold no -0.0, and there
+        # copysign must agree with the rule "negative -> -1, else +1".
+        import numpy as np
+
+        def negative_zeros(a):
+            return int(np.count_nonzero(np.signbit(a) & (a == 0.0)))
+
+        def rule(a):
+            return np.where(a < 0.0, -1.0, 1.0)
+
+        values = np.array([-0.0, 0.0, 1.5, -1.5, 5e-324, -5e-324, 1e300, -1e300])
+        raw, x = np.meshgrid(values, values, indexing="ij")
+        assert negative_zeros(raw) == values.size and negative_zeros(x) == values.size
+        p0 = raw + 0.0
+        assert negative_zeros(p0) == 0 and np.array_equal(p0, raw)
+        p = np.empty_like(p0)
+        np.add(p0, x, out=p)
+        assert negative_zeros(p) == 0 and np.isfinite(p).all()
+        assert np.array_equal(np.copysign(1.0, p), rule(p))
+        # without the clearing, a raw -0.0 reads differently
+        assert np.copysign(1.0, raw[0, 0]) == -1.0 and rule(raw[0, 0]) == 1.0
+        assert not np.array_equal(np.copysign(1.0, raw + x), rule(raw + x))
+
     def test_loads_no_numpy_random(self):
         # numpy.random adds megabytes to a process that needs a few normal draws.
         code = ("import sys, numpy\n"

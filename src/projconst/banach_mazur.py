@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, NamedTuple
 
 from .linalg import format_rational
@@ -325,6 +326,26 @@ class NormWindow(NamedTuple):
     stabilized: bool
 
 
+def _indices_to_read(classes: list[tuple[int, int]], count: int, periods: int):
+    """The indices below `count` that earlier indices do not settle, in increasing order.
+
+    `classes` holds one (modulus, residue) pair per clause, which feeds index
+    i when i >= residue and (i - residue) % modulus == 0.  From T = max
+    residue on, the clauses feeding i depend only on i mod L = lcm(moduli).
+    So every index below T + periods * L is read, and past it only those of
+    the residue classes mod L fed by two or more clauses; an index of any
+    other class is settled by i - L, ..., i - periods * L, all >= T.
+    """
+    period = math.lcm(*(m for m, _ in classes))
+    start = max((r for _, r in classes), default=0) + periods * period
+    if start >= count:
+        return range(count)
+    shared = [i - start for i in range(start, start + period)
+              if sum(not (i - r) % m for m, r in classes) >= 2]
+    return chain(range(start), (i for base in range(start, count, period)
+                                for i in (base + s for s in shared) if i < count))
+
+
 def operator_norm_window(op: SeqOperator, window: int = 4096) -> NormWindow:
     """Max absolute row sum over output indices below `window`.
 
@@ -337,6 +358,11 @@ def operator_norm_window(op: SeqOperator, window: int = 4096) -> NormWindow:
     (i >= R and (i - R) % M == 0) and, when two of them read the same input,
     which ones coincide.  Rows with equal keys merge equal coefficients, so
     the absolute row sum and the sorted shape are computed once per key.
+    From T = max R on, the clauses feeding row i depend only on i mod
+    L = lcm(M), and a row fed by at most one clause has no coincidences to
+    label: it repeats the key of row i - L.  So past T + L only the residue
+    classes fed by two or more clauses are read, where two clauses of
+    different slope may read the same input on one row of the class.
     """
     if window < 2:
         raise ValueError(f"window {window} too small")
@@ -348,7 +374,7 @@ def operator_norm_window(op: SeqOperator, window: int = 4096) -> NormWindow:
     patterns_half: set = set()
     best = _ZERO
     half = window // 2
-    for i in range(window):
+    for i in _indices_to_read([(m, r) for _, m, r, _, _ in maps], window, 1):
         fed = tuple([n for n, m, r, _, _ in maps if i >= r and not (i - r) % m])
         key, labels = fed, range(len(fed))
         if len(fed) > 1:
@@ -377,13 +403,19 @@ def verify_inverse(forward: SeqOperator, inverse: SeqOperator,
     """Check both composition orders on the first `basis_count` >= 1 unit vectors.
 
     Each order is composed once from the clauses; column j of the composite
-    must then be the unit vector e_j.
+    must then be the unit vector e_j.  From T = max D on, the clauses feeding
+    column j depend only on j mod L = lcm(C).  In a residue class fed by one
+    clause, column j is one affine map of j; if it is e_j at two points of
+    the class it is e_j on the whole class, and a class fed by none fails at
+    once.  So past T + 2L only the classes fed by two or more clauses are
+    read.
     """
     if basis_count < 1:
         raise ValueError(f"inverse check needs basis_count >= 1, got {basis_count}")
     for composite in (SeqOperator.compose(inverse, forward),
                       SeqOperator.compose(forward, inverse)):
-        for j in range(basis_count):
+        classes = [(cl.in_modulus, cl.in_residue) for cl in composite.clauses]
+        for j in _indices_to_read(classes, basis_count, 2):
             if composite.col(j) != ((j, _ONE),):
                 return False
     return True

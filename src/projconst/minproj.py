@@ -400,11 +400,14 @@ def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
 
     All restarts advance together as one (restarts, k, n-k) array.  Every
     product is stacked per restart, so each restart rounds exactly as it
-    would on its own.  Each step writes into buffers allocated once, before
-    the loop.  A restart whose gradient vanishes stops moving: its Theta
-    repeats, so its gradient norm stays 0.  Each step counts the nonzero
-    norms: only a step on which some norm is 0 divides under a mask, and the
-    descent ends once every norm is 0.
+    would on its own.  Where n - k = 1 the rank-one product
+    (B^T Theta) @ null^T is one np.multiply instead, which can differ from
+    the stacked product only in the sign of a zero; p = P0 + X erases that.
+    Each step writes into buffers allocated once, before the loop, and
+    updates Theta in place.  A restart whose gradient vanishes stops moving:
+    its Theta repeats, so its gradient norm stays 0.  Each step counts the
+    nonzero norms: only a step on which some norm is 0 divides under a mask,
+    and the descent ends once every norm is 0.
     """
     import numpy as np
 
@@ -440,35 +443,47 @@ def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
     # Buffers and fixed views of them: row i* of restart r is row r*n + i* of
     # p_rows and entry r*n + i* of flat_sums.
     p, sums = np.empty((config.restarts, n, n)), np.empty((config.restarts, n))
+    # P0 once per restart: adding two arrays of one shape is a single flat loop
+    p0_stack = np.tile(p0, (config.restarts, 1, 1))
     abs_p, grad = np.empty_like(p), np.empty_like(theta)
-    gnorm = np.empty((config.restarts, 1, 1))
+    bt_theta = np.empty((config.restarts, n, n_free))
+    signs_null = np.empty((config.restarts, 1, n_free))
+    gnorm, scale = np.empty((config.restarts, 1, 1)), np.empty((config.restarts, 1, 1))
     flat = grad.reshape(config.restarts, 1, -1)
     flat_t = flat.transpose(0, 2, 1)
     p_rows, flat_sums = p.reshape(-1, 1, n), sums.reshape(-1)
-    offsets = np.arange(0, config.restarts * n, n)
+    offsets = np.arange(0, config.restarts * n, n, dtype=np.intp)
+    i_star, rows = np.empty_like(offsets), np.empty_like(offsets)
     bt_col, null_t = bt[:, :, None], null.T
+    # With inner size n - k = 1, (B^T Theta) @ null^T is one rounded multiply
+    # per entry, as np.multiply computes it; the two may differ only in the
+    # sign of a zero, which p = P0 + X erases, since P0 holds no -0.0.
+    outer = np.multiply if n_free == 1 else np.matmul
     step = initial_step
     for _ in range(config.iterations):
-        np.add(p0, bt @ theta @ null_t, out=p)
+        outer(np.matmul(bt, theta, out=bt_theta), null_t, out=p)
+        np.add(p0_stack, p, out=p)
         np.add.reduce(np.absolute(p, out=abs_p), axis=2, out=sums)
-        i_star = sums.argmax(axis=1)
-        rows = i_star + offsets
+        np.add(sums.argmax(axis=1, out=i_star), offsets, out=rows)
         np.minimum(best, flat_sums.take(rows), out=best)
         # p is finite and never -0.0 (see P0 above), so copysign is np.sign
         # with 0 read as +1
         signs = np.copysign(1.0, p_rows.take(rows, axis=0))
         # (1 x n) @ (n x n-k) per restart: a 2-D product would round differently.
-        np.multiply(bt_col.take(i_star, axis=0), signs @ null, out=grad)
+        np.multiply(bt_col.take(i_star, axis=0), np.matmul(signs, null, out=signs_null),
+                    out=grad)
         # (1 x m) @ (m x 1) per restart: the dot product np.linalg.norm takes.
         np.sqrt(np.matmul(flat, flat_t, out=gnorm), out=gnorm)
         moving = np.count_nonzero(gnorm)
         if moving == config.restarts:
-            theta = theta - (step / gnorm) * grad
+            np.divide(step, gnorm, out=scale)
         elif moving:
-            theta = theta - np.divide(step, gnorm, out=np.zeros_like(gnorm),
-                                      where=gnorm != 0.0) * grad
+            scale.fill(0.0)
+            np.divide(step, gnorm, out=scale, where=gnorm != 0.0)
         else:
             break
+        # Theta -= (step / |grad|) * grad, in place
+        np.subtract(theta, np.multiply(scale, grad, out=grad), out=theta)
         step *= decay
     return best.tolist()
 

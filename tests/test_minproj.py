@@ -297,6 +297,38 @@ class TestFloatOracle:
         assert np.copysign(1.0, raw[0, 0]) == -1.0 and rule(raw[0, 0]) == 1.0
         assert not np.array_equal(np.copysign(1.0, raw + x), rule(raw + x))
 
+    def test_rank_one_product_premise_holds_on_this_numpy(self):
+        # With n - k = 1 the descent forms X = (B^T Theta) @ null^T, a stacked
+        # product of inner size 1, as one np.multiply.  Both round each entry
+        # once, so they may differ only in the sign of a zero, and p = X + P0
+        # erases that sign because P0 (cleared with + 0.0) holds no -0.0.  So
+        # on this numpy both must give the same p bit for bit, here with -0.0,
+        # subnormal and underflowing factors.
+        import numpy as np
+
+        def negative_zeros(a):
+            return int(np.count_nonzero(np.signbit(a) & (a == 0.0)))
+
+        values = np.array([-0.0, 0.0, 1.5, -1.5, 5e-324, -5e-324, 1e150, -1e150, 3.0, -7.25])
+        n = values.size
+        rng = Random(5)
+        column = np.array([rng.sample(list(values), n) for _ in range(3)])[:, :, None]
+        null_t = np.array([rng.sample(list(values), n)])
+        p0 = np.add.outer(values, values) + 0.0
+        assert negative_zeros(p0) == 0 and np.count_nonzero(p0 == 0.0) > 0
+
+        product, stacked = np.multiply(column, null_t), np.matmul(column, null_t)
+        assert negative_zeros(product) > 0 and np.isfinite(product).all()
+        assert np.array_equal(product, stacked)
+        p_multiply, p_matmul = np.empty_like(product), np.empty_like(product)
+        np.add(p0, np.multiply(column, null_t, out=p_multiply), out=p_multiply)
+        np.add(p0, np.matmul(column, null_t, out=p_matmul), out=p_matmul)
+        assert negative_zeros(p_multiply) == 0
+        assert p_multiply.tobytes() == p_matmul.tobytes()
+        # and equal to the 2-D product, one restart at a time
+        for r in range(column.shape[0]):
+            assert (p0 + column[r] @ null_t).tobytes() == p_multiply[r].tobytes()
+
     def test_loads_no_numpy_random(self):
         # numpy.random adds megabytes to a process that needs a few normal draws.
         code = ("import sys, numpy\n"

@@ -6,8 +6,11 @@ stacked products must round exactly as the loop's, so the per-restart bests
 must agree bit for bit: on ker_2..ker_16, the selftest's multiplication-law
 instances and their zero-sum spaces, the benchmark's oracle inputs, a line,
 a plane whose first restart stops at once, the n = k short-circuit, seeded
-random subspaces (where the verdict, value or inconclusive message, must
-also agree) and small restart and iteration budgets.
+random subspaces and seeded hyperplanes ker f (where the verdict, value or
+inconclusive message, must also agree) and small restart and iteration
+budgets.  With n - k = 1 the descent forms its rank-one products with
+np.multiply, so the hyperplanes with non-symmetric integer f, zeros among
+them, test that branch beyond ker_n.
 """
 
 from random import Random
@@ -16,12 +19,13 @@ import pytest
 from oracle_reference import reference_restart_bests, reference_verdict
 
 from projconst.acceptance import _law_instances
-from projconst.linalg import Subspace, rank_of_rows
+from projconst.linalg import Subspace, kernel_basis, rank_of_rows
 from projconst.minproj import OracleConfig, OracleInconclusive, _restart_bests, float_oracle
 from projconst.zerosum import coordinate_sum_kernel, sigma_subspace
 
 RANDOM_SPACES = 30
 RANDOM_ITERATIONS = 500
+HYPERPLANES = 30
 
 
 def bits(values: list[float]) -> list[str]:
@@ -48,6 +52,15 @@ def random_space(rng: Random) -> Subspace:
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
         if rank_of_rows(rows) == k:
             return Subspace.from_rows(rows)
+
+
+def random_hyperplane(rng: Random) -> Subspace:
+    """ker f in ell_inf^n for an integer f with entries of at least two absolute values."""
+    n = rng.randint(3, 10)
+    while True:
+        f = [rng.randint(-5, 5) for _ in range(n)]
+        if len({abs(x) for x in f}) > 1 and sum(x != 0 for x in f) >= 2:
+            return Subspace.from_rows(kernel_basis([f]))
 
 
 def law_spaces():
@@ -109,6 +122,21 @@ def test_random_subspaces():
         assert got == expected, seed
         verdicts.append(type(got))
     # both outcomes occur, so the inconclusive messages are compared too
+    assert {float, str} <= set(verdicts)
+
+
+def test_random_hyperplanes():
+    rng = Random(1974)
+    verdicts = []
+    for seed in range(HYPERPLANES):
+        space = random_hyperplane(rng)
+        assert space.ambient_dim - space.dim == 1
+        config = OracleConfig(seed=seed, iterations=RANDOM_ITERATIONS)
+        bests = assert_same_bests(space, config)
+        expected = verdict(lambda: reference_verdict(bests))
+        got = verdict(lambda: float_oracle(space, config=config))
+        assert got == expected, seed
+        verdicts.append(type(got))
     assert {float, str} <= set(verdicts)
 
 

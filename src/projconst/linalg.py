@@ -13,10 +13,11 @@ entry j standing for row[j] / den.  `pivot_rows` is the single pivot step:
 its Gauss-Jordan form, the condensed simplex tableau in `simplex` with its
 exchange form.  Rows are updated in place by integer multiply and subtract,
 as in Edmonds' (1967) and Bareiss' (1968) integer-preserving elimination,
-with work proportional to a row's nonzeros, not its width.  A row is divided
-by its gcd only when a pivot gives it a new denominator, so rows need not be
-in lowest terms between pivots; `_reduce` hands its rows out through
-`lowest_terms`.  `Fraction`s are built only from the final rows.
+with work proportional to a row's nonzeros, not its width.  The pivot row is
+divided by its gcd on every pivot; another row only when a pivot gives it a
+new denominator of at least `ONE_DIGIT` (2**30 on 64-bit builds), so rows
+need not be in lowest terms between pivots; `_reduce` hands its rows out
+through `lowest_terms`.  `Fraction`s are built only from the final rows.
 
 No floating point enters this module.
 """
@@ -27,6 +28,7 @@ import functools
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -255,6 +257,11 @@ class Subspace:
 # ---------------------------------------------------------------------------
 # exact elimination kernel
 
+# A row that a pivot scales is brought to lowest terms only once its
+# denominator reaches one CPython digit: below that, longer products cost
+# less than a gcd over the row.
+ONE_DIGIT = 1 << sys.int_info.bits_per_digit
+
 
 def integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Numerators of `values` over the lcm of their denominators.
@@ -290,10 +297,12 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
     and -f/p in the others, by writing dens[r] at (r, c) before row r is
     divided and zeroing row[c] before each update.
 
-    Every denominator stays positive.  Row r is brought to lowest terms, and
-    so is a row scaled by P / gcd(f, P) != 1; any other row keeps its
-    denominator and gets only its nonzero updates, so it need not be in
-    lowest terms.
+    Every denominator stays positive.  Row r is brought to lowest terms.  A
+    row scaled by s = P / gcd(f, P) != 1 stays over den*s, unreduced, while
+    den*s < ONE_DIGIT, and is brought to lowest terms once den*s reaches it;
+    any other row keeps its denominator and gets only its nonzero updates.
+    So rows need not be in lowest terms; a row over a denominator below
+    ONE_DIGIT has numerators less than one digit longer than in lowest terms.
 
     Rows change in place, so the entries of `rows` must be distinct lists.
     C-level scans find the touched rows and the nonzeros each row updates.
@@ -322,12 +331,15 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
         for j, x in nz:
             row[j] -= f * x
         if scale != 1:
-            dens[i] = _divide_by_gcd(row, dens[i] * scale)
+            den = dens[i] * scale
+            dens[i] = den if den < ONE_DIGIT else _divide_by_gcd(row, den)
 
 
 def _divide_by_gcd(row: list[int], den: int) -> int:
     """Divide `row` in place by its gcd with `den`, negated when den < 0, and
-    return den so divided; the gcd is a `reduce`, as star-args raise peak RSS."""
+    return den so divided: the pivot row on every pivot, a scaled row once
+    its denominator reaches `ONE_DIGIT`.  The gcd is a `reduce`, as
+    star-args raise peak RSS."""
     g = functools.reduce(math.gcd, filter(None, row), den)
     if den < 0:
         g = -g

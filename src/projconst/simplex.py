@@ -15,14 +15,16 @@ The tableau is condensed and fraction-free.  It keeps the nonbasic columns
 only (the basic ones are identity columns, half or more of a full row):
 labels[q] names the variable at position q and basis[i] that of row i.  A
 row is a list of Python ints over one positive denominator, in the sense of
-`linalg`, and need not be in lowest terms.  The m constraint rows come
-first, the objective row last.  A row starts over the lcm of the
-denominators of its listed entries and right-hand side (an unlisted zero
-would add 1).  Every pivot is
-`linalg.pivot_rows` in its exchange form, the package's one elimination
-kernel: a pivot on (r, q) swaps labels[q] with basis[r], and position q then
-holds the leaving variable's column, 1/p in row r and -a_iq/p in every other
-row i, objective included, in work proportional to the nonzeros.  The
+`linalg`, and need not be in lowest terms: the kernel reduces the pivot row
+on every pivot, but another row only once its denominator reaches
+`linalg.ONE_DIGIT`, and every row is reduced after phase 1.  The m
+constraint rows come first, the objective row last.  A row starts over the
+lcm of the denominators of its listed entries and right-hand side (an
+unlisted zero would add 1).  Every pivot is `linalg.pivot_rows` in its
+exchange form, the package's one elimination kernel: a pivot on (r, q)
+swaps labels[q] with basis[r], and position q then holds the leaving
+variable's column, 1/p in row r and -a_iq/p in every other row i, objective
+included, in work proportional to the nonzeros.  The
 entering and ratio-test scans run in C.
 
 Pivoting uses Bland's smallest-index rule for both the entering and the

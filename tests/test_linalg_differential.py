@@ -14,14 +14,19 @@ sequences, whichever way it trims a touched row's scale, its exchange form
 must leave the rows of the condensed-tableau exchange, and `_reduce` must
 hand it distinct row lists, which in-place updates require.  After every
 pivot the rows must also keep the kernel's row invariant
-(`assert_row_invariant`): a row is brought to lowest terms exactly when the
-pivot scales it, the pivot row always.  On the projection programs of ker_2
-... ker_8 and Sigma_3(ker_3), the simplex's denominators must grow no
-longer than those of the former solver, whose kernel kept every row in
-lowest terms.
+(`assert_row_invariant`): the pivot row is brought to lowest terms, and a
+row the pivot scales stays over its scaled denominator while that is below
+one CPython digit (`linalg.ONE_DIGIT`) and is brought to lowest terms once
+it is not.  Rows over denominators that are products of primes between
+2**10 and 2**15 take both branches, in single pivots and in rank, kernel
+and inverse.  On the projection programs of ker_2 ... ker_8 and
+Sigma_3(ker_3), the simplex's denominators must stay below one digit or
+grow no longer than those of the former solver, whose kernel kept every row
+in lowest terms, and its numerators at most one digit longer.
 """
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from random import Random
@@ -33,10 +38,12 @@ import tableau_reference
 
 from projconst import linalg, simplex
 from projconst.linalg import (
+    ONE_DIGIT,
     Mat,
     RankDeficientError,
     Subspace,
     _reduce,
+    integer_row,
     invert_square,
     kernel_basis,
     mat_compose,
@@ -48,6 +55,11 @@ from projconst.minproj import build_projection_lp
 from projconst.zerosum import coordinate_sum_kernel, sigma_subspace
 
 SEEDS = range(300)
+DIGIT_BITS = sys.int_info.bits_per_digit
+# products of one or two of these make denominators of 11 to 30 bits, so a
+# scaled row's denominator reaches ONE_DIGIT after a pivot or two
+LARGE_PRIMES = [p for p in range(2**10, 2**15)
+                if all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 
 def _entry(rng: Random, zero_share: float) -> F:
@@ -71,6 +83,17 @@ def random_rows(rng: Random, nrows: int, ncols: int) -> list[list[F]]:
         else:
             rows.append([_entry(rng, zero_share) for _ in range(ncols)])
     rng.shuffle(rows)
+    return rows
+
+
+def large_denominator_rows(rng: Random, nrows: int, ncols: int,
+                           numerators: list[int]) -> list[list[F]]:
+    """Rows whose entries share a denominator, one or two large primes per row."""
+    rows = []
+    for _ in range(nrows):
+        den = math.prod(rng.sample(LARGE_PRIMES, rng.randint(1, 2)))
+        rows.append([F(rng.choice((1, -1)) * rng.choice(numerators), den)
+                     if rng.random() < 0.6 else F(0) for _ in range(ncols)])
     return rows
 
 
@@ -177,34 +200,44 @@ def in_lowest_terms(row: list[int], den: int) -> bool:
 
 
 def assert_row_invariant(old_rows: list[list[int]], old_dens: list[int],
-                         rows: list[list[int]], dens: list[int], r: int, c: int):
+                         rows: list[list[int]], dens: list[int], r: int, c: int) -> Counter:
     """The rows `pivot_rows` leaves after a pivot on (r, c) of `old_rows`.
 
     Every denominator is positive and row r is in lowest terms.  Another row
-    with f = old_rows[i][c] != 0 is scaled by P / gcd(f, P), P = dens[r], so
-    it is in lowest terms when P does not divide f, and keeps its former
-    denominator when P divides f.  A row with f = 0 is left as it was.
+    with f = old_rows[i][c] != 0 is scaled by s = P / gcd(f, P), P = dens[r]:
+    it keeps its former denominator when s = 1, stays over old_dens[i] * s,
+    unreduced, while that is below ONE_DIGIT, and is in lowest terms once it
+    is not.  A row with f = 0 is left as it was.  Returns how many rows were
+    kept unreduced and how many reduced at ONE_DIGIT.
     """
     assert all(den > 0 for den in dens)
     assert in_lowest_terms(rows[r], dens[r])
+    branches = Counter()
     for i, (row, den) in enumerate(zip(rows, dens)):
         f = old_rows[i][c]
         if i == r:
             continue
+        scaled = old_dens[i] * (dens[r] // math.gcd(f, dens[r]))
         if not f:
             assert (row, den) == (old_rows[i], old_dens[i])
-        elif f % dens[r]:
-            assert in_lowest_terms(row, den)
-        else:
+        elif scaled == old_dens[i]:
             assert den == old_dens[i]
+        elif scaled < ONE_DIGIT:
+            assert den == scaled
+            branches["kept unreduced"] += 1
+        else:
+            assert in_lowest_terms(row, den)
+            branches["reduced at ONE_DIGIT"] += 1
+    return branches
 
 
 def pivot_checked(rows: list[list[int]], dens: list[int], r: int, c: int,
-                  exchange: bool = False):
-    """`pivot_rows`, with the row invariant asserted after the pivot."""
+                  exchange: bool = False) -> Counter:
+    """`pivot_rows`, with the row invariant asserted after the pivot; returns
+    the invariant's tally of kept and reduced rows."""
     old_rows, old_dens = [list(row) for row in rows], list(dens)
     pivot_rows(rows, dens, r, c, exchange)
-    assert_row_invariant(old_rows, old_dens, rows, dens, r, c)
+    return assert_row_invariant(old_rows, old_dens, rows, dens, r, c)
 
 
 def same_rational_rows(rows: list[list[int]], dens: list[int],
@@ -247,19 +280,27 @@ def test_row_scale_branches_match_the_former_pivot():
     # a touched row with f = row[c] is scaled by P / gcd(f, P), P the pivot
     # row's new denominator: not at all when P divides f, by a proper factor
     # of P when 1 < gcd < P, and by P when gcd = 1; entries and denominators
-    # with small prime factors make all three common
+    # with small prime factors make all three common.  Half the systems put
+    # each row over one or two primes between 2**10 and 2**15, so a scaled
+    # denominator lands on either side of ONE_DIGIT
+    assert ONE_DIGIT == 1 << DIGIT_BITS
     seen = Counter()
+    branches = Counter()
     smooth = [1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 36]
     for seed in SEEDS:
         rng = Random(f"linalg differential row scale {seed}")
         nrows, ncols = rng.randint(2, 8), rng.randint(2, 8)
-        rows, dens = [], []
-        for _ in range(nrows):
-            row = [rng.choice((1, -1)) * rng.choice(smooth) if rng.random() < 0.6 else 0
-                   for _ in range(ncols)]
-            row, den = ref.lowest_terms(row, rng.choice(smooth))
-            rows.append(row)
-            dens.append(den)
+        if rng.random() < 0.5:
+            rows, dens = map(list, zip(*map(integer_row, large_denominator_rows(
+                rng, nrows, ncols, smooth))))
+        else:
+            rows, dens = [], []
+            for _ in range(nrows):
+                row = [rng.choice((1, -1)) * rng.choice(smooth) if rng.random() < 0.6 else 0
+                       for _ in range(ncols)]
+                row, den = ref.lowest_terms(row, rng.choice(smooth))
+                rows.append(row)
+                dens.append(den)
         want_rows, want_dens = [list(row) for row in rows], list(dens)
         for _ in range(rng.randint(1, 4)):
             entries = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
@@ -267,7 +308,7 @@ def test_row_scale_branches_match_the_former_pivot():
                 break
             r, c = rng.choice(entries)
             fs = [row[c] for i, row in enumerate(rows) if i != r and row[c]]
-            pivot_checked(rows, dens, r, c)
+            branches += pivot_checked(rows, dens, r, c)
             ref.reference_pivot_rows(want_rows, want_dens, r, c)
             assert same_rational_rows(rows, dens, want_rows, want_dens)
             if dens[r] == 1:
@@ -276,6 +317,7 @@ def test_row_scale_branches_match_the_former_pivot():
                 g = math.gcd(f, dens[r])
                 seen["P divides f" if g == dens[r] else "gcd 1" if g == 1 else "1 < gcd < P"] += 1
     assert len(seen) == 3 and min(seen.values()) >= 50, seen
+    assert len(branches) == 2 and min(branches.values()) >= 50, branches
 
 
 def test_exchange_pivot_is_the_condensed_exchange():
@@ -303,19 +345,24 @@ def test_exchange_pivot_is_the_condensed_exchange():
     assert min(seen.values()) >= 30, seen
 
 
-def largest_denominator_bits(monkeypatch, module, kernel, solve, program) -> int:
+def largest_bits(monkeypatch, module, kernel, solve, program) -> tuple[int, int]:
     """Solve `program` with `module.pivot_rows` replaced by `kernel`; return the
-    bit length of the largest denominator that the kernel leaves after a pivot."""
-    bits = 0
+    bit lengths of the largest denominator and of the largest numerator that
+    the kernel leaves after a pivot."""
+    den_bits = num_bits = 0
 
     def recorded(rows, dens, r, c, **exchange):
-        nonlocal bits
+        nonlocal den_bits, num_bits
+        # a pivot changes only the rows with a nonzero in column c
+        touched = [i for i, row in enumerate(rows) if row and row[c]]
         kernel(rows, dens, r, c, **exchange)
-        bits = max(bits, max(dens).bit_length())
+        den_bits = max(den_bits, max(dens).bit_length())
+        num_bits = max(num_bits, *(max(max(rows[i]), -min(rows[i])).bit_length()
+                                   for i in touched))
 
     monkeypatch.setattr(module, "pivot_rows", recorded)
     solve(program)
-    return bits
+    return den_bits, num_bits
 
 
 @pytest.mark.parametrize("space", [
@@ -325,13 +372,37 @@ def largest_denominator_bits(monkeypatch, module, kernel, solve, program) -> int
 def test_denominators_grow_no_longer_than_in_lowest_terms(monkeypatch, space):
     # the full-tableau solver with the former kernel keeps every row in lowest
     # terms; both solvers take the same pivots on the same rational rows, so
-    # a row that keeps its denominator must not let the largest one grow
+    # a row the kernel leaves unreduced stays below one digit, and its
+    # numerators are those in lowest terms times a factor below one digit
     program = build_projection_lp(space)
-    got = largest_denominator_bits(monkeypatch, simplex, pivot_rows,
-                                   simplex.solve_linear_program, program)
-    want = largest_denominator_bits(monkeypatch, tableau_reference, ref.reference_pivot_rows,
-                                    tableau_reference.solve_linear_program, program)
-    assert got <= want
+    got_den, got_num = largest_bits(monkeypatch, simplex, pivot_rows,
+                                    simplex.solve_linear_program, program)
+    want_den, want_num = largest_bits(monkeypatch, tableau_reference, ref.reference_pivot_rows,
+                                      tableau_reference.solve_linear_program, program)
+    assert got_den <= DIGIT_BITS or got_den <= want_den
+    assert got_num <= want_num + DIGIT_BITS
+
+
+def test_elimination_past_one_digit_matches_the_former_elimination(monkeypatch):
+    # rank, kernel and inverse of rows over one or two primes between 2**10
+    # and 2**15, so _reduce's scaled rows stay unreduced below ONE_DIGIT and
+    # are brought to lowest terms at it; each pivot is checked as it happens
+    branches = Counter()
+
+    def checked(rows, dens, r, c):
+        branches.update(pivot_checked(rows, dens, r, c))
+
+    monkeypatch.setattr(linalg, "pivot_rows", checked)
+    numerators = list(range(1, 10))
+    for seed in range(100):
+        rng = Random(f"linalg differential one digit {seed}")
+        m, n = rng.randint(2, 6), rng.randint(2, 6)
+        rows = large_denominator_rows(rng, m, n, numerators)
+        assert rank_of_rows(rows) == ref.rank_of_rows(rows)
+        assert kernel_basis(rows) == ref.kernel_basis(rows)
+        square = Mat.from_rows(large_denominator_rows(rng, n, n, numerators))
+        assert outcome(invert_square, square) == outcome(ref.invert_square, square)
+    assert len(branches) == 2 and min(branches.values()) >= 30, branches
 
 
 def test_reduce_pivots_distinct_rows(monkeypatch):

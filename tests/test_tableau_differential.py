@@ -10,22 +10,28 @@ or raise the same exception after the identical number of pivots.  The slack dua
 price-out of the objective row are read differently in the two tableaux,
 so they are pinned here as well.  The reference tallies the free-variable
 events that make the condensed solver negate a stored column, and each test
-asserts that its programs reach them.
+asserts that its programs reach them.  On projection programs of bases
+whose entries lie over primes between 2**10 and 2**15, where the kernel
+keeps scaled rows unreduced below one CPython digit and reduces them at it,
+the condensed solver must take the pivots of the full-tableau solver run
+with the former kernel, which keeps every row in lowest terms.
 """
 
 from collections import Counter
 from fractions import Fraction as F
 from random import Random
 
+import linalg_reference
 import pytest
 import tableau_reference
 from simplex_reference import sparse_row
+from test_linalg_differential import LARGE_PRIMES, pivot_checked
 from test_simplex import lp
 from test_simplex_differential import _entry, _kernel, random_program
 
 from projconst import simplex
 from projconst.linalg import Subspace, rank_of_rows
-from projconst.minproj import build_projection_lp
+from projconst.minproj import DEFAULT_BUDGET, build_projection_lp
 from projconst.simplex import LinearProgram, SimplexError
 from projconst.zerosum import coordinate_sum_kernel, sigma_subspace
 
@@ -180,3 +186,52 @@ def test_identical_solutions_on_sigma3_ker3(assert_same):
 def test_pivot_limit_stops_both_alike(assert_same, monkeypatch):
     monkeypatch.setattr(simplex, "PIVOT_LIMIT", 5)
     assert assert_same(build_projection_lp(_kernel(4))) == (simplex.PivotLimitExceeded, 5)
+
+
+def test_identical_pivots_and_solutions_past_one_digit(monkeypatch):
+    # every entry of the basis over its own prime between 2**10 and 2**15, so
+    # the programs' rows start over products of such primes and a scaled
+    # row's denominator soon reaches ONE_DIGIT; each pivot is named by its
+    # row and its column as rationals, which both tableaux hold alike
+    branches = Counter()
+    full = Counter()
+    got, want = [], []
+
+    def column(rows, dens, c):
+        return [F(row[c], den) for row, den in zip(rows, dens)]
+
+    def condensed(rows, dens, r, c, exchange=False):
+        got.append((r, column(rows, dens, c)))
+        branches.update(pivot_checked(rows, dens, r, c, exchange))
+
+    def former(rows, dens, r, c):
+        # pricing out the basis is a pivot too, but counts as none
+        if full["pivots"] > len(want):
+            want.append((r, column(rows, dens, c)))
+        linalg_reference.reference_pivot_rows(rows, dens, r, c)
+
+    monkeypatch.setattr(simplex, "pivot_rows", condensed)
+    monkeypatch.setattr(tableau_reference, "pivot_rows", former)
+    rng = Random(20261021)
+    seen = Counter()
+    for _ in range(24):
+        n = rng.randint(3, 4)
+        k = rng.randint(2, n - 1)
+        while True:
+            rows = [[F(rng.choice((1, -1)) * rng.randint(1, 5), rng.choice(LARGE_PRIMES))
+                     if rng.random() < 0.85 else F(0) for _ in range(n)] for _ in range(k)]
+            if rank_of_rows(rows) == k:
+                break
+        space = Subspace.from_rows(rows)
+        DEFAULT_BUDGET.require(space)
+        program = build_projection_lp(space)
+        full.clear()
+        got.clear()
+        want.clear()
+        solution = simplex.solve_linear_program(program)
+        assert solution == tableau_reference.solve_linear_program(program, full)
+        assert got == want and len(got) == full["pivots"] > 0
+        seen["lambda > 1"] += solution.value > 1
+        seen["pivots"] += len(got)
+    assert seen["lambda > 1"] >= 5 and seen["pivots"] >= 1000, seen
+    assert len(branches) == 2 and min(branches.values()) >= 30, branches

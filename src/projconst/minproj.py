@@ -15,9 +15,12 @@ are lifted with per-entry majorant variables:
 Every value leaves this module proved minimal.  One solve gives a
 `ProjectionCertificate` (C, W, w, Lambda): the primal C with a dual read off
 the final simplex tableau, and `check_certificate` proves lambda(E) = value
-from it with products and comparisons only (weak duality).
-`projection_certificate` returns the certificate; `projection_constant`
-keeps C alone, with a sign-vector witness attaining the norm of B^T C.
+from it with products and comparisons only (weak duality).  The optimum
+stays in integers from the tableau to that proof: C, W, w and Lambda are
+built and checked as integer rows over one denominator each, and become
+`Fraction`s only where a caller keeps them.  `projection_certificate`
+returns the certificate; `projection_constant` keeps C alone, with a
+sign-vector witness attaining the norm of B^T C.
 Certificates compose under the Kronecker product, which is how `zerosum`
 certifies its zero-sum spaces without solving their programs.
 
@@ -171,15 +174,22 @@ class ProjectionConstantResult:
         }
 
 
-def _shared_entries(m: Mat) -> Mat:
-    """The matrix again, with one Fraction object per distinct entry value.
+def _as_mat(rows: list[list[int]], den: int) -> Mat:
+    """The integer rows over `den` as a `Mat`, one `Fraction` per distinct entry.
 
     An optimal solution repeats few values, so a kept result costs one
     object per value instead of one per entry; 0 and +-1, the most common,
     are this module's constants, shared by every result.
     """
-    shared = {x: x for x in (_ZERO, _ONE, _MINUS_ONE)}
-    return Mat(m.rows, m.cols, tuple(shared.setdefault(x, x) for x in m.entries))
+    shared = {0: _ZERO, den: _ONE, -den: _MINUS_ONE}
+    entries = []
+    for row in rows:
+        for x in row:
+            value = shared.get(x)
+            if value is None:
+                value = shared[x] = Fraction(x, den)
+            entries.append(value)
+    return Mat(len(rows), len(rows[0]), tuple(entries))
 
 
 def _require(holds: bool, check: str, detail: str):
@@ -229,12 +239,52 @@ class ProjectionCertificate(NamedTuple):
             self.restriction.kron(other.restriction))
 
 
-def check_certificate(basis: Mat, cert: ProjectionCertificate) -> tuple[list[list[int]], int]:
+# a matrix as (rows, den): integer rows over one positive denominator
+_IntegerRows = tuple[list[list[int]], int]
+
+
+def _check(basis: _IntegerRows, value: Fraction, coeffs: _IntegerRows, dual: _IntegerRows,
+           weights: tuple[list[int], int], restriction: _IntegerRows) -> _IntegerRows:
+    """The checks of `check_certificate` on the certificate's integer parts,
+    in its order: each matrix as (rows, den), the weights as (numerators,
+    den).  Returns the rows of P = B^T C over their denominator."""
+    (b, db), (c, dc), (dual_rows, d_dual) = basis, coeffs, dual
+    (w, dw), (lam_rows, d_lam) = weights, restriction
+    k, n = len(b), len(b[0])
+    _require(len(c) == len(lam_rows) == k and len(dual_rows) == len(w) == n
+             and all(len(row) == n for row in (*c, *dual_rows))
+             and all(len(row) == k for row in lam_rows),
+             "shape", f"certificate does not fit a {k}-dimensional subspace of ell_inf^{n}")
+    den = db * dc
+    _require(all(x == (den if p == q else 0)
+                 for p, row in enumerate(_products(c, b)) for q, x in enumerate(row)),
+             "C B^T = I", "C is not a left inverse of B^T")
+    p_rows = _products(list(zip(*b)), list(zip(*c)))  # over den
+    norm = max(sum(map(abs, row)) for row in p_rows)
+    _require(norm * value.denominator == value.numerator * den, "norm",
+             f"value {value} disagrees with exact norm {Fraction(norm, den)} of B^T C")
+    _require(min(w) >= 0, "w >= 0", "a weight is negative")
+    _require(sum(w) == dw, "sum w = 1", f"weights sum to {Fraction(sum(w), dw)}")
+    _require(all(abs(x) * dw <= wi * d_dual for wi, row in zip(w, dual_rows) for x in row),
+             "|W_ij| <= w_i", "an entry of W exceeds its row weight")
+    bw = _products(b, list(zip(*dual_rows)))  # over db * d_dual
+    lb = _products(lam_rows, list(zip(*b)))  # over d_lam * db
+    _require(all(x * d_lam == y * d_dual for bw_row, lb_row in zip(bw, lb)
+                 for x, y in zip(bw_row, lb_row)),
+             "B W = Lambda B", "W does not act on E as Lambda")
+    trace = sum(lam_rows[i][i] for i in range(k))
+    _require(trace * value.denominator == value.numerator * d_lam,
+             "tr Lambda", f"trace of Lambda is {Fraction(trace, d_lam)}, not {value}")
+    return p_rows, den
+
+
+def check_certificate(basis: Mat, cert: ProjectionCertificate) -> _IntegerRows:
     """Prove lambda(E) = cert.value for the row space E of `basis`, or raise
     SolverIntegrityError naming the failed check.
 
     With B = `basis`, the checks are, in order:
 
+    * 'shape': the parts fit a k-dimensional subspace of ell_inf^n;
     * 'C B^T = I': P = B^T C is then a projection onto E, as
       P^2 = B^T (C B^T) C = P and P B^T = B^T; B has full row rank, so it
       needs no separate rank check;
@@ -250,57 +300,37 @@ def check_certificate(basis: Mat, cert: ProjectionCertificate) -> tuple[list[lis
     <W, P'> = tr((B W)^T C') = tr(Lambda^T C' B^T) = tr Lambda, while
     <W, P'> <= sum_i w_i (row sum i of |P'|) <= norm(P').
 
-    Each matrix is taken once as integer rows over one denominator, and
-    every check is one of four integer matrix products or a comparison of
-    integers: no elimination, and no `Fraction` temporaries, whose churn
-    raises peak RSS when many results are kept.  No check trusts the code
-    that made the certificate.  Returns the rows of P that the 'norm'
-    check computes, as integers over one denominator: (rows, den).
+    Each matrix is taken once as integer rows over one denominator, and the
+    checks run on those integers alone, in the one core that also proves
+    every certificate `projection_certificate` and `projection_constant`
+    build: every check is one of four integer matrix products or a
+    comparison of integers, with no elimination and no `Fraction`
+    temporaries, whose churn raises peak RSS when many results are kept.
+    No check trusts the code that made the certificate.  Returns the rows
+    of P that the 'norm' check computes, as integers over one denominator:
+    (rows, den).
     """
     value, coeffs, dual, weights, restriction = cert
-    k, n = basis.rows, basis.cols
-    _require((coeffs.rows, coeffs.cols, dual.rows, dual.cols, len(weights),
-              restriction.rows, restriction.cols) == (k, n, n, n, n, k, k),
-             "shape", f"certificate does not fit a {k}-dimensional subspace of ell_inf^{n}")
-    b, db = _integer_matrix(basis)
-    c, dc = _integer_matrix(coeffs)
-    den = db * dc
-    _require(all(x == (den if p == q else 0)
-                 for p, row in enumerate(_products(c, b)) for q, x in enumerate(row)),
-             "C B^T = I", "C is not a left inverse of B^T")
-    p_rows = _products(list(zip(*b)), list(zip(*c)))  # over den
-    norm = max(sum(map(abs, row)) for row in p_rows)
-    _require(norm * value.denominator == value.numerator * den, "norm",
-             f"value {value} disagrees with exact norm {Fraction(norm, den)} of B^T C")
-    w, dw = integer_row(weights)
-    _require(min(w) >= 0, "w >= 0", "a weight is negative")
-    _require(sum(w) == dw, "sum w = 1", f"weights sum to {Fraction(sum(w), dw)}")
-    dual_rows, d_dual = _integer_matrix(dual)
-    _require(all(abs(x) * dw <= wi * d_dual for wi, row in zip(w, dual_rows) for x in row),
-             "|W_ij| <= w_i", "an entry of W exceeds its row weight")
-    lam_rows, d_lam = _integer_matrix(restriction)
-    bw = _products(b, list(zip(*dual_rows)))  # over db * d_dual
-    lb = _products(lam_rows, list(zip(*b)))  # over d_lam * db
-    _require(all(x * d_lam == y * d_dual for bw_row, lb_row in zip(bw, lb)
-                 for x, y in zip(bw_row, lb_row)),
-             "B W = Lambda B", "W does not act on E as Lambda")
-    trace = sum(lam_rows[i][i] for i in range(k))
-    _require(trace * value.denominator == value.numerator * d_lam,
-             "tr Lambda", f"trace of Lambda is {Fraction(trace, d_lam)}, not {value}")
-    return p_rows, den
+    return _check(_integer_matrix(basis), value, _integer_matrix(coeffs),
+                  _integer_matrix(dual), integer_row(weights), _integer_matrix(restriction))
 
 
-def _checked_certificate(space: Subspace) -> tuple[ProjectionCertificate, list[list[int]], int]:
-    """The certificate of lambda(E, ell_inf^n) from one LP solve, checked, with
-    the rows of P = B^T C that `check_certificate` returns.
+def _checked_certificate(space: Subspace) -> tuple[tuple, list[list[int]], int]:
+    """The certificate of lambda(E, ell_inf^n) from one LP solve, checked, as
+    its integer parts (value, C, W, w, Lambda) in the form `_check` takes,
+    with the rows of P = B^T C that the check returns.
 
-    C is the optimal coefficient matrix.  The dual is read off the slack
-    duals u of the program of `build_projection_lp`: W_ij = u+_ij - u-_ij
-    from the two majorant rows of entry (i, j), and w_i = u of row-sum row
-    i.  The optimality conditions of C's free variables say that B W = V B
-    for the equality multipliers V, so Lambda = B W C^T: B C^T = I makes
-    C^T a right inverse of B.  With k = n there is no program; C = B^-T,
-    w = e_1, W = e_1 e_1^T and Lambda = B W C^T = B e_1 e_1^T B^-1.
+    C is the optimal coefficient matrix, read off the levels of the final
+    tableau over the lcm of their rows' denominators.  The dual is read off
+    the slack duals u of the program of `build_projection_lp`, numerators
+    over the final objective row's denominator: W_ij = u+_ij - u-_ij from
+    the two majorant rows of entry (i, j), and w_i = u of row-sum row i.
+    The optimality conditions of C's free variables say that B W = V B for
+    the equality multipliers V, so Lambda = B W C^T: B C^T = I makes C^T a
+    right inverse of B.  With k = n there is no program; C = B^-T,
+    w = e_1, W = e_1 e_1^T and Lambda = B W C^T = B e_1 e_1^T B^-1.  Lambda
+    is two integer products, and no part is a `Fraction` until a caller
+    keeps it.
 
     The program is feasible and bounded by construction, so infeasibility
     or unboundedness out of the simplex is a solver-integrity failure.
@@ -308,40 +338,51 @@ def _checked_certificate(space: Subspace) -> tuple[ProjectionCertificate, list[l
     `PivotLimitExceeded` propagates unchanged.
     """
     n, k = space.ambient_dim, space.dim
+    basis = b, db = _integer_matrix(space.basis)
     if k == n:
         value = _ONE
-        coeffs = invert_square(space.basis.transpose())
-        weights = (_ONE,) + (_ZERO,) * (n - 1)
-        dual = Mat(n, n, weights + (_ZERO,) * (n * n - n))  # e_1 e_1^T: row 0 is w
+        c, dc = _integer_matrix(invert_square(space.basis.transpose()))
+        w, du = [1] + [0] * (n - 1), 1
+        dual_rows = [w] + [[0] * n for _ in range(n - 1)]  # e_1 e_1^T: row 0 is w
     else:
         try:
-            value, x, u = solve_linear_program(build_projection_lp(space))
+            value, levels, _, u, du = solve_linear_program(build_projection_lp(space))
         except (InfeasibleProgram, UnboundedProgram) as exc:
             raise SolverIntegrityError(f"minimal-projection LP rejected: {exc}") from exc
-        coeffs = Mat(k, n, tuple(x[: k * n]))
-        dual = Mat(n, n, tuple(u[2 * e] - u[2 * e + 1] for e in range(n * n)))
-        weights = tuple(u[2 * n * n:])
-    restriction = space.basis @ dual @ coeffs.transpose()
-    cert = ProjectionCertificate(value, coeffs, dual, weights, restriction)
-    return (cert, *check_certificate(space.basis, cert))
+        cells = k * n
+        dc = math.lcm(*(d for j, (_, d) in levels.items() if j < cells))
+        flat = [0] * cells
+        for j, (x, d) in levels.items():
+            if j < cells:
+                flat[j] = x * (dc // d)
+        c = [flat[i:i + n] for i in range(0, cells, n)]
+        dual_rows = [[u[2 * e] - u[2 * e + 1] for e in range(i, i + n)]
+                     for i in range(0, n * n, n)]
+        w = u[2 * n * n:]
+    bw = _products(b, list(zip(*dual_rows)))  # over db * du
+    # the rows of C are the columns of C^T
+    parts = value, (c, dc), (dual_rows, du), (w, du), (_products(bw, c), db * du * dc)
+    return (parts, *_check(basis, *parts))
 
 
 def projection_certificate(space: Subspace) -> ProjectionCertificate:
     """Exact lambda(E, ell_inf^n) with a checked primal-dual certificate, from
     one LP solve (none when E is the whole space)."""
-    return _checked_certificate(space)[0]
+    value, coeffs, dual, (w, dw), restriction = _checked_certificate(space)[0]
+    return ProjectionCertificate(value, _as_mat(*coeffs), _as_mat(*dual),
+                                 tuple(Fraction(x, dw) for x in w), _as_mat(*restriction))
 
 
 def projection_constant(space: Subspace) -> ProjectionConstantResult:
     """Exact lambda(E, ell_inf^n) for E given by `space`, proved minimal.
 
     The certificate of `projection_certificate` is checked but not kept:
-    the result keeps its C.  The value must be at least 1 and be attained on
-    the witness, the signs of P's first row of largest absolute sum (zeros
-    read as +1), both read off the integer rows of P that the check returns.
+    the result keeps its C, the only part made into `Fraction`s.  The value
+    must be at least 1 and be attained on the witness, the signs of P's
+    first row of largest absolute sum (zeros read as +1), both read off the
+    integer rows of P that the check returns.
     """
-    cert, p_rows, den = _checked_certificate(space)
-    value = cert.value
+    (value, coeffs, *_), p_rows, den = _checked_certificate(space)
     if value < 1:
         raise SolverIntegrityError(f"projection constant below 1: {value}")
     sums = [sum(map(abs, row)) for row in p_rows]
@@ -349,7 +390,7 @@ def projection_constant(space: Subspace) -> ProjectionConstantResult:
     image = _products(p_rows, [witness])
     if max(abs(x) for [x] in image) * value.denominator != value.numerator * den:
         raise SolverIntegrityError("norm witness does not attain the optimum")
-    return ProjectionConstantResult(value, _shared_entries(cert.coeffs), space, witness)
+    return ProjectionConstantResult(value, _as_mat(*coeffs), space, witness)
 
 
 def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random,

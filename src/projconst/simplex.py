@@ -44,11 +44,16 @@ every entering variable, every leaving row, every redundant row dropped
 after phase 1 and the returned assignment are those of the full rational
 tableau.
 
-The optimum also carries its dual: the final objective row, read at the
-slacks' positions, and 0 for a basic slack.  Entry i is u_i = -y_i >= 0,
-where y_i <= 0 is the optimal multiplier of inequality i.  A reduced cost
-does not change when a row is scaled, so a row negated for its right-hand
-side needs no sign correction.
+The optimum is read off the final tableau in its own integers: each basic
+variable's level is its row's right-hand side over the row's denominator,
+the value is minus the objective row's right-hand side over that row's
+denominator, and the dual is the objective row's numerators at the slacks'
+positions, 0 for a basic slack, over the same denominator.  Entry i of the
+dual is u_i = -y_i >= 0, where y_i <= 0 is the optimal multiplier of
+inequality i.  A reduced cost does not change when a row is scaled, so a
+row negated for its right-hand side needs no sign correction.  `Fraction`s
+are made only for the value and for what a caller reads through the
+`assignment` and `slack_duals` views of `LinearProgramSolution`.
 """
 
 from __future__ import annotations
@@ -125,21 +130,41 @@ class LinearProgram:
 
 
 class LinearProgramSolution(NamedTuple):
-    """An optimum: its value, an optimal assignment, and the dual of the inequalities.
+    """An optimum in the integers of the final tableau, with `Fraction` views.
 
-    `slack_duals` is u, the final reduced costs of the inequalities' slacks.
-    With some equality multipliers v, u is an optimal dual: u >= 0,
-    objective + A_ub^T u + A_eq^T v vanishes on free variables and is
-    nonnegative on the others, and value = -(u . ub_rhs) - (v . eq_rhs).
+    `value` is the optimal value.  `basic` maps each variable j of the
+    program with a basic part to (numerator, denominator) of its level x_j:
+    that part's row's right-hand side over the row's denominator, negated
+    when the part is x-, the negative part of a free x_j; every variable not
+    listed is 0.  `slack_costs` holds, for each inequality, the numerator of the
+    final objective row at its slack, 0 for a basic slack, over the row's
+    denominator `cost_den`.  Denominators are positive and need not be in
+    lowest terms.
+
+    `assignment` and `slack_duals` give x and u as lists of `Fraction`s,
+    made on each access.  With some equality multipliers v, u is an optimal
+    dual: u >= 0, objective + A_ub^T u + A_eq^T v vanishes on free variables
+    and is nonnegative on the others, and value = -(u . ub_rhs) - (v . eq_rhs).
     """
 
     value: Fraction
-    assignment: list[Fraction]
-    slack_duals: list[Fraction]
+    basic: dict[int, tuple[int, int]]
+    num_vars: int
+    slack_costs: list[int]
+    cost_den: int
+
+    @property
+    def assignment(self) -> list[Fraction]:
+        return [Fraction(*self.basic[j]) if j in self.basic else _ZERO
+                for j in range(self.num_vars)]
+
+    @property
+    def slack_duals(self) -> list[Fraction]:
+        return [Fraction(x, self.cost_den) if x else _ZERO for x in self.slack_costs]
 
 
 def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
-    """Optimal (objective value, assignment, slack duals) of the program.
+    """The optimum of the program: its value, levels and slack duals.
 
     Raises InfeasibleProgram / UnboundedProgram when the program has no
     optimum; callers that construct programs which are feasible and bounded
@@ -317,17 +342,14 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
     set_objective(phase2_cost)
     run()
 
-    x_std = [_ZERO] * ncols
+    # at most one part of a free variable is basic: the other has no column
+    basic = {}
     for i, b in enumerate(basis):
-        x_std[b] = Fraction(tableau[i][width], dens[i])
-    assignment = []
-    for j in range(nv):
-        val = x_std[j]
-        if j in neg_part:
-            val -= x_std[neg_part[j]]
-        assignment.append(val)
-    value = sum((c * x for c, x in zip(lp.objective, assignment) if c and x), _ZERO)
+        if b < nv:
+            basic[b] = tableau[i][width], dens[i]
+        elif b < slack_start:
+            basic[twin[b]] = -tableau[i][width], dens[i]
     costs = dict(zip(labels, tableau[-1]))
-    slack_duals = [Fraction(x, dens[-1]) if (x := costs.get(s)) else _ZERO
-                   for s in range(slack_start, art_start)]
-    return LinearProgramSolution(value, assignment, slack_duals)
+    return LinearProgramSolution(Fraction(-tableau[-1][width], dens[-1]), basic, nv,
+                                 [costs.get(s, 0) for s in range(slack_start, art_start)],
+                                 dens[-1])

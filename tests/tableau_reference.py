@@ -6,9 +6,10 @@ counter is passed, each pivot taken and the free-variable events that make
 the condensed solver negate a stored column (see `solve_linear_program`).
 Its tableau keeps every column, the basic variables' identity columns and
 both parts of each free variable included, and pivots with
-`linalg.pivot_rows` in its Gauss-Jordan form.  The condensed solver must
-return the identical `LinearProgramSolution`, or raise the same exception,
-after the identical number of pivots.
+`linalg.pivot_rows` in its Gauss-Jordan form.  It returns (value,
+assignment, slack duals) in `Fraction`s, and the condensed solver's
+`Fraction` views of its integer optimum must equal them, or both solvers
+raise the same exception, after the identical number of pivots.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import compress, repeat
+from typing import NamedTuple
 
 from projconst import simplex
 from projconst.linalg import integer_row, lowest_terms, pivot_rows
 from projconst.simplex import (
     InfeasibleProgram,
     LinearProgram,
-    LinearProgramSolution,
     PivotLimitExceeded,
     UnboundedProgram,
 )
@@ -32,8 +33,14 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class Optimum(NamedTuple):
+    value: Fraction
+    assignment: list[Fraction]
+    slack_duals: list[Fraction]
+
+
 def solve_linear_program(lp: LinearProgram,
-                         counter: Counter | None = None) -> LinearProgramSolution:
+                         counter: Counter | None = None) -> Optimum:
     """Optimal (objective value, assignment, slack duals) of the program.
 
     When a counter is given, each pivot taken adds one to `counter["pivots"]`,
@@ -217,4 +224,4 @@ def solve_linear_program(lp: LinearProgram,
     costs, cost_den = tableau[-1], dens[-1]
     slack_duals = [Fraction(x, cost_den) if x else _ZERO
                    for x in costs[slack_start:slack_start + n_ub]]
-    return LinearProgramSolution(value, assignment, slack_duals)
+    return Optimum(value, assignment, slack_duals)

@@ -14,7 +14,7 @@ import pytest
 
 from projconst import minproj, zerosum
 from projconst.acceptance import Context, run_all
-from projconst.linalg import Mat, RankDeficientError, Subspace, inf_op_norm
+from projconst.linalg import Mat, RankDeficientError, Subspace, inf_op_norm, integer_row
 from projconst.minproj import (
     ProjectionCertificate,
     SolverIntegrityError,
@@ -43,27 +43,35 @@ class TestLinearProgramCertificates:
 
     def test_seeded_subspaces_agree_with_projection_constant(self, monkeypatch):
         # every LP solve that projection_constant makes carries one checked
-        # dual, and the certificate it checked is the result's
+        # dual, and the certificate it checked is the result's: the integer
+        # parts that minproj's one check proves, made into `Mat`s, pass
+        # check_certificate as well
         calls, checked = [], []
-        original_solve = minproj.solve_linear_program
+        original_solve, original_check = minproj.solve_linear_program, minproj._check
 
         def solve(lp):
             calls.append(lp)
             return original_solve(lp)
 
-        def check(basis, cert):
-            checked.append(cert)
-            return check_certificate(basis, cert)
+        def check(basis, *parts):
+            checked.append(parts)
+            return original_check(basis, *parts)
+
+        def mat(rows, den):
+            return Mat.from_rows([[F(x, den) for x in row] for row in rows])
 
         monkeypatch.setattr(minproj, "solve_linear_program", solve)
-        monkeypatch.setattr(minproj, "check_certificate", check)
+        monkeypatch.setattr(minproj, "_check", check)
         rng = Random(20261019)
-        for _ in range(25):
+        for trial in range(25):
             n = rng.randint(2, 6)
             space = _random_space(rng, n, rng.randint(1, n - 1))
+            checked.clear()
             result = projection_constant(space)
-            assert len(calls) == len(checked)
-            cert = checked[-1]
+            assert len(calls) == trial + 1
+            [(value, coeffs, dual, (w, dw), restriction)] = checked
+            cert = ProjectionCertificate(value, mat(*coeffs), mat(*dual),
+                                         tuple(F(x, dw) for x in w), mat(*restriction))
             assert (cert.value, cert.coeffs) == (result.value, result.minimizer_c)
             check_certificate(space.basis, cert)
         assert len(calls) == 25
@@ -186,14 +194,16 @@ def test_dependent_rows_fail_the_left_inverse_check():
 
 def _corrupt_slack_duals(monkeypatch, index, replace):
     """Make each LP solve of `minproj` return its slack duals u with u[index]
-    replaced by replace(u[index])."""
+    replaced by replace(u[index]), in the integer form the certificate reads:
+    numerators over the objective row's denominator."""
     solve = minproj.solve_linear_program
 
     def corrupted(lp):
         solution = solve(lp)
-        u = list(solution.slack_duals)
+        u = solution.slack_duals
         u[index] = replace(u[index])
-        return solution._replace(slack_duals=u)
+        costs, den = integer_row(u)
+        return solution._replace(slack_costs=costs, cost_den=den)
 
     monkeypatch.setattr(minproj, "solve_linear_program", corrupted)
 

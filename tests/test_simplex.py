@@ -32,43 +32,49 @@ def lp(objective, eq=(), eq_rhs=(), ub=(), ub_rhs=(), free=None):
     )
 
 
+def optimum(program):
+    """The optimal value and assignment, the assignment as `Fraction`s."""
+    solution = solve_linear_program(program)
+    return solution.value, solution.assignment
+
+
 def test_box_corner():
     # min -x - y over the simplex x + y <= 1, x, y >= 0
-    value, x, _ = solve_linear_program(lp([-1, -1], ub=[[1, 1]], ub_rhs=[1]))
+    value, x = optimum(lp([-1, -1], ub=[[1, 1]], ub_rhs=[1]))
     assert value == F(-1)
     assert x[0] + x[1] == F(1)
     assert all(v >= 0 for v in x)
 
 
 def test_equality_row():
-    value, x, _ = solve_linear_program(lp([1, 1], eq=[[1, 1]], eq_rhs=[2]))
+    value, x = optimum(lp([1, 1], eq=[[1, 1]], eq_rhs=[2]))
     assert value == F(2)
     assert x[0] + x[1] == F(2)
 
 
 def test_free_variable_goes_negative():
     # min y with y >= -5 and y otherwise unconstrained
-    value, x, _ = solve_linear_program(
+    value, x = optimum(
         lp([1], ub=[[-1]], ub_rhs=[5], free=[True]))
     assert value == F(-5)
     assert x == [F(-5)]
 
 
 def test_negative_rhs_equality():
-    value, x, _ = solve_linear_program(lp([1], eq=[[1]], eq_rhs=[-2], free=[True]))
+    value, x = optimum(lp([1], eq=[[1]], eq_rhs=[-2], free=[True]))
     assert value == F(-2)
     assert x == [F(-2)]
 
 
 def test_trivial_bound_at_zero():
-    value, x, _ = solve_linear_program(lp([1]))
+    value, x = optimum(lp([1]))
     assert value == F(0)
     assert x == [F(0)]
 
 
 def test_fractional_optimum():
     # min -x - y, 2x + y <= 3, x + 2y <= 3; symmetric corner at (1, 1)
-    value, x, _ = solve_linear_program(
+    value, x = optimum(
         lp([-1, -1], ub=[[2, 1], [1, 2]], ub_rhs=[3, 3]))
     assert value == F(-2)
     assert x == [F(1), F(1)]
@@ -151,7 +157,7 @@ def test_agrees_with_scipy_on_random_programs():
     rng = Random(7)
     for _ in range(25):
         program = _random_bounded_program(rng)
-        value, x, _ = solve_linear_program(program)
+        value, x = optimum(program)
         for row, b in zip(program.ub_rows, program.ub_rhs):
             assert sum(c * x[j] for j, c in row.items()) <= b
         ref = scipy_opt.linprog(

@@ -40,7 +40,7 @@ def assert_same(program):
     got = outcome(solve_linear_program, program)
     want = outcome(reference_solve, program)
     if isinstance(got, tuple):
-        value, assignment, slack_duals = got
+        value, assignment, slack_duals = got.value, got.assignment, got.slack_duals
         assert all(type(x) is F for x in [value, *assignment, *slack_duals])
         got = value, assignment
     assert got == want
@@ -107,9 +107,10 @@ def test_slack_duals_are_an_optimal_dual():
         free = [rng.random() < 0.3 for _ in range(nv)]
         program = LinearProgram(objective, [], [], [sparse_row(row) for row in ub], rhs, free)
         try:
-            value, _, u = solve_linear_program(program)
+            solution = solve_linear_program(program)
         except SimplexError:
             continue
+        value, u = solution.value, solution.slack_duals
         assert len(u) == n_ub and min(u, default=0) >= 0
         for j in range(nv):
             reduced = objective[j] + sum(ui * row[j] for ui, row in zip(u, ub))

@@ -4,8 +4,9 @@ The condensed tableau drops the basic variables' identity columns, stores one
 column per free variable under one of its two part labels, and keeps each
 stored column at the position its label names.  Bland's rule picks by label,
 the twin's label included, so both solvers must take the identical pivots:
-on every program they must return the identical `LinearProgramSolution`
-(value, assignment and slack duals) after the identical number of pivots,
+on every program they must return the identical optimum (value, assignment
+and slack duals, the condensed solver's as `Fraction` views of its integer
+readout) after the identical number of pivots,
 or raise the same exception after the identical number of pivots.  The slack duals and the
 price-out of the objective row are read differently in the two tableaux,
 so they are pinned here as well.  The reference tallies the free-variable
@@ -43,6 +44,15 @@ def outcome(solve, *args):
         return type(exc)
 
 
+def views(solution: simplex.LinearProgramSolution) -> tableau_reference.Optimum:
+    """The `Fraction` views of a solution, in the reference's form; each
+    entry must be a `Fraction`."""
+    assert type(solution) is simplex.LinearProgramSolution
+    got = tableau_reference.Optimum(solution.value, solution.assignment, solution.slack_duals)
+    assert all(type(x) is F for x in [got.value, *got.assignment, *got.slack_duals])
+    return got
+
+
 @pytest.fixture
 def assert_same(monkeypatch):
     """Solve with both tableaux; require the same outcome after as many pivots.
@@ -63,12 +73,11 @@ def assert_same(monkeypatch):
         condensed.clear()
         full = Counter()
         got = outcome(simplex.solve_linear_program, program)
+        if not isinstance(got, type):
+            got = views(got)
         want = outcome(tableau_reference.solve_linear_program, program, full)
         assert (got, condensed["pivots"]) == (want, full["pivots"])
         check.events.update(full)
-        if not isinstance(got, type):
-            assert type(got) is simplex.LinearProgramSolution
-            assert all(type(x) is F for x in [got.value, *got.assignment, *got.slack_duals])
         return got, full["pivots"]
     check.events = Counter()
     return check
@@ -228,7 +237,7 @@ def test_identical_pivots_and_solutions_past_one_digit(monkeypatch):
         full.clear()
         got.clear()
         want.clear()
-        solution = simplex.solve_linear_program(program)
+        solution = views(simplex.solve_linear_program(program))
         assert solution == tableau_reference.solve_linear_program(program, full)
         assert got == want and len(got) == full["pivots"] > 0
         seen["lambda > 1"] += solution.value > 1

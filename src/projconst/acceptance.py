@@ -8,7 +8,10 @@ when a criterion raises; the CLI selftest exits nonzero when any fails.
 Setting the environment variable PROJCONST_SELFTEST_FAULT to a criterion key
 corrupts that criterion's expected constant by 1/1000.  This is a negative
 control: it must make the named criterion (and only that one) fail, proving
-the harness actually compares against the constants it claims to.
+the harness actually compares against the constants it claims to.  The key
+multiplication-law corrupts a certificate instead: it lowers one entry of
+ker_N's dual W by 1/1000 before the tensored check, which must then fail
+on its dual check 'B W = Lambda B'.
 """
 
 from __future__ import annotations
@@ -29,8 +32,16 @@ from .banach_mazur import (
     optimize_numeric,
     verify_inverse,
 )
-from .linalg import Subspace, format_rational, inf_op_norm
-from .minproj import DEFAULT_BUDGET, LPBudget, OracleConfig, float_oracle, projection_constant
+from .linalg import Mat, Subspace, format_rational, inf_op_norm
+from .minproj import (
+    DEFAULT_BUDGET,
+    LPBudget,
+    OracleConfig,
+    ProjectionCertificate,
+    SolverIntegrityError,
+    float_oracle,
+    projection_constant,
+)
 from .planner import ad_hoc_plan, demonstrate_schedule, plan_parameters
 from .zerosum import (
     amplification_factor,
@@ -40,6 +51,7 @@ from .zerosum import (
     extract_r,
     random_projection_onto,
     sigma_subspace,
+    sum_kernel_certificate,
     symmetrize,
     verify_multiplication_law,
 )
@@ -115,12 +127,29 @@ def _law_instances() -> list[tuple[str, Subspace, int]]:
     ]
 
 
+def _kernel_certificate(copies: int) -> ProjectionCertificate | None:
+    """Under the fault key, ker_N's certificate with W_00 lowered by 1/1000;
+    otherwise None, so that the law uses its own."""
+    delta = _fault("multiplication-law")
+    if not delta:
+        return None
+    cert = sum_kernel_certificate(copies)
+    dual = cert.dual
+    return cert._replace(dual=Mat(dual.rows, dual.cols,
+                                  (dual.entries[0] - delta, *dual.entries[1:])))
+
+
 def _check_multiplication_law(ctx: Context) -> str:
     outcomes = []
     for name, base, copies in _law_instances():
-        report = verify_multiplication_law(base, copies, ctx.budget)
+        try:
+            report = verify_multiplication_law(base, copies, ctx.budget,
+                                               _kernel_certificate(copies))
+        except SolverIntegrityError as exc:
+            # in the form `run_all` gives any exception, and the instance
+            raise CriterionFailure(f"SolverIntegrityError: {exc} ({name})") from exc
         _require(report.status == "ok", f"{name}: report inconclusive")
-        expected = report.product + _fault("multiplication-law")
+        expected = report.product
         _require(report.sigma_lambda == expected,
                  f"{name}: {report.sigma_lambda} != {expected} "
                  f"(mu_N = {report.mu}, lambda(E) = {report.base_lambda})")

@@ -24,6 +24,7 @@ No floating point enters this module.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -285,7 +286,7 @@ def lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
 
 
 def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
-               exchange: bool = False):
+               touched: Iterable[int], exchange: bool = False):
     """One pivot on (r, c); entry (r, c), the pivot p, must be nonzero.
 
     Gauss-Jordan form: row r becomes its numerators over |p| (signs flipped
@@ -305,7 +306,10 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
     ONE_DIGIT has numerators less than one digit longer than in lowest terms.
 
     Rows change in place, so the entries of `rows` must be distinct lists.
-    C-level scans find the touched rows and the nonzeros each row updates.
+    The caller names the rows to update: `touched` lists exactly the rows
+    with a nonzero in column c, r among them (and passed over), as the
+    caller's own scan of that column found them.  A C-level scan finds the
+    nonzeros of the pivot row, and of each row it scales.
     """
     prow = rows[r]
     cols = range(len(prow))
@@ -314,7 +318,7 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
         prow[c] = dens[r]
     pden = dens[r] = _divide_by_gcd(prow, p)
     nz = [(j, prow[j]) for j in compress(cols, prow)]
-    for i in compress(range(len(rows)), map(operator.itemgetter(c), rows)):
+    for i in touched:
         if i == r:
             continue
         row = rows[i]
@@ -371,12 +375,17 @@ def _reduce(rows: Sequence[Sequence[Fraction]],
         rank = len(pivots)
         if rank == len(work):
             break
-        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot is None:
+        # one scan of the column: its nonzero rows, in order; the pivot is
+        # the first at or below the rank, and rows rank .. pivot - 1 are zero
+        touched = list(compress(range(len(work)), map(operator.itemgetter(col), work)))
+        k = bisect.bisect_left(touched, rank)
+        if k == len(touched):
             continue
+        pivot = touched[k]
         work[rank], work[pivot] = work[pivot], work[rank]
         dens[rank], dens[pivot] = dens[pivot], dens[rank]
-        pivot_rows(work, dens, rank, col)
+        touched[k] = rank
+        pivot_rows(work, dens, rank, col, touched)
         pivots.append(col)
     for i, (row, den) in enumerate(zip(work, dens)):
         work[i], dens[i] = lowest_terms(row, den)

@@ -339,12 +339,14 @@ class MultiplicationLawReport:
 
 
 def sigma_steps(base: Subspace, certificate: ProjectionCertificate, copies: int,
-                steps: int, budget: LPBudget = DEFAULT_BUDGET
+                steps: int, budget: LPBudget = DEFAULT_BUDGET,
+                factor: ProjectionCertificate | None = None
                 ) -> Iterator[tuple[int, Fraction | None]]:
     """Certify lambda(Sigma_N^k(base)) for k = 1..steps from a certificate of the base.
 
-    Level k's certificate is `sum_kernel_certificate(N)` tensored with level
-    k - 1's, and `check_certificate` proves it in the level's own space,
+    Level k's certificate is ker_N's, `factor` or, when that is None,
+    `sum_kernel_certificate(N)`, tensored with level k - 1's, and
+    `check_certificate` proves it in the level's own space,
     ell_inf^{d N^k}, with products only; weak duality makes the value
     minimal, so no level solves a linear program.  `certificate` is the
     base's, as `projection_certificate` returns it.
@@ -356,7 +358,6 @@ def sigma_steps(base: Subspace, certificate: ProjectionCertificate, copies: int,
     full row rank, so no `Subspace` with its rank elimination is built.
     """
     basis = base.basis
-    factor = None
     for _ in range(steps):
         ambient = basis.cols * copies
         try:
@@ -372,15 +373,18 @@ def sigma_steps(base: Subspace, certificate: ProjectionCertificate, copies: int,
         yield ambient, certificate.value
 
 
-def verify_multiplication_law(base: Subspace, copies: int,
-                              budget: LPBudget = DEFAULT_BUDGET) -> MultiplicationLawReport:
+def verify_multiplication_law(base: Subspace, copies: int, budget: LPBudget = DEFAULT_BUDGET,
+                              factor: ProjectionCertificate | None = None
+                              ) -> MultiplicationLawReport:
     """Certify the amplification law for one base subspace.
 
     The base is one exact LP solve, whose primal-dual certificate the
     zero-sum side, one step of `sigma_steps`, tensors with that of ker_N
-    and checks in ell_inf^{dN}.  When the base exceeds the LP budget or the
-    simplex pivot limit, or the zero-sum side the LP budget, the report
-    comes back flagged inconclusive instead of raising.
+    (`factor`, as `sigma_steps` takes it) and checks in ell_inf^{dN}; a
+    check that fails raises `SolverIntegrityError` naming it.  When the
+    base exceeds the LP budget or the simplex pivot limit, or the zero-sum
+    side the LP budget, the report comes back flagged inconclusive instead
+    of raising.
     """
     mu = amplification_factor(copies)
     ambient = base.ambient_dim * copies
@@ -389,6 +393,6 @@ def verify_multiplication_law(base: Subspace, copies: int,
         certificate = projection_certificate(base)
     except (BudgetExceededError, PivotLimitExceeded):
         return MultiplicationLawReport(None, mu, None, copies, ambient, "inconclusive")
-    [(ambient, sigma_lambda)] = sigma_steps(base, certificate, copies, 1, budget)
+    [(ambient, sigma_lambda)] = sigma_steps(base, certificate, copies, 1, budget, factor)
     status = "inconclusive" if sigma_lambda is None else "ok"
     return MultiplicationLawReport(certificate.value, mu, sigma_lambda, copies, ambient, status)

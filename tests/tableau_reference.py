@@ -3,10 +3,12 @@
 `solve_linear_program` is the former solver verbatim, apart from reading
 `projconst.simplex.PIVOT_LIMIT` at pivot time and from tallying, when a
 counter is passed, each pivot taken and the free-variable events that make
-the condensed solver negate a stored column (see `solve_linear_program`).
-Its tableau keeps every column, the basic variables' identity columns and
-both parts of each free variable included, and pivots with
-`linalg.pivot_rows` in its Gauss-Jordan form.  It returns (value,
+the condensed solver negate a stored column (see `solve_linear_program`),
+and, when a list is passed, recording each pivot's entering and leaving
+variable.  Its tableau keeps every column, the basic variables' identity
+columns and both parts of each free variable included, and pivots with
+`linalg.pivot_rows` in its Gauss-Jordan form, handed the rows with a
+nonzero in the pivot column by a scan of that column.  It returns (value,
 assignment, slack duals) in `Fraction`s, and the condensed solver's
 `Fraction` views of its integer optimum must equal them, or both solvers
 raise the same exception, after the identical number of pivots.
@@ -39,8 +41,13 @@ class Optimum(NamedTuple):
     slack_duals: list[Fraction]
 
 
-def solve_linear_program(lp: LinearProgram,
-                         counter: Counter | None = None) -> Optimum:
+def nonzero_rows(rows: list[list[int]], c: int) -> list[int]:
+    """The rows with a nonzero in column c, the rows a pivot on it updates."""
+    return [i for i, row in enumerate(rows) if row[c]]
+
+
+def solve_linear_program(lp: LinearProgram, counter: Counter | None = None,
+                         trace: list | None = None) -> Optimum:
     """Optimal (objective value, assignment, slack duals) of the program.
 
     When a counter is given, each pivot taken adds one to `counter["pivots"]`,
@@ -52,7 +59,9 @@ def solve_linear_program(lp: LinearProgram,
       artificial and x- left the basis last.
     The condensed tableau stores a free variable's column under the part that
     left the basis last, x+ before either did, so each of the last two
-    events makes it negate that column.
+    events makes it negate that column.  When a list is given as `trace`,
+    each pivot taken appends its pair (entering variable, leaving
+    variable), pivots that drive out an artificial included.
 
     Raises InfeasibleProgram / UnboundedProgram when the program has no
     optimum; callers that construct programs which are feasible and bounded
@@ -123,6 +132,8 @@ def solve_linear_program(lp: LinearProgram,
         pivots += 1
         if pivots > simplex.PIVOT_LIMIT:
             raise PivotLimitExceeded(f"exceeded {simplex.PIVOT_LIMIT} pivots")
+        if trace is not None:
+            trace.append((col_j, basis[row_i]))
         if counter is not None:
             counter["pivots"] += 1
             if col_j in twin:
@@ -133,7 +144,7 @@ def solve_linear_program(lp: LinearProgram,
                 counter["drive-out under the negative label"] += drive_out and stored != plus
             if basis[row_i] in twin:
                 last_left[min(basis[row_i], twin[basis[row_i]])] = basis[row_i]
-        pivot_rows(tableau, dens, row_i, col_j)
+        pivot_rows(tableau, dens, row_i, col_j, nonzero_rows(tableau, col_j))
         basis[row_i] = col_j
 
     def set_objective(cost: list[Fraction]):
@@ -146,7 +157,7 @@ def solve_linear_program(lp: LinearProgram,
         tableau[-1], dens[-1] = integer_row(cost + [_ZERO])
         for i, b in enumerate(basis):
             if tableau[-1][b]:
-                pivot_rows(tableau, dens, i, b)
+                pivot_rows(tableau, dens, i, b, nonzero_rows(tableau, b))
 
     def run(eligible_end: int):
         while True:

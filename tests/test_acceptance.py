@@ -51,6 +51,16 @@ def test_fault_fails_its_own_criterion(criterion, monkeypatch):
     assert not result.passed
 
 
+def test_multiplication_law_fault_fails_a_named_dual_check(monkeypatch):
+    # the key corrupts ker_N's dual W, not the expected constant: the
+    # tensored certificate's check must fail, and name the failed check
+    monkeypatch.setenv(FAULT_ENV, "multiplication-law")
+    [result] = run_all(Context(), only={"multiplication-law"})
+    assert not result.passed
+    assert result.detail == ("SolverIntegrityError: certificate check 'B W = Lambda B' fails: "
+                             "W does not act on E as Lambda (scalar line, N=3)")
+
+
 def test_symmetrization_fails_without_averaging(monkeypatch):
     # negative control for the invariance check: an unaveraged projection is
     # still a projection with no larger norm, but extract_r must reject it

@@ -35,6 +35,7 @@ import pytest
 
 import linalg_reference as ref
 import tableau_reference
+from tableau_reference import nonzero_rows
 
 from projconst import linalg, simplex
 from projconst.linalg import (
@@ -232,11 +233,13 @@ def assert_row_invariant(old_rows: list[list[int]], old_dens: list[int],
 
 
 def pivot_checked(rows: list[list[int]], dens: list[int], r: int, c: int,
-                  exchange: bool = False) -> Counter:
-    """`pivot_rows`, with the row invariant asserted after the pivot; returns
-    the invariant's tally of kept and reduced rows."""
+                  touched: list[int] | None = None, exchange: bool = False) -> Counter:
+    """`pivot_rows`, handed `touched` (when None, the rows with a nonzero in
+    column c), with the row invariant asserted after the pivot; returns the
+    invariant's tally of kept and reduced rows."""
     old_rows, old_dens = [list(row) for row in rows], list(dens)
-    pivot_rows(rows, dens, r, c, exchange)
+    pivot_rows(rows, dens, r, c, nonzero_rows(rows, c) if touched is None else touched,
+               exchange)
     return assert_row_invariant(old_rows, old_dens, rows, dens, r, c)
 
 
@@ -351,11 +354,10 @@ def largest_bits(monkeypatch, module, kernel, solve, program) -> tuple[int, int]
     the kernel leaves after a pivot."""
     den_bits = num_bits = 0
 
-    def recorded(rows, dens, r, c, **exchange):
+    def recorded(rows, dens, r, c, touched, **exchange):
         nonlocal den_bits, num_bits
         # a pivot changes only the rows with a nonzero in column c
-        touched = [i for i, row in enumerate(rows) if row and row[c]]
-        kernel(rows, dens, r, c, **exchange)
+        kernel(rows, dens, r, c, touched, **exchange)
         den_bits = max(den_bits, max(dens).bit_length())
         num_bits = max(num_bits, *(max(max(rows[i]), -min(rows[i])).bit_length()
                                    for i in touched))
@@ -377,7 +379,11 @@ def test_denominators_grow_no_longer_than_in_lowest_terms(monkeypatch, space):
     program = build_projection_lp(space)
     got_den, got_num = largest_bits(monkeypatch, simplex, pivot_rows,
                                     simplex.solve_linear_program, program)
-    want_den, want_num = largest_bits(monkeypatch, tableau_reference, ref.reference_pivot_rows,
+
+    def former(rows, dens, r, c, touched):
+        ref.reference_pivot_rows(rows, dens, r, c)
+
+    want_den, want_num = largest_bits(monkeypatch, tableau_reference, former,
                                       tableau_reference.solve_linear_program, program)
     assert got_den <= DIGIT_BITS or got_den <= want_den
     assert got_num <= want_num + DIGIT_BITS
@@ -389,8 +395,8 @@ def test_elimination_past_one_digit_matches_the_former_elimination(monkeypatch):
     # are brought to lowest terms at it; each pivot is checked as it happens
     branches = Counter()
 
-    def checked(rows, dens, r, c):
-        branches.update(pivot_checked(rows, dens, r, c))
+    def checked(rows, dens, r, c, touched):
+        branches.update(pivot_checked(rows, dens, r, c, touched))
 
     monkeypatch.setattr(linalg, "pivot_rows", checked)
     numerators = list(range(1, 10))
@@ -408,10 +414,10 @@ def test_elimination_past_one_digit_matches_the_former_elimination(monkeypatch):
 def test_reduce_pivots_distinct_rows(monkeypatch):
     calls = Counter()
 
-    def checked(rows, dens, r, c):
+    def checked(rows, dens, r, c, touched):
         assert len(set(map(id, rows))) == len(rows)
         calls["pivots"] += 1
-        pivot_rows(rows, dens, r, c)
+        pivot_rows(rows, dens, r, c, touched)
 
     monkeypatch.setattr(linalg, "pivot_rows", checked)
     for seed in range(60):

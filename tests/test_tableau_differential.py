@@ -63,9 +63,9 @@ def assert_same(monkeypatch):
     condensed = Counter()
     kernel = simplex.pivot_rows
 
-    def counted(rows, dens, r, c, exchange=False):
+    def counted(rows, dens, r, c, touched, exchange=False):
         condensed["pivots"] += 1
-        kernel(rows, dens, r, c, exchange)
+        kernel(rows, dens, r, c, touched, exchange)
 
     monkeypatch.setattr(simplex, "pivot_rows", counted)
 
@@ -120,21 +120,26 @@ def test_identical_solutions_and_pivots_on_random_programs(assert_same):
     assert assert_same.events["twin of a leaver enters"] >= 50, assert_same.events
 
 
-@pytest.mark.parametrize("program, expected", [
+# hand-built programs, by name, with the outcome each must reach
+HAND_CASES = {
     # redundant equalities: two artificials end phase 1 basic at level 0
-    (lp([1, 2, -1], eq=[[1, 1, 0], [2, 2, 0], [0, 1, 1], [1, 2, 1]],
-        eq_rhs=[1, 2, F(3, 2), F(5, 2)], free=[False, False, True]), "optimal"),
+    "redundant": (lp([1, 2, -1], eq=[[1, 1, 0], [2, 2, 0], [0, 1, 1], [1, 2, 1]],
+                     eq_rhs=[1, 2, F(3, 2), F(5, 2)], free=[False, False, True]), "optimal"),
     # two identical rows, and a negated inequality
-    (lp([1, 1], eq=[[1, 0], [1, 0]], eq_rhs=[2, 2], ub=[[0, -1]], ub_rhs=[-1]), "optimal"),
+    "duplicate": (lp([1, 1], eq=[[1, 0], [1, 0]], eq_rhs=[2, 2], ub=[[0, -1]], ub_rhs=[-1]),
+                  "optimal"),
     # a zero-level artificial whose only legitimate entry is negative
-    (lp([2, 1, 1], eq=[[0, 0, -1], [2, 0, 0]], eq_rhs=[0, 3]), "optimal"),
-    (lp([1], ub=[[1]], ub_rhs=[-1]), simplex.InfeasibleProgram),
-    (lp([0, 0], eq=[[1, 1], [1, 1]], eq_rhs=[1, 2]), simplex.InfeasibleProgram),
-    (lp([-1]), simplex.UnboundedProgram),
-    (lp([1], free=[True]), simplex.UnboundedProgram),
-    (lp([-1, -1], ub=[[1, -1]], ub_rhs=[-2]), simplex.UnboundedProgram),
-], ids=["redundant", "duplicate", "negative-drive-out", "infeasible-ub",
-        "infeasible-eq", "unbounded", "unbounded-free", "unbounded-after-phase-1"])
+    "negative-drive-out": (lp([2, 1, 1], eq=[[0, 0, -1], [2, 0, 0]], eq_rhs=[0, 3]), "optimal"),
+    "infeasible-ub": (lp([1], ub=[[1]], ub_rhs=[-1]), simplex.InfeasibleProgram),
+    "infeasible-eq": (lp([0, 0], eq=[[1, 1], [1, 1]], eq_rhs=[1, 2]), simplex.InfeasibleProgram),
+    "unbounded": (lp([-1]), simplex.UnboundedProgram),
+    "unbounded-free": (lp([1], free=[True]), simplex.UnboundedProgram),
+    "unbounded-after-phase-1": (lp([-1, -1], ub=[[1, -1]], ub_rhs=[-2]),
+                                simplex.UnboundedProgram),
+}
+
+
+@pytest.mark.parametrize("program, expected", HAND_CASES.values(), ids=HAND_CASES)
 def test_identical_outcomes_on_hand_cases(assert_same, program, expected):
     solution, _ = assert_same(program)
     assert (solution if isinstance(solution, type) else "optimal") == expected
@@ -151,17 +156,20 @@ def random_subspace(rng: Random) -> Subspace:
             return Subspace.from_rows(rows)
 
 
+def drive_out_program() -> LinearProgram:
+    """x3 and x4 are free, the right-hand sides zero.  Phase 1 ends with x3-
+    the last part of x3 to leave the basis and the artificial of the last
+    row basic, and that row holds x3's column and x5's.  The drive-out
+    ranks x3's column by x3+ < x5 < x3-, so the stored column is negated
+    before the pivot; ranking it by x3-, and so taking x5, takes 9 pivots."""
+    return lp([0, 0, 0, 2, 0, 1],
+              eq=[[0, 0, -2, -2, -1, 0], [-2, -1, -2, -2, -1, -1],
+                  [0, -2, -1, 1, -2, 1], [2, 2, -2, 2, 0, 0], [2, 0, -2, 2, -2, 0]],
+              eq_rhs=[0] * 5, free=[False, False, False, True, True, False])
+
+
 def test_drive_out_of_a_free_column_stored_under_its_negative_label(assert_same):
-    # x3 and x4 are free, the right-hand sides zero.  Phase 1 ends with x3-
-    # the last part of x3 to leave the basis and the artificial of the last
-    # row basic, and that row holds x3's column and x5's.  The drive-out
-    # ranks x3's column by x3+ < x5 < x3-, so the stored column is negated
-    # before the pivot; ranking it by x3-, and so taking x5, takes 9 pivots.
-    program = lp([0, 0, 0, 2, 0, 1],
-                 eq=[[0, 0, -2, -2, -1, 0], [-2, -1, -2, -2, -1, -1],
-                     [0, -2, -1, 1, -2, 1], [2, 2, -2, 2, 0, 0], [2, 0, -2, 2, -2, 0]],
-                 eq_rhs=[0] * 5, free=[False, False, False, True, True, False])
-    solution, pivots = assert_same(program)
+    solution, pivots = assert_same(drive_out_program())
     assert (solution.value, pivots) == (0, 8)
     assert assert_same.events["drive-out under the negative label"] == 1, assert_same.events
 
@@ -209,11 +217,11 @@ def test_identical_pivots_and_solutions_past_one_digit(monkeypatch):
     def column(rows, dens, c):
         return [F(row[c], den) for row, den in zip(rows, dens)]
 
-    def condensed(rows, dens, r, c, exchange=False):
+    def condensed(rows, dens, r, c, touched, exchange=False):
         got.append((r, column(rows, dens, c)))
-        branches.update(pivot_checked(rows, dens, r, c, exchange))
+        branches.update(pivot_checked(rows, dens, r, c, touched, exchange))
 
-    def former(rows, dens, r, c):
+    def former(rows, dens, r, c, touched):
         # pricing out the basis is a pivot too, but counts as none
         if full["pivots"] > len(want):
             want.append((r, column(rows, dens, c)))

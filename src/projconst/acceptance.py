@@ -9,9 +9,9 @@ Setting the environment variable PROJCONST_SELFTEST_FAULT to a criterion key
 corrupts that criterion's expected constant by 1/1000.  This is a negative
 control: it must make the named criterion (and only that one) fail, proving
 the harness actually compares against the constants it claims to.  The key
-multiplication-law corrupts a certificate instead: it lowers one entry of
-ker_N's dual W by 1/1000 before the tensored check, which must then fail
-on its dual check 'B W = Lambda B'.
+multiplication-law corrupts a certificate instead: it lowers ker_N's W_00,
+1/N, to (1000 - N) / 1000 N before the tensored check, which must then
+fail on its dual check 'B W = Lambda B'.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .banach_mazur import (
     optimize_numeric,
     verify_inverse,
 )
-from .linalg import Mat, Subspace, format_rational, inf_op_norm
+from .linalg import Subspace, format_rational, inf_op_norm
 from .minproj import (
     DEFAULT_BUDGET,
     LPBudget,
@@ -134,9 +134,11 @@ def _kernel_certificate(copies: int) -> ProjectionCertificate | None:
     if not delta:
         return None
     cert = sum_kernel_certificate(copies)
-    dual = cert.dual
-    return cert._replace(dual=Mat(dual.rows, dual.cols,
-                                  (dual.entries[0] - delta, *dual.entries[1:])))
+    rows, den = cert.dual
+    # W over den * 1000, so that W_00 can lose delta = 1/1000
+    rows = [[x * delta.denominator for x in row] for row in rows]
+    rows[0][0] -= delta.numerator * den
+    return cert._replace(dual=(rows, den * delta.denominator))
 
 
 def _check_multiplication_law(ctx: Context) -> str:

@@ -15,12 +15,12 @@ are lifted with per-entry majorant variables:
 Every value leaves this module proved minimal.  One solve gives a
 `ProjectionCertificate` (C, W, w, Lambda): the primal C with a dual read off
 the final simplex tableau, and `check_certificate` proves lambda(E) = value
-from it with products and comparisons only (weak duality).  The optimum
-stays in integers from the tableau to that proof: C, W, w and Lambda are
-built and checked as integer rows over one denominator each, and become
-`Fraction`s only where a caller keeps them.  `projection_certificate`
-returns the certificate; `projection_constant` keeps C alone, with a
-sign-vector witness attaining the norm of B^T C.
+from it with products and comparisons only (weak duality).  A certificate
+has one format from the tableau through every Kronecker product: C, W, w
+and Lambda are integers over one positive int denominator each, the form
+that the one checker proves.  `projection_certificate` returns the
+certificate it checked; `projection_constant` keeps C alone, made into
+`Fraction`s, with a sign-vector witness attaining the norm of B^T C.
 Certificates compose under the Kronecker product, which is how `zerosum`
 certifies its zero-sum spaces without solving their programs.
 
@@ -208,20 +208,35 @@ def _products(rows, cols) -> list[list[int]]:
     return [[sum(map(operator.mul, r, c)) for c in cols] for r in rows]
 
 
+# a matrix as (rows, den): integer rows over one positive denominator
+_IntegerRows = tuple[list[list[int]], int]
+
+
+def _outer(u, v) -> list[int]:
+    return [x * y for x in u for y in v]
+
+
+def _kron(a: _IntegerRows, b: _IntegerRows) -> _IntegerRows:
+    """The Kronecker product of two integer parts: rows by rows, den by den."""
+    return [_outer(r, s) for r in a[0] for s in b[0]], a[1] * b[1]
+
+
 class ProjectionCertificate(NamedTuple):
     """A primal-dual certificate that lambda(E, ell_inf^n) = value, for a basis B of E.
 
-    `coeffs` is C (k x n), `dual` is W (n x n), `weights` is w (n entries)
-    and `restriction` is Lambda (k x k); `check_certificate` states what
-    they must satisfy.  A named tuple rather than a frozen dataclass, which
-    takes several times longer to create when the module is imported.
+    `coeffs` is C (k x n), `dual` is W (n x n) and `restriction` is Lambda
+    (k x k), each (rows, den): integer rows over one positive int
+    denominator, not always in lowest terms; `weights` is w, (numerators,
+    den).  `check_certificate` states what they must satisfy.  A named tuple
+    rather than a frozen dataclass, which takes several times longer to
+    create when the module is imported.
     """
 
     value: Fraction
-    coeffs: Mat
-    dual: Mat
-    weights: tuple[Fraction, ...]
-    restriction: Mat
+    coeffs: _IntegerRows
+    dual: _IntegerRows
+    weights: tuple[list[int], int]
+    restriction: _IntegerRows
 
     def kron(self, other: "ProjectionCertificate") -> "ProjectionCertificate":
         """The certificate of E (x) F, spanned by the Kronecker products of
@@ -231,30 +246,54 @@ class ProjectionCertificate(NamedTuple):
         condition of `check_certificate` is the product of the factors'
         conditions; absolute row sums multiply too.
         """
+        (w, dw), (v, dv) = self.weights, other.weights
         return ProjectionCertificate(
-            self.value * other.value,
-            self.coeffs.kron(other.coeffs),
-            self.dual.kron(other.dual),
-            tuple(a * b for a in self.weights for b in other.weights),
-            self.restriction.kron(other.restriction))
+            self.value * other.value, _kron(self.coeffs, other.coeffs),
+            _kron(self.dual, other.dual), (_outer(w, v), dw * dv),
+            _kron(self.restriction, other.restriction))
 
 
-# a matrix as (rows, den): integer rows over one positive denominator
-_IntegerRows = tuple[list[list[int]], int]
+def check_certificate(basis: Mat, cert: ProjectionCertificate) -> _IntegerRows:
+    """Prove lambda(E) = cert.value for the row space E of `basis`, or raise
+    SolverIntegrityError naming the failed check.
 
+    With B = `basis`, the checks are, in order:
 
-def _check(basis: _IntegerRows, value: Fraction, coeffs: _IntegerRows, dual: _IntegerRows,
-           weights: tuple[list[int], int], restriction: _IntegerRows) -> _IntegerRows:
-    """The checks of `check_certificate` on the certificate's integer parts,
-    in its order: each matrix as (rows, den), the weights as (numerators,
-    den).  Returns the rows of P = B^T C over their denominator."""
-    (b, db), (c, dc), (dual_rows, d_dual) = basis, coeffs, dual
-    (w, dw), (lam_rows, d_lam) = weights, restriction
+    * 'shape': the parts fit a k-dimensional subspace of ell_inf^n, as ints
+      over positive int denominators, so no comparison below flips or vanishes;
+    * 'C B^T = I': P = B^T C is then a projection onto E, as
+      P^2 = B^T (C B^T) C = P and P B^T = B^T; B has full row rank, so it
+      needs no separate rank check;
+    * 'norm': the largest absolute row sum of P is the value, so
+      lambda(E) <= value;
+    * 'w >= 0' and 'sum w = 1';
+    * '|W_ij| <= w_i';
+    * 'B W = Lambda B';
+    * 'tr Lambda': the trace of Lambda is the value.
+
+    The last four give lambda(E) >= value by weak duality.  Any projection
+    P' onto E is B^T C' with C' B^T = I, so
+    <W, P'> = tr((B W)^T C') = tr(Lambda^T C' B^T) = tr Lambda, while
+    <W, P'> <= sum_i w_i (row sum i of |P'|) <= norm(P').
+
+    Only B is taken apart into integer rows over one denominator: the parts
+    already are.  This one checker proves every certificate, those that
+    `projection_certificate` and `projection_constant` build too, with four
+    integer matrix products and integer comparisons: no elimination and no
+    `Fraction` temporaries, whose churn raises peak RSS when many results
+    are kept.  No check trusts the code that made the certificate.  Returns
+    the rows of P that the 'norm' check computes, as (rows, den).
+    """
+    b, db = _integer_matrix(basis)
+    value, (c, dc), (dual_rows, d_dual), (w, dw), (lam_rows, d_lam) = cert
     k, n = len(b), len(b[0])
     _require(len(c) == len(lam_rows) == k and len(dual_rows) == len(w) == n
              and all(len(row) == n for row in (*c, *dual_rows))
              and all(len(row) == k for row in lam_rows),
              "shape", f"certificate does not fit a {k}-dimensional subspace of ell_inf^{n}")
+    _require(all(type(d) is int and d > 0 for d in (dc, d_dual, dw, d_lam))
+             and all(type(x) is int for row in (*c, *dual_rows, w, *lam_rows) for x in row),
+             "shape", "a part is not integers over a positive int denominator")
     den = db * dc
     _require(all(x == (den if p == q else 0)
                  for p, row in enumerate(_products(c, b)) for q, x in enumerate(row)),
@@ -278,47 +317,10 @@ def _check(basis: _IntegerRows, value: Fraction, coeffs: _IntegerRows, dual: _In
     return p_rows, den
 
 
-def check_certificate(basis: Mat, cert: ProjectionCertificate) -> _IntegerRows:
-    """Prove lambda(E) = cert.value for the row space E of `basis`, or raise
-    SolverIntegrityError naming the failed check.
-
-    With B = `basis`, the checks are, in order:
-
-    * 'shape': the parts fit a k-dimensional subspace of ell_inf^n;
-    * 'C B^T = I': P = B^T C is then a projection onto E, as
-      P^2 = B^T (C B^T) C = P and P B^T = B^T; B has full row rank, so it
-      needs no separate rank check;
-    * 'norm': the largest absolute row sum of P is the value, so
-      lambda(E) <= value;
-    * 'w >= 0' and 'sum w = 1';
-    * '|W_ij| <= w_i';
-    * 'B W = Lambda B';
-    * 'tr Lambda': the trace of Lambda is the value.
-
-    The last four give lambda(E) >= value by weak duality.  Any projection
-    P' onto E is B^T C' with C' B^T = I, so
-    <W, P'> = tr((B W)^T C') = tr(Lambda^T C' B^T) = tr Lambda, while
-    <W, P'> <= sum_i w_i (row sum i of |P'|) <= norm(P').
-
-    Each matrix is taken once as integer rows over one denominator, and the
-    checks run on those integers alone, in the one core that also proves
-    every certificate `projection_certificate` and `projection_constant`
-    build: every check is one of four integer matrix products or a
-    comparison of integers, with no elimination and no `Fraction`
-    temporaries, whose churn raises peak RSS when many results are kept.
-    No check trusts the code that made the certificate.  Returns the rows
-    of P that the 'norm' check computes, as integers over one denominator:
-    (rows, den).
-    """
-    value, coeffs, dual, weights, restriction = cert
-    return _check(_integer_matrix(basis), value, _integer_matrix(coeffs),
-                  _integer_matrix(dual), integer_row(weights), _integer_matrix(restriction))
-
-
-def _checked_certificate(space: Subspace) -> tuple[tuple, list[list[int]], int]:
-    """The certificate of lambda(E, ell_inf^n) from one LP solve, checked, as
-    its integer parts (value, C, W, w, Lambda) in the form `_check` takes,
-    with the rows of P = B^T C that the check returns.
+def _checked_certificate(space: Subspace) -> tuple[ProjectionCertificate, list[list[int]], int]:
+    """The certificate of lambda(E, ell_inf^n) from one LP solve, with the
+    rows of P = B^T C over their denominator that `check_certificate`
+    returns once it has proved the certificate.
 
     C is the optimal coefficient matrix, read off the levels of the final
     tableau over the lcm of their rows' denominators.  The dual is read off
@@ -329,8 +331,7 @@ def _checked_certificate(space: Subspace) -> tuple[tuple, list[list[int]], int]:
     the equality multipliers V, so Lambda = B W C^T: B C^T = I makes C^T a
     right inverse of B.  With k = n there is no program; C = B^-T,
     w = e_1, W = e_1 e_1^T and Lambda = B W C^T = B e_1 e_1^T B^-1.  Lambda
-    is two integer products, and no part is a `Fraction` until a caller
-    keeps it.
+    is two integer products, and no part is ever a `Fraction`.
 
     The program is feasible and bounded by construction, so infeasibility
     or unboundedness out of the simplex is a solver-integrity failure.
@@ -338,12 +339,12 @@ def _checked_certificate(space: Subspace) -> tuple[tuple, list[list[int]], int]:
     `PivotLimitExceeded` propagates unchanged.
     """
     n, k = space.ambient_dim, space.dim
-    basis = b, db = _integer_matrix(space.basis)
+    b, db = _integer_matrix(space.basis)
     if k == n:
         value = _ONE
         c, dc = _integer_matrix(invert_square(space.basis.transpose()))
         w, du = [1] + [0] * (n - 1), 1
-        dual_rows = [w] + [[0] * n for _ in range(n - 1)]  # e_1 e_1^T: row 0 is w
+        dual_rows = [w[:]] + [[0] * n for _ in range(n - 1)]  # e_1 e_1^T: row 0 a copy of w
     else:
         try:
             value, levels, _, u, du = solve_linear_program(build_projection_lp(space))
@@ -359,18 +360,16 @@ def _checked_certificate(space: Subspace) -> tuple[tuple, list[list[int]], int]:
         dual_rows = [[u[2 * e] - u[2 * e + 1] for e in range(i, i + n)]
                      for i in range(0, n * n, n)]
         w = u[2 * n * n:]
-    bw = _products(b, list(zip(*dual_rows)))  # over db * du
-    # the rows of C are the columns of C^T
-    parts = value, (c, dc), (dual_rows, du), (w, du), (_products(bw, c), db * du * dc)
-    return (parts, *_check(basis, *parts))
+    # B W C^T over db * du * dc: the rows of C are the columns of C^T
+    lam = _products(_products(b, list(zip(*dual_rows))), c)
+    cert = ProjectionCertificate(value, (c, dc), (dual_rows, du), (w, du), (lam, db * du * dc))
+    return (cert, *check_certificate(space.basis, cert))
 
 
 def projection_certificate(space: Subspace) -> ProjectionCertificate:
-    """Exact lambda(E, ell_inf^n) with a checked primal-dual certificate, from
-    one LP solve (none when E is the whole space)."""
-    value, coeffs, dual, (w, dw), restriction = _checked_certificate(space)[0]
-    return ProjectionCertificate(value, _as_mat(*coeffs), _as_mat(*dual),
-                                 tuple(Fraction(x, dw) for x in w), _as_mat(*restriction))
+    """Exact lambda(E, ell_inf^n) with a checked primal-dual certificate in
+    integer parts, from one LP solve (none when E is the whole space)."""
+    return _checked_certificate(space)[0]
 
 
 def projection_constant(space: Subspace) -> ProjectionConstantResult:

@@ -18,13 +18,14 @@ pass over the blocks.  Three exact facts drive everything here:
 * that collapse forces lambda(zero-sum space) = (2 - 2/N) * lambda(E).
 
 `sigma_steps` is the one certified zero-sum step.  It proves each level
-Sigma_N^k(E) = ker_N^(x)k (x) E with a tensored primal-dual certificate,
-not with a linear program: the closed-form certificate of ker_N
+Sigma_N^k(E) = ker_N^(x)k (x) E with a tensored primal-dual certificate in
+integer parts, not with a linear program: the closed form of ker_N's
 (`sum_kernel_certificate`) tensored with the previous level's, checked by
 `minproj.check_certificate` in the level's full space, where weak duality
-proves the value minimal.  No check assumes the law.  Only the base is an
-exact LP solve, made once by the caller: `verify_multiplication_law`
-compares one step with it, and `planner.demonstrate_schedule` runs several.
+proves the value minimal; a level's basis is its one `Mat`.  No check
+assumes the law.  Only the base is an exact LP solve, made once by the
+caller: `verify_multiplication_law` compares one step with it, and
+`planner.demonstrate_schedule` runs several.
 """
 
 from __future__ import annotations
@@ -144,21 +145,18 @@ def coordinate_sum_kernel(dim: int) -> Subspace:
 
 def sum_kernel_certificate(copies: int) -> ProjectionCertificate:
     """The closed-form certificate of lambda(ker_N) = 2 - 2/N, for the basis of
-    `coordinate_sum_kernel`.
+    `coordinate_sum_kernel`, every part over N.
 
     C is read off the centring map I - J/N = B^T C: row j - 1 of C is
     1/N - e_j.  The dual is w = 1/N, W = (2I - J)/N and Lambda = (2/N) I,
     since the rows of B sum to zero, so B J = 0 and B W = (2/N) B.
     """
     n = copies
-    mean = Fraction(1, n)
-    minus_mean = -mean
-    coeffs = Mat(n - 1, n, tuple(mean - 1 if c == j else mean
-                                 for j in range(1, n) for c in range(n)))
-    dual = Mat(n, n, tuple(mean if r == c else minus_mean
-                           for r in range(n) for c in range(n)))
-    return ProjectionCertificate(amplification_factor(n), coeffs, dual, (mean,) * n,
-                                 Mat.identity(n - 1).scale(2 * mean))
+    coeffs = [[1 - n if c == j else 1 for c in range(n)] for j in range(1, n)]
+    dual = [[1 if r == c else -1 for c in range(n)] for r in range(n)]
+    restriction = [[2 if p == q else 0 for q in range(n - 1)] for p in range(n - 1)]
+    return ProjectionCertificate(amplification_factor(n), (coeffs, n), (dual, n),
+                                 ([1] * n, n), (restriction, n))
 
 
 def centring_projection(block_dim: int, copies: int) -> Mat:

@@ -4,11 +4,18 @@
 without its check: C and the slack duals u come from the solver's `Fraction`
 views, W = u+ - u- is formed entry by entry, and Lambda = B W C^T is two
 `Mat` products.  With k = n there is no program: C = B^-T, w = e_1 and
-W = e_1 e_1^T.  `minproj.projection_certificate` must give the identical
-(value, C, W, w, Lambda).
+W = e_1 e_1^T.  `reference_sum_kernel` is the former `Fraction` closed form
+of ker_N's certificate, and `FractionCertificate.kron` the former Kronecker
+product: three `Mat.kron`s and the products of the weights.
+
+`minproj` keeps a certificate as integer parts, not necessarily in lowest
+terms; `as_fractions` reads them by value (`Fraction(x, den)`), so that a
+certificate compares equal to its reference exactly when every part has the
+same value.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from projconst.linalg import Mat, Subspace, invert_square
 from projconst.minproj import ProjectionCertificate, build_projection_lp
@@ -18,7 +25,37 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def reference_certificate(space: Subspace) -> ProjectionCertificate:
+class FractionCertificate(NamedTuple):
+    """(value, C, W, w, Lambda) with C, W and Lambda as `Mat`s and w as `Fraction`s."""
+
+    value: Fraction
+    coeffs: Mat
+    dual: Mat
+    weights: tuple[Fraction, ...]
+    restriction: Mat
+
+    def kron(self, other: "FractionCertificate") -> "FractionCertificate":
+        return FractionCertificate(
+            self.value * other.value,
+            self.coeffs.kron(other.coeffs),
+            self.dual.kron(other.dual),
+            tuple(a * b for a in self.weights for b in other.weights),
+            self.restriction.kron(other.restriction))
+
+
+def as_mat(part) -> Mat:
+    """An integer part (rows, den) of a certificate as the `Mat` of its values."""
+    rows, den = part
+    return Mat.from_rows([[Fraction(x, den) for x in row] for row in rows])
+
+
+def as_fractions(cert: ProjectionCertificate) -> FractionCertificate:
+    w, dw = cert.weights
+    return FractionCertificate(cert.value, as_mat(cert.coeffs), as_mat(cert.dual),
+                               tuple(Fraction(x, dw) for x in w), as_mat(cert.restriction))
+
+
+def reference_certificate(space: Subspace) -> FractionCertificate:
     n, k = space.ambient_dim, space.dim
     if k == n:
         value = _ONE
@@ -32,4 +69,15 @@ def reference_certificate(space: Subspace) -> ProjectionCertificate:
         dual = Mat(n, n, tuple(u[2 * e] - u[2 * e + 1] for e in range(n * n)))
         weights = tuple(u[2 * n * n:])
     restriction = space.basis @ dual @ coeffs.transpose()
-    return ProjectionCertificate(value, coeffs, dual, weights, restriction)
+    return FractionCertificate(value, coeffs, dual, weights, restriction)
+
+
+def reference_sum_kernel(copies: int) -> FractionCertificate:
+    """C has rows 1/N - e_j, w = 1/N, W = (2I - J)/N and Lambda = (2/N) I."""
+    n = copies
+    mean = Fraction(1, n)
+    coeffs = Mat(n - 1, n, tuple(mean - 1 if c == j else mean
+                                 for j in range(1, n) for c in range(n)))
+    dual = Mat(n, n, tuple(mean if r == c else -mean for r in range(n) for c in range(n)))
+    return FractionCertificate(2 - 2 * mean, coeffs, dual, (mean,) * n,
+                               Mat.identity(n - 1).scale(2 * mean))

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from certificate_reference import as_mat
 
 from projconst import minproj, zerosum
 from projconst.acceptance import Context, run_all
@@ -39,29 +40,25 @@ class TestLinearProgramCertificates:
     def test_kernels(self, n):
         cert = projection_certificate(coordinate_sum_kernel(n))
         assert cert.value == 2 - F(2, n)
-        assert (cert.dual.rows, len(cert.weights), cert.restriction.rows) == (n, n, n - 1)
+        assert (len(cert.dual[0]), len(cert.weights[0]), len(cert.restriction[0])) == (n, n, n - 1)
 
     def test_seeded_subspaces_agree_with_projection_constant(self, monkeypatch):
         # every LP solve that projection_constant makes carries one checked
-        # dual, and the certificate it checked is the result's: the integer
-        # parts that minproj's one check proves, made into `Mat`s, pass
-        # check_certificate as well
+        # dual, and the certificate that the one checker proved is the
+        # result's, and proves it again
         calls, checked = [], []
-        original_solve, original_check = minproj.solve_linear_program, minproj._check
+        original_solve, original_check = minproj.solve_linear_program, minproj.check_certificate
 
         def solve(lp):
             calls.append(lp)
             return original_solve(lp)
 
-        def check(basis, *parts):
-            checked.append(parts)
-            return original_check(basis, *parts)
-
-        def mat(rows, den):
-            return Mat.from_rows([[F(x, den) for x in row] for row in rows])
+        def check(basis, cert):
+            checked.append((basis, cert))
+            return original_check(basis, cert)
 
         monkeypatch.setattr(minproj, "solve_linear_program", solve)
-        monkeypatch.setattr(minproj, "_check", check)
+        monkeypatch.setattr(minproj, "check_certificate", check)
         rng = Random(20261019)
         for trial in range(25):
             n = rng.randint(2, 6)
@@ -69,25 +66,24 @@ class TestLinearProgramCertificates:
             checked.clear()
             result = projection_constant(space)
             assert len(calls) == trial + 1
-            [(value, coeffs, dual, (w, dw), restriction)] = checked
-            cert = ProjectionCertificate(value, mat(*coeffs), mat(*dual),
-                                         tuple(F(x, dw) for x in w), mat(*restriction))
-            assert (cert.value, cert.coeffs) == (result.value, result.minimizer_c)
-            check_certificate(space.basis, cert)
+            [(basis, cert)] = checked
+            assert basis is space.basis
+            assert (cert.value, as_mat(cert.coeffs)) == (result.value, result.minimizer_c)
+            original_check(space.basis, cert)
         assert len(calls) == 25
 
     def test_full_dimension_needs_no_program(self):
         space = Subspace.from_rows([[1, 2], [0, 3]])
         cert = projection_certificate(space)
         assert cert.value == 1
-        assert cert.weights == (1, 0)
-        assert cert.dual == Mat.from_rows([[1, 0], [0, 0]])
-        assert cert.restriction == Mat.from_rows([[1, F(-2, 3)], [0, 0]])
+        assert cert.weights == ([1, 0], 1)
+        assert cert.dual == ([[1, 0], [0, 0]], 1)
+        assert as_mat(cert.restriction) == Mat.from_rows([[1, F(-2, 3)], [0, 0]])
 
     def test_primal_is_a_minimal_projection(self):
         space = coordinate_sum_kernel(4)
         cert = projection_certificate(space)
-        projection = space.basis.transpose() @ cert.coeffs
+        projection = space.basis.transpose() @ as_mat(cert.coeffs)
         assert projection.is_idempotent()
         assert inf_op_norm(projection).value == cert.value
 
@@ -102,7 +98,7 @@ class TestClosedFormAndTensors:
     def test_sum_kernel_matches_the_centring_map(self):
         space = coordinate_sum_kernel(5)
         cert = sum_kernel_certificate(5)
-        assert space.basis.transpose() @ cert.coeffs == zerosum.centring_projection(1, 5)
+        assert space.basis.transpose() @ as_mat(cert.coeffs) == zerosum.centring_projection(1, 5)
 
     def test_kron_certifies_the_zero_sum_space(self):
         base = Subspace.from_rows([[1, 2, -1]])
@@ -129,10 +125,18 @@ def _tensored():
     return sigma_subspace(base, 3).space, sum_kernel_certificate(3).kron(cert)
 
 
-def _changed(m: Mat, index: int, value: F) -> Mat:
-    entries = list(m.entries)
-    entries[index] = value
-    return Mat(m.rows, m.cols, tuple(entries))
+def _changed(part, p: int, q: int, delta: F):
+    """The integer part (rows, den) with delta added to entry (p, q), over
+    den * delta.denominator: a copy, as the certificate's rows are lists."""
+    rows, den = part
+    rows = [[x * delta.denominator for x in row] for row in rows]
+    rows[p][q] += delta.numerator * den
+    return rows, den * delta.denominator
+
+
+def _changed_weight(weights, i: int, delta: F):
+    [w], den = _changed(([weights[0]], weights[1]), 0, i, delta)
+    return w, den
 
 
 def _first(entries, condition) -> int:
@@ -142,28 +146,32 @@ def _first(entries, condition) -> int:
 def _mutants(space: Subspace, cert: ProjectionCertificate):
     """(field, changed certificate, the check that must fail) for single-entry changes."""
     n = space.ambient_dim
-    w, dual = cert.weights, cert.dual
+    (w, dw), (dual, dd) = cert.weights, cert.dual
+    lam, dl = cert.restriction
     used = _first(space.basis.col(0), bool)  # B[used, 0] != 0
     # a nonzero W_ij whose column i of B is not zero, so halving it moves B W
-    moved = _first(range(n * n), lambda e: dual.entries[e] and any(space.basis.col(e // n)))
-    weighted = _first(range(n * n), lambda e: w[e // n] > 0)
+    i, j = divmod(_first(range(n * n), lambda e: dual[e // n][e % n]
+                         and any(space.basis.col(e // n))), n)
+    # W_pq set to w_p + 1/7 for a row p of positive weight
+    p = _first(w, lambda x: x > 0)
     light = _first(w, bool)
     return [
-        ("C", cert._replace(coeffs=_changed(
-            cert.coeffs, used * n, cert.coeffs.entries[used * n] + F(1, 7))), "C B^T = I"),
-        ("W", cert._replace(dual=_changed(
-            dual, moved, dual.entries[moved] / 2)), "B W = Lambda B"),
-        ("W", cert._replace(dual=_changed(
-            dual, weighted, w[weighted // n] + F(1, 7))), "|W_ij| <= w_i"),
-        ("w", cert._replace(weights=w[:light] + (w[light] + F(1, 7),) + w[light + 1:]),
-         "sum w = 1"),
-        ("w", cert._replace(weights=w[:light] + (-w[light],) + w[light + 1:]), "w >= 0"),
-        ("Lambda", cert._replace(restriction=_changed(
-            cert.restriction, 0, cert.restriction.entries[0] + F(1, 7))), "B W = Lambda B"),
+        ("C", cert._replace(coeffs=_changed(cert.coeffs, used, 0, F(1, 7))), "C B^T = I"),
+        ("W", cert._replace(dual=_changed(cert.dual, i, j, -F(dual[i][j], 2 * dd))),
+         "B W = Lambda B"),
+        ("W", cert._replace(dual=_changed(cert.dual, p, 0,
+                                          F(w[p], dw) + F(1, 7) - F(dual[p][0], dd))),
+         "|W_ij| <= w_i"),
+        ("w", cert._replace(weights=_changed_weight(cert.weights, light, F(1, 7))), "sum w = 1"),
+        ("w", cert._replace(weights=_changed_weight(cert.weights, light, -2 * F(w[light], dw))),
+         "w >= 0"),
+        ("Lambda", cert._replace(restriction=_changed(cert.restriction, 0, 0, F(1, 7))),
+         "B W = Lambda B"),
         ("lambda", cert._replace(value=cert.value + F(1, 1000)), "norm"),
         # a feasible dual that proves too little
-        ("W, Lambda", cert._replace(
-            dual=Mat.zeros(n, n), restriction=Mat.zeros(space.dim, space.dim)), "tr Lambda"),
+        ("W, Lambda", cert._replace(dual=([[0] * n for _ in range(n)], dd),
+                                    restriction=([[0] * len(lam) for _ in lam], dl)),
+         "tr Lambda"),
     ]
 
 
@@ -181,6 +189,66 @@ def test_a_certificate_of_the_wrong_shape_fails():
     space, cert = _base()
     with pytest.raises(SolverIntegrityError, match="certificate check 'shape'"):
         check_certificate(sigma_subspace(space, 2).space.basis, cert)
+
+
+@pytest.mark.parametrize("make", [_base, _tensored], ids=["base", "tensored"])
+@pytest.mark.parametrize("field", ["coeffs", "dual", "weights", "restriction"])
+def test_a_denominator_that_is_not_positive_fails_the_shape_check(make, field):
+    # every comparison of the check scales both sides by a denominator, so
+    # one of 0 makes them all hold, and a negative one flips the
+    # inequalities; negating numerators and denominator keeps every value
+    space, cert = make()
+    numerators, den = getattr(cert, field)
+    negated = [-x for x in numerators] if field == "weights" else [
+        [-x for x in row] for row in numerators]
+    for changed in (numerators, 0), (negated, -den), (numerators, F(den)), (numerators, True):
+        with pytest.raises(SolverIntegrityError, match="certificate check 'shape' fails"):
+            check_certificate(space.basis, cert._replace(**{field: changed}))
+
+
+def test_a_zero_dual_over_denominator_zero_proves_nothing():
+    # on the diagonal of ell_inf^3, lambda = 1; C = (4/3, -1/3, 0) is a left
+    # inverse of norm 5/3, and W = 0 over 0 with Lambda = (5/3) would pass
+    # every later check, since each of them multiplies by W's denominator
+    diagonal = Mat.from_rows([[1, 1, 1]])
+    cert = ProjectionCertificate(F(5, 3), ([[4, -1, 0]], 3), ([[0] * 3] * 3, 0),
+                                 ([1, 0, 0], 1), ([[5]], 3))
+    with pytest.raises(SolverIntegrityError, match="certificate check 'shape' fails"):
+        check_certificate(diagonal, cert)
+    with pytest.raises(SolverIntegrityError, match="certificate check 'B W = Lambda B' fails"):
+        check_certificate(diagonal, cert._replace(dual=([[0] * 3] * 3, 1)))
+    assert projection_certificate(Subspace(3, diagonal)).value == 1
+
+
+def test_a_numerator_that_is_not_an_int_fails_the_shape_check():
+    space, cert = _base()
+    w, dw = cert.weights
+    for changed in [float(w[0])] + w[1:], [F(w[0])] + w[1:]:
+        with pytest.raises(SolverIntegrityError, match="certificate check 'shape' fails"):
+            check_certificate(space.basis, cert._replace(weights=(changed, dw)))
+
+
+def test_a_sigma_level_converts_only_its_basis(monkeypatch):
+    # the level's basis is the one `Mat` made and the one taken apart into
+    # integer rows: ker_N's certificate and the tensored one stay integers
+    base = Subspace.from_rows([[1, 2, -1]])
+    cert = projection_certificate(base)
+    krons, integer_matrices = [], []
+    kron, integer_matrix = Mat.kron, minproj._integer_matrix
+
+    def counted_kron(a, b):
+        krons.append((a.rows, b.rows))
+        return kron(a, b)
+
+    def counted_integer_matrix(m):
+        integer_matrices.append((m.rows, m.cols))
+        return integer_matrix(m)
+
+    monkeypatch.setattr(Mat, "kron", counted_kron)
+    monkeypatch.setattr(minproj, "_integer_matrix", counted_integer_matrix)
+    assert list(zerosum.sigma_steps(base, cert, 3, 1)) == [(9, F(4, 3) * cert.value)]
+    assert krons == [(2, 1)]
+    assert integer_matrices == [(2, 9)]
 
 
 def test_dependent_rows_fail_the_left_inverse_check():
@@ -244,7 +312,8 @@ def test_a_wrong_kernel_factor_fails_the_multiplication_law(monkeypatch):
     # W_K = I/N satisfies |W_ij| <= w_i but not B W = Lambda B
     def wrong(copies):
         cert = sum_kernel_certificate(copies)
-        return cert._replace(dual=Mat.identity(copies).scale(F(1, copies)))
+        return cert._replace(dual=([[int(r == c) for c in range(copies)]
+                                    for r in range(copies)], copies))
 
     monkeypatch.setattr(zerosum, "sum_kernel_certificate", wrong)
     [result] = run_all(Context(), only={"multiplication-law"})

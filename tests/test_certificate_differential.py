@@ -3,7 +3,7 @@
 `minproj` reads C and the slack duals off the simplex's integer readout and
 builds W, w and Lambda = B W C^T as integer rows; `certificate_reference`
 builds them from the solver's `Fraction` views with `Mat` products, as the
-module did before.  Both must give the identical certificate, and
+module did before.  Every part must have the same value on both sides, and
 `projection_constant` must form no `Fraction` matrix product at all.  Needs
 nothing beyond pytest.
 """
@@ -13,7 +13,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from certificate_reference import reference_certificate
+from certificate_reference import as_fractions, reference_certificate
 
 from projconst import linalg
 from projconst.cli import load_subspace_document
@@ -26,12 +26,13 @@ FULL_PLANE = [[1, 2], [0, 3]]
 
 
 def assert_same_certificate(space: Subspace):
+    # by value: the integer parts need not be in lowest terms
     got = projection_certificate(space)
-    want = reference_certificate(space)
-    assert got == want
-    assert all(type(x) is F for x in [got.value, *got.coeffs.entries, *got.dual.entries,
-                                      *got.weights, *got.restriction.entries])
-    return got
+    assert as_fractions(got) == reference_certificate(space)
+    value, (c, dc), (dual, dd), (w, dw), (lam, dl) = got
+    assert type(value) is F
+    assert all(type(x) is int for x in [dc, dd, dw, dl, *w, *sum(c + dual + lam, [])])
+    return as_fractions(got)
 
 
 @pytest.mark.parametrize("space", [

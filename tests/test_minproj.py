@@ -11,6 +11,7 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from certificate_reference import as_mat
 from linalg_reference import subspace_contains
 
 import projconst
@@ -166,10 +167,12 @@ class TestPrimalCertificate:
         # the value passed is the corrupted projection's own exact norm, so
         # the norm checks pass and C B^T = I is the first check to reject it
         cert = projection_certificate(space)
-        rows = cert.coeffs.row_lists()
-        rows[0][0] += F(1, 1000)
-        corrupted = Mat.from_rows(rows)
-        norm = inf_op_norm(space.basis.transpose() @ corrupted).value
+        rows, den = cert.coeffs
+        # C_00 + 1/1000, over den * 1000
+        rows = [[x * 1000 for x in row] for row in rows]
+        rows[0][0] += den
+        corrupted = rows, den * 1000
+        norm = inf_op_norm(space.basis.transpose() @ as_mat(corrupted)).value
         assert norm >= 1
         with pytest.raises(SolverIntegrityError, match="C B\\^T = I"):
             check_certificate(space.basis, cert._replace(value=norm, coeffs=corrupted))

@@ -98,42 +98,44 @@ def build_projection_lp(space: Subspace) -> LinearProgram:
     n*n majorants M[i,j] (nonnegative), and the bound t.  Constraints:
     k^2 equalities C B^T = I, 2n^2 majorant inequalities, n row-sum rows.
     Rows list only their nonzeros: at most n per equality, k + 1 per
-    majorant row, n + 1 per row-sum row.
+    majorant row, n + 1 per row-sum row, in the simplex's integer format from
+    B's integer rows b over their denominator db: equality and majorant rows
+    (entries of b, -db at the majorant) over db, the rest (+-1) over 1.
     """
     n, k = space.ambient_dim, space.dim
-    basis = space.basis
+    b, db = _integer_matrix(space.basis)
     nv = k * n + n * n + 1
     c_var = lambda p, q: p * n + q
     m_var = lambda i, j: k * n + i * n + j
     t_var = nv - 1
 
-    objective = [_ZERO] * nv
-    objective[t_var] = _ONE
+    objective = [0] * nv
+    objective[t_var] = 1
     free = [True] * (k * n) + [False] * (n * n) + [False]
 
     eq_rows, eq_rhs = [], []
     for p in range(k):
         for q in range(k):
-            eq_rows.append({c_var(p, j): x for j in range(n) if (x := basis.at(q, j))})
-            eq_rhs.append(_ONE if p == q else _ZERO)
+            eq_rows.append({c_var(p, j): x for j, x in enumerate(b[q]) if x})
+            eq_rhs.append(db if p == q else 0)
 
     ub_rows = []
     for i in range(n):
-        plus = [(p, x) for p in range(k) if (x := basis.at(p, i))]
+        plus = [(p, x) for p in range(k) if (x := b[p][i])]
         minus = [(p, -x) for p, x in plus]
         for j in range(n):
             # (B^T C)[i,j] = sum_p B[p,i] C[p,j]
             for column in (plus, minus):
                 row = {c_var(p, j): x for p, x in column}
-                row[m_var(i, j)] = _MINUS_ONE
+                row[m_var(i, j)] = -db
                 ub_rows.append(row)
     for i in range(n):
-        row = {m_var(i, j): _ONE for j in range(n)}
-        row[t_var] = _MINUS_ONE
+        row = {m_var(i, j): 1 for j in range(n)}
+        row[t_var] = -1
         ub_rows.append(row)
-    ub_rhs = [_ZERO] * len(ub_rows)
 
-    return LinearProgram(objective, eq_rows, eq_rhs, ub_rows, ub_rhs, free)
+    return LinearProgram(objective, 1, eq_rows, eq_rhs, [db] * (k * k), ub_rows,
+                         [0] * len(ub_rows), [db] * (2 * n * n) + [1] * n, free)
 
 
 @dataclass(frozen=True, slots=True)

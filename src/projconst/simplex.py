@@ -5,11 +5,13 @@ Problems arrive as
     minimize c.x  subject to  A_eq x = b_eq,  A_ub x <= b_ub,
 
 with each variable either nonnegative or free, each constraint row a sparse
-map {column: coefficient} and c dense.  A free variable x = x+ - x- has
-two labels but at most one column: one, labelled by the part that last
-left the basis, while both parts are nonbasic, and none while either is
-basic (the other's column is then -e_r, with reduced cost 0).  Inequalities
-get slack variables, and equalities artificial variables for phase 1.
+map {column: coefficient} and c dense, every row in the tableau's format:
+int numerators over one positive int denominator.  A free variable
+x = x+ - x- has two labels but at most one column: one, labelled by the
+part that last left the basis, while both parts are nonbasic, and none
+while either is basic (the other's column is then -e_r, with reduced cost
+0).  Inequalities get slack variables, and equalities artificial variables
+for phase 1.
 
 The tableau is condensed and fraction-free.  It keeps the nonbasic columns
 only (the basic ones are identity columns, half or more of a full row):
@@ -18,13 +20,12 @@ row is a list of Python ints over one positive denominator, in the sense of
 `linalg`, and need not be in lowest terms: the kernel reduces the pivot row
 on every pivot, but another row only once its denominator reaches
 `linalg.ONE_DIGIT`, and every row is reduced after phase 1.  The m
-constraint rows come first, the objective row last.  A row starts over the
-lcm of the denominators of its listed entries and right-hand side (an
-unlisted zero would add 1).  Every pivot is `linalg.pivot_rows` in its
-exchange form, the package's one elimination kernel: a pivot on (r, q)
-swaps labels[q] with basis[r], and position q then holds the leaving
-variable's column, 1/p in row r and -a_iq/p in every other row i, objective
-included, in work proportional to the nonzeros.
+constraint rows come first, as the program wrote them, and the objective
+row last.  Every pivot is `linalg.pivot_rows` in its exchange form, the
+package's one elimination kernel: a pivot on (r, q) swaps labels[q] with
+basis[r], and position q then holds the leaving variable's column, 1/p in
+row r and -a_iq/p in every other row i, objective included, in work
+proportional to the nonzeros.
 
 Pivoting uses Bland's smallest-index rule for both the entering and the
 leaving choice, by variable label, not by position; a stored free column
@@ -51,10 +52,7 @@ only at the nonzeros of the new pivot row, the entering position among
 them, and scaling a row by a positive factor keeps its signs, so only those
 positions are tested again.  One C-level scan of the entering column finds
 its nonzero rows, objective included; the ratio test reads the positive
-ones, and the kernel updates exactly those rows.  On the 51 programs of one
-exact-lp benchmark pass (seed 1, 1914 pivots), a pivot on average finds
-3.4 negative and 5.2 offered positions in the sets, retests 5.8 of 47
-positions, and updates 35 of 87 rows.
+ones, and the kernel updates exactly those rows.
 
 The optimum is read off the final tableau in its own integers: each basic
 variable's level is its row's right-hand side over the row's denominator,
@@ -73,15 +71,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from typing import Iterable, NamedTuple
 
-from .linalg import integer_row, lowest_terms, pivot_rows
+from .linalg import lowest_terms, pivot_rows
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 PIVOT_LIMIT = 2_000_000
 
@@ -106,15 +103,22 @@ class PivotLimitExceeded(SimplexError):
 class LinearProgram:
     """min objective . x, A_eq x = b_eq, A_ub x <= b_ub; free[j] marks sign-free x_j.
 
-    Rows are sparse maps {j: A[i][j]} with 0 <= j < num_vars; unlisted entries are 0.
+    Every row is int numerators over one positive int denominator, not
+    necessarily in lowest terms: constraint row i is a sparse map
+    {j: numerator of A[i][j]}, 0 <= j < num_vars and unlisted entries 0, over
+    dens[i] with its right-hand side rhs[i]; the objective is dense, over
+    `objective_den`.
     """
 
-    objective: list[Fraction]
-    eq_rows: list[dict[int, Fraction]] = field(default_factory=list)
-    eq_rhs: list[Fraction] = field(default_factory=list)
-    ub_rows: list[dict[int, Fraction]] = field(default_factory=list)
-    ub_rhs: list[Fraction] = field(default_factory=list)
-    free: list[bool] = field(default_factory=list)
+    objective: list[int]
+    objective_den: int
+    eq_rows: list[dict[int, int]]
+    eq_rhs: list[int]
+    eq_dens: list[int]
+    ub_rows: list[dict[int, int]]
+    ub_rhs: list[int]
+    ub_dens: list[int]
+    free: list[bool]
 
     @property
     def num_vars(self) -> int:
@@ -132,16 +136,23 @@ class LinearProgram:
         nv = self.num_vars
         if len(self.free) != nv:
             raise ValueError("free-variable mask length mismatch")
-        if len(self.eq_rows) != len(self.eq_rhs) or len(self.ub_rows) != len(self.ub_rhs):
-            raise ValueError("constraint row/rhs count mismatch")
-        # the types of every key, then the range of their union: a set would
-        # merge True, 1.0 or Fraction(1) into an int key 1
+        if not (len(self.eq_rows) == len(self.eq_rhs) == len(self.eq_dens)
+                and len(self.ub_rows) == len(self.ub_rhs) == len(self.ub_dens)):
+            raise ValueError("constraint row/rhs/denominator count mismatch")
+        # types, not values: a set would merge True, 1.0 or Fraction(1) into
+        # an int 1, and a Fraction read as a numerator changes the program
         rows = self.eq_rows + self.ub_rows
         if not set(map(type, chain.from_iterable(rows))) <= {int}:
             raise ValueError("constraint row column is not an int")
         columns = set().union(*rows)
         if columns and not (min(columns) >= 0 and max(columns) < nv):
             raise ValueError("constraint row column out of range")
+        if not set(map(type, chain(self.objective, self.eq_rhs, self.ub_rhs,
+                                   chain.from_iterable(map(dict.values, rows))))) <= {int}:
+            raise ValueError("a numerator is not an int")
+        dens = [self.objective_den, *self.eq_dens, *self.ub_dens]
+        if not (set(map(type, dens)) <= {int} and min(dens) > 0):
+            raise ValueError("a denominator is not a positive int")
 
 
 class LinearProgramSolution(NamedTuple):
@@ -191,15 +202,11 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
 
     # Column layout: originals, then negative parts of free variables,
     # then slacks, then artificials.  Fixed layout keeps solves deterministic.
-    neg_part = {}
-    for j in range(nv):
-        if lp.free[j]:
-            neg_part[j] = nv + len(neg_part)
+    neg_part = {j: nv + i for i, j in enumerate(compress(range(nv), lp.free))}
     twin = {**neg_part, **{nj: j for j, nj in neg_part.items()}}
-    n_split = nv + len(neg_part)
     n_ub = lp.num_inequalities
-    slack_start = n_split
-    art_start = n_split + n_ub
+    slack_start = nv + len(neg_part)
+    art_start = slack_start + n_ub
 
     # Rows with a negative right-hand side are negated so that b >= 0.
     constraints = list(zip(lp.eq_rows + lp.ub_rows, lp.eq_rhs + lp.ub_rhs))
@@ -227,19 +234,16 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
     position = {j: q for q, j in enumerate(labels)}
     width = len(labels)
     tableau: list[list[int]] = []
-    dens: list[int] = []
+    dens = lp.eq_dens + lp.ub_dens
     for i, (row, b) in enumerate(constraints):
-        num, den = integer_row([*row.values(), b])
         sign = -1 if negated[i] else 1
         full = [0] * (width + 1)
-        for j, x in zip(row, num):
-            if x:
-                full[position[j]] = sign * x
+        for j, x in row.items():
+            full[position[j]] = sign * x
         if negated[i] and i >= n_eq:
-            full[position[slack_start + (i - n_eq)]] = -den
-        full[width] = sign * num[-1]
+            full[position[slack_start + (i - n_eq)]] = -dens[i]
+        full[width] = sign * b
         tableau.append(full)
-        dens.append(den)
 
     # the objective row, written by `set_objective`, is the last row
     tableau.append([])
@@ -266,14 +270,11 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
             row[q] = -row[q]
         labels[q], twins[q] = twins[q], labels[q]
 
-    def set_objective(cost: list[Fraction]):
-        """Make the objective row the reduced costs of `cost`.
-
-        That is cost at the nonbasic positions less cost[basis[i]] times
-        row i, for every row: one integer combination over the lcm of the
-        rows' denominators, brought to lowest terms.
-        """
-        num, den = integer_row(cost)
+    def set_objective(num: list[int], den: int):
+        """Make the objective row the reduced costs of the cost num / den:
+        cost at the nonbasic positions less cost[basis[i]] times row i, for
+        every row, one integer combination over the lcm of the rows'
+        denominators, brought to lowest terms."""
         priced = [i for i, b in enumerate(basis) if num[b]]
         scale = functools.reduce(math.lcm, (dens[i] for i in priced), 1)
         obj = [num[j] * scale for j in labels] + [0]
@@ -335,10 +336,7 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
 
     # ---- phase 1 -------------------------------------------------------
     if n_art:
-        phase1_cost = [_ZERO] * ncols
-        for j in range(art_start, ncols):
-            phase1_cost[j] = _ONE
-        set_objective(phase1_cost)
+        set_objective([0] * art_start + [1] * n_art, 1)
         run()
         # Right-hand sides stay nonnegative, so their sum is zero exactly
         # when each one is.
@@ -376,12 +374,10 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
         ncols = art_start
 
     # ---- phase 2 -------------------------------------------------------
-    phase2_cost = [_ZERO] * ncols
-    for j in range(nv):
-        phase2_cost[j] = lp.objective[j]
+    phase2_cost = lp.objective + [0] * (ncols - nv)
     for j, nj in neg_part.items():
         phase2_cost[nj] = -lp.objective[j]
-    set_objective(phase2_cost)
+    set_objective(phase2_cost, lp.objective_den)
     run()
 
     # at most one part of a free variable is basic: the other has no column

@@ -3,19 +3,24 @@
 `reference_solve` is the two-phase Bland simplex with one `Fraction` per
 tableau entry.  It is the former `solve_linear_program` verbatim, apart from
 its name, from reading `projconst.simplex.PIVOT_LIMIT` at pivot time, and
-from turning the sparse constraint rows into dense lists on entry.  Nothing
-after that step changes.  The fraction-free kernel must return the identical
-(value, assignment), or raise the same exception, on every program.
+from reading the program's integer rows by value (`by_value`) and turning
+them into dense lists on entry.  Nothing after that step changes.  The
+fraction-free kernel must return the identical (value, assignment), or
+raise the same exception, on every program.
 
 `sparse_row` and `dense_row` convert between the two row formats for tests
-that write or read rows densely.
+that write or read rows densely.  `integer_program` writes a program given
+in `Fraction` rows in the simplex's integer format, and `by_value` reads it
+back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from projconst import simplex
+from projconst.linalg import integer_row
 from projconst.simplex import (
     InfeasibleProgram,
     LinearProgram,
@@ -40,6 +45,57 @@ def dense_row(row: dict[int, Fraction], width: int) -> list[Fraction]:
     return out
 
 
+def integer_program(objective, eq_rows, eq_rhs, ub_rows, ub_rhs, free) -> LinearProgram:
+    """The program with these `Fraction` rows, in the simplex's format: each
+    constraint row with its right-hand side, and the objective, as
+    numerators over the lcm of their denominators (`integer_row`)."""
+    def integer_rows(rows, rhs):
+        parts = [integer_row([*row.values(), b]) for row, b in zip(rows, rhs)]
+        return ([dict(zip(row, num)) for row, (num, _) in zip(rows, parts)],
+                [num[-1] for num, _ in parts], [den for _, den in parts])
+
+    return LinearProgram(*integer_row(objective), *integer_rows(eq_rows, eq_rhs),
+                         *integer_rows(ub_rows, ub_rhs), list(free))
+
+
+class RationalProgram(NamedTuple):
+    """A `LinearProgram` read by value: every entry a `Fraction`."""
+
+    objective: list[Fraction]
+    eq_rows: list[dict[int, Fraction]]
+    eq_rhs: list[Fraction]
+    ub_rows: list[dict[int, Fraction]]
+    ub_rhs: list[Fraction]
+    free: list[bool]
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
+
+    @property
+    def num_equalities(self) -> int:
+        return len(self.eq_rows)
+
+    @property
+    def num_inequalities(self) -> int:
+        return len(self.ub_rows)
+
+
+def by_value(lp: LinearProgram) -> RationalProgram:
+    """The program's rows as `Fraction`s: numerator x of a row over den reads
+    Fraction(x, den)."""
+    def rows(rows, dens):
+        return [{j: Fraction(x, den) for j, x in row.items()} for row, den in zip(rows, dens)]
+
+    def entries(values, dens):
+        return [Fraction(x, den) for x, den in zip(values, dens)]
+
+    return RationalProgram([Fraction(x, lp.objective_den) for x in lp.objective],
+                           rows(lp.eq_rows, lp.eq_dens), entries(lp.eq_rhs, lp.eq_dens),
+                           rows(lp.ub_rows, lp.ub_dens), entries(lp.ub_rhs, lp.ub_dens),
+                           list(lp.free))
+
+
 def reference_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     """Optimal (objective value, assignment) of the program.
 
@@ -48,6 +104,7 @@ def reference_solve(lp: LinearProgram) -> tuple[Fraction, list[Fraction]]:
     by design should treat either as an integrity failure.
     """
     lp.check_shapes()
+    lp = by_value(lp)
     nv = lp.num_vars
     eq_rows = [dense_row(row, nv) for row in lp.eq_rows]
     ub_rows = [dense_row(row, nv) for row in lp.ub_rows]

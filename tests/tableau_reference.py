@@ -1,17 +1,18 @@
 """The full-tableau simplex that the condensed `projconst.simplex` replaced, kept as a test oracle.
 
 `solve_linear_program` is the former solver verbatim, apart from reading
-`projconst.simplex.PIVOT_LIMIT` at pivot time and from tallying, when a
-counter is passed, each pivot taken and the free-variable events that make
-the condensed solver negate a stored column (see `solve_linear_program`),
-and, when a list is passed, recording each pivot's entering and leaving
-variable.  Its tableau keeps every column, the basic variables' identity
-columns and both parts of each free variable included, and pivots with
-`linalg.pivot_rows` in its Gauss-Jordan form, handed the rows with a
-nonzero in the pivot column by a scan of that column.  It returns (value,
-assignment, slack duals) in `Fraction`s, and the condensed solver's
-`Fraction` views of its integer optimum must equal them, or both solvers
-raise the same exception, after the identical number of pivots.
+the program's integer rows by value on entry (`simplex_reference.by_value`),
+from reading `projconst.simplex.PIVOT_LIMIT` at pivot time and from
+tallying, when a counter is passed, each pivot taken and the free-variable
+events that make the condensed solver negate a stored column (see
+`solve_linear_program`), and, when a list is passed, recording each pivot's
+entering and leaving variable.  Its tableau keeps every column, the basic
+variables' identity columns and both parts of each free variable included,
+and pivots with `linalg.pivot_rows` in its Gauss-Jordan form, handed the
+rows with a nonzero in the pivot column by a scan of that column.  It
+returns (value, assignment, slack duals) in `Fraction`s, and the condensed
+solver's `Fraction` views of its integer optimum must equal them, or both
+solvers raise the same exception, after the identical number of pivots.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import compress, repeat
 from typing import NamedTuple
+
+from simplex_reference import by_value
 
 from projconst import simplex
 from projconst.linalg import integer_row, lowest_terms, pivot_rows
@@ -68,6 +71,7 @@ def solve_linear_program(lp: LinearProgram, counter: Counter | None = None,
     by design should treat either as an integrity failure.
     """
     lp.check_shapes()
+    lp = by_value(lp)
     nv = lp.num_vars
     n_eq = lp.num_equalities
 

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from simplex_reference import dense_row, sparse_row
+from simplex_reference import by_value, dense_row, integer_program, sparse_row
 
 from projconst import simplex
 from projconst.simplex import (
@@ -20,15 +20,16 @@ from projconst.simplex import (
 
 
 def lp(objective, eq=(), eq_rhs=(), ub=(), ub_rhs=(), free=None):
+    """The program of dense rows of ints or `Fraction`s, in the solver's format."""
     objective = [F(x) for x in objective]
     nv = len(objective)
-    return LinearProgram(
+    return integer_program(
         objective,
         [sparse_row(row) for row in eq],
         [F(x) for x in eq_rhs],
         [sparse_row(row) for row in ub],
         [F(x) for x in ub_rhs],
-        list(free) if free is not None else [False] * nv,
+        free if free is not None else [False] * nv,
     )
 
 
@@ -94,29 +95,48 @@ def test_unbounded():
         solve_linear_program(lp([1], free=[True]))
 
 
+def _one_of_each(column=1, coefficient=1, rhs=1, objective=1, den=1, eq_den=1,
+                 ub_den=1) -> LinearProgram:
+    """min objective x0 + 2 x1 with x0 + x1 = 1 and x0 + x1 <= 1, in the
+    integer format, with one part replaced."""
+    return LinearProgram([objective, 2], den, [{0: 1, 1: 1}], [1], [eq_den],
+                         [{0: coefficient, column: 1}], [rhs], [ub_den], [False, False])
+
+
 def test_shape_validation():
+    assert solve_linear_program(_one_of_each()).value == 1
     # columns run over 0 <= j < num_vars = 2
     for column in (-1, 2, 3):
-        bad = LinearProgram([F(1), F(2)], [], [], [{0: F(1), column: F(1)}], [F(1)],
-                            [False, False])
         with pytest.raises(ValueError, match="column out of range"):
-            solve_linear_program(bad)
+            solve_linear_program(_one_of_each(column=column))
     # True would be read as column 1, and 1.0 fails only in the tableau scatter
     for column in (True, 1.0):
-        bad = LinearProgram([F(1), F(2)], [], [], [{0: F(1), column: F(1)}], [F(1)],
-                            [False, False])
-        with pytest.raises(ValueError, match="not an int"):
-            solve_linear_program(bad)
+        with pytest.raises(ValueError, match="column is not an int"):
+            solve_linear_program(_one_of_each(column=column))
+    # a Fraction would be read as a numerator over the row's denominator,
+    # and True as 1
+    for part in ("coefficient", "rhs", "objective"):
+        for x in (F(1), F(1, 2), 1.0, True):
+            with pytest.raises(ValueError, match="numerator is not an int"):
+                solve_linear_program(_one_of_each(**{part: x}))
+    for part in ("den", "eq_den", "ub_den"):
+        for x in (F(1), 1.0, True, 0, -1):
+            with pytest.raises(ValueError, match="denominator is not a positive int"):
+                solve_linear_program(_one_of_each(**{part: x}))
+    # a row without its right-hand side, and one without its denominator
     with pytest.raises(ValueError, match="row/rhs"):
-        solve_linear_program(lp([1, 2], ub=[[1, 0]]))
+        solve_linear_program(LinearProgram([1, 2], 1, [], [], [], [{0: 1}], [], [1],
+                                           [False, False]))
+    with pytest.raises(ValueError, match="row/rhs"):
+        solve_linear_program(LinearProgram([1], 1, [{0: 1}], [1], [], [], [], [], [False]))
     with pytest.raises(ValueError, match="mask"):
         solve_linear_program(lp([1, 2], free=[True]))
 
 
 def test_listed_zero_is_an_unlisted_one():
     # min -x - y over x + y <= 1 with a zero coefficient written out
-    listed = LinearProgram([F(-1), F(-1)], [], [], [{0: F(1), 1: F(1)}, {0: F(0)}],
-                           [F(1), F(1, 3)], [False, False])
+    listed = integer_program([F(-1), F(-1)], [], [], [{0: F(1), 1: F(1)}, {0: F(0)}],
+                             [F(1), F(1, 3)], [False, False])
     assert solve_linear_program(listed) == solve_linear_program(
         lp([-1, -1], ub=[[1, 1], [0, 0]], ub_rhs=[1, F(1, 3)]))
 
@@ -149,7 +169,7 @@ def _random_bounded_program(rng: Random):
     for j in range(nv):  # box rows keep the program bounded
         ub.append({j: F(1)})
         ub_rhs.append(F(1))
-    return LinearProgram(objective, [], [], ub, ub_rhs, [False] * nv)
+    return integer_program(objective, [], [], ub, ub_rhs, [False] * nv)
 
 
 def test_agrees_with_scipy_on_random_programs():
@@ -158,6 +178,7 @@ def test_agrees_with_scipy_on_random_programs():
     for _ in range(25):
         program = _random_bounded_program(rng)
         value, x = optimum(program)
+        program = by_value(program)
         for row, b in zip(program.ub_rows, program.ub_rhs):
             assert sum(c * x[j] for j, c in row.items()) <= b
         ref = scipy_opt.linprog(

@@ -14,7 +14,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from simplex_reference import reference_solve, sparse_row
+from simplex_reference import integer_program, reference_solve, sparse_row
 
 from projconst import simplex
 from projconst.cli import load_subspace_document
@@ -78,8 +78,8 @@ def random_program(rng: Random) -> LinearProgram:
     ub_rhs = [_entry(rng, 0.4) for _ in range(n_ub)]
     objective = [_entry(rng, zero_share) for _ in range(nv)]
     free = [rng.random() < 0.3 for _ in range(nv)]
-    return LinearProgram(objective, [sparse_row(row) for row in eq], eq_rhs,
-                         [sparse_row(row) for row in ub], ub_rhs, free)
+    return integer_program(objective, [sparse_row(row) for row in eq], eq_rhs,
+                           [sparse_row(row) for row in ub], ub_rhs, free)
 
 
 def test_identical_results_on_random_programs():
@@ -105,7 +105,7 @@ def test_slack_duals_are_an_optimal_dual():
         rhs = [_entry(rng, 0.3) for _ in range(n_ub)]
         objective = [_entry(rng, 0.3) for _ in range(nv)]
         free = [rng.random() < 0.3 for _ in range(nv)]
-        program = LinearProgram(objective, [], [], [sparse_row(row) for row in ub], rhs, free)
+        program = integer_program(objective, [], [], [sparse_row(row) for row in ub], rhs, free)
         try:
             solution = solve_linear_program(program)
         except SimplexError:
@@ -159,8 +159,8 @@ def test_tableau_rows_are_distinct_lists(monkeypatch):
     for _ in range(200):
         check(random_program(rng))
     # two identical constraint rows, and the projection program of ker_4
-    check(LinearProgram([F(1), F(1)], [{0: F(1)}, {0: F(1)}], [F(2), F(2)],
-                        [{1: F(-1)}], [F(-1)], [False, False]))
+    check(integer_program([F(1), F(1)], [{0: F(1)}, {0: F(1)}], [F(2), F(2)],
+                          [{1: F(-1)}], [F(-1)], [False, False]))
     check(build_projection_lp(_kernel(4)))
     assert calls["pivots"] >= 300, calls
 
@@ -185,7 +185,7 @@ def test_kernel_program_widths(monkeypatch):
 def test_redundant_equalities_are_dropped_alike():
     # the second and fourth rows are combinations of the others, so their
     # artificials end phase 1 at level 0 with no legitimate pivot left
-    program = LinearProgram(
+    program = integer_program(
         [F(1), F(2), F(-1)],
         [sparse_row(row) for row in [[1, 1, 0], [2, 2, 0], [0, 1, 1], [1, 2, 1]]],
         [F(1), F(2), F(3, 2), F(5, 2)],
@@ -196,7 +196,7 @@ def test_redundant_equalities_are_dropped_alike():
 def test_negative_pivot_in_artificial_drive_out():
     # min 2x + y + z with -z = 0 and 2x = 3: phase 1 leaves the artificial of
     # the first row basic at level 0, and its only legitimate entry is -1
-    program = LinearProgram(
+    program = integer_program(
         [F(2), F(1), F(1)],
         [sparse_row([0, 0, -1]), sparse_row([2, 0, 0])],
         [F(0), F(3)],

@@ -25,7 +25,7 @@ from random import Random
 import linalg_reference
 import pytest
 import tableau_reference
-from simplex_reference import sparse_row
+from simplex_reference import integer_program, sparse_row
 from test_linalg_differential import LARGE_PRIMES, pivot_checked
 from test_simplex import lp
 from test_simplex_differential import _entry, _kernel, random_program
@@ -92,7 +92,7 @@ def inequality_program(rng: Random) -> LinearProgram:
     rhs = [_entry(rng, 0.3) for _ in range(n_ub)]
     objective = [_entry(rng, 0.3) for _ in range(nv)]
     free = [rng.random() < 0.3 for _ in range(nv)]
-    return LinearProgram(objective, [], [], ub, rhs, free)
+    return integer_program(objective, [], [], ub, rhs, free)
 
 
 def test_identical_solutions_and_pivots_on_random_programs(assert_same):

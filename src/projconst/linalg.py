@@ -286,8 +286,10 @@ def lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
 
 
 def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
-               touched: Iterable[int], exchange: bool = False):
+               touched: Iterable[int], exchange: bool = False) -> list[int]:
     """One pivot on (r, c); entry (r, c), the pivot p, must be nonzero.
+    Returns the positions of row r's nonzeros after the pivot, in
+    increasing order, its last column (a right-hand side) included.
 
     Gauss-Jordan form: row r becomes its numerators over |p| (signs flipped
     when p < 0), so entry c reads 1, and every other row with f = row[c] != 0
@@ -302,22 +304,43 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
     row scaled by s = P / gcd(f, P) != 1 stays over den*s, unreduced, while
     den*s < ONE_DIGIT, and is brought to lowest terms once den*s reaches it;
     any other row keeps its denominator and gets only its nonzero updates.
-    So rows need not be in lowest terms; a row over a denominator below
-    ONE_DIGIT has numerators less than one digit longer than in lowest terms.
+    When P = 1 no row is scaled, and no gcd is taken but row r's.  So rows
+    need not be in lowest terms; a row over a denominator below ONE_DIGIT
+    has numerators less than one digit longer than in lowest terms.
 
     Rows change in place, so the entries of `rows` must be distinct lists.
     The caller names the rows to update: `touched` lists exactly the rows
     with a nonzero in column c, r among them (and passed over), as the
     caller's own scan of that column found them.  A C-level scan finds the
-    nonzeros of the pivot row, and of each row it scales.
+    nonzeros of the pivot row, the list returned, and of each row it scales.
     """
     prow = rows[r]
     cols = range(len(prow))
     p = prow[c]
     if exchange:
         prow[c] = dens[r]
-    pden = dens[r] = _divide_by_gcd(prow, p)
-    nz = [(j, prow[j]) for j in compress(cols, prow)]
+    # the one scan of row r: dividing it by its gcd with p keeps its nonzeros
+    positions = list(compress(cols, prow))
+    g = functools.reduce(math.gcd, map(prow.__getitem__, positions), p)
+    if p < 0:
+        g = -g
+    if g != 1:
+        for j in positions:
+            prow[j] //= g
+    pden = dens[r] = p // g
+    nz = [(j, prow[j]) for j in positions]
+    if pden == 1:
+        # no row is scaled: each gets its nonzero updates only
+        for i in touched:
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            if exchange:
+                row[c] = 0
+            for j, x in nz:
+                row[j] -= f * x
+        return positions
     for i in touched:
         if i == r:
             continue
@@ -325,28 +348,24 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
         f = row[c]
         if exchange:
             row[c] = 0
-        scale = pden
+        g = math.gcd(f, pden)
+        f, scale = f // g, pden // g
         if scale != 1:
-            g = math.gcd(f, scale)
-            f, scale = f // g, scale // g
-            if scale != 1:
-                for j in compress(cols, row):
-                    row[j] *= scale
+            for j in compress(cols, row):
+                row[j] *= scale
         for j, x in nz:
             row[j] -= f * x
         if scale != 1:
             den = dens[i] * scale
             dens[i] = den if den < ONE_DIGIT else _divide_by_gcd(row, den)
+    return positions
 
 
 def _divide_by_gcd(row: list[int], den: int) -> int:
-    """Divide `row` in place by its gcd with `den`, negated when den < 0, and
-    return den so divided: the pivot row on every pivot, a scaled row once
-    its denominator reaches `ONE_DIGIT`.  The gcd is a `reduce`, as
-    star-args raise peak RSS."""
+    """Divide `row` in place by its gcd with `den` > 0 and return den so
+    divided: a scaled row once its denominator reaches `ONE_DIGIT`.  The gcd
+    is a `reduce`, as star-args raise peak RSS."""
     g = functools.reduce(math.gcd, filter(None, row), den)
-    if den < 0:
-        g = -g
     if g != 1:
         for j in compress(range(len(row)), row):
             row[j] //= g

@@ -19,7 +19,8 @@ labels[q] names the variable at position q and basis[i] that of row i.  A
 row is a list of Python ints over one positive denominator, in the sense of
 `linalg`, and need not be in lowest terms: the kernel reduces the pivot row
 on every pivot, but another row only once its denominator reaches
-`linalg.ONE_DIGIT`, and every row is reduced after phase 1.  The m
+`linalg.ONE_DIGIT`, and every row is reduced after phase 1, once the
+artificials' dead positions are deleted from it, from the last down.  The m
 constraint rows come first, as the program wrote them, and the objective
 row last.  Every pivot is `linalg.pivot_rows` in its exchange form, the
 package's one elimination kernel: a pivot on (r, q) swaps labels[q] with
@@ -50,9 +51,11 @@ objective row when the phase starts: the negative reduced costs, and the
 positive ones whose column has a twin.  A pivot changes the objective row
 only at the nonzeros of the new pivot row, the entering position among
 them, and scaling a row by a positive factor keeps its signs, so only those
-positions are tested again.  One C-level scan of the entering column finds
-its nonzero rows, objective included; the ratio test reads the positive
-ones, and the kernel updates exactly those rows.
+positions are tested again: the kernel hands back the pivot row's nonzero
+positions from the one scan of that row it makes anyway.  One C-level scan
+of the entering column finds its nonzero rows, objective included; the
+ratio test reads the positive ones, and the kernel updates exactly those
+rows.
 
 The optimum is read off the final tableau in its own integers: each basic
 variable's level is its row's right-hand side over the row's denominator,
@@ -236,13 +239,17 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
     tableau: list[list[int]] = []
     dens = lp.eq_dens + lp.ub_dens
     for i, (row, b) in enumerate(constraints):
-        sign = -1 if negated[i] else 1
         full = [0] * (width + 1)
-        for j, x in row.items():
-            full[position[j]] = sign * x
-        if negated[i] and i >= n_eq:
-            full[position[slack_start + (i - n_eq)]] = -dens[i]
-        full[width] = sign * b
+        if negated[i]:
+            for j, x in row.items():
+                full[position[j]] = -x
+            if i >= n_eq:
+                full[position[slack_start + (i - n_eq)]] = -dens[i]
+            full[width] = -b
+        else:
+            for j, x in row.items():
+                full[position[j]] = x
+            full[width] = b
         tableau.append(full)
 
     # the objective row, written by `set_objective`, is the last row
@@ -254,14 +261,17 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
         """The rows with a nonzero at position q, objective included: one scan."""
         return list(compress(range(len(tableau)), map(operator.itemgetter(q), tableau)))
 
-    def pivot(row_i: int, q: int, touched: list[int]):
+    def pivot(row_i: int, q: int, touched: list[int]) -> list[int]:
+        """Pivot on (row_i, q); return the new pivot row's nonzero positions,
+        its rhs included."""
         nonlocal pivots
         pivots += 1
         if pivots > PIVOT_LIMIT:
             raise PivotLimitExceeded(f"exceeded {PIVOT_LIMIT} pivots")
-        pivot_rows(tableau, dens, row_i, q, touched, exchange=True)
+        positions = pivot_rows(tableau, dens, row_i, q, touched, exchange=True)
         labels[q], basis[row_i] = basis[row_i], labels[q]
         twins[q] = twin.get(labels[q], math.inf)
+        return positions
 
     def flip(q: int, touched: list[int]):
         """Store the twin's column at q: negate it in its nonzero rows, objective included."""
@@ -297,8 +307,15 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
         def retest(positions: Iterable[int]):
             for j in positions:
                 x = obj[j]
-                (falling.add if x < 0 else falling.discard)(j)
-                (offered.add if x > 0 and twins[j] < math.inf else offered.discard)(j)
+                if x < 0:
+                    falling.add(j)
+                    offered.discard(j)
+                elif x > 0 and twins[j] < math.inf:
+                    offered.add(j)
+                    falling.discard(j)
+                else:
+                    falling.discard(j)
+                    offered.discard(j)
 
         retest(range(width))
         while True:
@@ -331,8 +348,11 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
                     leave = i
             if leave < 0:
                 raise UnboundedProgram("objective unbounded below")
-            pivot(leave, enter, touched)
-            retest(compress(range(width), tableau[leave]))
+            # the kernel's positions end with the rhs's when it is nonzero
+            positions = pivot(leave, enter, touched)
+            if positions[-1] == width:
+                positions.pop()
+            retest(positions)
 
     # ---- phase 1 -------------------------------------------------------
     if n_art:
@@ -363,13 +383,18 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
             del dens[i]
             del basis[i]
         m = len(basis)
-        keep = [j < art_start for j in labels] + [True]
-        labels[:] = compress(labels, keep)
-        twins[:] = compress(twins, keep)
+        # the artificials' positions are dead: delete them from the last
+        # down, so that each deletion leaves the positions before it, and
+        # reduce each row once its positions are gone
+        dead = [q for q in reversed(range(width)) if labels[q] >= art_start]
+        for q in dead:
+            del labels[q]
+            del twins[q]
         width = len(labels)
         for i in range(m):
             row = tableau[i]
-            row[:] = compress(row, keep)
+            for q in dead:
+                del row[q]
             tableau[i], dens[i] = lowest_terms(row, dens[i])
         ncols = art_start
 

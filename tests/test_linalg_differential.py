@@ -11,8 +11,10 @@ must equal the former `Fraction` product on random shapes, including 1x1
 factors, zero rows and zero columns.  The in-place pivot must leave the
 rational rows of the former pivot after every step of seeded pivot
 sequences, whichever way it trims a touched row's scale, its exchange form
-must leave the rows of the condensed-tableau exchange, and `_reduce` must
-hand it distinct row lists, which in-place updates require.  After every
+must leave the rows of the condensed-tableau exchange, in both forms it
+must hand back the positions of the new pivot row's nonzeros, in
+increasing order, and `_reduce` must hand it distinct row lists, which
+in-place updates require.  After every
 pivot the rows must also keep the kernel's row invariant
 (`assert_row_invariant`): the pivot row is brought to lowest terms, and a
 row the pivot scales stays over its scaled denominator while that is below
@@ -233,14 +235,21 @@ def assert_row_invariant(old_rows: list[list[int]], old_dens: list[int],
 
 
 def pivot_checked(rows: list[list[int]], dens: list[int], r: int, c: int,
-                  touched: list[int] | None = None, exchange: bool = False) -> Counter:
+                  touched: list[int] | None = None, exchange: bool = False,
+                  branches: Counter | None = None) -> list[int]:
     """`pivot_rows`, handed `touched` (when None, the rows with a nonzero in
-    column c), with the row invariant asserted after the pivot; returns the
-    invariant's tally of kept and reduced rows."""
+    column c), with the row invariant asserted after the pivot and the
+    returned positions asserted to be those of row r's nonzeros, in order;
+    adds the invariant's tally of kept and reduced rows to `branches`, when
+    given, and returns the positions."""
     old_rows, old_dens = [list(row) for row in rows], list(dens)
-    pivot_rows(rows, dens, r, c, nonzero_rows(rows, c) if touched is None else touched,
-               exchange)
-    return assert_row_invariant(old_rows, old_dens, rows, dens, r, c)
+    positions = pivot_rows(rows, dens, r, c,
+                           nonzero_rows(rows, c) if touched is None else touched, exchange)
+    assert positions == [j for j, x in enumerate(rows[r]) if x]
+    tally = assert_row_invariant(old_rows, old_dens, rows, dens, r, c)
+    if branches is not None:
+        branches.update(tally)
+    return positions
 
 
 def same_rational_rows(rows: list[list[int]], dens: list[int],
@@ -311,7 +320,7 @@ def test_row_scale_branches_match_the_former_pivot():
                 break
             r, c = rng.choice(entries)
             fs = [row[c] for i, row in enumerate(rows) if i != r and row[c]]
-            branches += pivot_checked(rows, dens, r, c)
+            pivot_checked(rows, dens, r, c, branches=branches)
             ref.reference_pivot_rows(want_rows, want_dens, r, c)
             assert same_rational_rows(rows, dens, want_rows, want_dens)
             if dens[r] == 1:
@@ -348,6 +357,34 @@ def test_exchange_pivot_is_the_condensed_exchange():
     assert min(seen.values()) >= 30, seen
 
 
+def test_pivot_returns_the_pivot_rows_nonzero_positions():
+    # the kernel hands back the positions of the new pivot row's nonzeros, in
+    # increasing order and the last column's included, so that the simplex
+    # needs no second scan of that row: in both forms, with the last entry
+    # zero or not, and with the new pivot denominator 1 (no row is scaled)
+    # or not
+    seen = Counter()
+    for seed in SEEDS:
+        rng = Random(f"linalg differential positions {seed}")
+        rows, dens, _ = random_tableau(rng)
+        exchange = seed % 2 == 1
+        for _ in range(rng.randint(1, 6)):
+            entries = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+            if not entries:
+                break
+            r, c = rng.choice(entries)
+            touched = nonzero_rows(rows, c)
+            positions = pivot_rows(rows, dens, r, c, touched, exchange)
+            assert positions == [j for j, x in enumerate(rows[r]) if x]
+            assert c in positions
+            seen["exchange" if exchange else "Gauss-Jordan"] += 1
+            seen["last entry nonzero" if positions[-1] == len(rows[r]) - 1
+                 else "last entry zero"] += 1
+            seen["P = 1, other rows touched" if dens[r] == 1 and len(touched) > 1
+                 else "P != 1" if dens[r] != 1 else "P = 1"] += 1
+    assert len(seen) == 7 and min(seen.values()) >= 30, seen
+
+
 def largest_bits(monkeypatch, module, kernel, solve, program) -> tuple[int, int]:
     """Solve `program` with `module.pivot_rows` replaced by `kernel`; return the
     bit lengths of the largest denominator and of the largest numerator that
@@ -357,10 +394,11 @@ def largest_bits(monkeypatch, module, kernel, solve, program) -> tuple[int, int]
     def recorded(rows, dens, r, c, touched, **exchange):
         nonlocal den_bits, num_bits
         # a pivot changes only the rows with a nonzero in column c
-        kernel(rows, dens, r, c, touched, **exchange)
+        positions = kernel(rows, dens, r, c, touched, **exchange)
         den_bits = max(den_bits, max(dens).bit_length())
         num_bits = max(num_bits, *(max(max(rows[i]), -min(rows[i])).bit_length()
                                    for i in touched))
+        return positions
 
     monkeypatch.setattr(module, "pivot_rows", recorded)
     solve(program)
@@ -382,6 +420,7 @@ def test_denominators_grow_no_longer_than_in_lowest_terms(monkeypatch, space):
 
     def former(rows, dens, r, c, touched):
         ref.reference_pivot_rows(rows, dens, r, c)
+        return [j for j, x in enumerate(rows[r]) if x]
 
     want_den, want_num = largest_bits(monkeypatch, tableau_reference, former,
                                       tableau_reference.solve_linear_program, program)
@@ -396,7 +435,7 @@ def test_elimination_past_one_digit_matches_the_former_elimination(monkeypatch):
     branches = Counter()
 
     def checked(rows, dens, r, c, touched):
-        branches.update(pivot_checked(rows, dens, r, c, touched))
+        return pivot_checked(rows, dens, r, c, touched, branches=branches)
 
     monkeypatch.setattr(linalg, "pivot_rows", checked)
     numerators = list(range(1, 10))
@@ -417,7 +456,7 @@ def test_reduce_pivots_distinct_rows(monkeypatch):
     def checked(rows, dens, r, c, touched):
         assert len(set(map(id, rows))) == len(rows)
         calls["pivots"] += 1
-        pivot_rows(rows, dens, r, c, touched)
+        return pivot_rows(rows, dens, r, c, touched)
 
     monkeypatch.setattr(linalg, "pivot_rows", checked)
     for seed in range(60):

@@ -10,7 +10,9 @@ for the rows the kernel updates.  None of that may change a pivot.
   Sigma_3(ker_3), seeded random subspaces and the hand cases, among them
   the phase-1 drive-out of a free column stored under its negative label.
 * **Invariants.**  At every pivot the rows handed to `pivot_rows` are exactly
-  the nonzero rows of the pivot column, objective included; at every pivot
+  the nonzero rows of the pivot column, objective included, and the
+  positions it hands back are exactly those of the new pivot row's
+  nonzeros, in increasing order; at every pivot
   Bland's rule takes, the entering variable is the one a full scan of the
   objective row picks, and the leaving row the one a full ratio test over
   every constraint row picks.  `_reduce` hands the kernel the nonzero rows
@@ -75,7 +77,7 @@ def condensed_pivots(monkeypatch):
     def recorded(rows, dens, r, c, touched, exchange=False):
         state = pivot_frame().f_locals
         pivots.append((state["labels"][c], state["basis"][r]))
-        kernel(rows, dens, r, c, touched, exchange)
+        return kernel(rows, dens, r, c, touched, exchange)
 
     monkeypatch.setattr(simplex, "pivot_rows", recorded)
     return pivots
@@ -168,7 +170,9 @@ def checked(monkeypatch):
             seen["twin enters"] += caller.f_locals["twin_enters"]
         else:
             seen["drive-out pivots"] += 1
-        kernel(rows, dens, r, c, touched, exchange)
+        positions = kernel(rows, dens, r, c, touched, exchange)
+        assert positions == [j for j, x in enumerate(rows[r]) if x]
+        return positions
 
     monkeypatch.setattr(simplex, "pivot_rows", invariant)
     return seen
@@ -196,7 +200,7 @@ def test_reduce_hands_the_kernel_the_nonzero_rows(monkeypatch):
         assert touched == nonzero_rows(rows, c)
         seen["pivots"] += 1
         seen["rows above the pivot"] += touched[0] < r
-        kernel(rows, dens, r, c, touched)
+        return kernel(rows, dens, r, c, touched)
 
     monkeypatch.setattr(linalg, "pivot_rows", invariant)
     for seed in range(60):

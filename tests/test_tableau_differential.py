@@ -11,13 +11,18 @@ or raise the same exception after the identical number of pivots.  The slack dua
 price-out of the objective row are read differently in the two tableaux,
 so they are pinned here as well.  The reference tallies the free-variable
 events that make the condensed solver negate a stored column, and each test
-asserts that its programs reach them.  On projection programs of bases
+asserts that its programs reach them; two hand programs reach the phase-1
+drive-out of a free column stored under its negative label.  After phase 1
+the condensed solver deletes the artificials' dead positions from its
+labels and rows; hand programs put them first, last and side by side, and
+drop a redundant equality, and each must delete exactly those positions.  On projection programs of bases
 whose entries lie over primes between 2**10 and 2**15, where the kernel
 keeps scaled rows unreduced below one CPython digit and reduces them at it,
 the condensed solver must take the pivots of the full-tableau solver run
 with the former kernel, which keeps every row in lowest terms.
 """
 
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from random import Random
@@ -65,7 +70,7 @@ def assert_same(monkeypatch):
 
     def counted(rows, dens, r, c, touched, exchange=False):
         condensed["pivots"] += 1
-        kernel(rows, dens, r, c, touched, exchange)
+        return kernel(rows, dens, r, c, touched, exchange)
 
     monkeypatch.setattr(simplex, "pivot_rows", counted)
 
@@ -136,6 +141,44 @@ HAND_CASES = {
     "unbounded-free": (lp([1], free=[True]), simplex.UnboundedProgram),
     "unbounded-after-phase-1": (lp([-1, -1], ub=[[1, -1]], ub_rhs=[-2]),
                                 simplex.UnboundedProgram),
+    # phase 1 leaves artificials at condensed positions that are deleted
+    # after it (see COMPACTIONS): the first, ...
+    "dead-first": (lp([2, 2, 0], eq=[[1, 0, 0]], eq_rhs=[2],
+                      ub=[[0, 1, 0], [1, 1, -2]], ub_rhs=[1, -1]), "optimal"),
+    # ... the last, a negated inequality's slack before phase 1, ...
+    "dead-last": (lp([2, 0, 1], eq=[[-2, 2, 1]], eq_rhs=[2],
+                     ub=[[2, -1, -2], [-1, -2, -1]], ub_rhs=[1, -1]), "optimal"),
+    # ... two adjacent ones, ...
+    "dead-adjacent": (lp([1, -1, -1, 0], eq=[[0, 0, 2, 0], [-2, 2, -1, 2]], eq_rhs=[1, 0]),
+                      "optimal"),
+    # ... and two, the last equality being the sum of the first two, whose
+    # row is dropped
+    "redundant-dropped": (lp([1, 0, -1], eq=[[2, 0, 2], [2, 0, -1], [4, 0, 1]],
+                             eq_rhs=[2, 2, 4], ub=[[0, 2, 0]], ub_rhs=[1]), "optimal"),
+    # a second drive-out of a free column stored under its negative label,
+    # after `drive_out_program`'s
+    "drive-out-under-x1-": (lp([0, 2, 0, 2, 0],
+                               eq=[[0, 0, -2, 0, -1], [-2, -1, -1, 0, 0], [0, -1, 1, 0, 0],
+                                   [0, 1, 0, 0, 0]],
+                               eq_rhs=[0] * 4, free=[False, True, True, False, False]),
+                            "optimal"),
+    # x2's column, stored under x2- once x2- has left the basis, has a
+    # positive reduced cost and so offers x2+, until a pivot turns that cost
+    # negative: the position must then leave the offered candidates as it
+    # joins the falling ones
+    "free-cost-turns-negative": (lp([1, F(-1, 2), 0, 2],
+                                    ub=[[F(-1, 3), F(1, 2), 0, 5], [1, 0, 5, -2]],
+                                    ub_rhs=[F(-4, 3), F(3, 2)],
+                                    free=[False, False, True, True]),
+                                 simplex.UnboundedProgram),
+}
+
+# name: (positions deleted after phase 1, the width before, the rows dropped)
+COMPACTIONS = {
+    "dead-first": ([0, 2], 4, []),
+    "dead-last": ([1, 3], 4, []),
+    "dead-adjacent": ([1, 2], 4, []),
+    "redundant-dropped": ([0, 2], 3, [2]),
 }
 
 
@@ -172,6 +215,48 @@ def test_drive_out_of_a_free_column_stored_under_its_negative_label(assert_same)
     solution, pivots = assert_same(drive_out_program())
     assert (solution.value, pivots) == (0, 8)
     assert assert_same.events["drive-out under the negative label"] == 1, assert_same.events
+
+
+def test_second_drive_out_under_the_negative_label(assert_same):
+    # x1 and x2 are free, the right-hand sides zero.  Phase 1 ends with x1-
+    # the last part of x1 to leave the basis and the artificial of the third
+    # row basic, and that row holds x1's column and x4's.  The drive-out
+    # ranks x1's column by x1+ < x4 < x1-, so the stored column is negated
+    # before the pivot; ranking it by x1- takes x4 first and x1 after it
+    solution, pivots = assert_same(HAND_CASES["drive-out-under-x1-"][0])
+    assert (solution.value, pivots) == (0, 5)
+    assert assert_same.events["drive-out under the negative label"] == 1, assert_same.events
+
+
+@pytest.fixture
+def compaction(monkeypatch):
+    """Record each solve's compaction after phase 1 as (the positions it
+    deletes, in increasing order; the width before; the rows it dropped),
+    read from the solver's frame as it reduces its first row."""
+    seen = []
+    reduce = simplex.lowest_terms
+
+    def recorded(row, den):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "solve_linear_program" and frame.f_locals["i"] == 0:
+            state = frame.f_locals
+            seen.append((sorted(state["dead"]), state["width"] + len(state["dead"]),
+                         state["drop"]))
+        return reduce(row, den)
+
+    monkeypatch.setattr(simplex, "lowest_terms", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("name", COMPACTIONS)
+def test_dead_artificial_positions_are_deleted(assert_same, compaction, name):
+    # the program pivots as the full tableau does, drops what it drops, and
+    # has its rows and labels lose exactly the dead positions; deleting them
+    # in increasing order would shift every later one and change the optimum
+    program, _ = HAND_CASES[name]
+    solution, _ = assert_same(program)
+    assert not isinstance(solution, type)
+    assert compaction == [COMPACTIONS[name]]
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -219,7 +304,7 @@ def test_identical_pivots_and_solutions_past_one_digit(monkeypatch):
 
     def condensed(rows, dens, r, c, touched, exchange=False):
         got.append((r, column(rows, dens, c)))
-        branches.update(pivot_checked(rows, dens, r, c, touched, exchange))
+        return pivot_checked(rows, dens, r, c, touched, exchange, branches)
 
     def former(rows, dens, r, c, touched):
         # pricing out the basis is a pivot too, but counts as none

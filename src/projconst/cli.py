@@ -26,7 +26,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .acceptance import Context, run_all
+from .acceptance import CRITERIA, Context, run_all
 from .banach_mazur import (
     NonExactParameterError,
     bm_params,
@@ -224,7 +224,10 @@ def cmd_bm(args) -> tuple[int, str]:
 
 
 def cmd_selftest(args) -> tuple[int, str]:
-    only = set(args.only.split(",")) if args.only else None
+    only = None if args.only is None else set(args.only.split(","))
+    unknown = sorted(only - {c.key for c in CRITERIA}) if only else []
+    if unknown:
+        raise InputError(f"unknown selftest criteria: {', '.join(map(repr, unknown))}")
     results = run_all(Context(seed=args.seed, budget=args.budget), only=only)
     if args.json:
         emit({
@@ -328,7 +331,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     code, status = EXIT_OK, "ok"
     try:
-        args.budget = _parse_budget(args.budget) if args.budget else LPBudget()
+        args.budget = LPBudget() if args.budget is None else _parse_budget(args.budget)
         code, status = args.fn(args)
     except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)

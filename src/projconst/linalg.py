@@ -18,6 +18,8 @@ divided by its gcd on every pivot; another row only when a pivot gives it a
 new denominator of at least `ONE_DIGIT` (2**30 on 64-bit builds), so rows
 need not be in lowest terms between pivots; `_reduce` hands its rows out
 through `lowest_terms`.  `Fraction`s are built only from the final rows.
+A matrix in that format is (rows, den): `integer_matrix` makes it, once per
+`Subspace`, and `integer_product` and `integer_kron` multiply it.
 
 No floating point enters this module.
 """
@@ -30,12 +32,16 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
+# a matrix as (rows, den): integer rows over one positive denominator
+IntegerRows = tuple[Sequence[Sequence[int]], int]
 
 
 def as_rat(value) -> Fraction:
@@ -108,6 +114,19 @@ class Mat:
                 raise ValueError("ragged rows in matrix literal")
             flat.extend(as_rat(x) for x in r)
         return cls(nrows, ncols, tuple(flat))
+
+    @classmethod
+    def from_integer_rows(cls, rows: Sequence[Sequence[int]], den: int) -> "Mat":
+        """Integer rows over `den` as a `Mat`, one `Fraction` per distinct entry.
+
+        An optimal solution repeats few values, so a kept result costs one
+        object per value instead of one per entry; 0 and +-1, the most common,
+        are this module's constants, shared by every such matrix.
+        """
+        shared = {0: _ZERO, den: _ONE, -den: _MINUS_ONE}
+        return cls(len(rows), len(rows[0]), tuple(
+            shared[x] if x in shared else shared.setdefault(x, Fraction(x, den))
+            for row in rows for x in row))
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -226,11 +245,13 @@ class Subspace:
     """A k-dimensional subspace of ell_inf^n given by k independent basis rows.
 
     Rank is verified exactly at construction; a dependent row list is a hard
-    error, never silently reduced.
+    error, never silently reduced.  `integer_basis`, the basis as (rows,
+    den) with tuple rows, is made once and read by every certified layer.
     """
 
     ambient_dim: int
     basis: Mat
+    integer_basis: IntegerRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, k = self.ambient_dim, self.basis.rows
@@ -244,6 +265,8 @@ class Subspace:
             raise RankDeficientError(
                 f"basis rows are linearly dependent: rank < {k}"
             )
+        rows, den = integer_matrix(self.basis)
+        object.__setattr__(self, "integer_basis", (tuple(map(tuple, rows)), den))
 
     @property
     def dim(self) -> int:
@@ -275,14 +298,33 @@ def integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
-    """Divide numerators and denominator by their common gcd."""
+def lowest_terms(row: list[int], den: int) -> int:
+    """Divide `row` in place by its gcd with `den` > 0; return den so divided.
+    The gcd is a `reduce` over the nonzeros, as star-args raise peak RSS."""
     if den == 1:
-        return row, den
-    g = functools.reduce(math.gcd, filter(None, row), den)
-    if g == 1:
-        return row, den
-    return [x // g for x in row], den // g
+        return den
+    positions = list(compress(range(len(row)), row))
+    g = functools.reduce(math.gcd, map(row.__getitem__, positions), den)
+    if g != 1:
+        for j in positions:
+            row[j] //= g
+    return den // g
+
+
+def integer_matrix(m: Mat) -> tuple[list[list[int]], int]:
+    """The rows of `m` as numerators over the lcm of its denominators."""
+    num, den = integer_row(m.entries)
+    return [num[i:i + m.cols] for i in range(0, len(num), m.cols)], den
+
+
+def integer_product(rows, cols) -> list[list[int]]:
+    """Integer matrix product: entry (i, j) is rows[i] . cols[j]."""
+    return [[sum(map(operator.mul, r, c)) for c in cols] for r in rows]
+
+
+def integer_kron(a: IntegerRows, b: IntegerRows) -> tuple[list[list[int]], int]:
+    """The Kronecker product in `Mat.kron`'s order: rows by rows, den by den."""
+    return [[x * y for x in r for y in s] for r in a[0] for s in b[0]], a[1] * b[1]
 
 
 def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
@@ -357,19 +399,8 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
             row[j] -= f * x
         if scale != 1:
             den = dens[i] * scale
-            dens[i] = den if den < ONE_DIGIT else _divide_by_gcd(row, den)
+            dens[i] = den if den < ONE_DIGIT else lowest_terms(row, den)
     return positions
-
-
-def _divide_by_gcd(row: list[int], den: int) -> int:
-    """Divide `row` in place by its gcd with `den` > 0 and return den so
-    divided: a scaled row once its denominator reaches `ONE_DIGIT`.  The gcd
-    is a `reduce`, as star-args raise peak RSS."""
-    g = functools.reduce(math.gcd, filter(None, row), den)
-    if g != 1:
-        for j in compress(range(len(row)), row):
-            row[j] //= g
-    return den // g
 
 
 def _reduce(rows: Sequence[Sequence[Fraction]],
@@ -383,12 +414,8 @@ def _reduce(rows: Sequence[Sequence[Fraction]],
     pivot row vanish on the first `ncols` columns.  Columns beyond `ncols`
     are carried along (augmented right-hand sides).
     """
-    work: list[list[int]] = []
-    dens: list[int] = []
-    for row in rows:
-        num, den = integer_row(row)
-        work.append(num)
-        dens.append(den)
+    converted = [integer_row(row) for row in rows]
+    work, dens = [num for num, _ in converted], [den for _, den in converted]
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
@@ -406,8 +433,8 @@ def _reduce(rows: Sequence[Sequence[Fraction]],
         touched[k] = rank
         pivot_rows(work, dens, rank, col, touched)
         pivots.append(col)
-    for i, (row, den) in enumerate(zip(work, dens)):
-        work[i], dens[i] = lowest_terms(row, den)
+    for i, row in enumerate(work):
+        dens[i] = lowest_terms(row, dens[i])
     return work, dens, pivots
 
 

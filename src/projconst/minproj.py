@@ -31,17 +31,19 @@ in `float_oracle`, a structurally independent first-order check.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import ClassVar, NamedTuple
 
 from .linalg import (
+    IntegerRows,
     Mat,
     Subspace,
     format_rational,
-    integer_row,
+    integer_kron,
+    integer_matrix,
+    integer_product,
     invert_square,
     kernel_basis,
 )
@@ -51,10 +53,6 @@ from .simplex import (
     UnboundedProgram,
     solve_linear_program,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 
 class SolverIntegrityError(RuntimeError):
@@ -99,11 +97,11 @@ def build_projection_lp(space: Subspace) -> LinearProgram:
     k^2 equalities C B^T = I, 2n^2 majorant inequalities, n row-sum rows.
     Rows list only their nonzeros: at most n per equality, k + 1 per
     majorant row, n + 1 per row-sum row, in the simplex's integer format from
-    B's integer rows b over their denominator db: equality and majorant rows
+    `space.integer_basis`, rows b over db: equality and majorant rows
     (entries of b, -db at the majorant) over db, the rest (+-1) over 1.
     """
     n, k = space.ambient_dim, space.dim
-    b, db = _integer_matrix(space.basis)
+    b, db = space.integer_basis
     nv = k * n + n * n + 1
     c_var = lambda p, q: p * n + q
     m_var = lambda i, j: k * n + i * n + j
@@ -176,51 +174,8 @@ class ProjectionConstantResult:
         }
 
 
-def _as_mat(rows: list[list[int]], den: int) -> Mat:
-    """The integer rows over `den` as a `Mat`, one `Fraction` per distinct entry.
-
-    An optimal solution repeats few values, so a kept result costs one
-    object per value instead of one per entry; 0 and +-1, the most common,
-    are this module's constants, shared by every result.
-    """
-    shared = {0: _ZERO, den: _ONE, -den: _MINUS_ONE}
-    entries = []
-    for row in rows:
-        for x in row:
-            value = shared.get(x)
-            if value is None:
-                value = shared[x] = Fraction(x, den)
-            entries.append(value)
-    return Mat(len(rows), len(rows[0]), tuple(entries))
-
-
-def _require(holds: bool, check: str, detail: str):
-    if not holds:
-        raise SolverIntegrityError(f"certificate check '{check}' fails: {detail}")
-
-
-def _integer_matrix(m: Mat) -> tuple[list[list[int]], int]:
-    """The rows of `m` as numerators over one common denominator."""
-    num, den = integer_row(m.entries)
-    return [num[i:i + m.cols] for i in range(0, len(num), m.cols)], den
-
-
-def _products(rows, cols) -> list[list[int]]:
-    """Integer matrix product: entry (i, j) is rows[i] . cols[j]."""
-    return [[sum(map(operator.mul, r, c)) for c in cols] for r in rows]
-
-
-# a matrix as (rows, den): integer rows over one positive denominator
-_IntegerRows = tuple[list[list[int]], int]
-
-
-def _outer(u, v) -> list[int]:
-    return [x * y for x in u for y in v]
-
-
-def _kron(a: _IntegerRows, b: _IntegerRows) -> _IntegerRows:
-    """The Kronecker product of two integer parts: rows by rows, den by den."""
-    return [_outer(r, s) for r in a[0] for s in b[0]], a[1] * b[1]
+def _failed(check: str, detail: str) -> SolverIntegrityError:
+    return SolverIntegrityError(f"certificate check '{check}' fails: {detail}")
 
 
 class ProjectionCertificate(NamedTuple):
@@ -235,10 +190,10 @@ class ProjectionCertificate(NamedTuple):
     """
 
     value: Fraction
-    coeffs: _IntegerRows
-    dual: _IntegerRows
+    coeffs: IntegerRows
+    dual: IntegerRows
     weights: tuple[list[int], int]
-    restriction: _IntegerRows
+    restriction: IntegerRows
 
     def kron(self, other: "ProjectionCertificate") -> "ProjectionCertificate":
         """The certificate of E (x) F, spanned by the Kronecker products of
@@ -249,20 +204,21 @@ class ProjectionCertificate(NamedTuple):
         conditions; absolute row sums multiply too.
         """
         (w, dw), (v, dv) = self.weights, other.weights
+        [wv], dwv = integer_kron(([w], dw), ([v], dv))
         return ProjectionCertificate(
-            self.value * other.value, _kron(self.coeffs, other.coeffs),
-            _kron(self.dual, other.dual), (_outer(w, v), dw * dv),
-            _kron(self.restriction, other.restriction))
+            self.value * other.value, integer_kron(self.coeffs, other.coeffs),
+            integer_kron(self.dual, other.dual), (wv, dwv),
+            integer_kron(self.restriction, other.restriction))
 
 
-def check_certificate(basis: Mat, cert: ProjectionCertificate) -> _IntegerRows:
-    """Prove lambda(E) = cert.value for the row space E of `basis`, or raise
-    SolverIntegrityError naming the failed check.
+def check_certificate(basis: IntegerRows, cert: ProjectionCertificate) -> IntegerRows:
+    """Prove lambda(E) = cert.value for the row space E of B = `basis`, or
+    raise SolverIntegrityError naming the failed check.
 
-    With B = `basis`, the checks are, in order:
+    With B as (rows, den), like every part, the checks are, in order:
 
-    * 'shape': the parts fit a k-dimensional subspace of ell_inf^n, as ints
-      over positive int denominators, so no comparison below flips or vanishes;
+    * 'shape': B and the parts fit a k-dimensional subspace of ell_inf^n, as
+      ints over positive int denominators, so no comparison below flips or vanishes;
     * 'C B^T = I': P = B^T C is then a projection onto E, as
       P^2 = B^T (C B^T) C = P and P B^T = B^T; B has full row rank, so it
       needs no separate rank check;
@@ -278,44 +234,48 @@ def check_certificate(basis: Mat, cert: ProjectionCertificate) -> _IntegerRows:
     <W, P'> = tr((B W)^T C') = tr(Lambda^T C' B^T) = tr Lambda, while
     <W, P'> <= sum_i w_i (row sum i of |P'|) <= norm(P').
 
-    Only B is taken apart into integer rows over one denominator: the parts
-    already are.  This one checker proves every certificate, those that
-    `projection_certificate` and `projection_constant` build too, with four
-    integer matrix products and integer comparisons: no elimination and no
-    `Fraction` temporaries, whose churn raises peak RSS when many results
-    are kept.  No check trusts the code that made the certificate.  Returns
-    the rows of P that the 'norm' check computes, as (rows, den).
+    Nothing is converted.  This one checker proves every certificate, those
+    that `projection_certificate` and `projection_constant` build too, with
+    four integer matrix products and integer comparisons: no elimination and
+    no `Fraction` temporaries, whose churn raises peak RSS when many results
+    are kept; a detail is formatted only on failure.  No check trusts the
+    code that made the certificate.  Returns the rows of P that the 'norm'
+    check computes, as (rows, den).
     """
-    b, db = _integer_matrix(basis)
+    b, db = basis
     value, (c, dc), (dual_rows, d_dual), (w, dw), (lam_rows, d_lam) = cert
-    k, n = len(b), len(b[0])
-    _require(len(c) == len(lam_rows) == k and len(dual_rows) == len(w) == n
-             and all(len(row) == n for row in (*c, *dual_rows))
-             and all(len(row) == k for row in lam_rows),
-             "shape", f"certificate does not fit a {k}-dimensional subspace of ell_inf^{n}")
-    _require(all(type(d) is int and d > 0 for d in (dc, d_dual, dw, d_lam))
-             and all(type(x) is int for row in (*c, *dual_rows, w, *lam_rows) for x in row),
-             "shape", "a part is not integers over a positive int denominator")
+    k, n = len(b), len(b[0]) if b else 0
+    if not (n and len(c) == len(lam_rows) == k and len(dual_rows) == len(w) == n
+            and all(len(row) == n for row in (*b, *c, *dual_rows))
+            and all(len(row) == k for row in lam_rows)):
+        raise _failed("shape",
+                      f"certificate does not fit a {k}-dimensional subspace of ell_inf^{n}")
+    if not (all(type(d) is int and d > 0 for d in (db, dc, d_dual, dw, d_lam)) and all(
+            type(x) is int for row in (*b, *c, *dual_rows, w, *lam_rows) for x in row)):
+        raise _failed("shape", "a part is not integers over a positive int denominator")
     den = db * dc
-    _require(all(x == (den if p == q else 0)
-                 for p, row in enumerate(_products(c, b)) for q, x in enumerate(row)),
-             "C B^T = I", "C is not a left inverse of B^T")
-    p_rows = _products(list(zip(*b)), list(zip(*c)))  # over den
+    if not all(x == (den if p == q else 0)
+               for p, row in enumerate(integer_product(c, b)) for q, x in enumerate(row)):
+        raise _failed("C B^T = I", "C is not a left inverse of B^T")
+    p_rows = integer_product(list(zip(*b)), list(zip(*c)))  # over den
     norm = max(sum(map(abs, row)) for row in p_rows)
-    _require(norm * value.denominator == value.numerator * den, "norm",
-             f"value {value} disagrees with exact norm {Fraction(norm, den)} of B^T C")
-    _require(min(w) >= 0, "w >= 0", "a weight is negative")
-    _require(sum(w) == dw, "sum w = 1", f"weights sum to {Fraction(sum(w), dw)}")
-    _require(all(abs(x) * dw <= wi * d_dual for wi, row in zip(w, dual_rows) for x in row),
-             "|W_ij| <= w_i", "an entry of W exceeds its row weight")
-    bw = _products(b, list(zip(*dual_rows)))  # over db * d_dual
-    lb = _products(lam_rows, list(zip(*b)))  # over d_lam * db
-    _require(all(x * d_lam == y * d_dual for bw_row, lb_row in zip(bw, lb)
-                 for x, y in zip(bw_row, lb_row)),
-             "B W = Lambda B", "W does not act on E as Lambda")
+    if norm * value.denominator != value.numerator * den:
+        raise _failed("norm",
+                      f"value {value} disagrees with exact norm {Fraction(norm, den)} of B^T C")
+    if min(w) < 0:
+        raise _failed("w >= 0", "a weight is negative")
+    if sum(w) != dw:
+        raise _failed("sum w = 1", f"weights sum to {Fraction(sum(w), dw)}")
+    if not all(abs(x) * dw <= wi * d_dual for wi, row in zip(w, dual_rows) for x in row):
+        raise _failed("|W_ij| <= w_i", "an entry of W exceeds its row weight")
+    bw = integer_product(b, list(zip(*dual_rows)))  # over db * d_dual
+    lb = integer_product(lam_rows, list(zip(*b)))  # over d_lam * db
+    if not all(x * d_lam == y * d_dual for bw_row, lb_row in zip(bw, lb)
+               for x, y in zip(bw_row, lb_row)):
+        raise _failed("B W = Lambda B", "W does not act on E as Lambda")
     trace = sum(lam_rows[i][i] for i in range(k))
-    _require(trace * value.denominator == value.numerator * d_lam,
-             "tr Lambda", f"trace of Lambda is {Fraction(trace, d_lam)}, not {value}")
+    if trace * value.denominator != value.numerator * d_lam:
+        raise _failed("tr Lambda", f"trace of Lambda is {Fraction(trace, d_lam)}, not {value}")
     return p_rows, den
 
 
@@ -341,10 +301,10 @@ def _checked_certificate(space: Subspace) -> tuple[ProjectionCertificate, list[l
     `PivotLimitExceeded` propagates unchanged.
     """
     n, k = space.ambient_dim, space.dim
-    b, db = _integer_matrix(space.basis)
+    b, db = space.integer_basis
     if k == n:
-        value = _ONE
-        c, dc = _integer_matrix(invert_square(space.basis.transpose()))
+        value = Fraction(1)
+        c, dc = integer_matrix(invert_square(space.basis.transpose()))
         w, du = [1] + [0] * (n - 1), 1
         dual_rows = [w[:]] + [[0] * n for _ in range(n - 1)]  # e_1 e_1^T: row 0 a copy of w
     else:
@@ -363,9 +323,9 @@ def _checked_certificate(space: Subspace) -> tuple[ProjectionCertificate, list[l
                      for i in range(0, n * n, n)]
         w = u[2 * n * n:]
     # B W C^T over db * du * dc: the rows of C are the columns of C^T
-    lam = _products(_products(b, list(zip(*dual_rows))), c)
+    lam = integer_product(integer_product(b, list(zip(*dual_rows))), c)
     cert = ProjectionCertificate(value, (c, dc), (dual_rows, du), (w, du), (lam, db * du * dc))
-    return (cert, *check_certificate(space.basis, cert))
+    return (cert, *check_certificate(space.integer_basis, cert))
 
 
 def projection_certificate(space: Subspace) -> ProjectionCertificate:
@@ -388,10 +348,10 @@ def projection_constant(space: Subspace) -> ProjectionConstantResult:
         raise SolverIntegrityError(f"projection constant below 1: {value}")
     sums = [sum(map(abs, row)) for row in p_rows]
     witness = tuple(1 if x >= 0 else -1 for x in p_rows[sums.index(max(sums))])
-    image = _products(p_rows, [witness])
+    image = integer_product(p_rows, [witness])
     if max(abs(x) for [x] in image) * value.denominator != value.numerator * den:
         raise SolverIntegrityError("norm witness does not attain the optimum")
-    return ProjectionConstantResult(value, _as_mat(*coeffs), space, witness)
+    return ProjectionConstantResult(value, Mat.from_integer_rows(*coeffs), space, witness)
 
 
 def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random,

@@ -293,7 +293,7 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
             f = num[basis[i]] * (scale // dens[i])
             for j in compress(range(width + 1), row):
                 obj[j] -= f * row[j]
-        tableau[-1], dens[-1] = lowest_terms(obj, den * scale)
+        tableau[-1], dens[-1] = obj, lowest_terms(obj, den * scale)
 
     def run():
         # Bland's candidates: `falling` holds the positions of negative
@@ -395,7 +395,7 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
             row = tableau[i]
             for q in dead:
                 del row[q]
-            tableau[i], dens[i] = lowest_terms(row, dens[i])
+            dens[i] = lowest_terms(row, dens[i])
         ncols = art_start
 
     # ---- phase 2 -------------------------------------------------------

@@ -22,9 +22,9 @@ Sigma_N^k(E) = ker_N^(x)k (x) E with a tensored primal-dual certificate in
 integer parts, not with a linear program: the closed form of ker_N's
 (`sum_kernel_certificate`) tensored with the previous level's, checked by
 `minproj.check_certificate` in the level's full space, where weak duality
-proves the value minimal; a level's basis is its one `Mat`.  No check
-assumes the law.  Only the base is an exact LP solve, made once by the
-caller: `verify_multiplication_law` compares one step with it, and
+proves the value minimal; a level's basis is integer rows, never a `Mat`.
+No check assumes the law.  Only the base is an exact LP solve, made once by
+the caller: `verify_multiplication_law` compares one step with it, and
 `planner.demonstrate_schedule` runs several.
 """
 
@@ -40,6 +40,8 @@ from .linalg import (
     Subspace,
     format_rational,
     inf_op_norm,
+    integer_kron,
+    integer_matrix,
     invert_square,
     projection_defect,
 )
@@ -352,20 +354,24 @@ def sigma_steps(base: Subspace, certificate: ProjectionCertificate, copies: int,
     Yields (ambient_dim, lambda) for each step.  The LP budget is still
     checked on a step's shape before its basis is built, so a large N
     costs nothing; a step beyond it yields (ambient_dim, None) and ends the
-    run.  A level is kept as its basis alone: the check 'C B^T = I' proves
-    full row rank, so no `Subspace` with its rank elimination is built.
+    run.  A level is kept as its basis alone, ker_N's integer rows, made once
+    per call, tensored by `integer_kron` with the level before, as the
+    certificates are: the check 'C B^T = I' proves full row rank, so no
+    `Subspace` with its rank elimination is built.
     """
-    basis = base.basis
+    basis, kernel = base.integer_basis, None
     for _ in range(steps):
-        ambient = basis.cols * copies
+        ambient = len(basis[0][0]) * copies
         try:
-            budget.require_shape(ambient, (copies - 1) * basis.rows)
+            budget.require_shape(ambient, (copies - 1) * len(basis[0]))
         except BudgetExceededError:
             yield ambient, None
             return
+        if kernel is None:
+            kernel = integer_matrix(_sum_kernel_rows(copies))
         if factor is None:
             factor = sum_kernel_certificate(copies)
-        basis = _sum_kernel_rows(copies).kron(basis)  # as in `sigma_subspace`
+        basis = integer_kron(kernel, basis)
         certificate = factor.kron(certificate)
         check_certificate(basis, certificate)
         yield ambient, certificate.value

@@ -214,7 +214,7 @@ def solve_linear_program(lp: LinearProgram, counter: Counter | None = None,
         for i in range(m):
             row = tableau[i]
             del row[art_start:ncols]
-            tableau[i], dens[i] = lowest_terms(row, dens[i])
+            dens[i] = lowest_terms(row, dens[i])
         ncols = art_start
 
     # ---- phase 2 -------------------------------------------------------

@@ -13,10 +13,11 @@ from random import Random
 import pytest
 from certificate_reference import as_mat
 
-from projconst import minproj, zerosum
+from projconst import linalg, minproj, zerosum
 from projconst.acceptance import Context, run_all
 from projconst.linalg import Mat, RankDeficientError, Subspace, inf_op_norm, integer_row
 from projconst.minproj import (
+    LPBudget,
     ProjectionCertificate,
     SolverIntegrityError,
     check_certificate,
@@ -67,9 +68,9 @@ class TestLinearProgramCertificates:
             result = projection_constant(space)
             assert len(calls) == trial + 1
             [(basis, cert)] = checked
-            assert basis is space.basis
+            assert basis is space.integer_basis
             assert (cert.value, as_mat(cert.coeffs)) == (result.value, result.minimizer_c)
-            original_check(space.basis, cert)
+            original_check(space.integer_basis, cert)
         assert len(calls) == 25
 
     def test_full_dimension_needs_no_program(self):
@@ -92,7 +93,7 @@ class TestClosedFormAndTensors:
     @pytest.mark.parametrize("copies", range(2, 9))
     def test_sum_kernel(self, copies):
         cert = sum_kernel_certificate(copies)
-        check_certificate(coordinate_sum_kernel(copies).basis, cert)
+        check_certificate(coordinate_sum_kernel(copies).integer_basis, cert)
         assert cert.value == zerosum.amplification_factor(copies)
 
     def test_sum_kernel_matches_the_centring_map(self):
@@ -103,7 +104,7 @@ class TestClosedFormAndTensors:
     def test_kron_certifies_the_zero_sum_space(self):
         base = Subspace.from_rows([[1, 2, -1]])
         tensored = sum_kernel_certificate(3).kron(projection_certificate(base))
-        check_certificate(sigma_subspace(base, 3).space.basis, tensored)
+        check_certificate(sigma_subspace(base, 3).space.integer_basis, tensored)
         assert tensored.value == F(4, 3) * projection_constant(base).value
 
     def test_kron_of_two_solved_certificates(self):
@@ -111,7 +112,7 @@ class TestClosedFormAndTensors:
         e, f = coordinate_sum_kernel(3), Subspace.from_rows([[1, 1]])
         space = Subspace(6, e.basis.kron(f.basis))
         cert = projection_certificate(e).kron(projection_certificate(f))
-        check_certificate(space.basis, cert)
+        check_certificate(space.integer_basis, cert)
         assert cert.value == projection_constant(space).value
 
 
@@ -178,17 +179,17 @@ def _mutants(space: Subspace, cert: ProjectionCertificate):
 @pytest.mark.parametrize("make", [_base, _tensored], ids=["base", "tensored"])
 def test_every_mutant_fails_its_check(make):
     space, cert = make()
-    check_certificate(space.basis, cert)
+    check_certificate(space.integer_basis, cert)
     for field, mutant, check in _mutants(space, cert):
         with pytest.raises(SolverIntegrityError) as caught:
-            check_certificate(space.basis, mutant)
+            check_certificate(space.integer_basis, mutant)
         assert str(caught.value).startswith(f"certificate check '{check}' fails"), field
 
 
 def test_a_certificate_of_the_wrong_shape_fails():
     space, cert = _base()
     with pytest.raises(SolverIntegrityError, match="certificate check 'shape'"):
-        check_certificate(sigma_subspace(space, 2).space.basis, cert)
+        check_certificate(sigma_subspace(space, 2).space.integer_basis, cert)
 
 
 @pytest.mark.parametrize("make", [_base, _tensored], ids=["base", "tensored"])
@@ -203,21 +204,39 @@ def test_a_denominator_that_is_not_positive_fails_the_shape_check(make, field):
         [-x for x in row] for row in numerators]
     for changed in (numerators, 0), (negated, -den), (numerators, F(den)), (numerators, True):
         with pytest.raises(SolverIntegrityError, match="certificate check 'shape' fails"):
-            check_certificate(space.basis, cert._replace(**{field: changed}))
+            check_certificate(space.integer_basis, cert._replace(**{field: changed}))
 
 
 def test_a_zero_dual_over_denominator_zero_proves_nothing():
     # on the diagonal of ell_inf^3, lambda = 1; C = (4/3, -1/3, 0) is a left
     # inverse of norm 5/3, and W = 0 over 0 with Lambda = (5/3) would pass
     # every later check, since each of them multiplies by W's denominator
-    diagonal = Mat.from_rows([[1, 1, 1]])
+    diagonal = Subspace.from_rows([[1, 1, 1]])
     cert = ProjectionCertificate(F(5, 3), ([[4, -1, 0]], 3), ([[0] * 3] * 3, 0),
                                  ([1, 0, 0], 1), ([[5]], 3))
     with pytest.raises(SolverIntegrityError, match="certificate check 'shape' fails"):
-        check_certificate(diagonal, cert)
+        check_certificate(diagonal.integer_basis, cert)
     with pytest.raises(SolverIntegrityError, match="certificate check 'B W = Lambda B' fails"):
-        check_certificate(diagonal, cert._replace(dual=([[0] * 3] * 3, 1)))
-    assert projection_certificate(Subspace(3, diagonal)).value == 1
+        check_certificate(diagonal.integer_basis, cert._replace(dual=([[0] * 3] * 3, 1)))
+    # and a B of zeros over 0 would pass 'C B^T = I' and divide by zero in 'norm'
+    with pytest.raises(SolverIntegrityError, match="certificate check 'shape' fails"):
+        check_certificate(([[0] * 3], 0), cert._replace(dual=([[0] * 3] * 3, 1)))
+    assert projection_certificate(diagonal).value == 1
+
+
+@pytest.mark.parametrize("make", [_base, _tensored], ids=["base", "tensored"])
+def test_a_basis_that_is_not_integer_rows_fails_the_shape_check(make):
+    # B is read as given: a denominator of 0 would make every check hold or
+    # divide by zero, a negative one flip every inequality, and a ragged
+    # row or a `Fraction` numerator is not the format
+    space, cert = make()
+    rows, den = space.integer_basis
+    negated = tuple(tuple(-x for x in row) for row in rows)
+    ragged = rows[:-1] + (rows[-1][:-1],)
+    for changed in ((rows, 0), (negated, -den), (rows, True), (rows, F(den)),
+                    (((F(rows[0][0]),) + rows[0][1:],) + rows[1:], den), (ragged, den)):
+        with pytest.raises(SolverIntegrityError, match="certificate check 'shape' fails"):
+            check_certificate(changed, cert)
 
 
 def test_a_numerator_that_is_not_an_int_fails_the_shape_check():
@@ -225,16 +244,18 @@ def test_a_numerator_that_is_not_an_int_fails_the_shape_check():
     w, dw = cert.weights
     for changed in [float(w[0])] + w[1:], [F(w[0])] + w[1:]:
         with pytest.raises(SolverIntegrityError, match="certificate check 'shape' fails"):
-            check_certificate(space.basis, cert._replace(weights=(changed, dw)))
+            check_certificate(space.integer_basis, cert._replace(weights=(changed, dw)))
 
 
 def test_a_sigma_level_converts_only_its_basis(monkeypatch):
-    # the level's basis is the one `Mat` made and the one taken apart into
-    # integer rows: ker_N's certificate and the tensored one stay integers
-    base = Subspace.from_rows([[1, 2, -1]])
+    # a call takes one basis apart, ker_N's, however many levels it
+    # certifies; each level is the integer Kronecker product of ker_N's rows
+    # with the level before, starting from the base's `integer_basis`, so no
+    # level is a `Mat` and none is converted
+    base = Subspace.from_rows([[1, F(2, 3), -1]])
     cert = projection_certificate(base)
-    krons, integer_matrices = [], []
-    kron, integer_matrix = Mat.kron, minproj._integer_matrix
+    krons, integer_matrices, integer_rows = [], [], []
+    kron, integer_matrix, to_integers = Mat.kron, linalg.integer_matrix, linalg.integer_row
 
     def counted_kron(a, b):
         krons.append((a.rows, b.rows))
@@ -244,20 +265,48 @@ def test_a_sigma_level_converts_only_its_basis(monkeypatch):
         integer_matrices.append((m.rows, m.cols))
         return integer_matrix(m)
 
+    def counted_integer_row(values):
+        integer_rows.append(len(values))
+        return to_integers(values)
+
     monkeypatch.setattr(Mat, "kron", counted_kron)
-    monkeypatch.setattr(minproj, "_integer_matrix", counted_integer_matrix)
-    assert list(zerosum.sigma_steps(base, cert, 3, 1)) == [(9, F(4, 3) * cert.value)]
-    assert krons == [(2, 1)]
-    assert integer_matrices == [(2, 9)]
+    monkeypatch.setattr(zerosum, "integer_matrix", counted_integer_matrix)
+    monkeypatch.setattr(linalg, "integer_row", counted_integer_row)
+    assert list(zerosum.sigma_steps(base, cert, 2, 3, LPBudget(24, 4))) == [
+        (6, cert.value), (12, cert.value), (24, cert.value)]
+    assert krons == []
+    assert integer_matrices == [(1, 2)]
+    assert integer_rows == [2]
+
+
+@pytest.mark.parametrize("copies", [2, 3, 4])
+def test_each_sigma_level_is_the_conversion_of_its_fraction_basis(monkeypatch, copies):
+    base = Subspace.from_rows([[F(2, 3), F(-1, 2)]])
+    seen = []
+
+    def recorded(basis, cert):
+        seen.append(basis)
+        return check_certificate(basis, cert)
+
+    monkeypatch.setattr(zerosum, "check_certificate", recorded)
+    steps = list(zerosum.sigma_steps(base, projection_certificate(base), copies, 3,
+                                     LPBudget(2 * copies ** 3, (copies - 1) ** 3)))
+    assert [value for _, value in steps] == [zerosum.amplification_factor(copies) ** k
+                                             for k in (1, 2, 3)]
+    level = base.basis
+    for basis in seen:
+        level = zerosum._sum_kernel_rows(copies).kron(level)
+        assert basis == linalg.integer_matrix(level)
+    assert len(seen) == 3
 
 
 def test_dependent_rows_fail_the_left_inverse_check():
     # check_certificate builds no Subspace: 'C B^T = I' alone rules out a
     # basis without full row rank, as C B^T has rank at most rank B
     space, cert = _base()
-    rows = space.basis.row_lists()
+    rows, den = space.integer_basis
     with pytest.raises(SolverIntegrityError, match="certificate check 'C B\\^T = I'"):
-        check_certificate(Mat.from_rows([rows[0], rows[0]]), cert)
+        check_certificate(((rows[0], rows[0]), den), cert)
 
 
 def _corrupt_slack_duals(monkeypatch, index, replace):

@@ -148,6 +148,13 @@ class TestInputValidation:
     def test_bad_budget_string(self, capsys, kernel3):
         assert run(capsys, "--budget", "a,b", "minproj", kernel3)[0] == 2
 
+    def test_empty_budget_is_malformed_not_the_default(self, capsys, kernel3):
+        code, out, err = run(capsys, "--budget", "", "zerosum", kernel3, "--copies", "2")
+        assert code == 2
+        assert out == ""
+        assert "budget must be 'AMBIENT' or 'AMBIENT,DIM', got ''" in err
+        assert report(err)["status"] == "error"
+
     @pytest.mark.parametrize("budget", ["--budget=0", "--budget=3,0", "--budget=-1"])
     def test_nonpositive_budget(self, capsys, kernel3, budget):
         code, out, err = run(capsys, budget, "minproj", kernel3)
@@ -408,6 +415,19 @@ class TestSelftest:
             ["[FAIL] kernel-constants", "BudgetExceededError"],
             ["[FAIL] oracle-agreement", "BudgetExceededError"]]
         assert lines[2:] == ["FAILED (2): kernel-constants, oracle-agreement"]
+
+    @pytest.mark.parametrize("only, named", [
+        ("bogus", "'bogus'"),
+        ("kernel-constants,centring-nrom", "'centring-nrom'"),
+        ("", "''"),
+    ], ids=["unknown", "known-and-unknown", "empty"])
+    def test_unknown_criterion_is_malformed_input(self, capsys, only, named):
+        # a misspelt key must not turn selftest into a vacuous pass
+        code, out, err = run(capsys, "selftest", "--only", only)
+        assert code == 2
+        assert out == ""
+        assert f"error: unknown selftest criteria: {named}\n" in err
+        assert report(err)["status"] == "error"
 
     def test_fault_leaves_other_criteria_alone(self, capsys, monkeypatch):
         monkeypatch.setenv("PROJCONST_SELFTEST_FAULT", "centring-norm")

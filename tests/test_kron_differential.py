@@ -52,7 +52,7 @@ def test_tensored_with_the_sum_kernel_on_seeded_rational_bases():
         cert, want = projection_certificate(base), reference_certificate(base)
         tensored = sum_kernel_certificate(copies).kron(cert)
         assert as_fractions(tensored) == reference_sum_kernel(copies).kron(want)
-        check_certificate(sigma_subspace(base, copies).space.basis, tensored)
+        check_certificate(sigma_subspace(base, copies).space.integer_basis, tensored)
         assert tensored.value == amplification_factor(copies) * want.value
         with_fractions += _has_fractions(want)
     assert with_fractions >= 20
@@ -68,7 +68,7 @@ def test_two_level_nesting():
         want = reference_sum_kernel(copies).kron(want)
         level_basis = sigma_subspace(level_basis, copies).space
         assert as_fractions(level) == want
-        check_certificate(level_basis.basis, level)
+        check_certificate(level_basis.integer_basis, level)
     # mu_3 * mu_2 = 4/3 * 1
     assert level.value == F(4, 3) * lam
 
@@ -78,4 +78,4 @@ def test_two_solved_certificates():
     f = Subspace.from_rows([[F(2, 3), 1], [0, 1]])
     tensored = projection_certificate(e).kron(projection_certificate(f))
     assert as_fractions(tensored) == reference_certificate(e).kron(reference_certificate(f))
-    check_certificate(Subspace(6, e.basis.kron(f.basis)).basis, tensored)
+    check_certificate(Subspace(6, e.basis.kron(f.basis)).integer_basis, tensored)

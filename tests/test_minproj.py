@@ -158,9 +158,9 @@ class TestPrimalCertificate:
     @pytest.mark.parametrize("space", SPACES[:4], ids=["diag2", "ker3", "ker4", "rational4"])
     def test_corrupted_value_is_caught(self, space):
         cert = projection_certificate(space)
-        check_certificate(space.basis, cert)
+        check_certificate(space.integer_basis, cert)
         with pytest.raises(SolverIntegrityError, match="disagrees with exact norm"):
-            check_certificate(space.basis, cert._replace(value=cert.value + F(1, 1000)))
+            check_certificate(space.integer_basis, cert._replace(value=cert.value + F(1, 1000)))
 
     @pytest.mark.parametrize("space", SPACES[:4], ids=["diag2", "ker3", "ker4", "rational4"])
     def test_corrupted_coefficient_is_caught(self, space):
@@ -175,7 +175,7 @@ class TestPrimalCertificate:
         norm = inf_op_norm(space.basis.transpose() @ as_mat(corrupted)).value
         assert norm >= 1
         with pytest.raises(SolverIntegrityError, match="C B\\^T = I"):
-            check_certificate(space.basis, cert._replace(value=norm, coeffs=corrupted))
+            check_certificate(space.integer_basis, cert._replace(value=norm, coeffs=corrupted))
 
 
 class TestPerturbations:

@@ -8,8 +8,10 @@ entry.  Every entry must have the same value on both sides.  A row starts
 over db rather than over the lcm of its own entries, and the solver must
 not care: it returns the identical integer readout, as when each former
 row is made into integers over its own lcm, as the solver did before.
-Neither the builder's program nor the solve holds a `Fraction`, and the
-solve calls no `integer_row`.  Needs nothing beyond pytest.
+Neither the builder's program nor the solve holds a `Fraction`, and
+neither calls `integer_row`: the builder reads B's integer rows off the
+`Subspace`, which made them once, as the former builder's conversion of the
+`Fraction` basis did.  Needs nothing beyond pytest.
 """
 
 import math
@@ -24,7 +26,7 @@ from simplex_reference import by_value, integer_program
 
 from projconst.cli import load_subspace_document
 from projconst.linalg import RankDeficientError, Subspace, integer_row
-from projconst.minproj import build_projection_lp
+from projconst.minproj import build_projection_lp, projection_constant
 from projconst.simplex import solve_linear_program
 from projconst.zerosum import coordinate_sum_kernel, sigma_subspace
 
@@ -108,12 +110,17 @@ def calls_during(function, run):
 @pytest.mark.parametrize("space", [
     coordinate_sum_kernel(4),
     Subspace.from_rows(RATIONAL_5X2),
-], ids=["ker4", "rational5x2"])
+    sigma_subspace(Subspace.from_rows([[1, F(1, 3)]]), 3).space,
+], ids=["ker4", "rational5x2", "sigma3-rational2"])
 def test_no_fraction_in_the_program_and_no_integer_row_in_the_solve(space):
-    # the builder takes B apart into integers once; the program it returns
-    # is ints and bools only, and the solver places them as they are
+    # the builder reads B's integer rows off the subspace, converting
+    # nothing; the program it returns is ints and bools only, and the solver
+    # places them as they are
     calls, program = calls_during(integer_row, lambda: build_projection_lp(space))
-    assert calls == 1
+    assert calls == 0
+    b, db = space.integer_basis
+    assert program.eq_rows[0] == {j: x for j, x in enumerate(b[0]) if x}
+    assert program.eq_dens[0] == db
     numbers = [program.objective_den, *program.objective, *program.eq_rhs, *program.eq_dens,
                *program.ub_rhs, *program.ub_dens,
                *(x for row in program.eq_rows + program.ub_rows for x in (*row, *row.values()))]
@@ -123,3 +130,52 @@ def test_no_fraction_in_the_program_and_no_integer_row_in_the_solve(space):
     assert calls == 0
     # the value is the bound t, the last variable
     assert solution.value == solution.assignment[-1] >= 1
+    # nor do the certificate and its check: the whole solve converts no basis
+    calls, result = calls_during(integer_row, lambda: projection_constant(space))
+    assert (calls, result.value) == (0, solution.value)
+
+
+def former_conversion(basis) -> tuple[list[list[int]], int]:
+    """The rows of a `Fraction` basis over the lcm of all its denominators,
+    as the builder took B apart before the `Subspace` did it once."""
+    den = math.lcm(*(x.denominator for x in basis.entries))
+    return [[x.numerator * (den // x.denominator) for x in basis.row(i)]
+            for i in range(basis.rows)], den
+
+
+def assert_integer_basis(space: Subspace):
+    rows, den = space.integer_basis
+    assert type(rows) is tuple and {type(row) for row in rows} == {tuple}
+    assert ([list(row) for row in rows], den) == former_conversion(space.basis)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")
+                                        if "basis" in p.read_text()))
+def test_integer_basis_is_the_former_conversion_on_golden_documents(name):
+    assert_integer_basis(load_subspace_document(str(GOLDEN / name)))
+
+
+def test_integer_basis_is_the_former_conversion_on_seeded_rational_subspaces():
+    rng = Random(20261028)
+    cases = over_one = 0
+    while cases < 32:
+        n = rng.randint(1, 6)
+        try:
+            space = Subspace.from_rows([[F(rng.randint(-4, 4), rng.randint(1, 6))
+                                         for _ in range(n)] for _ in range(rng.randint(1, n))])
+        except RankDeficientError:
+            continue
+        assert_integer_basis(space)
+        over_one += space.integer_basis[1] > 1
+        cases += 1
+    assert over_one >= 24
+
+
+def test_integer_basis_is_made_once_and_kept_out_of_equality():
+    space = Subspace.from_rows(RATIONAL_5X2)
+    again = Subspace.from_rows(RATIONAL_5X2)
+    assert space.integer_basis is space.integer_basis
+    assert space == again and hash(space) == hash(again)
+    assert "integer_basis" not in repr(space)
+    with pytest.raises(AttributeError):
+        space.integer_basis = ((), 1)

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals for sup-normed coordinate spaces.
 
-Scalars are arbitrary-precision rationals (`fractions.Fraction`), so every
-norm, rank and product computed here is exact.  Matrices act on column
-vectors of ell_inf^n; the only operator norm used anywhere in the package is
-the inf->inf norm, which equals the maximum absolute row sum and is attained
-at a +-1 sign vector.
+Every matrix is exact: a `Mat` stores integer numerators over one positive
+int denominator, in lowest terms as a whole, and every norm, rank and
+product computed here is exact.  `Fraction`s appear only at the edges: the
+views `Mat.at`, `row`, `col` and `entries`, `Mat.from_rows` on the way in,
+and the values that `inf_op_norm` and `kernel_basis` hand out.  Matrices act
+on column vectors of ell_inf^n; the only operator norm used anywhere in the
+package is the inf->inf norm, which equals the maximum absolute row sum and
+is attained at a +-1 sign vector.
 
 This module holds the package's one exact elimination kernel.  It works on
 integer rows: a row is a list of Python ints over one positive denominator,
@@ -17,9 +20,9 @@ with work proportional to a row's nonzeros, not its width.  The pivot row is
 divided by its gcd on every pivot; another row only when a pivot gives it a
 new denominator of at least `ONE_DIGIT` (2**30 on 64-bit builds), so rows
 need not be in lowest terms between pivots; `_reduce` hands its rows out
-through `lowest_terms`.  `Fraction`s are built only from the final rows.
-A matrix in that format is (rows, den): `integer_matrix` makes it, once per
-`Subspace`, and `integer_product` and `integer_kron` multiply it.
+through `lowest_terms`.  A matrix's numerator rows are its integer rows, so
+`_reduce` takes them as they are, and `integer_product` and `integer_kron`
+multiply them for `Mat` and for the certificates in `minproj` alike.
 
 No floating point enters this module.
 """
@@ -32,13 +35,13 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+_ZERO = Fraction(0)
 
 # a matrix as (rows, den): integer rows over one positive denominator
 IntegerRows = tuple[Sequence[Sequence[int]], int]
@@ -84,26 +87,43 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Mat:
-    """Dense exact matrix with row-major entries.
+    """Dense exact matrix: row-major int numerators over one positive int
+    denominator, entry (i, j) standing for nums[i * cols + j] / den.
 
-    Immutable after construction; all arithmetic returns fresh matrices.
+    Construction brings the matrix to lowest terms as a whole (den and the
+    numerators have gcd 1, so a zero matrix has den 1) and makes equal
+    numerators one int object, so `==` and `hash` compare values and a kept
+    matrix holds one object per distinct value.  `at`, `row`, `col` and
+    `entries` are `Fraction` views, made on each access.  Immutable after
+    construction; all arithmetic returns fresh matrices.
     """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"matrix shape {self.rows}x{self.cols} is empty")
-        if len(self.entries) != self.rows * self.cols:
+        nums, den = self.nums, self.den
+        if len(nums) != self.rows * self.cols:
             raise ValueError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
+                f"entries, got {len(nums)}"
             )
+        if type(den) is not int or den < 1 or not {int}.issuperset(map(type, nums)):
+            raise ValueError("a matrix is int numerators over a positive int denominator")
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+        shared: dict[int, int] = {}
+        object.__setattr__(self, "nums", tuple(map(shared.setdefault, nums, nums)))
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Mat":
+        """A matrix from rows of ints, `Fraction`s or 'p/q' literals."""
         nrows = len(rows)
         if nrows == 0:
             raise ValueError("matrix needs at least one row")
@@ -113,46 +133,46 @@ class Mat:
             if len(r) != ncols:
                 raise ValueError("ragged rows in matrix literal")
             flat.extend(as_rat(x) for x in r)
-        return cls(nrows, ncols, tuple(flat))
-
-    @classmethod
-    def from_integer_rows(cls, rows: Sequence[Sequence[int]], den: int) -> "Mat":
-        """Integer rows over `den` as a `Mat`, one `Fraction` per distinct entry.
-
-        An optimal solution repeats few values, so a kept result costs one
-        object per value instead of one per entry; 0 and +-1, the most common,
-        are this module's constants, shared by every such matrix.
-        """
-        shared = {0: _ZERO, den: _ONE, -den: _MINUS_ONE}
-        return cls(len(rows), len(rows[0]), tuple(
-            shared[x] if x in shared else shared.setdefault(x, Fraction(x, den))
-            for row in rows for x in row))
+        den = math.lcm(*(x.denominator for x in flat))
+        return cls(nrows, ncols, tuple(x.numerator * (den // x.denominator) for x in flat), den)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
+        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls(rows, cols, (0,) * (rows * cols))
+
+    def _fractions(self, nums: Sequence[int]) -> tuple[Fraction, ...]:
+        """`nums` over this matrix's denominator, one `Fraction` per distinct value."""
+        made = {x: Fraction(x, self.den) for x in set(nums)}
+        return tuple(map(made.__getitem__, nums))
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return self._fractions(self.nums)
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return Fraction(self.nums[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return self._fractions(self.nums[i * self.cols : (i + 1) * self.cols])
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return self.entries[j :: self.cols]
+        return self._fractions(self.nums[j :: self.cols])
 
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+    def numerator_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of numerators, each over `den`: the matrix's integer rows."""
+        nums, cols = self.nums, self.cols
+        return tuple(nums[i:i + cols] for i in range(0, len(nums), cols))
+
+    def numerator_cols(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.nums[j::self.cols] for j in range(self.cols))
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   tuple(self.entries[i * self.cols + j]
-                         for j in range(self.cols) for i in range(self.rows)))
+        return Mat(self.cols, self.rows, tuple(chain.from_iterable(self.numerator_cols())),
+                   self.den)
 
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -160,24 +180,26 @@ class Mat:
                 f"shape mismatch in matrix sum: {self.rows}x{self.cols} vs "
                 f"{other.rows}x{other.cols}"
             )
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
         return Mat(self.rows, self.cols,
-                   tuple(a + b for a, b in zip(self.entries, other.entries)))
+                   tuple(a * s + b * t for a, b in zip(self.nums, other.nums)), den)
 
     def scale(self, factor) -> "Mat":
         f = as_rat(factor)
-        return Mat(self.rows, self.cols, tuple(f * x for x in self.entries))
+        return Mat(self.rows, self.cols, tuple(f.numerator * x for x in self.nums),
+                   self.den * f.denominator)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         return mat_compose(self, other)
 
     def kron(self, other: "Mat") -> "Mat":
         """Kronecker product: self[i, j] * other[r, c] sits at row i * other.rows + r,
-        column j * other.cols + c.  A product with a factor 0 or 1 is not formed."""
-        zero = Fraction(0)
-        return Mat(self.rows * other.rows, self.cols * other.cols, tuple(
-            (y if x == 1 else x if y == 1 else x * y) if x and y else zero
-            for i in range(self.rows) for r in range(other.rows)
-            for x in self.row(i) for y in other.row(r)))
+        column j * other.cols + c."""
+        rows, den = integer_kron((self.numerator_rows(), self.den),
+                                 (other.numerator_rows(), other.den))
+        return Mat(self.rows * other.rows, self.cols * other.cols,
+                   tuple(chain.from_iterable(rows)), den)
 
     def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector."""
@@ -186,11 +208,8 @@ class Mat:
                 f"vector of length {len(vector)} does not fit {self.rows}x{self.cols}"
             )
         vec = [as_rat(x) for x in vector]
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            out.append(sum((a * b for a, b in zip(row, vec)), Fraction(0)))
-        return tuple(out)
+        return tuple(sum(map(operator.mul, row, vec), _ZERO) / self.den
+                     for row in self.numerator_rows())
 
     def is_idempotent(self) -> bool:
         return self.rows == self.cols and mat_compose(self, self) == self
@@ -202,38 +221,35 @@ class OperatorNorm(NamedTuple):
     row_index: int
 
 
+def row_sum_norm(rows: Sequence[Sequence[int]]) -> OperatorNorm:
+    """The largest absolute row sum of integer rows, as an int over their
+    denominator, with the signs of the first row that attains it (zeros
+    read as +1) and that row's index."""
+    sums = [sum(map(abs, row)) for row in rows]
+    best = max(sums)
+    i = sums.index(best)
+    return OperatorNorm(best, tuple(1 if x >= 0 else -1 for x in rows[i]), i)
+
+
 def inf_op_norm(m: Mat) -> OperatorNorm:
     """The inf->inf operator norm: the maximum absolute row sum.
 
     Also returns a +-1 sign vector on which the norm is attained (signs of
     the first maximizing row, zeros treated as +1) and the index of that row.
     """
-    best = Fraction(-1)
-    best_row = 0
-    for i in range(m.rows):
-        s = sum((abs(x) for x in m.row(i)), Fraction(0))
-        if s > best:
-            best, best_row = s, i
-    witness = tuple(1 if x >= 0 else -1 for x in m.row(best_row))
-    return OperatorNorm(best, witness, best_row)
+    norm = row_sum_norm(m.numerator_rows())
+    return norm._replace(value=Fraction(norm.value, m.den))
 
 
 def mat_compose(a: Mat, b: Mat) -> Mat:
-    """Matrix product a @ b with an exact shape check.
-
-    The rows of `a` and the columns of `b` are taken once as integer rows
-    (`integer_row`), so entry (i, j) is one integer dot product over the
-    product of the two denominators, reduced by `Fraction`.
-    """
+    """Matrix product a @ b with an exact shape check: the integer product of
+    a's numerator rows and b's numerator columns, over a.den * b.den."""
     if a.cols != b.rows:
         raise ValueError(
             f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}"
         )
-    left = [integer_row(a.row(i)) for i in range(a.rows)]
-    right = [integer_row(b.col(j)) for j in range(b.cols)]
-    return Mat(a.rows, b.cols, tuple(
-        Fraction(sum(map(operator.mul, x, y)), dx * dy)
-        for x, dx in left for y, dy in right))
+    return Mat(a.rows, b.cols, tuple(chain.from_iterable(
+        integer_product(a.numerator_rows(), b.numerator_cols()))), a.den * b.den)
 
 
 class RankDeficientError(ValueError):
@@ -244,14 +260,13 @@ class RankDeficientError(ValueError):
 class Subspace:
     """A k-dimensional subspace of ell_inf^n given by k independent basis rows.
 
-    Rank is verified exactly at construction; a dependent row list is a hard
-    error, never silently reduced.  `integer_basis`, the basis as (rows,
-    den) with tuple rows, is made once and read by every certified layer.
+    Rank is verified exactly, on the basis's numerator rows, at
+    construction; a dependent row list is a hard error, never silently
+    reduced.
     """
 
     ambient_dim: int
     basis: Mat
-    integer_basis: IntegerRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, k = self.ambient_dim, self.basis.rows
@@ -261,16 +276,19 @@ class Subspace:
             )
         if not 1 <= k <= n:
             raise ValueError(f"subspace dimension {k} out of range for ambient {n}")
-        if rank_of_rows(self.basis.row_lists()) != k:
+        if rank_of_rows(self.basis.numerator_rows()) != k:
             raise RankDeficientError(
                 f"basis rows are linearly dependent: rank < {k}"
             )
-        rows, den = integer_matrix(self.basis)
-        object.__setattr__(self, "integer_basis", (tuple(map(tuple, rows)), den))
 
     @property
     def dim(self) -> int:
         return self.basis.rows
+
+    @property
+    def integer_basis(self) -> IntegerRows:
+        """The basis as (rows, den), the form `minproj.check_certificate` reads."""
+        return self.basis.numerator_rows(), self.basis.den
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], ambient_dim: int | None = None) -> "Subspace":
@@ -287,17 +305,6 @@ class Subspace:
 ONE_DIGIT = 1 << sys.int_info.bits_per_digit
 
 
-def integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Numerators of `values` over the lcm of their denominators.
-
-    The result is already in lowest terms: for each prime power exactly
-    dividing the lcm, the entry that contributed it keeps a numerator
-    prime to it.
-    """
-    den = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
 def lowest_terms(row: list[int], den: int) -> int:
     """Divide `row` in place by its gcd with `den` > 0; return den so divided.
     The gcd is a `reduce` over the nonzeros, as star-args raise peak RSS."""
@@ -309,12 +316,6 @@ def lowest_terms(row: list[int], den: int) -> int:
         for j in positions:
             row[j] //= g
     return den // g
-
-
-def integer_matrix(m: Mat) -> tuple[list[list[int]], int]:
-    """The rows of `m` as numerators over the lcm of its denominators."""
-    num, den = integer_row(m.entries)
-    return [num[i:i + m.cols] for i in range(0, len(num), m.cols)], den
 
 
 def integer_product(rows, cols) -> list[list[int]]:
@@ -403,19 +404,21 @@ def pivot_rows(rows: list[list[int]], dens: list[int], r: int, c: int,
     return positions
 
 
-def _reduce(rows: Sequence[Sequence[Fraction]],
+def _reduce(rows: Iterable[Sequence[int]],
             ncols: int) -> tuple[list[list[int]], list[int], list[int]]:
-    """Gauss-Jordan elimination of `rows` on their first `ncols` columns.
+    """Gauss-Jordan elimination of integer `rows` on their first `ncols` columns.
 
-    Pivots on the first nonzero entry at or below the current rank and stops
-    once every row has a pivot.  Returns the reduced rows in lowest terms as
-    numerators, their denominators, and the pivot columns: row r reads 1 in
-    column pivots[r] and every other row 0 there; the rows after the last
-    pivot row vanish on the first `ncols` columns.  Columns beyond `ncols`
-    are carried along (augmented right-hand sides).
+    A row and any positive multiple of it reduce alike, so each row may
+    stand over a denominator of its own; the rows are copied and start over
+    1.  Pivots on the first nonzero entry at or below the current rank and
+    stops once every row has a pivot.  Returns the reduced rows in lowest
+    terms as numerators, their denominators, and the pivot columns: row r
+    reads 1 in column pivots[r] and every other row 0 there; the rows after
+    the last pivot row vanish on the first `ncols` columns.  Columns beyond
+    `ncols` are carried along (augmented right-hand sides).
     """
-    converted = [integer_row(row) for row in rows]
-    work, dens = [num for num, _ in converted], [den for _, den in converted]
+    work = [list(row) for row in rows]
+    dens = [1] * len(work)
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
@@ -438,15 +441,17 @@ def _reduce(rows: Sequence[Sequence[Fraction]],
     return work, dens, pivots
 
 
-def rank_of_rows(rows: Iterable[Sequence[Fraction]]) -> int:
+def rank_of_rows(rows: Iterable[Sequence[int]]) -> int:
+    """The rank of integer rows, each over any positive denominator."""
     rows = list(rows)
     if not rows:
         return 0
     return len(_reduce(rows, len(rows[0]))[2])
 
 
-def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact basis of the null space {x : A x = 0}, deterministic order."""
+def kernel_basis(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Exact basis of the null space {x : A x = 0} of integer rows A, each
+    over any positive denominator, in a deterministic order."""
     n = len(rows[0]) if rows else 0
     work, dens, pivots = _reduce(rows, n)
     pivot_cols = set(pivots)
@@ -454,7 +459,7 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     for free in range(n):
         if free in pivot_cols:
             continue
-        vec = [Fraction(0)] * n
+        vec = [_ZERO] * n
         vec[free] = Fraction(1)
         for row, den, c in zip(work, dens, pivots):
             vec[c] = Fraction(-row[free], den)
@@ -463,33 +468,39 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
 
 def invert_square(m: Mat) -> Mat:
-    """Exact inverse of a square matrix; singular input is a rank error."""
+    """Exact inverse of a square matrix; singular input is a rank error.
+
+    With m = N / d, reducing [N | d I] leaves [I | m^-1]."""
     if m.rows != m.cols:
         raise ValueError(f"cannot invert {m.rows}x{m.cols} matrix")
     n = m.rows
     aug, dens, pivots = _reduce(
-        [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)], n)
+        [row + tuple(m.den if i == j else 0 for j in range(n))
+         for i, row in enumerate(m.numerator_rows())], n)
     if len(pivots) < n:
         raise RankDeficientError("matrix is singular")
-    return Mat(n, n, tuple(Fraction(x, den) for row, den in zip(aug, dens)
-                           for x in row[n:]))
+    den = math.lcm(*dens)
+    return Mat(n, n, tuple(x * (den // d) for row, d in zip(aug, dens) for x in row[n:]), den)
 
 
 def projection_defect(m: Mat, space: Subspace) -> str | None:
     """Why `m` is not a projection onto `space`, or None when it is one.
 
     Checks, in this order, that m is idempotent, that it fixes every basis
-    row, and that its range lies in the space.  The range test is a single
-    rank test: the columns of m lie in the space exactly when appending them
-    to the basis rows leaves the rank at the dimension.
+    row, and that its range lies in the space, all on numerator rows.  m
+    fixes the basis rows b exactly when M B^T = m.den * B^T for the
+    numerators M and B.  The range test is a single rank test: the columns
+    of m lie in the space exactly when appending them to the basis rows
+    leaves the rank at the dimension.
     """
     if not m.is_idempotent():
         return "is not idempotent"
-    for i in range(space.dim):
-        row = space.basis.row(i)
-        if m.apply(row) != row:
-            return "moves a basis vector"
-    columns = [list(m.col(j)) for j in range(m.cols)]
-    if rank_of_rows(space.basis.row_lists() + columns) != space.dim:
+    if m.cols != space.ambient_dim:
+        raise ValueError(f"{m.rows}x{m.cols} matrix does not act on ell_inf^{space.ambient_dim}")
+    basis = space.basis.numerator_rows()
+    if integer_product(m.numerator_rows(), basis) != [
+            [m.den * x for x in col] for col in zip(*basis)]:
+        return "moves a basis vector"
+    if rank_of_rows(basis + m.numerator_cols()) != space.dim:
         return "leaves the subspace"
     return None

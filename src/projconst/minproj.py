@@ -19,8 +19,9 @@ from it with products and comparisons only (weak duality).  A certificate
 has one format from the tableau through every Kronecker product: C, W, w
 and Lambda are integers over one positive int denominator each, the form
 that the one checker proves.  `projection_certificate` returns the
-certificate it checked; `projection_constant` keeps C alone, made into
-`Fraction`s, with a sign-vector witness attaining the norm of B^T C.
+certificate it checked; `projection_constant` keeps C alone, as a `Mat`
+over the same denominator, with a sign-vector witness attaining the norm
+of B^T C.
 Certificates compose under the Kronecker product, which is how `zerosum`
 certifies its zero-sum spaces without solving their programs.
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from random import Random
 from typing import ClassVar, NamedTuple
 
@@ -42,10 +44,10 @@ from .linalg import (
     Subspace,
     format_rational,
     integer_kron,
-    integer_matrix,
     integer_product,
     invert_square,
     kernel_basis,
+    row_sum_norm,
 )
 from .simplex import (
     InfeasibleProgram,
@@ -217,8 +219,9 @@ def check_certificate(basis: IntegerRows, cert: ProjectionCertificate) -> Intege
 
     With B as (rows, den), like every part, the checks are, in order:
 
-    * 'shape': B and the parts fit a k-dimensional subspace of ell_inf^n, as
-      ints over positive int denominators, so no comparison below flips or vanishes;
+    * 'shape': the value is a `Fraction`, and B and the parts fit a
+      k-dimensional subspace of ell_inf^n, as ints over positive int
+      denominators, so no comparison below flips or vanishes;
     * 'C B^T = I': P = B^T C is then a projection onto E, as
       P^2 = B^T (C B^T) C = P and P B^T = B^T; B has full row rank, so it
       needs no separate rank check;
@@ -244,6 +247,8 @@ def check_certificate(basis: IntegerRows, cert: ProjectionCertificate) -> Intege
     """
     b, db = basis
     value, (c, dc), (dual_rows, d_dual), (w, dw), (lam_rows, d_lam) = cert
+    if type(value) is not Fraction:
+        raise _failed("shape", f"value {value!r} is not a Fraction")
     k, n = len(b), len(b[0]) if b else 0
     if not (n and len(c) == len(lam_rows) == k and len(dual_rows) == len(w) == n
             and all(len(row) == n for row in (*b, *c, *dual_rows))
@@ -258,7 +263,7 @@ def check_certificate(basis: IntegerRows, cert: ProjectionCertificate) -> Intege
                for p, row in enumerate(integer_product(c, b)) for q, x in enumerate(row)):
         raise _failed("C B^T = I", "C is not a left inverse of B^T")
     p_rows = integer_product(list(zip(*b)), list(zip(*c)))  # over den
-    norm = max(sum(map(abs, row)) for row in p_rows)
+    norm = row_sum_norm(p_rows).value
     if norm * value.denominator != value.numerator * den:
         raise _failed("norm",
                       f"value {value} disagrees with exact norm {Fraction(norm, den)} of B^T C")
@@ -304,12 +309,13 @@ def _checked_certificate(space: Subspace) -> tuple[ProjectionCertificate, list[l
     b, db = space.integer_basis
     if k == n:
         value = Fraction(1)
-        c, dc = integer_matrix(invert_square(space.basis.transpose()))
+        inverse = invert_square(space.basis.transpose())
+        c, dc = list(map(list, inverse.numerator_rows())), inverse.den
         w, du = [1] + [0] * (n - 1), 1
         dual_rows = [w[:]] + [[0] * n for _ in range(n - 1)]  # e_1 e_1^T: row 0 a copy of w
     else:
         try:
-            value, levels, _, u, du = solve_linear_program(build_projection_lp(space))
+            value, levels, u, du = solve_linear_program(build_projection_lp(space))
         except (InfeasibleProgram, UnboundedProgram) as exc:
             raise SolverIntegrityError(f"minimal-projection LP rejected: {exc}") from exc
         cells = k * n
@@ -325,7 +331,7 @@ def _checked_certificate(space: Subspace) -> tuple[ProjectionCertificate, list[l
     # B W C^T over db * du * dc: the rows of C are the columns of C^T
     lam = integer_product(integer_product(b, list(zip(*dual_rows))), c)
     cert = ProjectionCertificate(value, (c, dc), (dual_rows, du), (w, du), (lam, db * du * dc))
-    return (cert, *check_certificate(space.integer_basis, cert))
+    return (cert, *check_certificate((b, db), cert))
 
 
 def projection_certificate(space: Subspace) -> ProjectionCertificate:
@@ -338,7 +344,7 @@ def projection_constant(space: Subspace) -> ProjectionConstantResult:
     """Exact lambda(E, ell_inf^n) for E given by `space`, proved minimal.
 
     The certificate of `projection_certificate` is checked but not kept:
-    the result keeps its C, the only part made into `Fraction`s.  The value
+    the result keeps its C, as a `Mat` of its integer rows.  The value
     must be at least 1 and be attained on the witness, the signs of P's
     first row of largest absolute sum (zeros read as +1), both read off the
     integer rows of P that the check returns.
@@ -346,12 +352,13 @@ def projection_constant(space: Subspace) -> ProjectionConstantResult:
     (value, coeffs, *_), p_rows, den = _checked_certificate(space)
     if value < 1:
         raise SolverIntegrityError(f"projection constant below 1: {value}")
-    sums = [sum(map(abs, row)) for row in p_rows]
-    witness = tuple(1 if x >= 0 else -1 for x in p_rows[sums.index(max(sums))])
+    witness = row_sum_norm(p_rows).witness
     image = integer_product(p_rows, [witness])
     if max(abs(x) for [x] in image) * value.denominator != value.numerator * den:
         raise SolverIntegrityError("norm witness does not attain the optimum")
-    return ProjectionConstantResult(value, Mat.from_integer_rows(*coeffs), space, witness)
+    c, dc = coeffs
+    minimizer = Mat(len(c), space.ambient_dim, tuple(chain.from_iterable(c)), dc)
+    return ProjectionConstantResult(value, minimizer, space, witness)
 
 
 def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random,
@@ -361,7 +368,7 @@ def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random,
     Adds kernel-of-B combinations to each row of `coeffs`, which walks the
     feasible set of the minimal-projection program without leaving it.
     """
-    kernel = kernel_basis(space.basis.row_lists())
+    kernel = kernel_basis(space.basis.numerator_rows())
     if not kernel:
         return coeffs
     rows = []

@@ -64,9 +64,8 @@ denominator, and the dual is the objective row's numerators at the slacks'
 positions, 0 for a basic slack, over the same denominator.  Entry i of the
 dual is u_i = -y_i >= 0, where y_i <= 0 is the optimal multiplier of
 inequality i.  A reduced cost does not change when a row is scaled, so a
-row negated for its right-hand side needs no sign correction.  `Fraction`s
-are made only for the value and for what a caller reads through the
-`assignment` and `slack_duals` views of `LinearProgramSolution`.
+row negated for its right-hand side needs no sign correction.  The value
+is the only `Fraction` made.
 """
 
 from __future__ import annotations
@@ -80,8 +79,6 @@ from itertools import chain, compress
 from typing import Iterable, NamedTuple
 
 from .linalg import lowest_terms, pivot_rows
-
-_ZERO = Fraction(0)
 
 PIVOT_LIMIT = 2_000_000
 
@@ -159,7 +156,7 @@ class LinearProgram:
 
 
 class LinearProgramSolution(NamedTuple):
-    """An optimum in the integers of the final tableau, with `Fraction` views.
+    """An optimum in the integers of the final tableau.
 
     `value` is the optimal value.  `basic` maps each variable j of the
     program with a basic part to (numerator, denominator) of its level x_j:
@@ -170,26 +167,16 @@ class LinearProgramSolution(NamedTuple):
     denominator `cost_den`.  Denominators are positive and need not be in
     lowest terms.
 
-    `assignment` and `slack_duals` give x and u as lists of `Fraction`s,
-    made on each access.  With some equality multipliers v, u is an optimal
-    dual: u >= 0, objective + A_ub^T u + A_eq^T v vanishes on free variables
-    and is nonnegative on the others, and value = -(u . ub_rhs) - (v . eq_rhs).
+    The slack duals u_i = slack_costs[i] / cost_den form, with some equality
+    multipliers v, an optimal dual: u >= 0, objective + A_ub^T u + A_eq^T v
+    vanishes on free variables and is nonnegative on the others, and
+    value = -(u . ub_rhs) - (v . eq_rhs).
     """
 
     value: Fraction
     basic: dict[int, tuple[int, int]]
-    num_vars: int
     slack_costs: list[int]
     cost_den: int
-
-    @property
-    def assignment(self) -> list[Fraction]:
-        return [Fraction(*self.basic[j]) if j in self.basic else _ZERO
-                for j in range(self.num_vars)]
-
-    @property
-    def slack_duals(self) -> list[Fraction]:
-        return [Fraction(x, self.cost_den) if x else _ZERO for x in self.slack_costs]
 
 
 def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
@@ -413,6 +400,6 @@ def solve_linear_program(lp: LinearProgram) -> LinearProgramSolution:
         elif b < slack_start:
             basic[twin[b]] = -tableau[i][width], dens[i]
     costs = dict(zip(labels, tableau[-1]))
-    return LinearProgramSolution(Fraction(-tableau[-1][width], dens[-1]), basic, nv,
+    return LinearProgramSolution(Fraction(-tableau[-1][width], dens[-1]), basic,
                                  [costs.get(s, 0) for s in range(slack_start, art_start)],
                                  dens[-1])

@@ -41,7 +41,6 @@ from .linalg import (
     format_rational,
     inf_op_norm,
     integer_kron,
-    integer_matrix,
     invert_square,
     projection_defect,
 )
@@ -55,9 +54,6 @@ from .minproj import (
     projection_certificate,
 )
 from .simplex import PivotLimitExceeded
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NotAProjectionError(ValueError):
@@ -119,7 +115,7 @@ def _check_blocks(block_dim: int, copies: int, m: Mat | None = None):
 
 def _sum_kernel_rows(dim: int) -> Mat:
     """The rows e_1 - e_j, j = 2..dim: a basis of ker_dim, one row per later block."""
-    return Mat(dim - 1, dim, tuple(_ONE if c == 0 else -_ONE if c == j else _ZERO
+    return Mat(dim - 1, dim, tuple(1 if c == 0 else -1 if c == j else 0
                                    for j in range(1, dim) for c in range(dim)))
 
 
@@ -164,12 +160,13 @@ def sum_kernel_certificate(copies: int) -> ProjectionCertificate:
 def centring_projection(block_dim: int, copies: int) -> Mat:
     """The map (I - J/N) (x) I_d subtracting the blockwise mean from every block.
 
-    Entry ((i,r),(j,c)) is delta_rc * (delta_ij - 1/N); rows sum in absolute
-    value to exactly 2 - 2/N, independent of the block dimension.
+    Entry ((i,r),(j,c)) is delta_rc * (N delta_ij - 1) / N; rows sum in
+    absolute value to exactly 2 - 2/N, independent of the block dimension.
     """
     _check_blocks(block_dim, copies)
-    minus_mean = Mat(copies, copies, (Fraction(-1, copies),) * copies ** 2)
-    return Mat.identity(copies).add(minus_mean).kron(Mat.identity(block_dim))
+    blocks = [(i, r) for i in range(copies) for r in range(block_dim)]
+    return Mat(len(blocks), len(blocks), tuple(
+        (copies * (i == j) - 1) * (r == c) for i, r in blocks for j, c in blocks), copies)
 
 
 def centring_witness(block_dim: int, copies: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -177,23 +174,18 @@ def centring_witness(block_dim: int, copies: int) -> tuple[tuple[Fraction, ...],
 
     The input is (1, -1, ..., -1) (x) u with u the first coordinate vector.
     Its image (2 - 2/N, -2/N, ..., -2/N) (x) u, of sup norm exactly 2 - 2/N,
-    is written in closed form, not computed with the map.
+    is written in closed form, numerators over N, not computed with the map.
     """
     _check_blocks(block_dim, copies)
-    u = Mat(1, block_dim, (_ONE,) + (_ZERO,) * (block_dim - 1))
-    x = Mat(1, copies, (_ONE,) + (-_ONE,) * (copies - 1))
-    image = Mat(1, copies, (amplification_factor(copies),) + (Fraction(-2, copies),) * (copies - 1))
-    return x.kron(u).entries, image.kron(u).entries
+    u = (0,) * (block_dim - 1)
+    x = Mat(1, block_dim * copies, (1, *u) + (-1, *u) * (copies - 1))
+    image = Mat(1, block_dim * copies, (2 * copies - 2, *u) + (-2, *u) * (copies - 1), copies)
+    return x.entries, image.entries
 
 
 def _block_sums_vanish(m: Mat, block_dim: int, copies: int) -> bool:
-    for j in range(m.cols):
-        col = m.col(j)
-        for r in range(block_dim):
-            total = sum((col[i * block_dim + r] for i in range(copies)), _ZERO)
-            if total:
-                return False
-    return True
+    return not any(sum(col[r::block_dim]) for col in m.numerator_cols()
+                   for r in range(block_dim))
 
 
 def symmetrize(p: Mat, block_dim: int, copies: int) -> Mat:
@@ -214,18 +206,19 @@ def symmetrize(p: Mat, block_dim: int, copies: int) -> Mat:
         raise NotAProjectionError("matrix is not idempotent")
     if not _block_sums_vanish(p, d, n):
         raise NotAProjectionError("range is not inside the zero-sum set")
-    diag = [[_ZERO] * d for _ in range(d)]
-    off = [[_ZERO] * d for _ in range(d)]
-    for row in range(size):
+    # block sums of the numerators; the means are a = diag / N and
+    # b = off / (N (N-1)), so over p.den N (N-1): a = diag (N-1), b = off
+    diag = [[0] * d for _ in range(d)]
+    off = [[0] * d for _ in range(d)]
+    for row, nums in enumerate(p.numerator_rows()):
         i, r = divmod(row, d)
-        for col, x in enumerate(p.row(row)):
+        for col, x in enumerate(nums):
             j, c = divmod(col, d)
             (diag if i == j else off)[r][c] += x
-    a = [[x / n for x in line] for line in diag]
-    b = [[x / (n * (n - 1)) for x in line] for line in off]
-    return Mat(size, size, tuple((a if i == j else b)[r][c]
+    a = [[x * (n - 1) for x in line] for line in diag]
+    return Mat(size, size, tuple((a if i == j else off)[r][c]
                                  for i in range(n) for r in range(d)
-                                 for j in range(n) for c in range(d)))
+                                 for j in range(n) for c in range(d)), p.den * n * (n - 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,24 +255,19 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
     """
     d, n = base.ambient_dim, copies
     _check_blocks(d, n, p_tilde)
-    size = d * n
-
-    def block(bi: int, bj: int) -> Mat:
-        return Mat.from_rows([
-            [p_tilde.at(bi * d + r, bj * d + c) for c in range(d)]
-            for r in range(d)
-        ])
-
-    a = block(0, 0)
-    b = block(1, 0)
-    if any(x != (a if row // d == col // d else b).at(row % d, col % d)
-           for row in range(size) for col, x in enumerate(p_tilde.row(row))):
+    rows = p_tilde.numerator_rows()
+    # the numerators of blocks (0, 0) and (1, 0), each d x d, row by row
+    a, b = ([x for row in rows[start:start + d] for x in row[:d]] for start in (0, d))
+    if any(x != (a if row // d == col // d else b)[row % d * d + col % d]
+           for row, nums in enumerate(rows) for col, x in enumerate(nums)):
         raise NotSymmetrizedError("matrix does not commute with the block permutations")
 
-    if a.add(b.scale(n - 1)) != Mat.zeros(d, d):
+    if any(x + (n - 1) * y for x, y in zip(a, b)):
         raise DecompositionIntegrityError("block trace a + (N-1) b does not vanish")
 
-    r = a.add(b.scale(-1))
+    den = p_tilde.den
+    r = Mat(d, d, tuple(x - y for x, y in zip(a, b)), den)
+    a, b = Mat(d, d, tuple(a), den), Mat(d, d, tuple(b), den)
     defect = projection_defect(r, base)
     if defect:
         raise DecompositionIntegrityError(f"collapsed block map {defect}")
@@ -368,7 +356,7 @@ def sigma_steps(base: Subspace, certificate: ProjectionCertificate, copies: int,
             yield ambient, None
             return
         if kernel is None:
-            kernel = integer_matrix(_sum_kernel_rows(copies))
+            kernel = _sum_kernel_rows(copies).numerator_rows(), 1
         if factor is None:
             factor = sum_kernel_certificate(copies)
         basis = integer_kron(kernel, basis)

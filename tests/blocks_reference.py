@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from linalg_reference import subspace_contains
+from linalg_reference import from_flat, subspace_contains
 
 from projconst.linalg import Mat, Subspace, inf_op_norm
 from projconst.zerosum import (
@@ -79,7 +79,7 @@ def reference_centring_projection(block_dim: int, copies: int) -> Mat:
             val = (_ONE if i == j else _ZERO) - inv
             for r in range(d):
                 flat[(i * d + r) * size + (j * d + r)] = val
-    return Mat(size, size, tuple(flat))
+    return from_flat(size, size, flat)
 
 
 def reference_centring_witness(block_dim: int,
@@ -121,7 +121,7 @@ def block_permutation(num_blocks: int, block_dim: int, sigma: Sequence[int]) -> 
         target = sigma[j]
         for r in range(d):
             flat[(target * d + r) * size + (j * d + r)] = one
-    return Mat(size, size, tuple(flat))
+    return from_flat(size, size, flat)
 
 
 def coordinatewise_lift(q: Mat, copies: int) -> Mat:
@@ -139,7 +139,7 @@ def coordinatewise_lift(q: Mat, copies: int) -> Mat:
             row = q.row(r)
             for c in range(d):
                 flat[base + c] = row[c]
-    return Mat(size, size, tuple(flat))
+    return from_flat(size, size, flat)
 
 
 def reference_extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomposition:

@@ -2,7 +2,7 @@
 
 `reference_certificate` is the former body of `minproj._checked_certificate`
 without its check: C and the slack duals u come from the solver's `Fraction`
-views, W = u+ - u- is formed entry by entry, and Lambda = B W C^T is two
+views (`simplex_reference.assignment` and `slack_duals`), W = u+ - u- is formed entry by entry, and Lambda = B W C^T is two
 `Mat` products.  With k = n there is no program: C = B^-T, w = e_1 and
 W = e_1 e_1^T.  `reference_sum_kernel` is the former `Fraction` closed form
 of ker_N's certificate, and `FractionCertificate.kron` the former Kronecker
@@ -16,6 +16,8 @@ same value.
 
 from fractions import Fraction
 from typing import NamedTuple
+
+from simplex_reference import assignment, slack_duals
 
 from projconst.linalg import Mat, Subspace, invert_square
 from projconst.minproj import ProjectionCertificate, build_projection_lp
@@ -61,12 +63,15 @@ def reference_certificate(space: Subspace) -> FractionCertificate:
         value = _ONE
         coeffs = invert_square(space.basis.transpose())
         weights = (_ONE,) + (_ZERO,) * (n - 1)
-        dual = Mat(n, n, weights + (_ZERO,) * (n * n - n))  # e_1 e_1^T: row 0 is w
+        dual = Mat.from_rows([weights] + [(_ZERO,) * n] * (n - 1))  # e_1 e_1^T: row 0 is w
     else:
-        solution = solve_linear_program(build_projection_lp(space))
-        value, x, u = solution.value, solution.assignment, solution.slack_duals
-        coeffs = Mat(k, n, tuple(x[: k * n]))
-        dual = Mat(n, n, tuple(u[2 * e] - u[2 * e + 1] for e in range(n * n)))
+        program = build_projection_lp(space)
+        solution = solve_linear_program(program)
+        value = solution.value
+        x, u = assignment(solution, program.num_vars), slack_duals(solution)
+        coeffs = Mat.from_rows([x[p * n:(p + 1) * n] for p in range(k)])
+        dual = Mat.from_rows([[u[2 * e] - u[2 * e + 1] for e in range(i, i + n)]
+                              for i in range(0, n * n, n)])
         weights = tuple(u[2 * n * n:])
     restriction = space.basis @ dual @ coeffs.transpose()
     return FractionCertificate(value, coeffs, dual, weights, restriction)
@@ -76,8 +81,8 @@ def reference_sum_kernel(copies: int) -> FractionCertificate:
     """C has rows 1/N - e_j, w = 1/N, W = (2I - J)/N and Lambda = (2/N) I."""
     n = copies
     mean = Fraction(1, n)
-    coeffs = Mat(n - 1, n, tuple(mean - 1 if c == j else mean
-                                 for j in range(1, n) for c in range(n)))
-    dual = Mat(n, n, tuple(mean if r == c else -mean for r in range(n) for c in range(n)))
+    coeffs = Mat.from_rows([[mean - 1 if c == j else mean for c in range(n)]
+                            for j in range(1, n)])
+    dual = Mat.from_rows([[mean if r == c else -mean for c in range(n)] for r in range(n)])
     return FractionCertificate(2 - 2 * mean, coeffs, dual, (mean,) * n,
                                Mat.identity(n - 1).scale(2 * mean))

@@ -1,4 +1,4 @@
-"""The `Fraction` Gauss-Jordan elimination that `projconst.linalg` replaced, kept as a test oracle.
+"""The `Fraction` linear algebra that `projconst.linalg` replaced, kept as a test oracle.
 
 `_reduce`, `rank_of_rows`, `solve_linear_system`, `kernel_basis`,
 `invert_square` and `subspace_contains` are the package's former functions,
@@ -9,7 +9,14 @@ inverse, or raise the same exception, on every input.
 package; the tests use them from here.  `maps_into` is the range check the
 package ran before `projection_defect`: one membership test per column.
 `mat_compose` is the former matrix product, one `Fraction` multiply-add per
-nonzero pair of factors.  `reference_pivot_rows` is the former integer-row
+nonzero pair of factors; `kron`, `add`, `scale`, `transpose` and
+`inf_op_norm` are the other former `Mat` operations, on the `Fraction`
+entries that `Mat` stored before it stored integer numerators, and
+`integer_row` is the former conversion of `Fraction`s to numerators over
+one denominator.  Each operation returns its matrix through `from_flat`,
+the former flat constructor.  `rows_of` lists a matrix's rows as
+`Fraction` lists, and `integer_rows` writes `Fraction` rows as the integer
+rows that the package's elimination takes.  `reference_pivot_rows` is the former integer-row
 pivot, verbatim with its `lowest_terms`: it builds every changed row anew at
 full width, where the package's kernel updates rows in place over their
 nonzeros.  Both must leave identical rows and denominators after every pivot.
@@ -24,6 +31,64 @@ from typing import Iterable, Sequence
 from projconst.linalg import Mat, RankDeficientError, Subspace, as_rat
 
 
+def from_flat(rows: int, cols: int, entries: Sequence[Fraction]) -> Mat:
+    """The matrix with these row-major `Fraction` entries."""
+    return Mat.from_rows([entries[i * cols:(i + 1) * cols] for i in range(rows)])
+
+
+def rows_of(m: Mat) -> list[list[Fraction]]:
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row's numerators over its own denominator, the input that
+    `projconst.linalg`'s elimination takes."""
+    return [integer_row(row)[0] for row in rows]
+
+
+def integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators of `values` over the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def transpose(m: Mat) -> Mat:
+    return from_flat(m.cols, m.rows, tuple(m.entries[i * m.cols + j]
+                                           for j in range(m.cols) for i in range(m.rows)))
+
+
+def add(a: Mat, b: Mat) -> Mat:
+    return from_flat(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
+
+
+def scale(m: Mat, factor) -> Mat:
+    f = as_rat(factor)
+    return from_flat(m.rows, m.cols, tuple(f * x for x in m.entries))
+
+
+def kron(a: Mat, b: Mat) -> Mat:
+    """a[i, j] * b[r, c] at row i * b.rows + r, column j * b.cols + c; a
+    product with a factor 0 or 1 is not formed."""
+    zero = Fraction(0)
+    return from_flat(a.rows * b.rows, a.cols * b.cols, tuple(
+        (y if x == 1 else x if y == 1 else x * y) if x and y else zero
+        for i in range(a.rows) for r in range(b.rows)
+        for x in a.row(i) for y in b.row(r)))
+
+
+def inf_op_norm(m: Mat) -> tuple[Fraction, tuple[int, ...], int]:
+    """(value, witness, row index): the largest absolute row sum, the signs
+    of the first row that attains it (zeros as +1), and that row."""
+    best = Fraction(-1)
+    best_row = 0
+    for i in range(m.rows):
+        s = sum((abs(x) for x in m.row(i)), Fraction(0))
+        if s > best:
+            best, best_row = s, i
+    witness = tuple(1 if x >= 0 else -1 for x in m.row(best_row))
+    return best, witness, best_row
+
+
 def subspace_contains(space: Subspace, vector: Sequence) -> bool:
     """Exact membership test: is the vector a combination of the basis rows?"""
     if len(vector) != space.ambient_dim:
@@ -32,7 +97,7 @@ def subspace_contains(space: Subspace, vector: Sequence) -> bool:
         )
     vec = [as_rat(x) for x in vector]
     # Solve B^T x = v; consistency is exactly membership in the row space.
-    bt = space.basis.transpose().row_lists()
+    bt = rows_of(space.basis.transpose())
     return solve_linear_system(bt, vec) is not None
 
 
@@ -142,7 +207,7 @@ def mat_compose(a: Mat, b: Mat) -> Mat:
                 if x and y:
                     acc += x * y
             flat.append(acc)
-    return Mat(a.rows, b.cols, tuple(flat))
+    return from_flat(a.rows, b.cols, tuple(flat))
 
 
 def lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:

@@ -11,7 +11,8 @@ raise the same exception, on every program.
 `sparse_row` and `dense_row` convert between the two row formats for tests
 that write or read rows densely.  `integer_program` writes a program given
 in `Fraction` rows in the simplex's integer format, and `by_value` reads it
-back.
+back.  `assignment` and `slack_duals` read a `LinearProgramSolution` as
+`Fraction`s: x, given the program's `num_vars`, and u.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from linalg_reference import integer_row
+
 from projconst import simplex
-from projconst.linalg import integer_row
 from projconst.simplex import (
     InfeasibleProgram,
     LinearProgram,
+    LinearProgramSolution,
     PivotLimitExceeded,
     UnboundedProgram,
 )
@@ -43,6 +46,17 @@ def dense_row(row: dict[int, Fraction], width: int) -> list[Fraction]:
     for j, x in row.items():
         out[j] = x
     return out
+
+
+def assignment(solution: LinearProgramSolution, num_vars: int) -> list[Fraction]:
+    """The optimal x, one `Fraction` per variable of the program."""
+    return [Fraction(*solution.basic[j]) if j in solution.basic else _ZERO
+            for j in range(num_vars)]
+
+
+def slack_duals(solution: LinearProgramSolution) -> list[Fraction]:
+    """The optimal dual u, one `Fraction` per inequality."""
+    return [Fraction(x, solution.cost_den) if x else _ZERO for x in solution.slack_costs]
 
 
 def integer_program(objective, eq_rows, eq_rhs, ub_rows, ub_rhs, free) -> LinearProgram:

@@ -23,10 +23,11 @@ from fractions import Fraction
 from itertools import compress, repeat
 from typing import NamedTuple
 
+from linalg_reference import integer_row
 from simplex_reference import by_value
 
 from projconst import simplex
-from projconst.linalg import integer_row, lowest_terms, pivot_rows
+from projconst.linalg import lowest_terms, pivot_rows
 from projconst.simplex import (
     InfeasibleProgram,
     LinearProgram,

@@ -20,6 +20,8 @@ from blocks_reference import (
     reference_sigma_subspace,
 )
 
+from linalg_reference import rows_of
+
 from projconst.linalg import Mat, Subspace, invert_square
 from projconst.minproj import feasible_perturbation
 from projconst.zerosum import (
@@ -37,8 +39,8 @@ from projconst.zerosum import (
 
 
 def random_mat(rng: Random, size: int) -> Mat:
-    return Mat(size, size, tuple(F(rng.randint(-9, 9), rng.randint(1, 4))
-                                 for _ in range(size * size)))
+    return Mat.from_rows([[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(size)]
+                          for _ in range(size)])
 
 
 def outcome(base: Subspace, copies: int, m: Mat):
@@ -55,13 +57,12 @@ def outcome(base: Subspace, copies: int, m: Mat):
 def from_blocks(a: Mat, b: Mat, n: int) -> Mat:
     """The permutation-invariant matrix with `a` on every diagonal block and `b` elsewhere."""
     d = a.rows
-    return Mat(d * n, d * n, tuple((a if i == j else b).at(r, c)
-                                   for i in range(n) for r in range(d)
-                                   for j in range(n) for c in range(d)))
+    return Mat.from_rows([[(a if i == j else b).at(r, c) for j in range(n) for c in range(d)]
+                          for i in range(n) for r in range(d)])
 
 
 def with_blocks_swapped(m: Mat, d: int, first: tuple[int, int], second: tuple[int, int]) -> Mat:
-    rows = m.row_lists()
+    rows = rows_of(m)
     for r in range(d):
         for c in range(d):
             (i, j), (k, l) = first, second
@@ -100,7 +101,7 @@ def test_extract_r_matches_dense_reference(base, n):
         new, old = outcome(base, n, p)
         assert new == old
         k, l = rng.randrange(d * n), rng.randrange(d * n)
-        rows = p_tilde.row_lists()
+        rows = rows_of(p_tilde)
         rows[k][l] += 1
         new, old = outcome(base, n, Mat.from_rows(rows))
         assert new == old == NotSymmetrizedError

@@ -11,11 +11,13 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+import linalg_reference as ref
 from certificate_reference import as_mat
+from simplex_reference import slack_duals
 
-from projconst import linalg, minproj, zerosum
+from projconst import minproj, zerosum
 from projconst.acceptance import Context, run_all
-from projconst.linalg import Mat, RankDeficientError, Subspace, inf_op_norm, integer_row
+from projconst.linalg import Mat, RankDeficientError, Subspace, inf_op_norm
 from projconst.minproj import (
     LPBudget,
     ProjectionCertificate,
@@ -68,7 +70,7 @@ class TestLinearProgramCertificates:
             result = projection_constant(space)
             assert len(calls) == trial + 1
             [(basis, cert)] = checked
-            assert basis is space.integer_basis
+            assert basis == space.integer_basis
             assert (cert.value, as_mat(cert.coeffs)) == (result.value, result.minimizer_c)
             original_check(space.integer_basis, cert)
         assert len(calls) == 25
@@ -239,6 +241,17 @@ def test_a_basis_that_is_not_integer_rows_fails_the_shape_check(make):
             check_certificate(changed, cert)
 
 
+@pytest.mark.parametrize("value", [1.0, "1", True, 1], ids=["float", "str", "bool", "int"])
+def test_a_value_that_is_not_a_fraction_fails_the_shape_check(value):
+    # each equals or prints as the true value 1 of this line, but a float
+    # or a str has no numerator to compare, and True or 1 is not the format
+    space = Subspace.from_rows([[1, 2, -1]])
+    cert = projection_certificate(space)
+    assert cert.value == 1
+    with pytest.raises(SolverIntegrityError, match="certificate check 'shape' fails"):
+        check_certificate(space.integer_basis, cert._replace(value=value))
+
+
 def test_a_numerator_that_is_not_an_int_fails_the_shape_check():
     space, cert = _base()
     w, dw = cert.weights
@@ -248,35 +261,35 @@ def test_a_numerator_that_is_not_an_int_fails_the_shape_check():
 
 
 def test_a_sigma_level_converts_only_its_basis(monkeypatch):
-    # a call takes one basis apart, ker_N's, however many levels it
-    # certifies; each level is the integer Kronecker product of ker_N's rows
-    # with the level before, starting from the base's `integer_basis`, so no
-    # level is a `Mat` and none is converted
+    # a call makes one `Mat`, ker_N's rows, however many levels it
+    # certifies, and converts no `Fraction`; each level is the integer
+    # Kronecker product of ker_N's rows with the level before, starting from
+    # the numerator rows of the base's basis, so no level is a `Mat`
     base = Subspace.from_rows([[1, F(2, 3), -1]])
     cert = projection_certificate(base)
-    krons, integer_matrices, integer_rows = [], [], []
-    kron, integer_matrix, to_integers = Mat.kron, linalg.integer_matrix, linalg.integer_row
+    krons, made, conversions = [], [], []
+    kron, post_init, from_rows = Mat.kron, Mat.__post_init__, Mat.from_rows.__func__
 
     def counted_kron(a, b):
         krons.append((a.rows, b.rows))
         return kron(a, b)
 
-    def counted_integer_matrix(m):
-        integer_matrices.append((m.rows, m.cols))
-        return integer_matrix(m)
+    def counted_post_init(m):
+        made.append((m.rows, m.cols))
+        post_init(m)
 
-    def counted_integer_row(values):
-        integer_rows.append(len(values))
-        return to_integers(values)
+    def counted_from_rows(cls, rows):
+        conversions.append(len(rows))
+        return from_rows(cls, rows)
 
     monkeypatch.setattr(Mat, "kron", counted_kron)
-    monkeypatch.setattr(zerosum, "integer_matrix", counted_integer_matrix)
-    monkeypatch.setattr(linalg, "integer_row", counted_integer_row)
+    monkeypatch.setattr(Mat, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Mat, "from_rows", classmethod(counted_from_rows))
     assert list(zerosum.sigma_steps(base, cert, 2, 3, LPBudget(24, 4))) == [
         (6, cert.value), (12, cert.value), (24, cert.value)]
     assert krons == []
-    assert integer_matrices == [(1, 2)]
-    assert integer_rows == [2]
+    assert made == [(1, 2)]
+    assert conversions == []
 
 
 @pytest.mark.parametrize("copies", [2, 3, 4])
@@ -295,8 +308,11 @@ def test_each_sigma_level_is_the_conversion_of_its_fraction_basis(monkeypatch, c
                                              for k in (1, 2, 3)]
     level = base.basis
     for basis in seen:
-        level = zerosum._sum_kernel_rows(copies).kron(level)
-        assert basis == linalg.integer_matrix(level)
+        # the former `Fraction` Kronecker product, taken apart the former way
+        level = ref.kron(zerosum._sum_kernel_rows(copies), level)
+        nums, den = ref.integer_row(level.entries)
+        assert basis == ([nums[i:i + level.cols] for i in range(0, len(nums), level.cols)],
+                         den)
     assert len(seen) == 3
 
 
@@ -317,9 +333,9 @@ def _corrupt_slack_duals(monkeypatch, index, replace):
 
     def corrupted(lp):
         solution = solve(lp)
-        u = solution.slack_duals
+        u = slack_duals(solution)
         u[index] = replace(u[index])
-        costs, den = integer_row(u)
+        costs, den = ref.integer_row(u)
         return solution._replace(slack_costs=costs, cost_den=den)
 
     monkeypatch.setattr(minproj, "solve_linear_program", corrupted)

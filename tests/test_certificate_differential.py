@@ -4,8 +4,8 @@
 builds W, w and Lambda = B W C^T as integer rows; `certificate_reference`
 builds them from the solver's `Fraction` views with `Mat` products, as the
 module did before.  Every part must have the same value on both sides, and
-`projection_constant` must form no `Fraction` matrix product at all.  Needs
-nothing beyond pytest.
+`projection_constant` must form no matrix product at all and convert no
+`Fraction` to numerators (`Mat.from_rows`).  Needs nothing beyond pytest.
 """
 
 from fractions import Fraction as F
@@ -17,7 +17,7 @@ from certificate_reference import as_fractions, reference_certificate
 
 from projconst import linalg
 from projconst.cli import load_subspace_document
-from projconst.linalg import RankDeficientError, Subspace
+from projconst.linalg import Mat, RankDeficientError, Subspace
 from projconst.minproj import projection_certificate, projection_constant
 from projconst.zerosum import coordinate_sum_kernel
 
@@ -75,17 +75,23 @@ def test_identical_certificates_on_seeded_rational_subspaces():
     Subspace.from_rows(FULL_PLANE),
 ], ids=["ker4", "rational5x2", "full-plane"])
 def test_projection_constant_forms_no_fraction_product(monkeypatch, space):
-    # the certificate is built and checked in integers; only a caller that
-    # asks for result.projection forms B^T C as a `Mat` product
-    calls = []
-    compose = linalg.mat_compose
+    # the certificate is built and checked in integer rows, and the result's
+    # C is a `Mat` of them, so nothing is converted; only a caller that asks
+    # for result.projection forms B^T C as a `Mat` product
+    calls, conversions = [], []
+    compose, from_rows = linalg.mat_compose, Mat.from_rows.__func__
 
     def counted(a, b):
         calls.append((a.rows, a.cols, b.cols))
         return compose(a, b)
 
+    def counted_from_rows(cls, rows):
+        conversions.append(len(rows))
+        return from_rows(cls, rows)
+
     monkeypatch.setattr(linalg, "mat_compose", counted)
+    monkeypatch.setattr(Mat, "from_rows", classmethod(counted_from_rows))
     result = projection_constant(space)
-    assert calls == []
+    assert calls == conversions == []
     result.projection
-    assert len(calls) == 1
+    assert len(calls) == 1 and conversions == []

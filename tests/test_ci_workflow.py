@@ -24,7 +24,8 @@ def test_every_named_path_exists():
     assert {"tests/test_certificate.py", "tests/test_certificate_differential.py",
             "tests/certificate_reference.py", "tests/test_kron_differential.py",
             "tests/test_pivot_sequence.py", "tests/test_projection_lp_differential.py",
-            "tests/projection_lp_reference.py",
+            "tests/projection_lp_reference.py", "tests/test_zerosum.py",
+            "tests/test_blocks_differential.py",
             "perfbench/run.py", "perfbench/tests"} <= paths
     assert sorted(p for p in paths if not (ROOT / p).exists()) == []
 

@@ -6,7 +6,7 @@ import pytest
 from blocks_reference import block_permutation
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from linalg_reference import solve_linear_system, subspace_contains
+from linalg_reference import integer_rows, solve_linear_system, subspace_contains
 
 from projconst.linalg import (
     Mat,
@@ -105,9 +105,8 @@ class TestMat:
 
 def seeded_mat(rng: Random, rows: int, cols: int) -> Mat:
     """Rationals with about one zero entry in three, so zero factors are exercised."""
-    return Mat(rows, cols, tuple(F(rng.randint(-4, 4) * (rng.random() < 2 / 3),
-                                   rng.randint(1, 5))
-                                 for _ in range(rows * cols)))
+    return Mat.from_rows([[F(rng.randint(-4, 4) * (rng.random() < 2 / 3), rng.randint(1, 5))
+                           for _ in range(cols)] for _ in range(rows)])
 
 
 class TestKron:
@@ -227,8 +226,8 @@ class TestSubspace:
 
 class TestElimination:
     def test_rank(self):
-        assert rank_of_rows([[F(1), F(2)], [F(2), F(4)]]) == 1
-        assert rank_of_rows([[F(0), F(1)], [F(1), F(0)]]) == 2
+        assert rank_of_rows([[1, 2], [2, 4]]) == 1
+        assert rank_of_rows([[0, 1], [1, 0]]) == 2
         assert rank_of_rows([]) == 0
 
     def test_solve(self):
@@ -240,21 +239,20 @@ class TestElimination:
             solve_linear_system(rows, [F(1)])
 
     def test_kernel(self):
-        rows = [[F(1), F(1), F(1)]]
-        basis = kernel_basis(rows)
+        basis = kernel_basis([[1, 1, 1]])
         assert len(basis) == 2
         for vec in basis:
             assert sum(vec) == 0
 
     def test_kernel_trivial(self):
-        assert kernel_basis([[F(1), F(0)], [F(0), F(1)]]) == []
+        assert kernel_basis([[1, 0], [0, 1]]) == []
 
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3),
                     min_size=1, max_size=3))
     @settings(max_examples=40, deadline=None)
     def test_kernel_annihilates(self, rows):
         rows = [[F(x) for x in r] for r in rows]
-        for vec in kernel_basis(rows):
+        for vec in kernel_basis(integer_rows(rows)):
             for row in rows:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
 
@@ -284,6 +282,10 @@ class TestProjectionDefect:
     def test_moves_a_basis_vector(self):
         m = Mat.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
         assert projection_defect(m, self.LINE) == "moves a basis vector"
+
+    def test_a_square_of_another_size_is_a_shape_error(self):
+        with pytest.raises(ValueError, match="2x2 matrix does not act on ell_inf\\^3"):
+            projection_defect(Mat.identity(2), self.LINE)
 
     def test_leaves_the_subspace(self):
         # a projection onto span(e_1, e_2): it fixes e_1, but its range is larger
@@ -330,11 +332,11 @@ class TestEliminationIdentities:
     @given(matrices)
     @settings(max_examples=80, deadline=None)
     def test_rank_nullity(self, rows):
-        kernel = kernel_basis(rows)
+        kernel = kernel_basis(integer_rows(rows))
         for vec in kernel:
             assert _apply(rows, vec) == [F(0)] * len(rows)
-        assert rank_of_rows(kernel) == len(kernel)
-        assert rank_of_rows(rows) + len(kernel) == len(rows[0])
+        assert rank_of_rows(integer_rows(kernel)) == len(kernel)
+        assert rank_of_rows(integer_rows(rows)) + len(kernel) == len(rows[0])
 
     @given(st.integers(1, 4).flatmap(
         lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n),

@@ -8,7 +8,13 @@ decision of the former checks: idempotence, fixed basis rows, and one
 membership test per column.  The rows `_reduce` returns must also be in
 lowest terms over positive denominators.  The integer-row matrix product
 must equal the former `Fraction` product on random shapes, including 1x1
-factors, zero rows and zero columns.  The in-place pivot must leave the
+factors, zero rows and zero columns, and the Kronecker product, sum,
+scale, transpose and `inf_op_norm` of `Mat`, which stores integer
+numerators over one denominator, must equal the former operations on
+`Fraction` entries.  That format is canonical: equal values are equal
+matrices with one hash, a zero matrix is over 1, equal numerators are one
+int object, and anything but int numerators over a positive int
+denominator is rejected.  The in-place pivot must leave the
 rational rows of the former pivot after every step of seeded pivot
 sequences, whichever way it trims a touched row's scale, its exchange form
 must leave the rows of the condensed-tableau exchange, in both forms it
@@ -46,7 +52,7 @@ from projconst.linalg import (
     RankDeficientError,
     Subspace,
     _reduce,
-    integer_row,
+    inf_op_norm,
     invert_square,
     kernel_basis,
     mat_compose,
@@ -123,9 +129,9 @@ def test_rank_and_kernel_basis():
     for seed in SEEDS:
         rows = random_system(seed)
         m, n = len(rows), len(rows[0])
-        rank = rank_of_rows(rows)
+        rank = rank_of_rows(ref.integer_rows(rows))
         assert rank == ref.rank_of_rows(rows)
-        assert kernel_basis(rows) == ref.kernel_basis(rows)
+        assert kernel_basis(ref.integer_rows(rows)) == ref.kernel_basis(rows)
         shapes["wide" if m < n else "tall" if m > n else "square"] += 1
         shapes["deficient"] += rank < min(m, n)
         shapes["zero row"] += any(not any(row) for row in rows)
@@ -146,7 +152,7 @@ def test_inverse_or_rank_error():
 def test_reduced_rows_stay_in_lowest_terms():
     for seed in SEEDS:
         rows = random_system(seed)
-        work, dens, pivots = _reduce(rows, len(rows[0]))
+        work, dens, pivots = _reduce(ref.integer_rows(rows), len(rows[0]))
         assert len(pivots) == ref.rank_of_rows(rows)
         for row, den in zip(work, dens):
             assert den > 0
@@ -177,6 +183,60 @@ def test_product_matches_the_former_product():
         mat_compose(wide, wide)
     with pytest.raises(ValueError, match=message):
         ref.mat_compose(wide, wide)
+
+
+def test_operations_match_the_former_fraction_operations():
+    seen = Counter()
+    for seed in SEEDS:
+        rng = Random(f"linalg differential format {seed}")
+        p, q, r, s = (rng.randint(1, 4) for _ in range(4))
+        rows = random_rows(rng, p, q)
+        a = Mat.from_rows(rows)
+        assert ref.rows_of(a) == rows
+        b = Mat.from_rows(random_rows(rng, r, s))
+        c = Mat.from_rows(random_rows(rng, p, q))
+        factor = _entry(rng, 0.2)
+        for got, want in ((a.kron(b), ref.kron(a, b)), (a.add(c), ref.add(a, c)),
+                          (a.scale(factor), ref.scale(a, factor)),
+                          (a.transpose(), ref.transpose(a))):
+            assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+            assert all(type(x) is F for x in got.entries)
+        # value, witness and row
+        assert tuple(inf_op_norm(a)) == ref.inf_op_norm(a)
+        seen["den > 1"] += a.den > 1
+        seen["zero matrix"] += not any(a.nums)
+        seen["zero factor"] += not factor
+        seen["tied rows"] += len({sum(map(abs, row)) for row in a.numerator_rows()}) < p
+    assert min(seen.values()) >= 10, seen
+
+
+def test_the_format_is_canonical():
+    # equal values built two ways are one matrix, with one hash
+    built = Mat.from_rows([[F(1, 2), 1], [0, F(-3, 2)]])
+    scaled = Mat(2, 2, (2, 4, 0, -6), 4)
+    assert built == scaled and hash(built) == hash(scaled)
+    assert (scaled.nums, scaled.den) == ((1, 2, 0, -3), 2)
+    assert Mat.identity(2).scale(F(-2, 3)) == Mat.from_rows([["-2/3", 0], [0, "-2/3"]])
+    assert built.kron(Mat.identity(1)) == built == built.transpose().transpose()
+    # a zero matrix is over 1, however it is made
+    assert Mat(2, 3, (0,) * 6, 7).den == 1
+    assert built.scale(0) == built.add(built.scale(-1)) == Mat.zeros(2, 2)
+    assert built.scale(0).den == 1
+    # equal numerators are one object, also after reduction and in products
+    x = 10 ** 30 + 1
+    y = int(str(x))
+    assert x is not y
+    m = Mat(1, 3, (2 * x, 2 * y, 2), 2)
+    assert m.nums == (x, x, 1) and m.nums[0] is m.nums[1]
+    product = m.transpose() @ m
+    assert len({id(v) for v in product.nums}) == len(set(product.nums))
+    # anything but int numerators over a positive int denominator
+    for nums, den in (((1, F(1)), 1), ((1, 1.0), 1), ((True, 0), 1), ((1, 2), 0),
+                      ((1, 2), -1), ((1, 2), 1.0), ((1, 2), True), ((1, 2), F(1))):
+        with pytest.raises(ValueError):
+            Mat(1, 2, nums, den)
+    with pytest.raises(ValueError):
+        Mat(1, 2, (1, 2, 3))
 
 
 def random_tableau(rng: Random) -> tuple[list[list[int]], list[int], float]:
@@ -303,7 +363,7 @@ def test_row_scale_branches_match_the_former_pivot():
         rng = Random(f"linalg differential row scale {seed}")
         nrows, ncols = rng.randint(2, 8), rng.randint(2, 8)
         if rng.random() < 0.5:
-            rows, dens = map(list, zip(*map(integer_row, large_denominator_rows(
+            rows, dens = map(list, zip(*map(ref.integer_row, large_denominator_rows(
                 rng, nrows, ncols, smooth))))
         else:
             rows, dens = [], []
@@ -428,10 +488,20 @@ def test_denominators_grow_no_longer_than_in_lowest_terms(monkeypatch, space):
     assert got_num <= want_num + DIGIT_BITS
 
 
+def large_numerator_rows(rng: Random, nrows: int, ncols: int,
+                         numerators: list[int]) -> list[list[int]]:
+    """Integer rows whose entries each carry one or two large primes."""
+    return [[rng.choice((1, -1)) * rng.choice(numerators)
+             * math.prod(rng.sample(LARGE_PRIMES, rng.randint(1, 2)))
+             if rng.random() < 0.6 else 0 for _ in range(ncols)] for _ in range(nrows)]
+
+
 def test_elimination_past_one_digit_matches_the_former_elimination(monkeypatch):
-    # rank, kernel and inverse of rows over one or two primes between 2**10
-    # and 2**15, so _reduce's scaled rows stay unreduced below ONE_DIGIT and
-    # are brought to lowest terms at it; each pivot is checked as it happens
+    # rank and kernel of integer rows whose entries carry one or two primes
+    # between 2**10 and 2**15, so that the pivots' denominators do, and the
+    # inverse of rows over such primes: _reduce's scaled rows stay
+    # unreduced below ONE_DIGIT and are brought to lowest terms at it; each
+    # pivot is checked as it happens
     branches = Counter()
 
     def checked(rows, dens, r, c, touched):
@@ -442,9 +512,10 @@ def test_elimination_past_one_digit_matches_the_former_elimination(monkeypatch):
     for seed in range(100):
         rng = Random(f"linalg differential one digit {seed}")
         m, n = rng.randint(2, 6), rng.randint(2, 6)
-        rows = large_denominator_rows(rng, m, n, numerators)
-        assert rank_of_rows(rows) == ref.rank_of_rows(rows)
-        assert kernel_basis(rows) == ref.kernel_basis(rows)
+        integer = large_numerator_rows(rng, m, n, numerators)
+        rows = [list(map(F, row)) for row in integer]
+        assert rank_of_rows(integer) == ref.rank_of_rows(rows)
+        assert kernel_basis(integer) == ref.kernel_basis(rows)
         square = Mat.from_rows(large_denominator_rows(rng, n, n, numerators))
         assert outcome(invert_square, square) == outcome(ref.invert_square, square)
     assert len(branches) == 2 and min(branches.values()) >= 30, branches
@@ -463,8 +534,10 @@ def test_reduce_pivots_distinct_rows(monkeypatch):
         rows = random_system(seed)
         # the same row object twice
         rows.append(rows[0])
-        assert rank_of_rows(rows) == ref.rank_of_rows(rows)
-        assert kernel_basis(rows) == ref.kernel_basis(rows)
+        integer = ref.integer_rows(rows[:-1])
+        integer.append(integer[0])
+        assert rank_of_rows(integer) == ref.rank_of_rows(rows)
+        assert kernel_basis(integer) == ref.kernel_basis(rows)
         m = random_square(seed)
         assert outcome(invert_square, m) == outcome(ref.invert_square, m)
     assert calls["pivots"] >= 300, calls
@@ -507,7 +580,8 @@ def test_projection_defect_matches_the_former_checks():
         # onto the space itself, onto a larger space containing it, onto an
         # unrelated space, and a random matrix
         extra = [[_entry(rng, 0.3) for _ in range(n)] for _ in range(rng.randint(1, n - k))]
-        ranges = [space.basis.row_lists(), space.basis.row_lists() + extra, extra]
+        basis = ref.rows_of(space.basis)
+        ranges = [basis, basis + extra, extra]
         candidates = []
         for rows in ranges:
             if ref.rank_of_rows(rows) == len(rows):

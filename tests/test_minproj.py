@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from certificate_reference import as_mat
-from linalg_reference import subspace_contains
+from linalg_reference import rows_of, subspace_contains
 
 import projconst
 from projconst.linalg import (
@@ -146,7 +146,7 @@ class TestPrimalCertificate:
             b = space.basis
             coeffs = feasible_perturbation(space, invert_square(b @ b.transpose()) @ b, rng)
             if trial % 2:
-                rows = coeffs.row_lists()
+                rows = rows_of(coeffs)
                 p, q = rng.randrange(coeffs.rows), rng.randrange(coeffs.cols)
                 rows[p][q] += F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
                 coeffs = Mat.from_rows(rows)
@@ -378,7 +378,7 @@ def test_random_subspaces_certify(data, n):
     rows = data.draw(st.lists(
         st.lists(small_entries, min_size=n, max_size=n),
         min_size=k, max_size=k))
-    assume(rank_of_rows([[F(x) for x in r] for r in rows]) == k)
+    assume(rank_of_rows(rows) == k)
     space = Subspace.from_rows(rows)
     result = projection_constant(space)
     assert result.value >= 1

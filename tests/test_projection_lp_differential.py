@@ -9,11 +9,13 @@ over db rather than over the lcm of its own entries, and the solver must
 not care: it returns the identical integer readout, as when each former
 row is made into integers over its own lcm, as the solver did before.
 Neither the builder's program nor the solve holds a `Fraction`, and
-neither calls `integer_row`: the builder reads B's integer rows off the
-`Subspace`, which made them once, as the former builder's conversion of the
-`Fraction` basis did.  Needs nothing beyond pytest.
+neither converts one: the builder reads B's integer rows off the basis
+`Mat`, which stores them, as the former builder's conversion of the
+`Fraction` basis made them, and `Mat.from_rows`, the one conversion of
+`Fraction`s to numerators, is not called.  Needs nothing beyond pytest.
 """
 
+import dataclasses
 import math
 import sys
 from fractions import Fraction as F
@@ -21,11 +23,12 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from linalg_reference import integer_row
 from projection_lp_reference import reference_projection_lp
-from simplex_reference import by_value, integer_program
+from simplex_reference import assignment, by_value, integer_program
 
 from projconst.cli import load_subspace_document
-from projconst.linalg import RankDeficientError, Subspace, integer_row
+from projconst.linalg import Mat, RankDeficientError, Subspace
 from projconst.minproj import build_projection_lp, projection_constant
 from projconst.simplex import solve_linear_program
 from projconst.zerosum import coordinate_sum_kernel, sigma_subspace
@@ -112,11 +115,12 @@ def calls_during(function, run):
     Subspace.from_rows(RATIONAL_5X2),
     sigma_subspace(Subspace.from_rows([[1, F(1, 3)]]), 3).space,
 ], ids=["ker4", "rational5x2", "sigma3-rational2"])
-def test_no_fraction_in_the_program_and_no_integer_row_in_the_solve(space):
+def test_no_fraction_in_the_program_and_no_conversion_in_a_solve(space):
     # the builder reads B's integer rows off the subspace, converting
     # nothing; the program it returns is ints and bools only, and the solver
     # places them as they are
-    calls, program = calls_during(integer_row, lambda: build_projection_lp(space))
+    from_rows = Mat.from_rows.__func__
+    calls, program = calls_during(from_rows, lambda: build_projection_lp(space))
     assert calls == 0
     b, db = space.integer_basis
     assert program.eq_rows[0] == {j: x for j, x in enumerate(b[0]) if x}
@@ -126,18 +130,19 @@ def test_no_fraction_in_the_program_and_no_integer_row_in_the_solve(space):
                *(x for row in program.eq_rows + program.ub_rows for x in (*row, *row.values()))]
     assert {type(x) for x in numbers} == {int}
     assert {type(x) for x in program.free} == {bool}
-    calls, solution = calls_during(integer_row, lambda: solve_linear_program(program))
+    calls, solution = calls_during(from_rows, lambda: solve_linear_program(program))
     assert calls == 0
     # the value is the bound t, the last variable
-    assert solution.value == solution.assignment[-1] >= 1
-    # nor do the certificate and its check: the whole solve converts no basis
-    calls, result = calls_during(integer_row, lambda: projection_constant(space))
+    assert solution.value == assignment(solution, program.num_vars)[-1] >= 1
+    # nor do the certificate, its check and the result's C: the whole solve
+    # converts nothing
+    calls, result = calls_during(from_rows, lambda: projection_constant(space))
     assert (calls, result.value) == (0, solution.value)
 
 
 def former_conversion(basis) -> tuple[list[list[int]], int]:
     """The rows of a `Fraction` basis over the lcm of all its denominators,
-    as the builder took B apart before the `Subspace` did it once."""
+    as the builder took B apart before the basis `Mat` stored them."""
     den = math.lcm(*(x.denominator for x in basis.entries))
     return [[x.numerator * (den // x.denominator) for x in basis.row(i)]
             for i in range(basis.rows)], den
@@ -146,6 +151,7 @@ def former_conversion(basis) -> tuple[list[list[int]], int]:
 def assert_integer_basis(space: Subspace):
     rows, den = space.integer_basis
     assert type(rows) is tuple and {type(row) for row in rows} == {tuple}
+    assert (space.basis.nums, space.basis.den) == (sum(rows, ()), den)
     assert ([list(row) for row in rows], den) == former_conversion(space.basis)
 
 
@@ -171,11 +177,11 @@ def test_integer_basis_is_the_former_conversion_on_seeded_rational_subspaces():
     assert over_one >= 24
 
 
-def test_integer_basis_is_made_once_and_kept_out_of_equality():
+def test_integer_basis_is_read_off_the_basis_not_stored():
+    # a subspace stores its basis alone; the integer rows are its numerators
     space = Subspace.from_rows(RATIONAL_5X2)
     again = Subspace.from_rows(RATIONAL_5X2)
-    assert space.integer_basis is space.integer_basis
+    assert [f.name for f in dataclasses.fields(Subspace)] == ["ambient_dim", "basis"]
+    assert space.integer_basis == (space.basis.numerator_rows(), space.basis.den)
     assert space == again and hash(space) == hash(again)
     assert "integer_basis" not in repr(space)
-    with pytest.raises(AttributeError):
-        space.integer_basis = ((), 1)

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from simplex_reference import by_value, dense_row, integer_program, sparse_row
+from simplex_reference import assignment, by_value, dense_row, integer_program, sparse_row
 
 from projconst import simplex
 from projconst.simplex import (
@@ -36,7 +36,7 @@ def lp(objective, eq=(), eq_rhs=(), ub=(), ub_rhs=(), free=None):
 def optimum(program):
     """The optimal value and assignment, the assignment as `Fraction`s."""
     solution = solve_linear_program(program)
-    return solution.value, solution.assignment
+    return solution.value, assignment(solution, program.num_vars)
 
 
 def test_box_corner():

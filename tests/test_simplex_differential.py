@@ -14,7 +14,13 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from simplex_reference import integer_program, reference_solve, sparse_row
+from simplex_reference import (
+    assignment,
+    integer_program,
+    reference_solve,
+    slack_duals,
+    sparse_row,
+)
 
 from projconst import simplex
 from projconst.cli import load_subspace_document
@@ -40,9 +46,9 @@ def assert_same(program):
     got = outcome(solve_linear_program, program)
     want = outcome(reference_solve, program)
     if isinstance(got, tuple):
-        value, assignment, slack_duals = got.value, got.assignment, got.slack_duals
-        assert all(type(x) is F for x in [value, *assignment, *slack_duals])
-        got = value, assignment
+        x, u = assignment(got, program.num_vars), slack_duals(got)
+        assert all(type(y) is F for y in [got.value, *x, *u])
+        got = got.value, x
     assert got == want
     return got
 
@@ -110,7 +116,7 @@ def test_slack_duals_are_an_optimal_dual():
             solution = solve_linear_program(program)
         except SimplexError:
             continue
-        value, u = solution.value, solution.slack_duals
+        value, u = solution.value, slack_duals(solution)
         assert len(u) == n_ub and min(u, default=0) >= 0
         for j in range(nv):
             reduced = objective[j] + sum(ui * row[j] for ui, row in zip(u, ub))

@@ -30,13 +30,13 @@ from random import Random
 import linalg_reference
 import pytest
 import tableau_reference
-from simplex_reference import integer_program, sparse_row
+from simplex_reference import assignment, integer_program, slack_duals, sparse_row
 from test_linalg_differential import LARGE_PRIMES, pivot_checked
 from test_simplex import lp
 from test_simplex_differential import _entry, _kernel, random_program
 
 from projconst import simplex
-from projconst.linalg import Subspace, rank_of_rows
+from projconst.linalg import Subspace
 from projconst.minproj import DEFAULT_BUDGET, build_projection_lp
 from projconst.simplex import LinearProgram, SimplexError
 from projconst.zerosum import coordinate_sum_kernel, sigma_subspace
@@ -49,11 +49,13 @@ def outcome(solve, *args):
         return type(exc)
 
 
-def views(solution: simplex.LinearProgramSolution) -> tableau_reference.Optimum:
-    """The `Fraction` views of a solution, in the reference's form; each
-    entry must be a `Fraction`."""
+def views(solution: simplex.LinearProgramSolution, program: LinearProgram
+          ) -> tableau_reference.Optimum:
+    """The `Fraction` views of a solution of `program`, in the reference's
+    form; each entry must be a `Fraction`."""
     assert type(solution) is simplex.LinearProgramSolution
-    got = tableau_reference.Optimum(solution.value, solution.assignment, solution.slack_duals)
+    got = tableau_reference.Optimum(solution.value, assignment(solution, program.num_vars),
+                                    slack_duals(solution))
     assert all(type(x) is F for x in [got.value, *got.assignment, *got.slack_duals])
     return got
 
@@ -79,7 +81,7 @@ def assert_same(monkeypatch):
         full = Counter()
         got = outcome(simplex.solve_linear_program, program)
         if not isinstance(got, type):
-            got = views(got)
+            got = views(got, program)
         want = outcome(tableau_reference.solve_linear_program, program, full)
         assert (got, condensed["pivots"]) == (want, full["pivots"])
         check.events.update(full)
@@ -195,7 +197,7 @@ def random_subspace(rng: Random) -> Subspace:
     while True:
         rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.7 else F(0)
                  for _ in range(n)] for _ in range(k)]
-        if rank_of_rows(rows) == k:
+        if linalg_reference.rank_of_rows(rows) == k:
             return Subspace.from_rows(rows)
 
 
@@ -322,7 +324,7 @@ def test_identical_pivots_and_solutions_past_one_digit(monkeypatch):
         while True:
             rows = [[F(rng.choice((1, -1)) * rng.randint(1, 5), rng.choice(LARGE_PRIMES))
                      if rng.random() < 0.85 else F(0) for _ in range(n)] for _ in range(k)]
-            if rank_of_rows(rows) == k:
+            if linalg_reference.rank_of_rows(rows) == k:
                 break
         space = Subspace.from_rows(rows)
         DEFAULT_BUDGET.require(space)
@@ -330,7 +332,7 @@ def test_identical_pivots_and_solutions_past_one_digit(monkeypatch):
         full.clear()
         got.clear()
         want.clear()
-        solution = views(simplex.solve_linear_program(program))
+        solution = views(simplex.solve_linear_program(program), program)
         assert solution == tableau_reference.solve_linear_program(program, full)
         assert got == want and len(got) == full["pivots"] > 0
         seen["lambda > 1"] += solution.value > 1

@@ -115,10 +115,11 @@ def calls_during(function, run):
     Subspace.from_rows(RATIONAL_5X2),
     sigma_subspace(Subspace.from_rows([[1, F(1, 3)]]), 3).space,
 ], ids=["ker4", "rational5x2", "sigma3-rational2"])
-def test_no_fraction_in_the_program_and_no_conversion_in_a_solve(space):
+def test_no_fraction_in_the_program_and_no_integer_row_in_the_solve(space):
     # the builder reads B's integer rows off the subspace, converting
     # nothing; the program it returns is ints and bools only, and the solver
     # places them as they are
+    # (Mat.from_rows is the one place where Fractions become integer rows)
     from_rows = Mat.from_rows.__func__
     calls, program = calls_during(from_rows, lambda: build_projection_lp(space))
     assert calls == 0

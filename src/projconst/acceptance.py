@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .banach_mazur import (
     build_model,
@@ -63,8 +62,7 @@ class CriterionFailure(AssertionError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Context:
+class Context(NamedTuple):
     seed: int = 0
     budget: LPBudget = DEFAULT_BUDGET
 
@@ -297,8 +295,7 @@ def _check_oracle_agreement(ctx: Context) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Criterion:
+class Criterion(NamedTuple):
     key: str
     title: str
     run: Callable[[Context], str]
@@ -330,8 +327,7 @@ CRITERIA: tuple[Criterion, ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     key: str
     title: str
     passed: bool

@@ -31,7 +31,6 @@ are clause tuples too; rows, columns and application all read that tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Mapping, NamedTuple
@@ -58,8 +57,7 @@ def _rational_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class BMParameterSet:
+class BMParameterSet(NamedTuple):
     """The derived coefficients for one value of the shape parameter a.
 
     All fields are exact rationals when 2a+1 is a rational square, floats
@@ -197,8 +195,7 @@ def optimize_numeric(lo: float, hi: float, tol: float = 1e-9) -> NumericOptimum:
 PRIOR_BOUND_SQ = 11.0 + 6.0 * math.sqrt(2.0)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundComparison:
+class BoundComparison(NamedTuple):
     ours: float
     prior: float
 
@@ -222,8 +219,15 @@ def compare_with_prior_bound() -> BoundComparison:
 Vector = dict  # index -> Fraction, zero entries dropped
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
+class _ClauseFields(NamedTuple):
+    out_modulus: int
+    out_residue: int
+    in_modulus: int
+    in_residue: int
+    coeff: Fraction
+
+
+class Clause(_ClauseFields):
     """One affine rule: out[M*k + R] += coeff * in[C*k + D] for every k >= 0.
 
     M = out_modulus, R = out_residue, C = in_modulus, D = in_residue.  With
@@ -232,15 +236,13 @@ class Clause:
     which the "k >= 0" reading keeps exact.
     """
 
-    out_modulus: int
-    out_residue: int
-    in_modulus: int
-    in_residue: int
-    coeff: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.out_modulus, self.in_modulus) < 1 or min(self.out_residue, self.in_residue) < 0:
             raise ValueError(f"clause needs moduli >= 1 and residues >= 0, got {self}")
+        return self
 
 
 def _affine(index: int, m: int, r: int, c: int, d: int) -> int | None:
@@ -273,8 +275,7 @@ def _compose_clauses(outer: Clause, inner: Clause):
             outer.coeff * inner.coeff)
 
 
-@dataclass(frozen=True, slots=True)
-class SeqOperator:
+class SeqOperator(NamedTuple):
     """A column- and row-finite linear operator on finitely supported sequences.
 
     It is the sum of its clauses, each adding out[M*k + R] += coeff *
@@ -435,8 +436,7 @@ def verify_inverse(forward: SeqOperator, inverse: SeqOperator,
 # keeps its native indexing inside its residue class.
 
 
-@dataclass(frozen=True, slots=True)
-class SequenceModel:
+class SequenceModel(NamedTuple):
     """The instantiated factorization: W = U_a o S o T_a and its inverse."""
 
     params: BMParameterSet

@@ -136,14 +136,6 @@ class Mat:
         den = math.lcm(*(x.denominator for x in flat))
         return cls(nrows, ncols, tuple(x.numerator * (den // x.denominator) for x in flat), den)
 
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def _fractions(self, nums: Sequence[int]) -> tuple[Fraction, ...]:
         """`nums` over this matrix's denominator, one `Fraction` per distinct value."""
         made = {x: Fraction(x, self.den) for x in set(nums)}
@@ -173,22 +165,6 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat(self.cols, self.rows, tuple(chain.from_iterable(self.numerator_cols())),
                    self.den)
-
-    def add(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(
-                f"shape mismatch in matrix sum: {self.rows}x{self.cols} vs "
-                f"{other.rows}x{other.cols}"
-            )
-        den = math.lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        return Mat(self.rows, self.cols,
-                   tuple(a * s + b * t for a, b in zip(self.nums, other.nums)), den)
-
-    def scale(self, factor) -> "Mat":
-        f = as_rat(factor)
-        return Mat(self.rows, self.cols, tuple(f.numerator * x for x in self.nums),
-                   self.den * f.denominator)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         return mat_compose(self, other)

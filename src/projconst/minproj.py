@@ -32,11 +32,10 @@ in `float_oracle`, a structurally independent first-order check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from random import Random
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 from .linalg import (
     IntegerRows,
@@ -69,8 +68,7 @@ class BudgetExceededError(RuntimeError):
     """An LP instance exceeds the configured size budget."""
 
 
-@dataclass(frozen=True, slots=True)
-class LPBudget:
+class LPBudget(NamedTuple):
     """Size gate for exact LP solves; generous enough for every shipped check."""
 
     max_ambient: int = 12
@@ -138,8 +136,7 @@ def build_projection_lp(space: Subspace) -> LinearProgram:
                          [0] * len(ub_rows), [db] * (2 * n * n) + [1] * n, free)
 
 
-@dataclass(frozen=True, slots=True)
-class ProjectionConstantResult:
+class ProjectionConstantResult(NamedTuple):
     """Certified value of lambda(E, ell_inf^n) with the optimal projection.
 
     Proved before construction by `check_certificate`: C B^T = I, so the
@@ -156,7 +153,7 @@ class ProjectionConstantResult:
     minimizer_c: Mat
     space: Subspace
     witness: tuple[int, ...]
-    attained: ClassVar[bool] = True
+    attained = True
 
     @property
     def projection(self) -> Mat:
@@ -186,9 +183,7 @@ class ProjectionCertificate(NamedTuple):
     `coeffs` is C (k x n), `dual` is W (n x n) and `restriction` is Lambda
     (k x k), each (rows, den): integer rows over one positive int
     denominator, not always in lowest terms; `weights` is w, (numerators,
-    den).  `check_certificate` states what they must satisfy.  A named tuple
-    rather than a frozen dataclass, which takes several times longer to
-    create when the module is imported.
+    den).  `check_certificate` states what they must satisfy.
     """
 
     value: Fraction
@@ -367,19 +362,29 @@ def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random,
 
     Adds kernel-of-B combinations to each row of `coeffs`, which walks the
     feasible set of the minimal-projection program without leaving it.
+    Each (row, kernel vector) pair draws its weight a / q, a from
+    [-spread, spread] and then q from [1, spread], also when a is 0.  The
+    rows are integers over coeffs.den * dk * wden, with the kernel vectors
+    over their common denominator dk and every weight over
+    wden = lcm(1, ..., spread).
     """
     kernel = kernel_basis(space.basis.numerator_rows())
     if not kernel:
         return coeffs
-    rows = []
-    for p in range(coeffs.rows):
-        row = list(coeffs.row(p))
+    dk = math.lcm(*(x.denominator for vec in kernel for x in vec))
+    kernel = [[x.numerator * (dk // x.denominator) for x in vec] for vec in kernel]
+    wden = math.lcm(*range(1, spread + 1))
+    lift = dk * wden
+    nums = []
+    for row in coeffs.numerator_rows():
+        row = [x * lift for x in row]
         for vec in kernel:
-            weight = Fraction(rng.randint(-spread, spread), rng.randint(1, spread))
-            if weight:
-                row = [a + weight * b for a, b in zip(row, vec)]
-        rows.append(row)
-    return Mat.from_rows(rows)
+            a, q = rng.randint(-spread, spread), rng.randint(1, spread)
+            if a:
+                f = a * (wden // q) * coeffs.den
+                row = [x + f * y for x, y in zip(row, vec)]
+        nums += row
+    return Mat(coeffs.rows, coeffs.cols, tuple(nums), coeffs.den * lift)
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +395,23 @@ def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random,
 ORACLE_FINAL_STEP = 1e-10
 
 
-@dataclass(frozen=True, slots=True)
-class OracleConfig:
+class _OracleConfigFields(NamedTuple):
     restarts: int = 8
     iterations: int = 4000
     seed: int = 0
 
-    def __post_init__(self):
+
+class OracleConfig(_OracleConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         counts = (self.restarts, self.iterations)
         if any(isinstance(x, bool) or not isinstance(x, int) for x in counts):
             raise ValueError(f"oracle needs integer restarts and iterations, got {self}")
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError(f"oracle needs restarts >= 1 and iterations >= 1, got {self}")
+        return self
 
 
 def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:

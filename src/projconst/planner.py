@@ -15,8 +15,8 @@ duality, with the staged constant mu_N^k * alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import Subspace, format_rational
 from .minproj import DEFAULT_BUDGET, LPBudget, projection_certificate
@@ -34,8 +34,7 @@ class BaseConstantMismatch(ValueError):
     """Demonstration base space does not have the planned alpha."""
 
 
-@dataclass(frozen=True, slots=True)
-class ScheduleEntry:
+class ScheduleEntry(NamedTuple):
     step: int
     lambda_k: Fraction
     ambient: str
@@ -48,23 +47,28 @@ class ScheduleEntry:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class AmplificationPlan:
+class _PlanFields(NamedTuple):
+    m: int
+    copies: int | None
+    alpha: Fraction
+
+
+class AmplificationPlan(_PlanFields):
     """A staged route lambda_k = mu_N^k * alpha of m steps with N blocks.
 
     A plan is (m, N, alpha); mu_N, the target and the schedule follow from
     it.  `copies` is None exactly when no amplification is needed (m = 0).
     """
 
-    m: int
-    copies: int | None
-    alpha: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.m < 0 or (self.copies is None) != (self.m == 0):
             raise ValueError(f"a plan of {self.m} steps cannot have block count {self.copies}")
         if self.copies is not None:
             amplification_factor(self.copies)  # rejects N < 2
+        return self
 
     @property
     def mu(self) -> Fraction | None:
@@ -136,8 +140,7 @@ def ad_hoc_plan(alpha: Fraction, copies: int, steps: int) -> AmplificationPlan:
     return AmplificationPlan(steps, copies if steps else None, alpha)
 
 
-@dataclass(frozen=True, slots=True)
-class DemoStep:
+class DemoStep(NamedTuple):
     step: int
     ambient_dim: int
     expected: Fraction
@@ -157,8 +160,7 @@ class DemoStep:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class ScheduleReport:
+class ScheduleReport(NamedTuple):
     base_lambda: Fraction
     steps: tuple[DemoStep, ...]
 

@@ -73,7 +73,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from typing import Iterable, NamedTuple
@@ -99,8 +98,7 @@ class PivotLimitExceeded(SimplexError):
     pass
 
 
-@dataclass
-class LinearProgram:
+class LinearProgram(NamedTuple):
     """min objective . x, A_eq x = b_eq, A_ub x <= b_ub; free[j] marks sign-free x_j.
 
     Every row is int numerators over one positive int denominator, not

@@ -30,10 +30,9 @@ the caller: `verify_multiplication_law` compares one step with it, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .linalg import (
     Mat,
@@ -75,13 +74,16 @@ def amplification_factor(copies: int) -> Fraction:
     return 2 - Fraction(2, copies)
 
 
-@dataclass(frozen=True, slots=True)
-class ZeroSumSpace:
-    """The zero-sum tuples of `copies` blocks of a base subspace."""
-
+class _ZeroSumFields(NamedTuple):
     base: Subspace
     copies: int
     space: Subspace
+
+
+class ZeroSumSpace(_ZeroSumFields):
+    """The zero-sum tuples of `copies` blocks of a base subspace."""
+
+    __slots__ = ()
 
     @property
     def ambient_dim(self) -> int:
@@ -91,7 +93,8 @@ class ZeroSumSpace:
     def mu(self) -> Fraction:
         return amplification_factor(self.copies)
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         d = self.base.ambient_dim
         if self.space.ambient_dim != d * self.copies:
             raise ValueError(
@@ -100,6 +103,7 @@ class ZeroSumSpace:
             )
         if not _block_sums_vanish(self.space.basis.transpose(), d, self.copies):
             raise ValueError("zero-sum basis row has nonzero block sum")
+        return self
 
 
 def _check_blocks(block_dim: int, copies: int, m: Mat | None = None):
@@ -221,8 +225,7 @@ def symmetrize(p: Mat, block_dim: int, copies: int) -> Mat:
                                  for j in range(n) for c in range(d)), p.den * n * (n - 1))
 
 
-@dataclass(frozen=True, slots=True)
-class SymmetrizationDecomposition:
+class SymmetrizationDecomposition(NamedTuple):
     """Structure of a permutation-invariant projection onto a zero-sum space.
 
     `a` is its action on a block from that block's own copy, `b` the action
@@ -289,8 +292,7 @@ def random_projection_onto(zs: ZeroSumSpace, rng: Random, spread: int = 2) -> Ma
     return g.transpose() @ feasible_perturbation(zs.space, d0, rng, spread)
 
 
-@dataclass(frozen=True, slots=True)
-class MultiplicationLawReport:
+class MultiplicationLawReport(NamedTuple):
     """Outcome of certifying lambda(zero-sum space) = (2 - 2/N) * lambda(E)."""
 
     base_lambda: Fraction | None

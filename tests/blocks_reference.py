@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from linalg_reference import from_flat, subspace_contains
+from linalg_reference import from_flat, integer_add, integer_scale, subspace_contains, zeros
 
 from projconst.linalg import Mat, Subspace, inf_op_norm
 from projconst.zerosum import (
@@ -179,10 +179,10 @@ def reference_extract_r(p_tilde: Mat, base: Subspace, copies: int) -> Symmetriza
         if block(i, 0) != b:
             raise NotSymmetrizedError("off-diagonal blocks of the first column differ")
 
-    if a.add(b.scale(n - 1)) != Mat.zeros(d, d):
+    if integer_add(a, integer_scale(b, n - 1)) != zeros(d, d):
         raise DecompositionIntegrityError("block trace a + (N-1) b does not vanish")
 
-    r = a.add(b.scale(-1))
+    r = integer_add(a, integer_scale(b, -1))
     if not r.is_idempotent():
         raise DecompositionIntegrityError("collapsed block map is not idempotent")
     for i in range(base.dim):
@@ -192,7 +192,7 @@ def reference_extract_r(p_tilde: Mat, base: Subspace, copies: int) -> Symmetriza
     for j in range(d):
         if not subspace_contains(base, r.col(j)):
             raise DecompositionIntegrityError("collapsed block map leaves the base subspace")
-    if a != r.scale(Fraction(n - 1, n)) or b != r.scale(Fraction(-1, n)):
+    if a != integer_scale(r, Fraction(n - 1, n)) or b != integer_scale(r, Fraction(-1, n)):
         raise DecompositionIntegrityError("blocks are not the expected multiples of r")
     if coordinatewise_lift(r, n) @ reference_centring_projection(d, n) != p_tilde:
         raise DecompositionIntegrityError("matrix does not factor through the centring map")

@@ -17,6 +17,7 @@ same value.
 from fractions import Fraction
 from typing import NamedTuple
 
+from linalg_reference import identity, integer_scale
 from simplex_reference import assignment, slack_duals
 
 from projconst.linalg import Mat, Subspace, invert_square
@@ -85,4 +86,4 @@ def reference_sum_kernel(copies: int) -> FractionCertificate:
                             for j in range(1, n)])
     dual = Mat.from_rows([[mean if r == c else -mean for c in range(n)] for r in range(n)])
     return FractionCertificate(2 - 2 * mean, coeffs, dual, (mean,) * n,
-                               Mat.identity(n - 1).scale(2 * mean))
+                               integer_scale(identity(n - 1), 2 * mean))

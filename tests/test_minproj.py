@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from certificate_reference import as_mat
-from linalg_reference import rows_of, subspace_contains
+from linalg_reference import identity, rows_of, subspace_contains
 
 import projconst
 from projconst.linalg import (
@@ -80,7 +80,7 @@ class TestKnownValues:
     def test_full_space_is_identity(self):
         result = projection_constant(Subspace.from_rows([[1, 2], [3, 4]]))
         assert result.value == F(1)
-        assert result.projection == Mat.identity(2)
+        assert result.projection == identity(2)
         assert result.attained
 
     def test_diagonal_of_the_square(self):
@@ -150,9 +150,9 @@ class TestPrimalCertificate:
                 p, q = rng.randrange(coeffs.rows), rng.randrange(coeffs.cols)
                 rows[p][q] += F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
                 coeffs = Mat.from_rows(rows)
-            identity = coeffs @ b.transpose() == Mat.identity(space.dim)
-            assert identity == (projection_defect(b.transpose() @ coeffs, space) is None)
-            counts[identity] += 1
+            left_inverse = coeffs @ b.transpose() == identity(space.dim)
+            assert left_inverse == (projection_defect(b.transpose() @ coeffs, space) is None)
+            counts[left_inverse] += 1
         assert min(counts.values()) >= 100
 
     @pytest.mark.parametrize("space", SPACES[:4], ids=["diag2", "ker3", "ker4", "rational4"])
@@ -187,12 +187,12 @@ class TestPerturbations:
         for _ in range(300):
             c = feasible_perturbation(space, result.minimizer_c, rng)
             # still a right inverse of B^T, hence still a projection onto E
-            assert c @ bt == Mat.identity(space.dim)
+            assert c @ bt == identity(space.dim)
             assert inf_op_norm(bt @ c).value >= result.value
 
     def test_full_rank_kernel_free_case(self):
         space = Subspace.from_rows([[1, 0], [0, 1]])
-        c = Mat.identity(2)
+        c = identity(2)
         assert feasible_perturbation(space, c, Random(0)) == c
 
 

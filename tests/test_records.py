@@ -1,0 +1,227 @@
+"""The package's records are named tuples, and importing it builds no dataclass
+but `Mat` and `Subspace`.
+
+A record keeps the text of the frozen dataclass it replaced: its repr, `==`
+and `hash` by value, and no attribute can be set.  The four records that
+check their fields at construction still raise the same `ValueError`s.
+Named tuples and dataclasses differ in their internals across Python
+3.10-3.13, so this file runs on each of them.  Needs nothing beyond pytest.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from projconst.acceptance import Context, Criterion, CriterionResult
+from projconst.banach_mazur import (
+    BMParameterSet,
+    BoundComparison,
+    Clause,
+    SeqOperator,
+    SequenceModel,
+    bm_params,
+    build_model,
+)
+from projconst.linalg import Mat, Subspace
+from projconst.minproj import LPBudget, OracleConfig, ProjectionConstantResult
+from projconst.planner import AmplificationPlan, DemoStep, ScheduleEntry, ScheduleReport
+from projconst.simplex import LinearProgram
+from projconst.zerosum import (
+    MultiplicationLawReport,
+    SymmetrizationDecomposition,
+    ZeroSumSpace,
+    centring_projection,
+    extract_r,
+    sigma_subspace,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+LINE = Subspace.from_rows([[1, F(1, 2)]])
+PLANE = Subspace.from_rows([[1, 0], [0, 1]])
+LINE_REPR = "Subspace(ambient_dim=2, basis=Mat(rows=1, cols=2, nums=(2, 1), den=2))"
+CLAUSE_REPR = ("Clause(out_modulus=3, out_residue=0, in_modulus=4, in_residue=2, "
+               "coeff=Fraction(1, 2))")
+PARAMS_REPR = ("BMParameterSet(a=Fraction(4, 1), mu=Fraction(1, 4), nu=Fraction(3, 4), "
+               "b=Fraction(4, 3), root=Fraction(3, 1), bound=Fraction(9, 2), "
+               "bound_sq=Fraction(81, 4), exact=True)")
+
+
+def _criterion_run(ctx):
+    return "ok"
+
+
+def _decomposition():
+    return extract_r(centring_projection(2, 3), PLANE, 3)
+
+
+def _model_repr() -> str:
+    model = build_model(4)
+    return (f"SequenceModel(params={PARAMS_REPR}, stages={model.stages!r}, "
+            f"inverse_stages={model.inverse_stages!r}, forward={model.forward!r}, "
+            f"inverse={model.inverse!r}, bound=Fraction(9, 2))")
+
+
+def _decomposition_repr() -> str:
+    dec = _decomposition()
+    return (f"SymmetrizationDecomposition(p_tilde={dec.p_tilde!r}, "
+            "a=Mat(rows=2, cols=2, nums=(2, 0, 0, 2), den=3), "
+            "b=Mat(rows=2, cols=2, nums=(-1, 0, 0, -1), den=3), "
+            "r=Mat(rows=2, cols=2, nums=(1, 0, 0, 1), den=1), "
+            "p_tilde_norm=Fraction(4, 3), r_norm=Fraction(1, 1))")
+
+
+# (record, a factory that builds one instance afresh, the dataclass repr of it)
+RECORDS = [
+    (Context, lambda: Context(seed=3, budget=LPBudget(4, 2)),
+     lambda: "Context(seed=3, budget=LPBudget(max_ambient=4, max_dim=2))"),
+    (Criterion, lambda: Criterion("k", "title", _criterion_run),
+     lambda: f"Criterion(key='k', title='title', run={_criterion_run!r})"),
+    (CriterionResult, lambda: CriterionResult("k", "t", True, "d"),
+     lambda: "CriterionResult(key='k', title='t', passed=True, detail='d')"),
+    (BMParameterSet, lambda: bm_params(4), lambda: PARAMS_REPR),
+    (BoundComparison, lambda: BoundComparison(19.5, 19.75),
+     lambda: "BoundComparison(ours=19.5, prior=19.75)"),
+    (Clause, lambda: Clause(3, 0, 4, 2, F(1, 2)), lambda: CLAUSE_REPR),
+    (SeqOperator, lambda: SeqOperator((Clause(3, 0, 4, 2, F(1, 2)),), "X"),
+     lambda: f"SeqOperator(clauses=({CLAUSE_REPR},), descriptor='X')"),
+    (SequenceModel, lambda: build_model(4), _model_repr),
+    (LPBudget, lambda: LPBudget(), lambda: "LPBudget(max_ambient=12, max_dim=6)"),
+    (ProjectionConstantResult,
+     lambda: ProjectionConstantResult(F(1), Mat(1, 2, (1, 0)), LINE, (1, 1)),
+     lambda: ("ProjectionConstantResult(value=Fraction(1, 1), "
+              f"minimizer_c=Mat(rows=1, cols=2, nums=(1, 0), den=1), space={LINE_REPR}, "
+              "witness=(1, 1))")),
+    (OracleConfig, lambda: OracleConfig(2, 3, seed=4),
+     lambda: "OracleConfig(restarts=2, iterations=3, seed=4)"),
+    (ScheduleEntry, lambda: ScheduleEntry(1, F(3, 2), "x"),
+     lambda: "ScheduleEntry(step=1, lambda_k=Fraction(3, 2), ambient='x')"),
+    (AmplificationPlan, lambda: AmplificationPlan(1, 9, F(63, 32)),
+     lambda: "AmplificationPlan(m=1, copies=9, alpha=Fraction(63, 32))"),
+    (DemoStep, lambda: DemoStep(1, 4, F(4, 3), None),
+     lambda: "DemoStep(step=1, ambient_dim=4, expected=Fraction(4, 3), computed=None)"),
+    (ScheduleReport, lambda: ScheduleReport(F(2), (DemoStep(1, 4, F(4, 3), F(4, 3)),)),
+     lambda: ("ScheduleReport(base_lambda=Fraction(2, 1), steps=(DemoStep(step=1, "
+              "ambient_dim=4, expected=Fraction(4, 3), computed=Fraction(4, 3)),))")),
+    (LinearProgram,
+     lambda: LinearProgram([0, 1], 1, [{0: 1}], [1], [1], [{1: -1}], [0], [1], [True, False]),
+     lambda: ("LinearProgram(objective=[0, 1], objective_den=1, eq_rows=[{0: 1}], "
+              "eq_rhs=[1], eq_dens=[1], ub_rows=[{1: -1}], ub_rhs=[0], ub_dens=[1], "
+              "free=[True, False])")),
+    (ZeroSumSpace, lambda: sigma_subspace(LINE, 2),
+     lambda: (f"ZeroSumSpace(base={LINE_REPR}, copies=2, space=Subspace(ambient_dim=4, "
+              "basis=Mat(rows=1, cols=4, nums=(2, 1, -2, -1), den=2)))")),
+    (SymmetrizationDecomposition, _decomposition, _decomposition_repr),
+    (MultiplicationLawReport,
+     lambda: MultiplicationLawReport(F(1), F(4, 3), F(4, 3), 3, 6, "ok"),
+     lambda: ("MultiplicationLawReport(base_lambda=Fraction(1, 1), mu=Fraction(4, 3), "
+              "sigma_lambda=Fraction(4, 3), copies=3, ambient_dim=6, status='ok')")),
+]
+IDS = [record.__name__ for record, _, _ in RECORDS]
+
+
+def test_importing_the_package_builds_only_the_matrix_types():
+    code = (
+        "import dataclasses\n"
+        "built = []\n"
+        "make = dataclasses.dataclass\n"
+        "def counted(cls=None, /, **kwargs):\n"
+        "    def wrap(c):\n"
+        "        built.append(f'{c.__module__}.{c.__qualname__}')\n"
+        "        return make(**kwargs)(c)\n"
+        "    return wrap if cls is None else wrap(cls)\n"
+        "dataclasses.dataclass = counted\n"
+        "import projconst, projconst.cli\n"
+        "print(built)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split("\n")[-2] == str(["projconst.linalg.Mat", "projconst.linalg.Subspace"])
+
+
+def test_every_record_is_covered():
+    assert len(RECORDS) == 19
+    assert all(issubclass(record, tuple) and hasattr(record, "_fields")
+               for record, _, _ in RECORDS)
+
+
+@pytest.mark.parametrize("record, make, text", RECORDS, ids=IDS)
+def test_repr_keeps_the_dataclass_text(record, make, text):
+    value = make()
+    assert type(value) is record
+    assert repr(value) == text()
+
+
+@pytest.mark.parametrize("record, make, text", RECORDS, ids=IDS)
+def test_equal_and_hashed_by_value(record, make, text):
+    one, two = make(), make()
+    assert one is not two and one == two
+    assert not one != two
+    first = one._fields[0]
+    assert one != one._replace(**{first: "changed"})
+    if record is LinearProgram:
+        # lists inside, as in the unfrozen dataclass it replaced: unhashable
+        with pytest.raises(TypeError):
+            hash(one)
+    else:
+        assert hash(one) == hash(two)
+
+
+@pytest.mark.parametrize("record, make, text", RECORDS, ids=IDS)
+def test_no_attribute_can_be_set(record, make, text):
+    value = make()
+    for name in (value._fields[0], value._fields[-1], "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+    assert repr(value) == text()
+
+
+def test_attained_is_a_class_constant():
+    result = RECORDS[IDS.index("ProjectionConstantResult")][1]()
+    assert result.attained is True and "attained" not in result._fields
+    assert ProjectionConstantResult.attained is True
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: OracleConfig(restarts=1.5),
+     "oracle needs integer restarts and iterations, got "
+     "OracleConfig(restarts=1.5, iterations=4000, seed=0)"),
+    (lambda: OracleConfig(iterations=True),
+     "oracle needs integer restarts and iterations, got "
+     "OracleConfig(restarts=8, iterations=True, seed=0)"),
+    (lambda: OracleConfig(0, 5),
+     "oracle needs restarts >= 1 and iterations >= 1, got "
+     "OracleConfig(restarts=0, iterations=5, seed=0)"),
+    (lambda: AmplificationPlan(0, 3, F(3, 2)), "a plan of 0 steps cannot have block count 3"),
+    (lambda: AmplificationPlan(2, None, F(3, 2)),
+     "a plan of 2 steps cannot have block count None"),
+    (lambda: AmplificationPlan(-1, 3, F(3, 2)), "a plan of -1 steps cannot have block count 3"),
+    (lambda: AmplificationPlan(1, 1, F(3, 2)), "need at least 2 copies, got 1"),
+    (lambda: ZeroSumSpace(LINE, 3, sigma_subspace(LINE, 2).space),
+     "zero-sum space lives in ell_inf^4, expected 3 blocks of dimension 2"),
+    (lambda: ZeroSumSpace(LINE, 2, Subspace.from_rows([[1, 0, 1, 0]])),
+     "zero-sum basis row has nonzero block sum"),
+    (lambda: Clause(0, 0, 1, 0, F(1)),
+     "clause needs moduli >= 1 and residues >= 0, got "
+     "Clause(out_modulus=0, out_residue=0, in_modulus=1, in_residue=0, coeff=Fraction(1, 1))"),
+    (lambda: Clause(1, 0, 1, -1, F(1)),
+     "clause needs moduli >= 1 and residues >= 0, got "
+     "Clause(out_modulus=1, out_residue=0, in_modulus=1, in_residue=-1, coeff=Fraction(1, 1))"),
+])
+def test_checked_records_raise_their_messages(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_checked_records_take_keywords_and_defaults():
+    assert OracleConfig() == OracleConfig(8, 4000, 0) == OracleConfig(seed=0)
+    assert AmplificationPlan(m=0, copies=None, alpha=F(3, 2)).copies is None
+    assert Clause(3, 0, 4, 2, coeff=F(1, 2)) == Clause(3, 0, 4, 2, F(1, 2))
+    assert ZeroSumSpace(base=LINE, copies=2, space=sigma_subspace(LINE, 2).space) == \
+        sigma_subspace(LINE, 2)

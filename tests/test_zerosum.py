@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 from blocks_reference import block_permutation, coordinatewise_lift
-from linalg_reference import subspace_contains
+from linalg_reference import identity, integer_add, integer_scale, subspace_contains, zeros
 from pivot_limits import fewest_pivots
 
 from projconst import simplex
@@ -198,16 +198,16 @@ class TestSymmetrize:
         # reference: the defining average over all N! block permutations
         base = Subspace.from_rows([[1] + [j % 2 for j in range(1, d)]])
         p = random_projection_onto(sigma_subspace(base, n), Random(d * 10 + n))
-        total = Mat.zeros(d * n, d * n)
+        total = zeros(d * n, d * n)
         perms = list(itertools.permutations(range(n)))
         for sigma in perms:
             u = block_permutation(n, d, sigma)
-            total = total.add(u.transpose() @ p @ u)
-        assert symmetrize(p, d, n) == total.scale(F(1, len(perms)))
+            total = integer_add(total, u.transpose() @ p @ u)
+        assert symmetrize(p, d, n) == integer_scale(total, F(1, len(perms)))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            symmetrize(Mat.identity(3), 1, 2)
+            symmetrize(identity(3), 1, 2)
 
 
 FULL_PLANE = Subspace.from_rows([[1, 0], [0, 1]])
@@ -216,9 +216,9 @@ FULL_PLANE = Subspace.from_rows([[1, 0], [0, 1]])
 class TestExtractR:
     def test_centring_map_collapses_to_identity(self):
         dec = extract_r(centring_projection(2, 3), FULL_PLANE, 3)
-        assert dec.r == Mat.identity(2)
-        assert dec.a == Mat.identity(2).scale(F(2, 3))
-        assert dec.b == Mat.identity(2).scale(F(-1, 3))
+        assert dec.r == identity(2)
+        assert dec.a == integer_scale(identity(2), F(2, 3))
+        assert dec.b == integer_scale(identity(2), F(-1, 3))
 
     def test_random_symmetrized_projection_decomposes(self):
         rng = Random(17)
@@ -242,7 +242,7 @@ class TestExtractR:
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            extract_r(Mat.identity(3), SCALAR_LINE, 2)
+            extract_r(identity(3), SCALAR_LINE, 2)
 
     def test_rejects_block_map_outside_base(self):
         # symmetric under block swaps but the collapsed block map is the

@@ -1,4 +1,4 @@
-"""The `Fraction` `minproj.feasible_perturbation` that the integer one replaced, kept as a test oracle.
+"""The former `Fraction` `minproj.feasible_perturbation`, kept as a test oracle.
 
 `feasible_perturbation` is the package's former function, verbatim: it
 walks each row of C in `Fraction`s, one multiply-add per entry and kernel

@@ -6,13 +6,14 @@ programming, certifies the zero-sum amplification law lambda(Sigma_N(E)) =
 and carries the optimised two-parameter decomposition bound together with an
 exact sequence-space model realising it.
 
-Every record is a `typing.NamedTuple`: immutable, with a repr, `==` and
-`hash` by value, and about a tenth of a frozen, slotted dataclass's cost to
-create when its module is imported, a cost every CLI call pays.  A record
-that checks its fields does so in `__new__` on a `__slots__ = ()` subclass
-of its fields' named tuple.  Only `linalg.Mat` and `linalg.Subspace` stay
-frozen dataclasses, so that tuple `+`, `*`, `<`, `len` and iteration never
-reach a matrix.
+Every record, `linalg.Subspace` included, is a `typing.NamedTuple`:
+immutable, with a repr, `==` and `hash` by value, and about a tenth of a
+frozen, slotted dataclass's cost to create when its module is imported, a
+cost every CLI call pays.  A record that checks its fields does so in
+`__new__` on a `__slots__ = ()` subclass of its fields' named tuple, whose
+`_make` calls the class, so `_replace` checks too.  `linalg.Mat` is the one
+plain class, slotted and immutable, so that tuple `+`, `*`, `<`, `len` and
+iteration never reach a matrix.
 """
 
 from .banach_mazur import (

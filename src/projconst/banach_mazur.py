@@ -237,6 +237,7 @@ class Clause(_ClauseFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -107,7 +107,7 @@ def load_subspace_document(path: str) -> Subspace:
     widths = {len(row) for row in rows}
     if widths != {ambient}:
         raise InputError(f"basis rows must all have length {ambient}")
-    return Subspace.from_rows(rows, ambient_dim=ambient)
+    return Subspace.from_rows(rows)
 
 
 def emit(payload: dict):

@@ -3,11 +3,11 @@
 Every matrix is exact: a `Mat` stores integer numerators over one positive
 int denominator, in lowest terms as a whole, and every norm, rank and
 product computed here is exact.  `Fraction`s appear only at the edges: the
-views `Mat.at`, `row`, `col` and `entries`, `Mat.from_rows` on the way in,
-and the values that `inf_op_norm` and `kernel_basis` hand out.  Matrices act
-on column vectors of ell_inf^n; the only operator norm used anywhere in the
-package is the inf->inf norm, which equals the maximum absolute row sum and
-is attained at a +-1 sign vector.
+views `Mat.row` and `entries`, `Mat.from_rows` on the way in, and the norm
+that `inf_op_norm` hands out; `kernel_basis` hands out integer rows over one
+denominator.  Matrices act on column vectors of ell_inf^n; the only operator
+norm used anywhere in the package is the inf->inf norm, which equals the
+maximum absolute row sum and is attained at a +-1 sign vector.
 
 This module holds the package's one exact elimination kernel.  It works on
 integer rows: a row is a list of Python ints over one positive denominator,
@@ -35,7 +35,6 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
@@ -85,7 +84,6 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True, slots=True)
 class Mat:
     """Dense exact matrix: row-major int numerators over one positive int
     denominator, entry (i, j) standing for nums[i * cols + j] / den.
@@ -93,33 +91,47 @@ class Mat:
     Construction brings the matrix to lowest terms as a whole (den and the
     numerators have gcd 1, so a zero matrix has den 1) and makes equal
     numerators one int object, so `==` and `hash` compare values and a kept
-    matrix holds one object per distinct value.  `at`, `row`, `col` and
-    `entries` are `Fraction` views, made on each access.  Immutable after
-    construction; all arithmetic returns fresh matrices.
+    matrix holds one object per distinct value.  `row` and `entries` are
+    `Fraction` views, made on each access.  No attribute can be set or
+    deleted after construction; all arithmetic returns fresh matrices.
     """
 
-    rows: int
-    cols: int
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("rows", "cols", "nums", "den")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"matrix shape {self.rows}x{self.cols} is empty")
-        nums, den = self.nums, self.den
-        if len(nums) != self.rows * self.cols:
-            raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(nums)}"
-            )
+    def __init__(self, rows: int, cols: int, nums: tuple[int, ...], den: int = 1):
+        if rows < 1 or cols < 1:
+            raise ValueError(f"matrix shape {rows}x{cols} is empty")
+        if len(nums) != rows * cols:
+            raise ValueError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(nums)}")
         if type(den) is not int or den < 1 or not {int}.issuperset(map(type, nums)):
             raise ValueError("a matrix is int numerators over a positive int denominator")
         g = math.gcd(den, *nums)
         if g != 1:
             nums, den = [x // g for x in nums], den // g
         shared: dict[int, int] = {}
-        object.__setattr__(self, "nums", tuple(map(shared.setdefault, nums, nums)))
-        object.__setattr__(self, "den", den)
+        nums = tuple(map(shared.setdefault, nums, nums))
+        for name, value in zip(Mat.__slots__, (rows, cols, nums, den)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return self.rows, self.cols, self.nums, self.den
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Mat(rows={!r}, cols={!r}, nums={!r}, den={!r})".format(*self._key())
+
+    def __reduce__(self):
+        return Mat, self._key()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: a Mat is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Mat":
@@ -145,14 +157,8 @@ class Mat:
     def entries(self) -> tuple[Fraction, ...]:
         return self._fractions(self.nums)
 
-    def at(self, i: int, j: int) -> Fraction:
-        return Fraction(self.nums[i * self.cols + j], self.den)
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self._fractions(self.nums[i * self.cols : (i + 1) * self.cols])
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return self._fractions(self.nums[j :: self.cols])
 
     def numerator_rows(self) -> tuple[tuple[int, ...], ...]:
         """The rows of numerators, each over `den`: the matrix's integer rows."""
@@ -232,30 +238,33 @@ class RankDeficientError(ValueError):
     """Raised when a basis fails to have full row rank."""
 
 
-@dataclass(frozen=True, slots=True)
-class Subspace:
+class _SubspaceFields(NamedTuple):
+    basis: Mat
+
+
+class Subspace(_SubspaceFields):
     """A k-dimensional subspace of ell_inf^n given by k independent basis rows.
 
     Rank is verified exactly, on the basis's numerator rows, at
     construction; a dependent row list is a hard error, never silently
-    reduced.
+    reduced.  The ambient dimension n is the basis's column count.
     """
 
-    ambient_dim: int
-    basis: Mat
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self):
-        n, k = self.ambient_dim, self.basis.rows
-        if self.basis.cols != n:
-            raise ValueError(
-                f"basis rows live in dimension {self.basis.cols}, expected {n}"
-            )
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        n, k = self.basis.cols, self.basis.rows
         if not 1 <= k <= n:
             raise ValueError(f"subspace dimension {k} out of range for ambient {n}")
         if rank_of_rows(self.basis.numerator_rows()) != k:
-            raise RankDeficientError(
-                f"basis rows are linearly dependent: rank < {k}"
-            )
+            raise RankDeficientError(f"basis rows are linearly dependent: rank < {k}")
+        return self
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
 
     @property
     def dim(self) -> int:
@@ -267,9 +276,8 @@ class Subspace:
         return self.basis.numerator_rows(), self.basis.den
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], ambient_dim: int | None = None) -> "Subspace":
-        basis = Mat.from_rows(rows)
-        return cls(ambient_dim if ambient_dim is not None else basis.cols, basis)
+    def from_rows(cls, rows: Sequence[Sequence]) -> "Subspace":
+        return cls(Mat.from_rows(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -425,22 +433,21 @@ def rank_of_rows(rows: Iterable[Sequence[int]]) -> int:
     return len(_reduce(rows, len(rows[0]))[2])
 
 
-def kernel_basis(rows: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+def kernel_basis(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     """Exact basis of the null space {x : A x = 0} of integer rows A, each
-    over any positive denominator, in a deterministic order."""
+    over any positive denominator, in a deterministic order: integer rows
+    over one denominator, the lcm of the reduced pivot rows' denominators."""
     n = len(rows[0]) if rows else 0
     work, dens, pivots = _reduce(rows, n)
-    pivot_cols = set(pivots)
+    den = math.lcm(*dens[:len(pivots)])
     basis = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
-        vec = [_ZERO] * n
-        vec[free] = Fraction(1)
-        for row, den, c in zip(work, dens, pivots):
-            vec[c] = Fraction(-row[free], den)
+    for free in sorted(set(range(n)).difference(pivots)):
+        vec = [0] * n
+        vec[free] = den
+        for row, d, c in zip(work, dens, pivots):
+            vec[c] = -row[free] * (den // d)
         basis.append(vec)
-    return basis
+    return basis, den
 
 
 def invert_square(m: Mat) -> Mat:

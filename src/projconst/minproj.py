@@ -368,11 +368,9 @@ def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random,
     over their common denominator dk and every weight over
     wden = lcm(1, ..., spread).
     """
-    kernel = kernel_basis(space.basis.numerator_rows())
+    kernel, dk = kernel_basis(space.basis.numerator_rows())
     if not kernel:
         return coeffs
-    dk = math.lcm(*(x.denominator for vec in kernel for x in vec))
-    kernel = [[x.numerator * (dk // x.denominator) for x in vec] for vec in kernel]
     wden = math.lcm(*range(1, spread + 1))
     lift = dk * wden
     nums = []
@@ -403,6 +401,7 @@ class _OracleConfigFields(NamedTuple):
 
 class OracleConfig(_OracleConfigFields):
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

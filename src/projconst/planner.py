@@ -61,6 +61,7 @@ class AmplificationPlan(_PlanFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

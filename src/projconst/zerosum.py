@@ -84,6 +84,7 @@ class ZeroSumSpace(_ZeroSumFields):
     """The zero-sum tuples of `copies` blocks of a base subspace."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def ambient_dim(self) -> int:
@@ -130,7 +131,7 @@ def sigma_subspace(base: Subspace, copies: int) -> ZeroSumSpace:
     (b in block 1, -b in block j, 0 elsewhere), giving dimension (N-1)*k.
     """
     _check_blocks(base.ambient_dim, copies)
-    space = Subspace(base.ambient_dim * copies, _sum_kernel_rows(copies).kron(base.basis))
+    space = Subspace(_sum_kernel_rows(copies).kron(base.basis))
     return ZeroSumSpace(base, copies, space)
 
 
@@ -142,7 +143,7 @@ def coordinate_sum_kernel(dim: int) -> Subspace:
     """
     if dim < 2:
         raise ValueError(f"kernel hyperplane needs dimension >= 2, got {dim}")
-    return Subspace(dim, _sum_kernel_rows(dim))
+    return Subspace(_sum_kernel_rows(dim))
 
 
 def sum_kernel_certificate(copies: int) -> ProjectionCertificate:

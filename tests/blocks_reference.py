@@ -20,7 +20,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from linalg_reference import from_flat, integer_add, integer_scale, subspace_contains, zeros
+from linalg_reference import (
+    column,
+    entry,
+    from_flat,
+    integer_add,
+    integer_scale,
+    subspace_contains,
+    zeros,
+)
 
 from projconst.linalg import Mat, Subspace, inf_op_norm
 from projconst.zerosum import (
@@ -52,7 +60,7 @@ def reference_sigma_subspace(base: Subspace, copies: int) -> ZeroSumSpace:
                 row[c] = x
                 row[j * d + c] = -x
             rows.append(row)
-    space = Subspace.from_rows(rows, ambient_dim=d * copies)
+    space = Subspace.from_rows(rows)
     return ZeroSumSpace(base, copies, space)
 
 
@@ -169,7 +177,7 @@ def reference_extract_r(p_tilde: Mat, base: Subspace, copies: int) -> Symmetriza
 
     def block(bi: int, bj: int) -> Mat:
         return Mat.from_rows([
-            [p_tilde.at(bi * d + r, bj * d + c) for c in range(d)]
+            [entry(p_tilde, bi * d + r, bj * d + c) for c in range(d)]
             for r in range(d)
         ])
 
@@ -190,7 +198,7 @@ def reference_extract_r(p_tilde: Mat, base: Subspace, copies: int) -> Symmetriza
         if r.apply(row) != row:
             raise DecompositionIntegrityError("collapsed block map moves the base subspace")
     for j in range(d):
-        if not subspace_contains(base, r.col(j)):
+        if not subspace_contains(base, column(r, j)):
             raise DecompositionIntegrityError("collapsed block map leaves the base subspace")
     if a != integer_scale(r, Fraction(n - 1, n)) or b != integer_scale(r, Fraction(-1, n)):
         raise DecompositionIntegrityError("blocks are not the expected multiples of r")

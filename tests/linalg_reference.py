@@ -22,7 +22,10 @@ full width, where the package's kernel updates rows in place over their
 nonzeros.  Both must leave identical rows and denominators after every pivot.
 `identity`, `zeros`, `integer_add` and `integer_scale` are the former
 `Mat.identity`, `Mat.zeros`, `Mat.add` and `Mat.scale`, verbatim on integer
-numerators; only tests call them, so they live here.
+numerators, and `entry` and `column` the former `Mat.at` and `Mat.col`
+views; only tests call them, so they live here.  `kernel_fractions` reads
+the package's `kernel_basis`, integer rows over one denominator, as the
+`Fraction` vectors that `kernel_basis` here returns.
 """
 
 from __future__ import annotations
@@ -41,6 +44,20 @@ def from_flat(rows: int, cols: int, entries: Sequence[Fraction]) -> Mat:
 
 def rows_of(m: Mat) -> list[list[Fraction]]:
     return [list(m.row(i)) for i in range(m.rows)]
+
+
+def entry(m: Mat, i: int, j: int) -> Fraction:
+    return Fraction(m.nums[i * m.cols + j], m.den)
+
+
+def column(m: Mat, j: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, m.den) for x in m.nums[j::m.cols])
+
+
+def kernel_fractions(kernel: tuple[Sequence[Sequence[int]], int]) -> list[list[Fraction]]:
+    """Integer rows over one denominator, as `Fraction` vectors."""
+    rows, den = kernel
+    return [[Fraction(x, den) for x in row] for row in rows]
 
 
 def integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
@@ -212,7 +229,7 @@ def invert_square(m: Mat) -> Mat:
 
 def maps_into(m: Mat, space: Subspace) -> bool:
     """Does every column of `m` lie in `space`?"""
-    return all(subspace_contains(space, m.col(j)) for j in range(m.cols))
+    return all(subspace_contains(space, column(m, j)) for j in range(m.cols))
 
 
 def mat_compose(a: Mat, b: Mat) -> Mat:
@@ -222,7 +239,7 @@ def mat_compose(a: Mat, b: Mat) -> Mat:
             f"cannot compose {a.rows}x{a.cols} with {b.rows}x{b.cols}"
         )
     zero = Fraction(0)
-    bt_cols = [b.col(j) for j in range(b.cols)]
+    bt_cols = [column(b, j) for j in range(b.cols)]
     flat = []
     for i in range(a.rows):
         arow = a.row(i)

@@ -10,6 +10,7 @@ equal exactly when every entry has the same value.
 
 from fractions import Fraction
 
+from linalg_reference import entry
 from simplex_reference import RationalProgram
 
 from projconst.linalg import Subspace
@@ -34,12 +35,12 @@ def reference_projection_lp(space: Subspace) -> RationalProgram:
     eq_rows, eq_rhs = [], []
     for p in range(k):
         for q in range(k):
-            eq_rows.append({c_var(p, j): x for j in range(n) if (x := basis.at(q, j))})
+            eq_rows.append({c_var(p, j): x for j in range(n) if (x := entry(basis, q, j))})
             eq_rhs.append(_ONE if p == q else _ZERO)
 
     ub_rows = []
     for i in range(n):
-        plus = [(p, x) for p in range(k) if (x := basis.at(p, i))]
+        plus = [(p, x) for p in range(k) if (x := entry(basis, p, i))]
         minus = [(p, -x) for p, x in plus]
         for j in range(n):
             # (B^T C)[i,j] = sum_p B[p,i] C[p,j]

@@ -20,7 +20,7 @@ from blocks_reference import (
     reference_sigma_subspace,
 )
 
-from linalg_reference import identity, integer_add, integer_scale, rows_of, zeros
+from linalg_reference import entry, identity, integer_add, integer_scale, rows_of, zeros
 
 from projconst.linalg import Mat, Subspace, invert_square
 from projconst.minproj import feasible_perturbation
@@ -57,7 +57,7 @@ def outcome(base: Subspace, copies: int, m: Mat):
 def from_blocks(a: Mat, b: Mat, n: int) -> Mat:
     """The permutation-invariant matrix with `a` on every diagonal block and `b` elsewhere."""
     d = a.rows
-    return Mat.from_rows([[(a if i == j else b).at(r, c) for j in range(n) for c in range(d)]
+    return Mat.from_rows([[entry(a if i == j else b, r, c) for j in range(n) for c in range(d)]
                           for i in range(n) for r in range(d)])
 
 

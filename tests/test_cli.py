@@ -137,6 +137,14 @@ class TestInputValidation:
         path.write_text(json.dumps({"ambient_dim": 2, "basis": [["1"], ["1", "2"]]}))
         assert run(capsys, "minproj", str(path))[0] == 2
 
+    def test_rows_shorter_than_ambient_dim(self, capsys, tmp_path):
+        # every row has the same length, but not the document's ambient_dim
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"ambient_dim": 3, "basis": [["1", "0"], ["0", "1"]]}))
+        code, _, err = run(capsys, "minproj", str(path))
+        assert code == 2
+        assert err.splitlines()[0] == "error: basis rows must all have length 3"
+
     def test_rank_deficient(self, capsys, tmp_path):
         path = tmp_path / "dependent.json"
         path.write_text(json.dumps(

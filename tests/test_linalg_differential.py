@@ -131,7 +131,7 @@ def test_rank_and_kernel_basis():
         m, n = len(rows), len(rows[0])
         rank = rank_of_rows(ref.integer_rows(rows))
         assert rank == ref.rank_of_rows(rows)
-        assert kernel_basis(ref.integer_rows(rows)) == ref.kernel_basis(rows)
+        assert ref.kernel_fractions(kernel_basis(ref.integer_rows(rows))) == ref.kernel_basis(rows)
         shapes["wide" if m < n else "tall" if m > n else "square"] += 1
         shapes["deficient"] += rank < min(m, n)
         shapes["zero row"] += any(not any(row) for row in rows)
@@ -174,7 +174,7 @@ def test_product_matches_the_former_product():
             assert a.is_idempotent() == (ref.mat_compose(a, a) == a)
         seen["1x1"] += (n, k, m) == (1, 1, 1)
         seen["zero row"] += any(not any(a.row(i)) for i in range(n))
-        seen["zero column"] += any(not any(b.col(j)) for j in range(m))
+        seen["zero column"] += any(not any(ref.column(b, j)) for j in range(m))
         seen["zero product"] += not any(got.entries)
     assert min(seen.values()) >= 20, seen
     wide = Mat.from_rows([[1, 2]])
@@ -516,7 +516,7 @@ def test_elimination_past_one_digit_matches_the_former_elimination(monkeypatch):
         integer = large_numerator_rows(rng, m, n, numerators)
         rows = [list(map(F, row)) for row in integer]
         assert rank_of_rows(integer) == ref.rank_of_rows(rows)
-        assert kernel_basis(integer) == ref.kernel_basis(rows)
+        assert ref.kernel_fractions(kernel_basis(integer)) == ref.kernel_basis(rows)
         square = Mat.from_rows(large_denominator_rows(rng, n, n, numerators))
         assert outcome(invert_square, square) == outcome(ref.invert_square, square)
     assert len(branches) == 2 and min(branches.values()) >= 30, branches
@@ -538,7 +538,7 @@ def test_reduce_pivots_distinct_rows(monkeypatch):
         integer = ref.integer_rows(rows[:-1])
         integer.append(integer[0])
         assert rank_of_rows(integer) == ref.rank_of_rows(rows)
-        assert kernel_basis(integer) == ref.kernel_basis(rows)
+        assert ref.kernel_fractions(kernel_basis(integer)) == ref.kernel_basis(rows)
         m = random_square(seed)
         assert outcome(invert_square, m) == outcome(ref.invert_square, m)
     assert calls["pivots"] >= 300, calls

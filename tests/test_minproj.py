@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from certificate_reference import as_mat
-from linalg_reference import identity, rows_of, subspace_contains
+from linalg_reference import column, identity, rows_of, subspace_contains
 
 import projconst
 from projconst.linalg import (
@@ -109,7 +109,7 @@ class TestCertificate:
         for i in range(space.dim):
             assert p.apply(space.basis.row(i)) == space.basis.row(i)
         for j in range(space.ambient_dim):
-            assert subspace_contains(space, p.col(j))
+            assert subspace_contains(space, column(p, j))
         image = p.apply(result.witness)
         assert max(abs(x) for x in image) == result.value
 

@@ -16,6 +16,7 @@ them, test that branch beyond ker_n.
 from random import Random
 
 import pytest
+from linalg_reference import kernel_fractions
 from oracle_reference import reference_restart_bests, reference_verdict
 
 from projconst.acceptance import _law_instances
@@ -60,7 +61,7 @@ def random_hyperplane(rng: Random) -> Subspace:
     while True:
         f = [rng.randint(-5, 5) for _ in range(n)]
         if len({abs(x) for x in f}) > 1 and sum(x != 0 for x in f) >= 2:
-            return Subspace.from_rows(kernel_basis([f]))
+            return Subspace.from_rows(kernel_fractions(kernel_basis([f])))
 
 
 def law_spaces():

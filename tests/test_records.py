@@ -1,14 +1,19 @@
-"""The package's records are named tuples, and importing it builds no dataclass
-but `Mat` and `Subspace`.
+"""The package's records are named tuples, `Mat` is a plain slotted class,
+and importing the package and its CLI loads neither `dataclasses` nor
+`inspect` (nor numpy).
 
 A record keeps the text of the frozen dataclass it replaced: its repr, `==`
-and `hash` by value, and no attribute can be set.  The four records that
-check their fields at construction still raise the same `ValueError`s.
-Named tuples and dataclasses differ in their internals across Python
+and `hash` by value, and no attribute can be set.  The five records that
+check their fields at construction still raise the same `ValueError`s, and
+so does their `_replace`.  `Mat` keeps the repr, `==` and `hash` of the
+dataclass it was, refuses to set or delete any attribute, and supports no
+tuple operation.  Named tuples differ in their internals across Python
 3.10-3.13, so this file runs on each of them.  Needs nothing beyond pytest.
 """
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -43,7 +48,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 LINE = Subspace.from_rows([[1, F(1, 2)]])
 PLANE = Subspace.from_rows([[1, 0], [0, 1]])
-LINE_REPR = "Subspace(ambient_dim=2, basis=Mat(rows=1, cols=2, nums=(2, 1), den=2))"
+LINE_REPR = "Subspace(basis=Mat(rows=1, cols=2, nums=(2, 1), den=2))"
 CLAUSE_REPR = ("Clause(out_modulus=3, out_residue=0, in_modulus=4, in_residue=2, "
                "coeff=Fraction(1, 2))")
 PARAMS_REPR = ("BMParameterSet(a=Fraction(4, 1), mu=Fraction(1, 4), nu=Fraction(3, 4), "
@@ -112,8 +117,9 @@ RECORDS = [
      lambda: ("LinearProgram(objective=[0, 1], objective_den=1, eq_rows=[{0: 1}], "
               "eq_rhs=[1], eq_dens=[1], ub_rows=[{1: -1}], ub_rhs=[0], ub_dens=[1], "
               "free=[True, False])")),
+    (Subspace, lambda: Subspace.from_rows([[1, F(1, 2)]]), lambda: LINE_REPR),
     (ZeroSumSpace, lambda: sigma_subspace(LINE, 2),
-     lambda: (f"ZeroSumSpace(base={LINE_REPR}, copies=2, space=Subspace(ambient_dim=4, "
+     lambda: (f"ZeroSumSpace(base={LINE_REPR}, copies=2, space=Subspace("
               "basis=Mat(rows=1, cols=4, nums=(2, 1, -2, -1), den=2)))")),
     (SymmetrizationDecomposition, _decomposition, _decomposition_repr),
     (MultiplicationLawReport,
@@ -122,30 +128,31 @@ RECORDS = [
               "sigma_lambda=Fraction(4, 3), copies=3, ambient_dim=6, status='ok')")),
 ]
 IDS = [record.__name__ for record, _, _ in RECORDS]
+# a valid value, other than the instance's own, for the first field of each
+# record that checks its fields; the other records take any value
+CHANGED_FIRST = {
+    Clause: 5,
+    OracleConfig: 5,
+    AmplificationPlan: 2,
+    Subspace: Mat(1, 2, (1, 0)),
+    ZeroSumSpace: Subspace.from_rows([[1, 0]]),
+}
 
 
-def test_importing_the_package_builds_only_the_matrix_types():
+def test_importing_the_package_loads_no_dataclasses_inspect_or_numpy():
     code = (
-        "import dataclasses\n"
-        "built = []\n"
-        "make = dataclasses.dataclass\n"
-        "def counted(cls=None, /, **kwargs):\n"
-        "    def wrap(c):\n"
-        "        built.append(f'{c.__module__}.{c.__qualname__}')\n"
-        "        return make(**kwargs)(c)\n"
-        "    return wrap if cls is None else wrap(cls)\n"
-        "dataclasses.dataclass = counted\n"
+        "import sys\n"
         "import projconst, projconst.cli\n"
-        "print(built)\n"
+        "print(sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split("\n")[-2] == str(["projconst.linalg.Mat", "projconst.linalg.Subspace"])
+    assert out == "[]\n"
 
 
 def test_every_record_is_covered():
-    assert len(RECORDS) == 19
+    assert len(RECORDS) == 20
     assert all(issubclass(record, tuple) and hasattr(record, "_fields")
                for record, _, _ in RECORDS)
 
@@ -163,7 +170,7 @@ def test_equal_and_hashed_by_value(record, make, text):
     assert one is not two and one == two
     assert not one != two
     first = one._fields[0]
-    assert one != one._replace(**{first: "changed"})
+    assert one != one._replace(**{first: CHANGED_FIRST.get(record, "changed")})
     if record is LinearProgram:
         # lists inside, as in the unfrozen dataclass it replaced: unhashable
         with pytest.raises(TypeError):
@@ -219,9 +226,74 @@ def test_checked_records_raise_their_messages(make, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: OracleConfig()._replace(restarts=0),
+     "oracle needs restarts >= 1 and iterations >= 1, got "
+     "OracleConfig(restarts=0, iterations=4000, seed=0)"),
+    (lambda: OracleConfig._make((8, 2.5, 0)),
+     "oracle needs integer restarts and iterations, got "
+     "OracleConfig(restarts=8, iterations=2.5, seed=0)"),
+    (lambda: Clause(3, 0, 4, 2, F(1, 2))._replace(out_modulus=0),
+     "clause needs moduli >= 1 and residues >= 0, got "
+     "Clause(out_modulus=0, out_residue=0, in_modulus=4, in_residue=2, coeff=Fraction(1, 2))"),
+    (lambda: sigma_subspace(LINE, 2)._replace(copies=3),
+     "zero-sum space lives in ell_inf^4, expected 3 blocks of dimension 2"),
+    (lambda: AmplificationPlan(1, 3, F(3, 2))._replace(copies=None),
+     "a plan of 1 steps cannot have block count None"),
+    (lambda: LINE._replace(basis=Mat(3, 2, (1, 0, 0, 1, 1, 1))),
+     "subspace dimension 3 out of range for ambient 2"),
+    (lambda: LINE._replace(basis=Mat(2, 2, (1, 2, 2, 4))),
+     "basis rows are linearly dependent: rank < 2"),
+])
+def test_replace_and_make_check_like_the_constructor(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_checked_records_take_keywords_and_defaults():
     assert OracleConfig() == OracleConfig(8, 4000, 0) == OracleConfig(seed=0)
     assert AmplificationPlan(m=0, copies=None, alpha=F(3, 2)).copies is None
     assert Clause(3, 0, 4, 2, coeff=F(1, 2)) == Clause(3, 0, 4, 2, F(1, 2))
     assert ZeroSumSpace(base=LINE, copies=2, space=sigma_subspace(LINE, 2).space) == \
         sigma_subspace(LINE, 2)
+
+
+@pytest.mark.parametrize("change", [
+    lambda m, space: setattr(m, "rows", 2),
+    lambda m, space: setattr(m, "foo", 1),
+    lambda m, space: delattr(m, "den"),
+    lambda m, space: setattr(space, "basis", m),
+    lambda m, space: setattr(space, "integer_basis", space.integer_basis),
+    lambda m, space: setattr(space, "foo", 1),
+    lambda m, space: delattr(space, "basis"),
+], ids=["m.rows", "m.foo", "del m.den", "space.basis", "space.integer_basis", "space.foo",
+        "del space.basis"])
+def test_no_attribute_of_a_matrix_or_subspace_can_be_set_or_deleted(change):
+    m, space = Mat(1, 2, (1, 0)), Subspace.from_rows([[1, F(1, 2)]])
+    with pytest.raises(AttributeError):
+        change(m, space)
+    assert repr(m) == "Mat(rows=1, cols=2, nums=(1, 0), den=1)"
+    assert repr(space) == LINE_REPR
+
+
+@pytest.mark.parametrize("operation", [
+    lambda m: m + m,
+    lambda m: m * m,
+    lambda m: m < m,
+    lambda m: len(m),
+    lambda m: iter(m),
+], ids=["+", "*", "<", "len", "iter"])
+def test_a_matrix_is_no_tuple(operation):
+    with pytest.raises(TypeError):
+        operation(Mat(1, 2, (1, 0)))
+
+
+def test_a_matrix_keeps_its_dataclass_equality_and_hash():
+    m = Mat(2, 2, (2, 4, 6, 8), 2)
+    assert repr(m) == "Mat(rows=2, cols=2, nums=(1, 2, 3, 4), den=1)"
+    assert m == Mat(2, 2, (1, 2, 3, 4)) and not m != Mat(2, 2, (1, 2, 3, 4))
+    assert m != Mat(2, 2, (1, 2, 3, 4), 2) and m != (2, 2, (1, 2, 3, 4), 1)
+    assert hash(m) == hash((2, 2, (1, 2, 3, 4), 1))
+    for again in copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m)):
+        assert again == m and type(again) is Mat

@@ -231,7 +231,7 @@ def _kernel(n: int) -> Subspace:
     rows = [[F(0)] * n for _ in range(n - 1)]
     for i in range(n - 1):
         rows[i][i], rows[i][i + 1] = F(1), F(-1)
-    return Subspace.from_rows(rows, ambient_dim=n)
+    return Subspace.from_rows(rows)
 
 
 @pytest.mark.parametrize("space, expected", [

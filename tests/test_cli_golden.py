@@ -4,8 +4,10 @@ Each case runs `python -m projconst ARGS` in a fresh interpreter, from
 `tests/golden/` so that document paths are relative, and compares its stdout
 byte for byte with `tests/golden/<case>.stdout`.  The files were captured
 from the same commands; to add a case, run it the same way and commit its
-stdout.  Only exact commands are listed: `selftest` and `minproj --oracle`
-print floats that depend on the numpy version.
+stdout.  Every listed command is exact or prints floats from pure-Python
+`math` (`bm --params` of a non-exact a, `bm --optimize`), which do not
+change with the numpy version; `selftest` and `minproj --oracle` print
+floats that do, so they are not listed.
 """
 
 import os
@@ -34,6 +36,9 @@ CASES = {
     "plan-3_2": ["plan", "--lambda", "3/2"],
     "plan-4_3-demo-ker3": ["plan", "--lambda", "4/3", "--demo", "ker3.json", "--steps", "0"],
     "bm-params-4": ["bm", "--params", "4"],
+    "bm-params-2": ["bm", "--params", "2"],
+    "bm-params-1_3": ["bm", "--params", "1/3"],
+    "bm-optimize": ["bm", "--optimize"],
     "bm-model-4": ["bm", "--model", "4"],
 }
 

@@ -11,7 +11,11 @@ immutable, with a repr, `==` and `hash` by value, and about a tenth of a
 frozen, slotted dataclass's cost to create when its module is imported, a
 cost every CLI call pays.  A record that checks its fields does so in
 `__new__` on a `__slots__ = ()` subclass of its fields' named tuple, whose
-`_make` calls the class, so `_replace` checks too.  `linalg.Mat` is the one
+`_make` calls the class, so `_replace` checks too.  A record stores only
+what it cannot derive: a value that follows from its other fields, such as
+a zero-sum space's basis from its base and block count, or every
+coefficient of a parameter set from a, is a property, so no record can
+disagree with itself.  `linalg.Mat` is the one
 plain class, slotted and immutable, so that tuple `+`, `*`, `<`, `len` and
 iteration never reach a matrix.
 """

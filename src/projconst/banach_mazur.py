@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Mapping, NamedTuple
 
-from .linalg import format_rational
+from .linalg import format_rational, parse_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -57,66 +57,61 @@ def _rational_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-class BMParameterSet(NamedTuple):
-    """The derived coefficients for one value of the shape parameter a.
+class _BMFields(NamedTuple):
+    a: "Fraction | float"
 
-    All fields are exact rationals when 2a+1 is a rational square, floats
-    otherwise.  Identities that always hold (exactly in the exact case, to
-    1e-12 otherwise): mu = 1/a, root^2 = 2a + 1, nu = root/a = mu * root,
-    b = a/root = 1/nu, K = 2*nu + root, g = K^2.
+
+class BMParameterSet(_BMFields):
+    """The derived coefficients for one value of the shape parameter a > 0.
+
+    Only a is stored: a `Fraction` whose 2a+1 is a rational square (checked
+    at construction), and then every coefficient is an exact rational, or a
+    float, and then every coefficient is a float.  mu = 1/a,
+    root = sqrt(2a + 1), nu = root/a, b = a/root = 1/nu, K = 2*nu + root
+    (`bound`) and g = K^2 (`bound_sq`).
     """
 
-    a: "Fraction | float"
-    mu: "Fraction | float"       # 1/a
-    nu: "Fraction | float"       # sqrt(2a+1)/a
-    b: "Fraction | float"        # a/sqrt(2a+1) = 1/nu
-    root: "Fraction | float"     # sqrt(2a+1)
-    bound: "Fraction | float"    # K(a)
-    bound_sq: "Fraction | float" # g(a)
-    exact: bool
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        a = self.a
+        if not (isinstance(a, (Fraction, float)) and a > 0):
+            raise ValueError(f"shape parameter must be a positive Fraction or float, got {a!r}")
+        if isinstance(a, Fraction) and _rational_sqrt(2 * a + 1) is None:
+            raise NonExactParameterError(f"2*{a}+1 is not the square of a rational")
+        return self
+
+    exact = property(lambda self: not isinstance(self.a, float))
+    root = property(lambda self: _rational_sqrt(2 * self.a + 1) if self.exact
+                    else math.sqrt(2.0 * self.a + 1.0))
+    mu = property(lambda self: 1 / self.a)
+    nu = property(lambda self: self.root / self.a)
+    b = property(lambda self: self.a / self.root)
+    bound = property(lambda self: 2 * self.nu + self.root)
+    bound_sq = property(lambda self: self.bound * self.bound)
 
     def to_json_dict(self) -> dict:
-        if self.exact:
-            fmt = format_rational
-        else:
-            fmt = float
-        return {
-            "a": fmt(self.a),
-            "mu": fmt(self.mu),
-            "nu": fmt(self.nu),
-            "b": fmt(self.b),
-            "root": fmt(self.root),
-            "K": fmt(self.bound),
-            "g": fmt(self.bound_sq),
-            "exact": self.exact,
-        }
+        fmt = format_rational if self.exact else float
+        return {"a": fmt(self.a), "mu": fmt(self.mu), "nu": fmt(self.nu), "b": fmt(self.b),
+                "root": fmt(self.root), "K": fmt(self.bound), "g": fmt(self.bound_sq),
+                "exact": self.exact}
 
 
 def bm_params(a) -> BMParameterSet:
-    """Derive the full coefficient set for a shape parameter a > 0.
+    """The coefficient set for a shape parameter a > 0.
 
     Accepts int, Fraction, 'p/q' strings or float; the parameter set is
     exact precisely when 2a+1 is the square of a rational.
     """
-    if isinstance(a, str):
-        from .linalg import parse_rational
-        a_exact = parse_rational(a)
-    else:
-        a_exact = Fraction(a)
+    a_exact = parse_rational(a) if isinstance(a, str) else Fraction(a)
     if a_exact <= 0:
         raise ValueError(f"shape parameter must be positive, got {a!r}")
-    root = _rational_sqrt(2 * a_exact + 1)
-    if root is not None:
-        nu = root / a_exact
-        bound = 2 * nu + root
-        return BMParameterSet(a_exact, 1 / a_exact, nu, 1 / nu, root,
-                              bound, bound * bound, True)
-    af = float(a_exact)
-    rootf = math.sqrt(2.0 * af + 1.0)
-    nuf = rootf / af
-    boundf = 2.0 * nuf + rootf
-    return BMParameterSet(af, 1.0 / af, nuf, af / rootf, rootf,
-                          boundf, boundf * boundf, False)
+    try:
+        return BMParameterSet(a_exact)
+    except NonExactParameterError:
+        return BMParameterSet(float(a_exact))
 
 
 def bound_g(a) -> "Fraction | float":
@@ -134,7 +129,8 @@ def bound_g(a) -> "Fraction | float":
 class ClosedFormOptimum(NamedTuple):
     a_star: float
     g_star: float
-    cubic_residual: float
+
+    cubic_residual = property(lambda self: abs(self.a_star ** 3 - 6.0 * self.a_star - 4.0))
 
 
 def optimize_closed_form() -> ClosedFormOptimum:
@@ -143,16 +139,14 @@ def optimize_closed_form() -> ClosedFormOptimum:
     a^3 - 6a - 4 factors as (a + 2)(a^2 - 2a - 2); the positive root of the
     quadratic is 1 + sqrt(3).
     """
-    a_star = 1.0 + math.sqrt(3.0)
-    g_star = 9.0 + 6.0 * math.sqrt(3.0)
-    residual = abs(a_star ** 3 - 6.0 * a_star - 4.0)
-    return ClosedFormOptimum(a_star, g_star, residual)
+    return ClosedFormOptimum(1.0 + math.sqrt(3.0), 9.0 + 6.0 * math.sqrt(3.0))
 
 
 class NumericOptimum(NamedTuple):
     a_star: float
-    g_star: float
     iterations: int
+
+    g_star = property(lambda self: bound_g(self.a_star))
 
 
 def optimize_numeric(lo: float, hi: float, tol: float = 1e-9) -> NumericOptimum:
@@ -188,8 +182,7 @@ def optimize_numeric(lo: float, hi: float, tol: float = 1e-9) -> NumericOptimum:
             f2 = bound_g(x2)
         if iterations > 10_000:
             raise RuntimeError("golden-section failed to contract the bracket")
-    a_star = 0.5 * (lo + hi)
-    return NumericOptimum(a_star, bound_g(a_star), iterations)
+    return NumericOptimum(0.5 * (lo + hi), iterations)
 
 
 PRIOR_BOUND_SQ = 11.0 + 6.0 * math.sqrt(2.0)
@@ -445,7 +438,8 @@ class SequenceModel(NamedTuple):
     inverse_stages: tuple[SeqOperator, SeqOperator, SeqOperator]
     forward: SeqOperator
     inverse: SeqOperator
-    bound: Fraction
+
+    bound = property(lambda self: self.params.bound)
 
 
 def build_model(a) -> SequenceModel:
@@ -511,4 +505,4 @@ def build_model(a) -> SequenceModel:
     forward = SeqOperator.compose(u_fwd, SeqOperator.compose(s_mid, t_fwd))
     inverse = SeqOperator.compose(t_inv, SeqOperator.compose(s_inv, u_inv))
     return SequenceModel(params, (t_fwd, s_mid, u_fwd),
-                         (u_inv, s_inv, t_inv), forward, inverse, params.bound)
+                         (u_inv, s_inv, t_inv), forward, inverse)

@@ -77,42 +77,31 @@ def amplification_factor(copies: int) -> Fraction:
 class _ZeroSumFields(NamedTuple):
     base: Subspace
     copies: int
-    space: Subspace
 
 
 class ZeroSumSpace(_ZeroSumFields):
-    """The zero-sum tuples of `copies` blocks of a base subspace."""
+    """The zero-sum tuples of `copies` blocks of a base: ker_N (x) base, built on access."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.space.ambient_dim
-
-    @property
-    def mu(self) -> Fraction:
-        return amplification_factor(self.copies)
-
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        d = self.base.ambient_dim
-        if self.space.ambient_dim != d * self.copies:
-            raise ValueError(
-                f"zero-sum space lives in ell_inf^{self.space.ambient_dim}, "
-                f"expected {self.copies} blocks of dimension {d}"
-            )
-        if not _block_sums_vanish(self.space.basis.transpose(), d, self.copies):
-            raise ValueError("zero-sum basis row has nonzero block sum")
+        _check_blocks(self.base.ambient_dim, self.copies)
         return self
+
+    # basis rows pair each base row b with one of the later blocks:
+    # (b in block 1, -b in block j, 0 elsewhere), giving dimension (N-1)*k
+    space = property(lambda self: Subspace(_sum_kernel_rows(self.copies).kron(self.base.basis)))
+    ambient_dim = property(lambda self: self.base.ambient_dim * self.copies)
+    mu = property(lambda self: amplification_factor(self.copies))
 
 
 def _check_blocks(block_dim: int, copies: int, m: Mat | None = None):
     """Validate a block structure and, when given, that `m` is dN x dN."""
     if block_dim < 1:
         raise ValueError(f"invalid block dimension {block_dim}")
-    if copies < 2:
-        raise ValueError(f"need at least 2 copies, got {copies}")
+    amplification_factor(copies)  # rejects N < 2
     size = block_dim * copies
     if m is not None and (m.rows, m.cols) != (size, size):
         raise ValueError(f"matrix is {m.rows}x{m.cols}, expected {size}x{size}")
@@ -125,14 +114,8 @@ def _sum_kernel_rows(dim: int) -> Mat:
 
 
 def sigma_subspace(base: Subspace, copies: int) -> ZeroSumSpace:
-    """The zero-sum space ker_N (x) E of `copies` blocks of `base`, in ell_inf^{d*copies}.
-
-    Basis rows pair each base row b with one of the later blocks:
-    (b in block 1, -b in block j, 0 elsewhere), giving dimension (N-1)*k.
-    """
-    _check_blocks(base.ambient_dim, copies)
-    space = Subspace(_sum_kernel_rows(copies).kron(base.basis))
-    return ZeroSumSpace(base, copies, space)
+    """The zero-sum space ker_N (x) E of `copies` blocks of `base`, in ell_inf^{d*copies}."""
+    return ZeroSumSpace(base, copies)
 
 
 def coordinate_sum_kernel(dim: int) -> Subspace:
@@ -226,21 +209,32 @@ def symmetrize(p: Mat, block_dim: int, copies: int) -> Mat:
                                  for j in range(n) for c in range(d)), p.den * n * (n - 1))
 
 
+def _block_nums(rows: tuple[tuple[int, ...], ...], d: int, i: int) -> list[int]:
+    """The numerators of block (i, 0), d x d, row by row."""
+    return [x for row in rows[i * d:i * d + d] for x in row[:d]]
+
+
 class SymmetrizationDecomposition(NamedTuple):
     """Structure of a permutation-invariant projection onto a zero-sum space.
 
-    `a` is its action on a block from that block's own copy, `b` the action
-    from every other copy, and `r = a - b` is a projection of the block space
-    onto the base subspace with p_tilde = lift(r) o centring and
-    norm(p_tilde) = (2 - 2/N) * norm(r) exactly; both norms are kept.
+    `r` is a projection of the block space onto the base subspace with
+    p_tilde = lift(r) o centring and norm(p_tilde) = (2 - 2/N) * norm(r)
+    exactly; both norms are kept.  `a`, the action on a block from that
+    block's own copy, and `b`, the action from every other copy, are read
+    off p_tilde on access; r = a - b.
     """
 
     p_tilde: Mat
-    a: Mat
-    b: Mat
     r: Mat
     p_tilde_norm: Fraction
     r_norm: Fraction
+
+    def _block(self, i: int) -> Mat:
+        d, p = self.r.rows, self.p_tilde
+        return Mat(d, d, tuple(_block_nums(p.numerator_rows(), d, i)), p.den)
+
+    a = property(lambda self: self._block(0))
+    b = property(lambda self: self._block(1))
 
 
 def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomposition:
@@ -260,8 +254,7 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
     d, n = base.ambient_dim, copies
     _check_blocks(d, n, p_tilde)
     rows = p_tilde.numerator_rows()
-    # the numerators of blocks (0, 0) and (1, 0), each d x d, row by row
-    a, b = ([x for row in rows[start:start + d] for x in row[:d]] for start in (0, d))
+    a, b = _block_nums(rows, d, 0), _block_nums(rows, d, 1)
     if any(x != (a if row // d == col // d else b)[row % d * d + col % d]
            for row, nums in enumerate(rows) for col, x in enumerate(nums)):
         raise NotSymmetrizedError("matrix does not commute with the block permutations")
@@ -269,16 +262,14 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
     if any(x + (n - 1) * y for x, y in zip(a, b)):
         raise DecompositionIntegrityError("block trace a + (N-1) b does not vanish")
 
-    den = p_tilde.den
-    r = Mat(d, d, tuple(x - y for x, y in zip(a, b)), den)
-    a, b = Mat(d, d, tuple(a), den), Mat(d, d, tuple(b), den)
+    r = Mat(d, d, tuple(x - y for x, y in zip(a, b)), p_tilde.den)
     defect = projection_defect(r, base)
     if defect:
         raise DecompositionIntegrityError(f"collapsed block map {defect}")
     p_tilde_norm, r_norm = inf_op_norm(p_tilde).value, inf_op_norm(r).value
     if p_tilde_norm != amplification_factor(n) * r_norm:
         raise DecompositionIntegrityError("norm identity (2 - 2/N) * norm(r) fails")
-    return SymmetrizationDecomposition(p_tilde, a, b, r, p_tilde_norm, r_norm)
+    return SymmetrizationDecomposition(p_tilde, r, p_tilde_norm, r_norm)
 
 
 def random_projection_onto(zs: ZeroSumSpace, rng: Random, spread: int = 2) -> Mat:
@@ -288,20 +279,22 @@ def random_projection_onto(zs: ZeroSumSpace, rng: Random, spread: int = 2) -> Ma
     kernel-of-G rows.  Used to exercise symmetrization away from the
     LP minimizer.
     """
-    g = zs.space.basis
+    space = zs.space
+    g = space.basis
     d0 = invert_square(g @ g.transpose()) @ g
-    return g.transpose() @ feasible_perturbation(zs.space, d0, rng, spread)
+    return g.transpose() @ feasible_perturbation(space, d0, rng, spread)
 
 
 class MultiplicationLawReport(NamedTuple):
     """Outcome of certifying lambda(zero-sum space) = (2 - 2/N) * lambda(E)."""
 
     base_lambda: Fraction | None
-    mu: Fraction
-    sigma_lambda: Fraction | None
+    sigma_lambda: Fraction | None  # None exactly when the run is inconclusive
     copies: int
     ambient_dim: int
-    status: str  # "ok" or "inconclusive"
+
+    mu = property(lambda self: amplification_factor(self.copies))
+    status = property(lambda self: "inconclusive" if self.sigma_lambda is None else "ok")
 
     @property
     def product(self) -> Fraction | None:
@@ -340,7 +333,9 @@ def sigma_steps(base: Subspace, certificate: ProjectionCertificate, copies: int,
     `check_certificate` proves it in the level's own space,
     ell_inf^{d N^k}, with products only; weak duality makes the value
     minimal, so no level solves a linear program.  `certificate` is the
-    base's, as `projection_certificate` returns it.
+    base's, as `projection_certificate` returns it.  A negative `steps`,
+    or N < 2 with `steps` > 0, raises before anything is built; zero steps
+    yield nothing, whatever N.
 
     Yields (ambient_dim, lambda) for each step.  The LP budget is still
     checked on a step's shape before its basis is built, so a large N
@@ -350,6 +345,10 @@ def sigma_steps(base: Subspace, certificate: ProjectionCertificate, copies: int,
     certificates are: the check 'C B^T = I' proves full row rank, so no
     `Subspace` with its rank elimination is built.
     """
+    if steps < 0:
+        raise ValueError(f"negative step count {steps}")
+    if steps:
+        amplification_factor(copies)  # rejects N < 2
     basis, kernel = base.integer_basis, None
     for _ in range(steps):
         ambient = len(basis[0][0]) * copies
@@ -381,13 +380,11 @@ def verify_multiplication_law(base: Subspace, copies: int, budget: LPBudget = DE
     side the LP budget, the report comes back flagged inconclusive instead
     of raising.
     """
-    mu = amplification_factor(copies)
-    ambient = base.ambient_dim * copies
+    amplification_factor(copies)  # rejects N < 2 before the base's LP
     try:
         budget.require(base)
         certificate = projection_certificate(base)
     except (BudgetExceededError, PivotLimitExceeded):
-        return MultiplicationLawReport(None, mu, None, copies, ambient, "inconclusive")
+        return MultiplicationLawReport(None, None, copies, base.ambient_dim * copies)
     [(ambient, sigma_lambda)] = sigma_steps(base, certificate, copies, 1, budget, factor)
-    status = "inconclusive" if sigma_lambda is None else "ok"
-    return MultiplicationLawReport(certificate.value, mu, sigma_lambda, copies, ambient, status)
+    return MultiplicationLawReport(certificate.value, sigma_lambda, copies, ambient)

@@ -5,14 +5,18 @@ permutation and block-diagonal lift matrices, verbatim from the package
 before the change.  `reference_extract_r` is the former `extract_r`
 verbatim, apart from its name and its use of the reference centring map: it
 checks invariance by multiplying with two dense block permutations and the
-factorization by the dense product lift(r) @ centring.  The index-map
-`extract_r` must return the identical decomposition, or raise the same
+factorization by the dense product lift(r) @ centring.  It returns the
+decomposition together with the blocks a and b that it reads itself, which
+the decomposition now derives on access.  The index-map `extract_r` must
+return the identical decomposition with the same blocks, or raise the same
 exception, on every input.
 
 `reference_sigma_subspace`, `reference_coordinate_sum_kernel`,
 `reference_centring_projection` and `reference_centring_witness` are the
 index loops the package ran before it built those objects as Kronecker
 products; the `Mat.kron` versions must equal them entry for entry.
+`reference_sigma_subspace` returns the zero-sum space itself, which a
+`ZeroSumSpace` builds from its base and block count on access.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from projconst.zerosum import (
     DecompositionIntegrityError,
     NotSymmetrizedError,
     SymmetrizationDecomposition,
-    ZeroSumSpace,
     amplification_factor,
 )
 
@@ -43,7 +46,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def reference_sigma_subspace(base: Subspace, copies: int) -> ZeroSumSpace:
+def reference_sigma_subspace(base: Subspace, copies: int) -> Subspace:
     """The zero-sum space of `copies` blocks of `base` inside ell_inf^{d*copies}.
 
     Basis rows pair each base row b with one of the later blocks:
@@ -60,8 +63,7 @@ def reference_sigma_subspace(base: Subspace, copies: int) -> ZeroSumSpace:
                 row[c] = x
                 row[j * d + c] = -x
             rows.append(row)
-    space = Subspace.from_rows(rows)
-    return ZeroSumSpace(base, copies, space)
+    return Subspace.from_rows(rows)
 
 
 def reference_coordinate_sum_kernel(dim: int) -> Subspace:
@@ -69,7 +71,7 @@ def reference_coordinate_sum_kernel(dim: int) -> Subspace:
     if dim < 2:
         raise ValueError(f"kernel hyperplane needs dimension >= 2, got {dim}")
     scalar_line = Subspace.from_rows([[_ONE]])
-    return reference_sigma_subspace(scalar_line, dim).space
+    return reference_sigma_subspace(scalar_line, dim)
 
 
 def reference_centring_projection(block_dim: int, copies: int) -> Mat:
@@ -150,8 +152,9 @@ def coordinatewise_lift(q: Mat, copies: int) -> Mat:
     return from_flat(size, size, flat)
 
 
-def reference_extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomposition:
-    """Read off the block structure of a symmetrized projection.
+def reference_extract_r(p_tilde: Mat, base: Subspace,
+                        copies: int) -> tuple[SymmetrizationDecomposition, Mat, Mat]:
+    """Read off the block structure of a symmetrized projection, and its blocks a and b.
 
     Verifies, exactly: invariance under block permutations, equality of the
     off-diagonal blocks, the trace condition a + (N-1) b = 0, idempotence of
@@ -207,4 +210,4 @@ def reference_extract_r(p_tilde: Mat, base: Subspace, copies: int) -> Symmetriza
     p_tilde_norm, r_norm = inf_op_norm(p_tilde).value, inf_op_norm(r).value
     if p_tilde_norm != amplification_factor(n) * r_norm:
         raise DecompositionIntegrityError("norm identity (2 - 2/N) * norm(r) fails")
-    return SymmetrizationDecomposition(p_tilde, a, b, r, p_tilde_norm, r_norm)
+    return SymmetrizationDecomposition(p_tilde, r, p_tilde_norm, r_norm), a, b

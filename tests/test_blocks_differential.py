@@ -1,9 +1,10 @@
 """Index-map and Kronecker block constructions against the code they replaced.
 
 `extract_r` must return the decomposition of the former dense `extract_r`
-(`blocks_reference.reference_extract_r`), or raise the same exception type,
-on symmetrized projections, on mutants built to fail each of its checks,
-and on seeded random block pairs.  The
+(`blocks_reference.reference_extract_r`), whose blocks a and b, read on
+access, are the ones the reference reads itself, or raise the same
+exception type, on symmetrized projections, on mutants built to fail each
+of its checks, and on seeded random block pairs.  The
 Kronecker-product zero-sum spaces, sum kernels, centring maps and witnesses
 must equal the former index loops entry for entry.
 """
@@ -44,14 +45,22 @@ def random_mat(rng: Random, size: int) -> Mat:
 
 
 def outcome(base: Subspace, copies: int, m: Mat):
-    """The decompositions, or exception types, of both implementations."""
-    results = []
-    for fn in (extract_r, reference_extract_r):
-        try:
-            results.append(fn(m, base, copies))
-        except ValueError as exc:
-            results.append(type(exc))
-    return results
+    """The decompositions, or exception types, of both implementations.
+
+    Where both decompose, the blocks a and b that the reference reads
+    itself must be the decomposition's."""
+    try:
+        new = extract_r(m, base, copies)
+    except ValueError as exc:
+        new = type(exc)
+    try:
+        old, a, b = reference_extract_r(m, base, copies)
+    except ValueError as exc:
+        old = type(exc)
+    else:
+        if new == old:
+            assert (new.a, new.b) == (a, b)
+    return [new, old]
 
 
 def from_blocks(a: Mat, b: Mat, n: int) -> Mat:
@@ -193,9 +202,9 @@ KRON_BASES = [
 @pytest.mark.parametrize("n", range(2, 13))
 def test_kron_constructions_match_the_former_loops(n):
     for base in KRON_BASES:
-        new, old = sigma_subspace(base, n), reference_sigma_subspace(base, n)
+        new, old = sigma_subspace(base, n).space, reference_sigma_subspace(base, n)
         assert new == old
-        assert new.space.basis.entries == old.space.basis.entries
+        assert new.basis.entries == old.basis.entries
     assert coordinate_sum_kernel(n) == reference_coordinate_sum_kernel(n)
     for d in (1, 2, 3):
         assert centring_projection(d, n) == reference_centring_projection(d, n)

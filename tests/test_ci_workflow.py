@@ -30,7 +30,8 @@ def test_every_named_path_exists():
             "tests/test_pivot_sequence.py", "tests/test_projection_lp_differential.py",
             "tests/projection_lp_reference.py", "tests/test_zerosum.py",
             "tests/test_blocks_differential.py", "tests/test_records.py",
-            "perfbench/run.py", "perfbench/tests"} <= paths
+            "tests/test_planner.py", "tests/test_perturbation_differential.py",
+            "tests/test_simplex.py", "perfbench/run.py", "perfbench/tests"} <= paths
     assert sorted(p for p in paths if not (ROOT / p).exists()) == []
 
 

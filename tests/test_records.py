@@ -3,9 +3,12 @@ and importing the package and its CLI loads neither `dataclasses` nor
 `inspect` (nor numpy).
 
 A record keeps the text of the frozen dataclass it replaced: its repr, `==`
-and `hash` by value, and no attribute can be set.  The five records that
-check their fields at construction still raise the same `ValueError`s, and
-so does their `_replace`.  `Mat` keeps the repr, `==` and `hash` of the
+and `hash` by value, and no attribute can be set.  A record stores only what
+it cannot derive, so seven records list fewer fields than their dataclasses
+did and derive the rest as properties, which no constructor or `_replace`
+can set apart from the fields they follow from.  The records that check
+their fields at construction still raise the same `ValueError`s, and so
+does their `_replace`.  `Mat` keeps the repr, `==` and `hash` of the
 dataclass it was, refuses to set or delete any attribute, and supports no
 tuple operation.  Named tuples differ in their internals across Python
 3.10-3.13, so this file runs on each of them.  Needs nothing beyond pytest.
@@ -26,6 +29,9 @@ from projconst.banach_mazur import (
     BMParameterSet,
     BoundComparison,
     Clause,
+    ClosedFormOptimum,
+    NonExactParameterError,
+    NumericOptimum,
     SeqOperator,
     SequenceModel,
     bm_params,
@@ -51,9 +57,7 @@ PLANE = Subspace.from_rows([[1, 0], [0, 1]])
 LINE_REPR = "Subspace(basis=Mat(rows=1, cols=2, nums=(2, 1), den=2))"
 CLAUSE_REPR = ("Clause(out_modulus=3, out_residue=0, in_modulus=4, in_residue=2, "
                "coeff=Fraction(1, 2))")
-PARAMS_REPR = ("BMParameterSet(a=Fraction(4, 1), mu=Fraction(1, 4), nu=Fraction(3, 4), "
-               "b=Fraction(4, 3), root=Fraction(3, 1), bound=Fraction(9, 2), "
-               "bound_sq=Fraction(81, 4), exact=True)")
+PARAMS_REPR = "BMParameterSet(a=Fraction(4, 1))"
 
 
 def _criterion_run(ctx):
@@ -68,14 +72,12 @@ def _model_repr() -> str:
     model = build_model(4)
     return (f"SequenceModel(params={PARAMS_REPR}, stages={model.stages!r}, "
             f"inverse_stages={model.inverse_stages!r}, forward={model.forward!r}, "
-            f"inverse={model.inverse!r}, bound=Fraction(9, 2))")
+            f"inverse={model.inverse!r})")
 
 
 def _decomposition_repr() -> str:
     dec = _decomposition()
     return (f"SymmetrizationDecomposition(p_tilde={dec.p_tilde!r}, "
-            "a=Mat(rows=2, cols=2, nums=(2, 0, 0, 2), den=3), "
-            "b=Mat(rows=2, cols=2, nums=(-1, 0, 0, -1), den=3), "
             "r=Mat(rows=2, cols=2, nums=(1, 0, 0, 1), den=1), "
             "p_tilde_norm=Fraction(4, 3), r_norm=Fraction(1, 1))")
 
@@ -119,18 +121,18 @@ RECORDS = [
               "free=[True, False])")),
     (Subspace, lambda: Subspace.from_rows([[1, F(1, 2)]]), lambda: LINE_REPR),
     (ZeroSumSpace, lambda: sigma_subspace(LINE, 2),
-     lambda: (f"ZeroSumSpace(base={LINE_REPR}, copies=2, space=Subspace("
-              "basis=Mat(rows=1, cols=4, nums=(2, 1, -2, -1), den=2)))")),
+     lambda: f"ZeroSumSpace(base={LINE_REPR}, copies=2)"),
     (SymmetrizationDecomposition, _decomposition, _decomposition_repr),
     (MultiplicationLawReport,
-     lambda: MultiplicationLawReport(F(1), F(4, 3), F(4, 3), 3, 6, "ok"),
-     lambda: ("MultiplicationLawReport(base_lambda=Fraction(1, 1), mu=Fraction(4, 3), "
-              "sigma_lambda=Fraction(4, 3), copies=3, ambient_dim=6, status='ok')")),
+     lambda: MultiplicationLawReport(F(1), F(4, 3), 3, 6),
+     lambda: ("MultiplicationLawReport(base_lambda=Fraction(1, 1), "
+              "sigma_lambda=Fraction(4, 3), copies=3, ambient_dim=6)")),
 ]
 IDS = [record.__name__ for record, _, _ in RECORDS]
 # a valid value, other than the instance's own, for the first field of each
 # record that checks its fields; the other records take any value
 CHANGED_FIRST = {
+    BMParameterSet: F(12),
     Clause: 5,
     OracleConfig: 5,
     AmplificationPlan: 2,
@@ -209,10 +211,11 @@ def test_attained_is_a_class_constant():
      "a plan of 2 steps cannot have block count None"),
     (lambda: AmplificationPlan(-1, 3, F(3, 2)), "a plan of -1 steps cannot have block count 3"),
     (lambda: AmplificationPlan(1, 1, F(3, 2)), "need at least 2 copies, got 1"),
-    (lambda: ZeroSumSpace(LINE, 3, sigma_subspace(LINE, 2).space),
-     "zero-sum space lives in ell_inf^4, expected 3 blocks of dimension 2"),
-    (lambda: ZeroSumSpace(LINE, 2, Subspace.from_rows([[1, 0, 1, 0]])),
-     "zero-sum basis row has nonzero block sum"),
+    (lambda: ZeroSumSpace(LINE, 0), "need at least 2 copies, got 0"),
+    (lambda: BMParameterSet(F(2)), "2*2+1 is not the square of a rational"),
+    (lambda: BMParameterSet(4), "shape parameter must be a positive Fraction or float, got 4"),
+    (lambda: BMParameterSet(-2.0),
+     "shape parameter must be a positive Fraction or float, got -2.0"),
     (lambda: Clause(0, 0, 1, 0, F(1)),
      "clause needs moduli >= 1 and residues >= 0, got "
      "Clause(out_modulus=0, out_residue=0, in_modulus=1, in_residue=0, coeff=Fraction(1, 1))"),
@@ -236,8 +239,10 @@ def test_checked_records_raise_their_messages(make, message):
     (lambda: Clause(3, 0, 4, 2, F(1, 2))._replace(out_modulus=0),
      "clause needs moduli >= 1 and residues >= 0, got "
      "Clause(out_modulus=0, out_residue=0, in_modulus=4, in_residue=2, coeff=Fraction(1, 2))"),
-    (lambda: sigma_subspace(LINE, 2)._replace(copies=3),
-     "zero-sum space lives in ell_inf^4, expected 3 blocks of dimension 2"),
+    (lambda: sigma_subspace(LINE, 2)._replace(copies=1), "need at least 2 copies, got 1"),
+    (lambda: sigma_subspace(LINE, 2)._replace(space=sigma_subspace(PLANE, 2).space),
+     "Got unexpected field names: ['space']"),
+    (lambda: bm_params(4)._replace(a=F(1, 3)), "2*1/3+1 is not the square of a rational"),
     (lambda: AmplificationPlan(1, 3, F(3, 2))._replace(copies=None),
      "a plan of 1 steps cannot have block count None"),
     (lambda: LINE._replace(basis=Mat(3, 2, (1, 0, 0, 1, 1, 1))),
@@ -255,8 +260,71 @@ def test_checked_records_take_keywords_and_defaults():
     assert OracleConfig() == OracleConfig(8, 4000, 0) == OracleConfig(seed=0)
     assert AmplificationPlan(m=0, copies=None, alpha=F(3, 2)).copies is None
     assert Clause(3, 0, 4, 2, coeff=F(1, 2)) == Clause(3, 0, 4, 2, F(1, 2))
-    assert ZeroSumSpace(base=LINE, copies=2, space=sigma_subspace(LINE, 2).space) == \
-        sigma_subspace(LINE, 2)
+    assert ZeroSumSpace(base=LINE, copies=2) == sigma_subspace(LINE, 2)
+
+
+# the values each record derives from its fields; no field stores one
+DERIVED = {
+    ZeroSumSpace: ("space", "ambient_dim", "mu"),
+    MultiplicationLawReport: ("mu", "status"),
+    BMParameterSet: ("mu", "nu", "b", "root", "bound", "bound_sq", "exact"),
+    SymmetrizationDecomposition: ("a", "b"),
+    SequenceModel: ("bound",),
+    NumericOptimum: ("g_star",),
+    ClosedFormOptimum: ("cubic_residual",),
+}
+
+
+def test_records_store_only_what_they_cannot_derive():
+    assert sum(len(record._fields) for record in DERIVED) == 20
+    for record, names in DERIVED.items():
+        for name in names:
+            assert name not in record._fields
+            assert isinstance(getattr(record, name), property)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ZeroSumSpace(Subspace.from_rows([[1, 0]]), 2, sigma_subspace(LINE, 2).space),
+    lambda: ZeroSumSpace(LINE, 2, space=sigma_subspace(LINE, 2).space),
+    lambda: MultiplicationLawReport(F(1), F(5), F(1), 3, 3, "ok"),
+    lambda: MultiplicationLawReport(F(1), F(1), 3, 3, mu=F(5)),
+    lambda: BMParameterSet(1, 5, 5, 5, 5, 5, 5, True),
+    lambda: BMParameterSet(F(4), bound=5),
+], ids=["ZeroSumSpace", "ZeroSumSpace-keyword", "MultiplicationLawReport",
+        "MultiplicationLawReport-keyword", "BMParameterSet", "BMParameterSet-keyword"])
+def test_a_derived_value_cannot_be_passed(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_a_zero_sum_space_follows_its_base_and_block_count():
+    zs = sigma_subspace(LINE, 2)
+    for changed, base, copies in ((zs._replace(base=PLANE), PLANE, 2),
+                                  (zs._replace(copies=3), LINE, 3),
+                                  (zs._replace(base=PLANE, copies=4), PLANE, 4)):
+        assert changed == sigma_subspace(base, copies)
+        assert changed.space == sigma_subspace(base, copies).space
+        assert changed.ambient_dim == changed.space.ambient_dim == 2 * copies
+
+
+@pytest.mark.parametrize("copies", [2, 3, 4, 7, 100])
+def test_a_report_reads_mu_and_status_off_its_fields(copies):
+    mu = 2 - F(2, copies)
+    done = MultiplicationLawReport(F(1), mu, copies, copies)
+    assert done.mu == mu and done.to_json_dict()["mu_N"] == str(mu)
+    assert done.status == "ok" and done.equal is True
+    assert done._replace(copies=3).mu == F(4, 3)
+    for open_side in (done._replace(sigma_lambda=None),
+                      MultiplicationLawReport(None, None, copies, copies)):
+        assert open_side.mu == mu and open_side.status == "inconclusive"
+
+
+def test_an_exact_parameter_set_needs_a_rational_root():
+    for a in (F(2), F(1, 3), F(5, 2)):
+        with pytest.raises(NonExactParameterError):
+            BMParameterSet(a)
+        assert bm_params(a) == BMParameterSet(float(a))
+    assert bm_params(4) == BMParameterSet(F(4)) and bm_params(4).exact
 
 
 @pytest.mark.parametrize("change", [

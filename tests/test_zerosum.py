@@ -14,7 +14,7 @@ from blocks_reference import block_permutation, coordinatewise_lift
 from linalg_reference import column, identity, integer_add, integer_scale, subspace_contains, zeros
 from pivot_limits import fewest_pivots
 
-from projconst import simplex
+from projconst import simplex, zerosum
 from projconst.linalg import Mat, Subspace, inf_op_norm
 from projconst.minproj import DEFAULT_BUDGET, LPBudget, projection_certificate, projection_constant
 from projconst.zerosum import (
@@ -76,15 +76,19 @@ class TestSigmaSubspace:
         with pytest.raises(ValueError):
             sigma_subspace(SCALAR_LINE, 1)
         good = sigma_subspace(SCALAR_LINE, 2)
-        with pytest.raises(ValueError):
-            # ambient basis rows must block-sum to zero
+        with pytest.raises(TypeError):
+            # the space is built from the base, never passed in
             ZeroSumSpace(SCALAR_LINE, 2, Subspace.from_rows([[1, 1]]))
         assert good.mu == F(1)
+        assert good.space == coordinate_sum_kernel(2)
 
     def test_copies_must_match_the_ambient_dimension(self):
-        # block sums vanish on three scalar blocks, but two copies were declared
-        with pytest.raises(ValueError):
+        # three scalar blocks are three copies: the space cannot be declared apart
+        with pytest.raises(TypeError):
             ZeroSumSpace(SCALAR_LINE, 2, Subspace.from_rows([[1, -1, 0]]))
+        zs = ZeroSumSpace(SCALAR_LINE, 3)
+        assert zs.ambient_dim == zs.space.ambient_dim == 3
+        assert subspace_contains(zs.space, [1, -1, 0])
 
 
 def test_coordinate_sum_kernel():
@@ -342,3 +346,23 @@ class TestSigmaSteps:
 
     def test_zero_steps(self):
         assert line_steps(3, 0) == []
+
+    @pytest.mark.parametrize("copies", [None, 0, 1, 2, 5])
+    def test_zero_steps_need_no_block_count(self, copies):
+        # demonstrate_schedule passes copies=None for a plan of no steps
+        assert line_steps(copies, 0) == []
+
+    @pytest.mark.parametrize("copies", [-1, 0, 1])
+    def test_rejects_fewer_than_two_copies(self, copies, monkeypatch):
+        # raised before ker_N's rows or certificate are built
+        monkeypatch.setattr(zerosum, "_sum_kernel_rows", None)
+        monkeypatch.setattr(zerosum, "sum_kernel_certificate", None)
+        with pytest.raises(ValueError) as info:
+            line_steps(copies, 1)
+        assert str(info.value) == f"need at least 2 copies, got {copies}"
+
+    @pytest.mark.parametrize("copies", [None, 1, 3])
+    def test_rejects_a_negative_step_count(self, copies):
+        with pytest.raises(ValueError) as info:
+            line_steps(copies, -3)
+        assert str(info.value) == "negative step count -3"

@@ -15,9 +15,12 @@ cost every CLI call pays.  A record that checks its fields does so in
 what it cannot derive: a value that follows from its other fields, such as
 a zero-sum space's basis from its base and block count, or every
 coefficient of a parameter set from a, is a property, so no record can
-disagree with itself.  `linalg.Mat` is the one
-plain class, slotted and immutable, so that tuple `+`, `*`, `<`, `len` and
-iteration never reach a matrix.
+disagree with itself; and a record keeps no field that only tests read.
+The one measured exception is `zerosum.SymmetrizationDecomposition`'s two
+norms, stored so that each is taken once
+(`tests/test_acceptance.py::test_symmetrization_takes_each_norm_once`).
+`linalg.Mat` is the one plain class, slotted and immutable, so that tuple
+`+`, `*`, `<`, `len` and iteration never reach a matrix.
 """
 
 from .banach_mazur import (

@@ -281,7 +281,6 @@ class SeqOperator(NamedTuple):
     """
 
     clauses: tuple[Clause, ...]
-    descriptor: str
 
     def row(self, i: int) -> tuple[tuple[int, Fraction], ...]:
         return _merge((_affine(i, cl.out_modulus, cl.out_residue, cl.in_modulus,
@@ -303,8 +302,7 @@ class SeqOperator(NamedTuple):
     @classmethod
     def compose(cls, outer: "SeqOperator", inner: "SeqOperator") -> "SeqOperator":
         pairs = (_compose_clauses(c1, c2) for c1 in outer.clauses for c2 in inner.clauses)
-        return cls(tuple(Clause(*maps, coeff) for maps, coeff in _merge(pairs)),
-                   f"{outer.descriptor}∘{inner.descriptor}")
+        return cls(tuple(Clause(*maps, coeff) for maps, coeff in _merge(pairs)))
 
 
 def _merge(pairs) -> tuple:
@@ -472,35 +470,35 @@ def build_model(a) -> SequenceModel:
         Clause(3, 0, 4, 0, nu),    # first component k <- nu * x_{4k}
         Clause(3, 1, 4, 2, mu),    # second component k <- mu * x_{4k+2}
         Clause(6, 5, 2, 1, _ONE),  # third component keeps the odd part of x
-    ), "T_a")
+    ))
     s_mid = SeqOperator((
         Clause(3, 0, 6, 0, _ONE),  # first out component k <- y1_{2k}
         Clause(6, 1, 3, 1, _ONE),  # second out component 2k <- y2_k
         Clause(3, 1, 3, 2, _ONE),  # second out component k += e_k
         Clause(6, 5, 6, 3, _ONE),  # third out component = odd part of y1
-    ), "S")
+    ))
     u_fwd = SeqOperator((
         Clause(4, 0, 3, 0, av),    # out 4k <- a * x1_k
         Clause(4, 2, 3, 1, b),     # out 4k+2 <- b * x2_k
         Clause(1, 0, 3, 2, _ONE),  # out i += f_i
-    ), "U_a")
+    ))
 
     u_inv = SeqOperator((
         Clause(3, 0, 4, 0, mu),    # x1_k <- mu * y_{4k}
         Clause(3, 1, 4, 2, nu),    # x2_k <- nu * y_{4k+2}
         Clause(6, 5, 2, 1, _ONE),  # f keeps the odd part of y
-    ), "U_a^-1")
+    ))
     s_inv = SeqOperator((
         Clause(6, 0, 3, 0, _ONE),  # y1_{2k} <- x1_k
         Clause(3, 0, 3, 2, _ONE),  # y1_i += f_i
         Clause(3, 1, 6, 1, _ONE),  # y2_k <- x2_{2k}
         Clause(6, 5, 6, 4, _ONE),  # e = odd part of x2
-    ), "S^-1")
+    ))
     t_inv = SeqOperator((
         Clause(4, 0, 3, 0, 1 / nu),  # out 4k <- y1_k / nu
         Clause(4, 2, 3, 1, av),      # out 4k+2 <- a * y2_k
         Clause(1, 0, 3, 2, _ONE),    # out i += e_i
-    ), "T_a^-1")
+    ))
 
     forward = SeqOperator.compose(u_fwd, SeqOperator.compose(s_mid, t_fwd))
     inverse = SeqOperator.compose(t_inv, SeqOperator.compose(s_inv, u_inv))

@@ -8,7 +8,8 @@ command, input digest, status, wall time -- to standard error.
 Exit codes:
     0  success
     1  selftest found a failing acceptance criterion
-    2  malformed input, or a parameter out of its documented range
+    2  malformed input, a parameter out of its documented range, or no
+       numpy for minproj --oracle
     3  basis rows are linearly dependent
     4  internal solver-integrity failure
     5  LP budget or pivot limit exceeded (result inconclusive)
@@ -79,6 +80,7 @@ EXIT_TABLE: tuple[tuple[type[Exception], int, str], ...] = (
     (SolverIntegrityError, EXIT_SOLVER_INTEGRITY, "error"),
     (SimplexError, EXIT_SOLVER_INTEGRITY, "error"),
     (ValueError, EXIT_BAD_INPUT, "error"),
+    (ImportError, EXIT_BAD_INPUT, "error"),
 )
 _HANDLED = tuple(cls for cls, _, _ in EXIT_TABLE)
 

@@ -200,24 +200,22 @@ class Mat:
 class OperatorNorm(NamedTuple):
     value: Fraction
     witness: tuple[int, ...]
-    row_index: int
 
 
 def row_sum_norm(rows: Sequence[Sequence[int]]) -> OperatorNorm:
     """The largest absolute row sum of integer rows, as an int over their
     denominator, with the signs of the first row that attains it (zeros
-    read as +1) and that row's index."""
+    read as +1)."""
     sums = [sum(map(abs, row)) for row in rows]
     best = max(sums)
-    i = sums.index(best)
-    return OperatorNorm(best, tuple(1 if x >= 0 else -1 for x in rows[i]), i)
+    return OperatorNorm(best, tuple(1 if x >= 0 else -1 for x in rows[sums.index(best)]))
 
 
 def inf_op_norm(m: Mat) -> OperatorNorm:
     """The inf->inf operator norm: the maximum absolute row sum.
 
     Also returns a +-1 sign vector on which the norm is attained (signs of
-    the first maximizing row, zeros treated as +1) and the index of that row.
+    the first maximizing row, zeros treated as +1).
     """
     norm = row_sum_norm(m.numerator_rows())
     return norm._replace(value=Fraction(norm.value, m.den))

@@ -20,8 +20,8 @@ has one format from the tableau through every Kronecker product: C, W, w
 and Lambda are integers over one positive int denominator each, the form
 that the one checker proves.  `projection_certificate` returns the
 certificate it checked; `projection_constant` keeps C alone, as a `Mat`
-over the same denominator, with a sign-vector witness attaining the norm
-of B^T C.
+over the same denominator, and checks a sign-vector witness attaining the
+norm of B^T C.
 Certificates compose under the Kronecker product, which is how `zerosum`
 certifies its zero-sum spaces without solving their programs.
 
@@ -42,6 +42,7 @@ from .linalg import (
     Mat,
     Subspace,
     format_rational,
+    inf_op_norm,
     integer_kron,
     integer_product,
     invert_square,
@@ -144,21 +145,22 @@ class ProjectionConstantResult(NamedTuple):
     its exact norm equals `value`, attained on `witness`; and a checked dual
     shows that no projection onto E has a smaller norm.  The minimum is
     always attained (finite dimensions), so `attained` is a class constant.
-    A result keeps C and the subspace, not the dual; `projection` is rebuilt
-    from them on each access, so a kept result holds k*n entries instead of
-    n*n more.
+    A result keeps C and the subspace, not the dual; `projection` and
+    `witness` are rebuilt from them on each access, so a kept result holds
+    k*n entries instead of n*n + n more.
     """
 
     value: Fraction
     minimizer_c: Mat
     space: Subspace
-    witness: tuple[int, ...]
     attained = True
 
     @property
     def projection(self) -> Mat:
         """The optimal projection P = B^T C."""
         return self.space.basis.transpose() @ self.minimizer_c
+
+    witness = property(lambda self: inf_op_norm(self.projection).witness)
 
     def to_json_dict(self) -> dict:
         projection = self.projection
@@ -168,7 +170,7 @@ class ProjectionConstantResult(NamedTuple):
                 [format_rational(x) for x in projection.row(i)]
                 for i in range(projection.rows)
             ],
-            "witness": list(self.witness),
+            "witness": list(inf_op_norm(projection).witness),
             "attained": self.attained,
         }
 
@@ -353,33 +355,30 @@ def projection_constant(space: Subspace) -> ProjectionConstantResult:
         raise SolverIntegrityError("norm witness does not attain the optimum")
     c, dc = coeffs
     minimizer = Mat(len(c), space.ambient_dim, tuple(chain.from_iterable(c)), dc)
-    return ProjectionConstantResult(value, minimizer, space, witness)
+    return ProjectionConstantResult(value, minimizer, space)
 
 
-def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random,
-                          spread: int = 3) -> Mat:
+def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random) -> Mat:
     """A random coefficient matrix that still satisfies C B^T = I.
 
     Adds kernel-of-B combinations to each row of `coeffs`, which walks the
     feasible set of the minimal-projection program without leaving it.
-    Each (row, kernel vector) pair draws its weight a / q, a from
-    [-spread, spread] and then q from [1, spread], also when a is 0.  The
-    rows are integers over coeffs.den * dk * wden, with the kernel vectors
-    over their common denominator dk and every weight over
-    wden = lcm(1, ..., spread).
+    Each (row, kernel vector) pair draws its weight a / q, a from [-2, 2]
+    and then q from [1, 2], also when a is 0.  The rows are integers over
+    coeffs.den * dk * 2, with the kernel vectors over their common
+    denominator dk and every weight over 2.
     """
     kernel, dk = kernel_basis(space.basis.numerator_rows())
     if not kernel:
         return coeffs
-    wden = math.lcm(*range(1, spread + 1))
-    lift = dk * wden
+    lift = dk * 2
     nums = []
     for row in coeffs.numerator_rows():
         row = [x * lift for x in row]
         for vec in kernel:
-            a, q = rng.randint(-spread, spread), rng.randint(1, spread)
+            a, q = rng.randint(-2, 2), rng.randint(1, 2)
             if a:
-                f = a * (wden // q) * coeffs.den
+                f = a * (2 // q) * coeffs.den
                 row = [x + f * y for x, y in zip(row, vec)]
         nums += row
     return Mat(coeffs.rows, coeffs.cols, tuple(nums), coeffs.den * lift)
@@ -389,28 +388,15 @@ def feasible_perturbation(space: Subspace, coeffs: Mat, rng: Random,
 # floating-point oracle
 
 
-# the descent's step decays geometrically from max(1, norm(P0)) to this
+# the descent's budget, read at call time: restarts, steps per restart, and
+# the final step, to which the step decays geometrically from max(1, norm(P0))
+ORACLE_RESTARTS = 8
+ORACLE_ITERATIONS = 4000
 ORACLE_FINAL_STEP = 1e-10
 
 
-class _OracleConfigFields(NamedTuple):
-    restarts: int = 8
-    iterations: int = 4000
+class OracleConfig(NamedTuple):
     seed: int = 0
-
-
-class OracleConfig(_OracleConfigFields):
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        counts = (self.restarts, self.iterations)
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in counts):
-            raise ValueError(f"oracle needs integer restarts and iterations, got {self}")
-        if self.restarts < 1 or self.iterations < 1:
-            raise ValueError(f"oracle needs restarts >= 1 and iterations >= 1, got {self}")
-        return self
 
 
 def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
@@ -448,29 +434,30 @@ def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
     if n_free == 0:
         return [p0_norm]
 
+    restarts, iterations = ORACLE_RESTARTS, ORACLE_ITERATIONS
     initial_step = max(1.0, p0_norm)
-    decay = (ORACLE_FINAL_STEP / initial_step) ** (1.0 / config.iterations)
+    decay = (ORACLE_FINAL_STEP / initial_step) ** (1.0 / iterations)
     # Restart 0 starts at Theta = 0, the others at normal draws taken in
     # restart order, each Theta row-major.
     rng = Random(config.seed)
-    theta = np.zeros((config.restarts, k, n_free))
+    theta = np.zeros((restarts, k, n_free))
     theta[1:] = np.reshape([rng.gauss(0.0, initial_step)
                             for _ in range(theta[1:].size)], theta[1:].shape)
 
-    best = np.full(config.restarts, math.inf)
+    best = np.full(restarts, math.inf)
     # Buffers and fixed views of them: row i* of restart r is row r*n + i* of
     # p_rows and entry r*n + i* of flat_sums.
-    p, sums = np.empty((config.restarts, n, n)), np.empty((config.restarts, n))
+    p, sums = np.empty((restarts, n, n)), np.empty((restarts, n))
     # P0 once per restart: adding two arrays of one shape is a single flat loop
-    p0_stack = np.tile(p0, (config.restarts, 1, 1))
+    p0_stack = np.tile(p0, (restarts, 1, 1))
     abs_p, grad = np.empty_like(p), np.empty_like(theta)
-    bt_theta = np.empty((config.restarts, n, n_free))
-    signs_null = np.empty((config.restarts, 1, n_free))
-    gnorm, scale = np.empty((config.restarts, 1, 1)), np.empty((config.restarts, 1, 1))
-    flat = grad.reshape(config.restarts, 1, -1)
+    bt_theta = np.empty((restarts, n, n_free))
+    signs_null = np.empty((restarts, 1, n_free))
+    gnorm, scale = np.empty((restarts, 1, 1)), np.empty((restarts, 1, 1))
+    flat = grad.reshape(restarts, 1, -1)
     flat_t = flat.transpose(0, 2, 1)
     p_rows, flat_sums = p.reshape(-1, 1, n), sums.reshape(-1)
-    offsets = np.arange(0, config.restarts * n, n, dtype=np.intp)
+    offsets = np.arange(0, restarts * n, n, dtype=np.intp)
     i_star, rows = np.empty_like(offsets), np.empty_like(offsets)
     bt_col, null_t = bt[:, :, None], null.T
     # With inner size n - k = 1, (B^T Theta) @ null^T is one rounded multiply
@@ -478,7 +465,7 @@ def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
     # sign of a zero, which p = P0 + X erases, since P0 holds no -0.0.
     outer = np.multiply if n_free == 1 else np.matmul
     step = initial_step
-    for _ in range(config.iterations):
+    for _ in range(iterations):
         outer(np.matmul(bt, theta, out=bt_theta), null_t, out=p)
         np.add(p0_stack, p, out=p)
         np.add.reduce(np.absolute(p, out=abs_p), axis=2, out=sums)
@@ -493,7 +480,7 @@ def _restart_bests(space: Subspace, config: OracleConfig) -> list[float]:
         # (1 x m) @ (m x 1) per restart: the dot product np.linalg.norm takes.
         np.sqrt(np.matmul(flat, flat_t, out=gnorm), out=gnorm)
         moving = np.count_nonzero(gnorm)
-        if moving == config.restarts:
+        if moving == restarts:
             np.divide(step, gnorm, out=scale)
         elif moving:
             scale.fill(0.0)
@@ -514,7 +501,7 @@ def float_oracle(space: Subspace, tol: float = 1e-6,
     Parametrises the feasible coefficient matrices as C0 + Theta K^T with K a
     kernel basis of B, and runs subgradient descent with geometrically
     decaying steps on the piecewise-linear objective max-row-abs-sum.  All
-    `config.restarts` restarts advance together as one batch: restart 0
+    ORACLE_RESTARTS restarts advance together as one batch: restart 0
     starts at Theta = 0, the others at normal draws of
     `random.Random(config.seed)` (which reads a negative seed by its absolute
     value).  Raises OracleInconclusive when the two best restarts fail to

@@ -272,7 +272,7 @@ def extract_r(p_tilde: Mat, base: Subspace, copies: int) -> SymmetrizationDecomp
     return SymmetrizationDecomposition(p_tilde, r, p_tilde_norm, r_norm)
 
 
-def random_projection_onto(zs: ZeroSumSpace, rng: Random, spread: int = 2) -> Mat:
+def random_projection_onto(zs: ZeroSumSpace, rng: Random) -> Mat:
     """A random exact projection of the block space onto the zero-sum space.
 
     P = G^T D with D G^T = I: the base solution (G G^T)^{-1} G plus random
@@ -282,31 +282,37 @@ def random_projection_onto(zs: ZeroSumSpace, rng: Random, spread: int = 2) -> Ma
     space = zs.space
     g = space.basis
     d0 = invert_square(g @ g.transpose()) @ g
-    return g.transpose() @ feasible_perturbation(space, d0, rng, spread)
+    return g.transpose() @ feasible_perturbation(space, d0, rng)
 
 
-class MultiplicationLawReport(NamedTuple):
-    """Outcome of certifying lambda(zero-sum space) = (2 - 2/N) * lambda(E)."""
-
+class _LawFields(NamedTuple):
     base_lambda: Fraction | None
     sigma_lambda: Fraction | None  # None exactly when the run is inconclusive
     copies: int
-    ambient_dim: int
+    block_dim: int
 
+
+class MultiplicationLawReport(_LawFields):
+    """Outcome of certifying lambda(zero-sum space) = (2 - 2/N) * lambda(E)
+    for a base E in ell_inf^block_dim; a zero-sum value needs a base value."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _check_blocks(self.block_dim, self.copies)
+        if self.base_lambda is None and self.sigma_lambda is not None:
+            raise ValueError(f"zero-sum value {self.sigma_lambda} without a base value")
+        return self
+
+    ambient_dim = property(lambda self: self.block_dim * self.copies)
     mu = property(lambda self: amplification_factor(self.copies))
     status = property(lambda self: "inconclusive" if self.sigma_lambda is None else "ok")
-
-    @property
-    def product(self) -> Fraction | None:
-        if self.base_lambda is None:
-            return None
-        return self.mu * self.base_lambda
-
-    @property
-    def equal(self) -> bool | None:
-        if self.base_lambda is None or self.sigma_lambda is None:
-            return None
-        return self.sigma_lambda == self.product
+    product = property(lambda self: None if self.base_lambda is None
+                       else self.mu * self.base_lambda)
+    equal = property(lambda self: None if self.sigma_lambda is None
+                     else self.sigma_lambda == self.product)
 
     def to_json_dict(self) -> dict:
         fmt = lambda x: None if x is None else format_rational(x)
@@ -385,6 +391,6 @@ def verify_multiplication_law(base: Subspace, copies: int, budget: LPBudget = DE
         budget.require(base)
         certificate = projection_certificate(base)
     except (BudgetExceededError, PivotLimitExceeded):
-        return MultiplicationLawReport(None, None, copies, base.ambient_dim * copies)
-    [(ambient, sigma_lambda)] = sigma_steps(base, certificate, copies, 1, budget, factor)
-    return MultiplicationLawReport(certificate.value, sigma_lambda, copies, ambient)
+        return MultiplicationLawReport(None, None, copies, base.ambient_dim)
+    [(_, sigma_lambda)] = sigma_steps(base, certificate, copies, 1, budget, factor)
+    return MultiplicationLawReport(certificate.value, sigma_lambda, copies, base.ambient_dim)

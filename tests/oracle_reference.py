@@ -4,13 +4,15 @@
 restart at a time, each with its own Python loop over the iterations, and a
 `break` once a restart's gradient vanishes.  Its only change is where the
 starting points come from: restarts 1..R-1 start at
-`random.Random(config.seed).gauss(0.0, initial_step)` draws, in restart
-order and each Theta row-major, where the former code drew them from
-`numpy.random.default_rng(config.seed)`.  It returns the unsorted list of
+`random.Random(seed).gauss(0.0, initial_step)` draws, in restart order and
+each Theta row-major, where the former code drew them from
+`numpy.random.default_rng(seed)`.  It returns the unsorted list of
 per-restart bests (the former early return for n = k becomes a one-element
 list), and `reference_verdict` applies the former agreement rule to it.
-The final step of the decay, once an `OracleConfig` field, is read from
-the constant `ORACLE_FINAL_STEP`, with the same value.
+It takes the seed, restarts and iterations as its own arguments, once
+fields of `OracleConfig`, now the package's seed and the constants
+`ORACLE_RESTARTS` and `ORACLE_ITERATIONS`; the final step of the decay,
+once a field too, is read from the constant `ORACLE_FINAL_STEP`.
 The batched descent must return the identical list, bit for bit.
 """
 
@@ -22,10 +24,11 @@ from random import Random
 import numpy as np
 
 from projconst.linalg import Subspace
-from projconst.minproj import ORACLE_FINAL_STEP, OracleConfig, OracleInconclusive
+from projconst.minproj import ORACLE_FINAL_STEP, OracleInconclusive
 
 
-def reference_restart_bests(space: Subspace, config: OracleConfig = OracleConfig()) -> list[float]:
+def reference_restart_bests(space: Subspace, seed: int, restarts: int,
+                            iterations: int) -> list[float]:
     basis = np.array([[float(x) for x in space.basis.row(i)]
                       for i in range(space.dim)])
     k, n = basis.shape
@@ -52,12 +55,12 @@ def reference_restart_bests(space: Subspace, config: OracleConfig = OracleConfig
         value, _ = objective_and_grad(np.zeros((k, 0)))
         return [value]
 
-    rng = Random(config.seed)
+    rng = Random(seed)
     initial_step = max(1.0, float(np.abs(p0).sum(axis=1).max()))
-    decay = (ORACLE_FINAL_STEP / initial_step) ** (1.0 / config.iterations)
+    decay = (ORACLE_FINAL_STEP / initial_step) ** (1.0 / iterations)
 
     results = []
-    for restart in range(config.restarts):
+    for restart in range(restarts):
         if restart == 0:
             theta = np.zeros((k, n_free))
         else:
@@ -65,7 +68,7 @@ def reference_restart_bests(space: Subspace, config: OracleConfig = OracleConfig
                                (k, n_free))
         step = initial_step
         best = math.inf
-        for _ in range(config.iterations):
+        for _ in range(iterations):
             value, grad = objective_and_grad(theta)
             if value < best:
                 best = value

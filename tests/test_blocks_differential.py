@@ -133,7 +133,7 @@ def random_projection(base: Subspace, rng: Random) -> Mat:
     """A random exact projection of ell_inf^d onto `base`: B^T C with C B^T = I."""
     g = base.basis
     c0 = invert_square(g @ g.transpose()) @ g
-    return g.transpose() @ feasible_perturbation(base, c0, rng, 2)
+    return g.transpose() @ feasible_perturbation(base, c0, rng)
 
 
 @pytest.mark.parametrize("base", BASES, ids=["line", "plane", "line-in-plane", "plane-in-3"])

@@ -74,6 +74,7 @@ class TestMinproj:
         assert first == second
 
     def test_oracle_agreement(self, capsys, kernel3):
+        pytest.importorskip("numpy")
         code, out, _ = run(capsys, "minproj", kernel3, "--oracle")
         assert code == 0
         doc = payload(out)
@@ -81,9 +82,21 @@ class TestMinproj:
         assert abs(doc["oracle"]["estimate"] - 4 / 3) <= doc["oracle"]["tol"]
 
     def test_oracle_takes_a_negative_seed(self, capsys, kernel3):
+        pytest.importorskip("numpy")
         code, out, err = run(capsys, "--seed", "-1", "minproj", kernel3, "--oracle")
         assert code == 0, err
         assert payload(out)["oracle"]["agrees"] is True
+
+    def test_oracle_without_numpy_exits_2_with_a_run_report(
+            self, capsys, monkeypatch, kernel3):
+        # None in sys.modules makes `import numpy` raise ImportError, with or
+        # without numpy installed
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        code, out, err = run(capsys, "minproj", kernel3, "--oracle")
+        assert (code, out) == (2, "")
+        error, _ = err.splitlines()
+        assert error.startswith("error: ") and "numpy" in error
+        assert report(err)["command"] == "minproj" and report(err)["status"] == "error"
 
     def test_budget_exceeded(self, capsys, kernel3):
         code, _, err = run(capsys, "--budget", "2", "minproj", kernel3)
@@ -413,6 +426,7 @@ class TestSelftest:
         assert out.strip().endswith("FAILED (1): amplification-demo")
 
     def test_budget_gates_every_exact_solve(self, capsys):
+        pytest.importorskip("numpy")  # the oracle runs on ker_2, inside the budget
         # ker_3 lives in ell_inf^3, beyond this budget, so both criteria
         # that solve it stop there instead of solving outside the budget
         code, out, _ = run(capsys, "--budget", "2", "selftest",

@@ -201,8 +201,8 @@ def test_operations_match_the_former_fraction_operations():
                           (a.transpose(), ref.transpose(a))):
             assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
             assert all(type(x) is F for x in got.entries)
-        # value, witness and row
-        assert tuple(inf_op_norm(a)) == ref.inf_op_norm(a)
+        # value and witness; the reference also names the row
+        assert tuple(inf_op_norm(a)) == ref.inf_op_norm(a)[:2]
         seen["den > 1"] += a.den > 1
         seen["zero matrix"] += not any(a.nums)
         seen["zero factor"] += not factor

@@ -63,11 +63,11 @@ def random_window_clause(rng, earlier: list) -> Clause:
     return Clause(m, rng.randrange(3 * m), c, rng.randrange(3 * c), coefficient(rng))
 
 
-def random_window_operator(rng, name: str) -> SeqOperator:
+def random_window_operator(rng) -> SeqOperator:
     clauses: list[Clause] = []
     for _ in range(rng.randint(1, 4)):
         clauses.append(random_window_clause(rng, clauses))
-    return SeqOperator(tuple(clauses), name)
+    return SeqOperator(tuple(clauses))
 
 
 def settled_from(classes: list[tuple[int, int]], periods: int) -> int:
@@ -104,7 +104,7 @@ def test_random_clause_sets_give_the_former_window():
             "stabilized": 0, "unstabilized": 0, "long": 0,
             "read whole": 0, "equal past T + L": 0, "different past T + L": 0}
     for n in range(WINDOW_SETS):
-        op = random_window_operator(rng, f"W{n}")
+        op = random_window_operator(rng)
         window = LONG_WINDOW if n % 100 == 0 else rng.choice([2, 3, rng.randint(2, 300)])
         got = operator_norm_window(op, window)
         assert got == ref.operator_norm_window(op, window), (op, window)
@@ -136,7 +136,7 @@ def test_window_merges_shared_inputs_of_both_slopes():
     # Row 6 reads in[3] through k -> k (k = 3) and k -> 3k + 3 (k = 0):
     # 3/2 - 5 = -7/2.  Unmerged, row 6 would weigh 13/2 and not row 7's 5.
     op = SeqOperator((Clause(2, 0, 1, 0, F(3, 2)), Clause(4, 0, 2, 0, F(-1, 2)),
-                      Clause(1, 6, 3, 3, F(-5))), "shared")
+                      Clause(1, 6, 3, 3, F(-5))))
     assert operator_norm_window(op, 8) == (F(5), False)
     assert ref.operator_norm_window(op, 8) == (F(5), False)
 
@@ -151,7 +151,7 @@ def random_partition(rng, pieces: int) -> list[tuple[int, int]]:
     return classes
 
 
-def random_inverse_pair(rng, name: str) -> tuple[SeqOperator, SeqOperator]:
+def random_inverse_pair(rng) -> tuple[SeqOperator, SeqOperator]:
     """A bijection between two partitions into residue classes, and its inverse."""
     pieces = rng.randint(1, 6)
     while True:
@@ -162,7 +162,7 @@ def random_inverse_pair(rng, name: str) -> tuple[SeqOperator, SeqOperator]:
     coeffs = [F(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4)) for _ in outs]
     forward = tuple(Clause(m, r, c, d, x) for (m, r), (c, d), x in zip(outs, ins, coeffs))
     inverse = tuple(Clause(c, d, m, r, 1 / x) for (m, r), (c, d), x in zip(outs, ins, coeffs))
-    return SeqOperator(forward, name), SeqOperator(inverse, f"{name}^-1")
+    return SeqOperator(forward), SeqOperator(inverse)
 
 
 def mutated(op: SeqOperator, rng) -> SeqOperator:
@@ -181,7 +181,7 @@ def mutated(op: SeqOperator, rng) -> SeqOperator:
     else:
         r = r + rng.randint(1, 2)
     clauses[n] = Clause(m, r, c, d, coeff)
-    return SeqOperator(tuple(clauses), f"{op.descriptor}'")
+    return SeqOperator(tuple(clauses))
 
 
 def composites(f: SeqOperator, g: SeqOperator) -> tuple[SeqOperator, SeqOperator]:
@@ -196,8 +196,8 @@ def test_inverse_pairs_and_their_mutants():
     rng = random.Random(256_11)
     outcomes = []
     reads = {"read whole": 0, "read in part": 0}
-    for n in range(300):
-        forward, inverse = random_inverse_pair(rng, f"P{n}")
+    for _ in range(300):
+        forward, inverse = random_inverse_pair(rng)
         count = rng.choice([1, 2, rng.randint(1, 300)])
         cases = [(forward, inverse), (inverse, forward),
                  (mutated(forward, rng), inverse), (forward, mutated(inverse, rng))]
@@ -229,7 +229,7 @@ def twisted_identity(rng) -> SeqOperator | None:
         return None
     t = rng.choice([2, 3])
     return SeqOperator(tuple(Clause(t * m if r == top else m, r, m, r, F(1))
-                             for m, r in classes), "H")
+                             for m, r in classes))
 
 
 def first_wrong_column(composite: SeqOperator, count: int) -> int | None:
@@ -244,11 +244,11 @@ def test_mutants_that_fail_only_in_their_second_period():
     # two or more clauses would pass them.
     rng = random.Random(2 * 256)
     second_period = 0
-    for n in range(200):
+    for _ in range(200):
         twisted = twisted_identity(rng)
         if twisted is None:
             continue
-        forward, inverse = random_inverse_pair(rng, f"P{n}")
+        forward, inverse = random_inverse_pair(rng)
         identity = SeqOperator.compose(inverse, forward)
         for f, g in ((identity, twisted), (twisted, identity),
                      (forward, SeqOperator.compose(inverse, twisted))):
@@ -280,13 +280,13 @@ def shared_class_operator(period: int, a: int, b: int, x: F) -> SeqOperator:
                 Clause(a, top, period, top, 1 - x),
                 Clause(b, top + period - b, period, top, 1 - x),
                 Clause(a - period + b, top + period - b, period, top, x - 1)]
-    return SeqOperator(tuple(clauses), "shared")
+    return SeqOperator(tuple(clauses))
 
 
 def test_inverse_check_reads_shared_classes_past_the_second_period():
     # The one column that fails lies in a class fed by four clauses, so only
     # reading the shared classes past T + 2L finds it.
-    identity = SeqOperator((Clause(1, 0, 1, 0, F(1)),), "I")
+    identity = SeqOperator((Clause(1, 0, 1, 0, F(1)),))
     cases = 0
     for period in (2, 3, 4):
         for a in range(1, 2 * period + 1):

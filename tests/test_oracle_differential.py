@@ -8,17 +8,22 @@ instances and their zero-sum spaces, the benchmark's oracle inputs, a line,
 a plane whose first restart stops at once, the n = k short-circuit, seeded
 random subspaces and seeded hyperplanes ker f (where the verdict, value or
 inconclusive message, must also agree) and small restart and iteration
-budgets.  With n - k = 1 the descent forms its rank-one products with
-np.multiply, so the hyperplanes with non-symmetric integer f, zeros among
-them, test that branch beyond ker_n.
+budgets, set through the `oracle_budget` fixture.  With n - k = 1 the
+descent forms its rank-one products with np.multiply, so the hyperplanes
+with non-symmetric integer f, zeros among them, test that branch beyond
+ker_n.
 """
 
 from random import Random
 
 import pytest
+
+pytest.importorskip("numpy")
+
 from linalg_reference import kernel_fractions
 from oracle_reference import reference_restart_bests, reference_verdict
 
+from projconst import minproj
 from projconst.acceptance import _law_instances
 from projconst.linalg import Subspace, kernel_basis, rank_of_rows
 from projconst.minproj import OracleConfig, OracleInconclusive, _restart_bests, float_oracle
@@ -33,9 +38,11 @@ def bits(values: list[float]) -> list[str]:
     return [v.hex() for v in values]
 
 
-def assert_same_bests(space: Subspace, config: OracleConfig) -> list[float]:
-    expected = reference_restart_bests(space, config)
-    assert bits(_restart_bests(space, config)) == bits(expected)
+def assert_same_bests(space: Subspace, seed: int = 0) -> list[float]:
+    """The descent's bests, at the oracle's current budget, equal the reference's."""
+    expected = reference_restart_bests(space, seed, minproj.ORACLE_RESTARTS,
+                                       minproj.ORACLE_ITERATIONS)
+    assert bits(_restart_bests(space, OracleConfig(seed))) == bits(expected)
     return expected
 
 
@@ -72,12 +79,12 @@ def law_spaces():
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_kernels(n):
-    assert_same_bests(coordinate_sum_kernel(n), OracleConfig())
+    assert_same_bests(coordinate_sum_kernel(n))
 
 
 @pytest.mark.parametrize("space", law_spaces())
 def test_law_instances(space):
-    assert_same_bests(space, OracleConfig(seed=3))
+    assert_same_bests(space, seed=3)
 
 
 # The no-lp benchmark workload's four oracle spaces, at 31-bit seeds like the
@@ -90,7 +97,7 @@ def test_law_instances(space):
                  id="sigma3-ker3"),
 ])
 def test_benchmark_inputs(space, seed):
-    assert_same_bests(space, OracleConfig(seed=seed))
+    assert_same_bests(space, seed)
 
 
 @pytest.mark.parametrize("rows", [
@@ -100,42 +107,43 @@ def test_benchmark_inputs(space, seed):
     # restart 0 stops after one step while the others keep moving
     pytest.param([[1, 1, 1], [1, 0, 0]], id="plane-stops-at-once"),
 ])
-def test_vanishing_gradient(rows):
+def test_vanishing_gradient(rows, oracle_budget):
     space = Subspace.from_rows(rows)
-    bests = assert_same_bests(space, OracleConfig())
-    assert assert_same_bests(space, OracleConfig(restarts=1)) == bests[:1]
+    bests = assert_same_bests(space)
+    oracle_budget(restarts=1)
+    assert assert_same_bests(space) == bests[:1]
 
 
 def test_full_dimension_short_circuit():
     space = Subspace.from_rows([[2, 0], [0, 3]])
-    assert assert_same_bests(space, OracleConfig()) == [1.0]
+    assert assert_same_bests(space) == [1.0]
 
 
-def test_random_subspaces():
+def test_random_subspaces(oracle_budget):
+    oracle_budget(iterations=RANDOM_ITERATIONS)
     rng = Random(2024)
     verdicts = []
     for seed in range(RANDOM_SPACES):
         space = random_space(rng)
-        config = OracleConfig(seed=seed, iterations=RANDOM_ITERATIONS)
-        bests = assert_same_bests(space, config)
+        bests = assert_same_bests(space, seed)
         expected = verdict(lambda: reference_verdict(bests))
-        got = verdict(lambda: float_oracle(space, config=config))
+        got = verdict(lambda: float_oracle(space, config=OracleConfig(seed)))
         assert got == expected, seed
         verdicts.append(type(got))
     # both outcomes occur, so the inconclusive messages are compared too
     assert {float, str} <= set(verdicts)
 
 
-def test_random_hyperplanes():
+def test_random_hyperplanes(oracle_budget):
+    oracle_budget(iterations=RANDOM_ITERATIONS)
     rng = Random(1974)
     verdicts = []
     for seed in range(HYPERPLANES):
         space = random_hyperplane(rng)
         assert space.ambient_dim - space.dim == 1
-        config = OracleConfig(seed=seed, iterations=RANDOM_ITERATIONS)
-        bests = assert_same_bests(space, config)
+        bests = assert_same_bests(space, seed)
         expected = verdict(lambda: reference_verdict(bests))
-        got = verdict(lambda: float_oracle(space, config=config))
+        got = verdict(lambda: float_oracle(space, config=OracleConfig(seed)))
         assert got == expected, seed
         verdicts.append(type(got))
     assert {float, str} <= set(verdicts)
@@ -148,5 +156,6 @@ def test_random_hyperplanes():
     pytest.param(Subspace.from_rows([[1, 2, 0, -1], [0, 1, 3, 1]]), id="random-4x2"),
     pytest.param(sigma_subspace(Subspace.from_rows([[1, 1]]), 2).space, id="sigma2-line"),
 ])
-def test_small_budgets(space, restarts, iterations):
-    assert_same_bests(space, OracleConfig(seed=7, restarts=restarts, iterations=iterations))
+def test_small_budgets(space, restarts, iterations, oracle_budget):
+    oracle_budget(restarts, iterations)
+    assert_same_bests(space, seed=7)

@@ -3,7 +3,8 @@
 `perturbation_reference.feasible_perturbation` is the former version.  On
 seeded subspaces with integer and rational bases, on zero-sum spaces
 Sigma_N(E) and on full-dimensional spaces, both must return the same matrix
-from generators seeded alike, and leave them in the same state, so that
+(the reference at the package's one spread, 2) from generators seeded
+alike, and leave them in the same state, so that
 `zerosum.random_projection_onto` returns the projection it returned before.
 Needs nothing beyond pytest.
 """
@@ -36,10 +37,10 @@ def _base_solution(space: Subspace) -> Mat:
     return invert_square(b @ b.transpose()) @ b
 
 
-def _assert_same(space: Subspace, coeffs: Mat, seed: str, spread: int) -> Mat:
+def _assert_same(space: Subspace, coeffs: Mat, seed: str) -> Mat:
     new_rng, old_rng = Random(seed), Random(seed)
-    got = feasible_perturbation(space, coeffs, new_rng, spread)
-    want = reference(space, coeffs, old_rng, spread)
+    got = feasible_perturbation(space, coeffs, new_rng)
+    want = reference(space, coeffs, old_rng, 2)
     assert got == want
     assert new_rng.getstate() == old_rng.getstate()
     assert new_rng.random() == old_rng.random()
@@ -53,8 +54,7 @@ def test_seeded_subspaces_with_integer_and_rational_bases():
         n = rng.randint(2, 6)
         k = rng.randint(1, n)
         space = _random_space(rng, n, k, rational=trial % 2 == 1)
-        spread = rng.choice((1, 2, 3, 5))
-        got = _assert_same(space, _base_solution(space), f"draws {trial}", spread)
+        got = _assert_same(space, _base_solution(space), f"draws {trial}")
         assert got @ space.basis.transpose() == identity(k)
         seen["rational"] += space.basis.den > 1
         seen["full"] += k == n
@@ -68,13 +68,13 @@ def test_zero_sum_spaces(d, copies):
         rng = Random(f"perturbation sigma {d} {copies} {trial}")
         base = _random_space(rng, d, rng.randint(1, d), rational=trial % 2 == 1)
         space = sigma_subspace(base, copies).space
-        _assert_same(space, _base_solution(space), f"sigma draws {trial}", 2)
+        _assert_same(space, _base_solution(space), f"sigma draws {trial}")
 
 
 def test_from_the_lp_minimizer_and_on_the_kernel_hyperplanes():
     for n in range(2, 6):
         space = coordinate_sum_kernel(n)
-        _assert_same(space, projection_constant(space).minimizer_c, f"ker {n}", 3)
+        _assert_same(space, projection_constant(space).minimizer_c, f"ker {n}")
 
 
 def test_random_projection_onto_draws_as_before():

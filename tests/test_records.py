@@ -10,7 +10,8 @@ can set apart from the fields they follow from.  The records that check
 their fields at construction still raise the same `ValueError`s, and so
 does their `_replace`.  `Mat` keeps the repr, `==` and `hash` of the
 dataclass it was, refuses to set or delete any attribute, and supports no
-tuple operation.  Named tuples differ in their internals across Python
+tuple operation.  No record keeps a field that only tests read or set.
+Named tuples differ in their internals across Python
 3.10-3.13, so this file runs on each of them.  Needs nothing beyond pytest.
 """
 
@@ -37,7 +38,7 @@ from projconst.banach_mazur import (
     bm_params,
     build_model,
 )
-from projconst.linalg import Mat, Subspace
+from projconst.linalg import Mat, OperatorNorm, Subspace
 from projconst.minproj import LPBudget, OracleConfig, ProjectionConstantResult
 from projconst.planner import AmplificationPlan, DemoStep, ScheduleEntry, ScheduleReport
 from projconst.simplex import LinearProgram
@@ -94,17 +95,15 @@ RECORDS = [
     (BoundComparison, lambda: BoundComparison(19.5, 19.75),
      lambda: "BoundComparison(ours=19.5, prior=19.75)"),
     (Clause, lambda: Clause(3, 0, 4, 2, F(1, 2)), lambda: CLAUSE_REPR),
-    (SeqOperator, lambda: SeqOperator((Clause(3, 0, 4, 2, F(1, 2)),), "X"),
-     lambda: f"SeqOperator(clauses=({CLAUSE_REPR},), descriptor='X')"),
+    (SeqOperator, lambda: SeqOperator((Clause(3, 0, 4, 2, F(1, 2)),)),
+     lambda: f"SeqOperator(clauses=({CLAUSE_REPR},))"),
     (SequenceModel, lambda: build_model(4), _model_repr),
     (LPBudget, lambda: LPBudget(), lambda: "LPBudget(max_ambient=12, max_dim=6)"),
     (ProjectionConstantResult,
-     lambda: ProjectionConstantResult(F(1), Mat(1, 2, (1, 0)), LINE, (1, 1)),
+     lambda: ProjectionConstantResult(F(1), Mat(1, 2, (1, 0)), LINE),
      lambda: ("ProjectionConstantResult(value=Fraction(1, 1), "
-              f"minimizer_c=Mat(rows=1, cols=2, nums=(1, 0), den=1), space={LINE_REPR}, "
-              "witness=(1, 1))")),
-    (OracleConfig, lambda: OracleConfig(2, 3, seed=4),
-     lambda: "OracleConfig(restarts=2, iterations=3, seed=4)"),
+              f"minimizer_c=Mat(rows=1, cols=2, nums=(1, 0), den=1), space={LINE_REPR})")),
+    (OracleConfig, lambda: OracleConfig(seed=4), lambda: "OracleConfig(seed=4)"),
     (ScheduleEntry, lambda: ScheduleEntry(1, F(3, 2), "x"),
      lambda: "ScheduleEntry(step=1, lambda_k=Fraction(3, 2), ambient='x')"),
     (AmplificationPlan, lambda: AmplificationPlan(1, 9, F(63, 32)),
@@ -124,9 +123,9 @@ RECORDS = [
      lambda: f"ZeroSumSpace(base={LINE_REPR}, copies=2)"),
     (SymmetrizationDecomposition, _decomposition, _decomposition_repr),
     (MultiplicationLawReport,
-     lambda: MultiplicationLawReport(F(1), F(4, 3), 3, 6),
+     lambda: MultiplicationLawReport(F(1), F(4, 3), 3, 2),
      lambda: ("MultiplicationLawReport(base_lambda=Fraction(1, 1), "
-              "sigma_lambda=Fraction(4, 3), copies=3, ambient_dim=6)")),
+              "sigma_lambda=Fraction(4, 3), copies=3, block_dim=2)")),
 ]
 IDS = [record.__name__ for record, _, _ in RECORDS]
 # a valid value, other than the instance's own, for the first field of each
@@ -134,7 +133,6 @@ IDS = [record.__name__ for record, _, _ in RECORDS]
 CHANGED_FIRST = {
     BMParameterSet: F(12),
     Clause: 5,
-    OracleConfig: 5,
     AmplificationPlan: 2,
     Subspace: Mat(1, 2, (1, 0)),
     ZeroSumSpace: Subspace.from_rows([[1, 0]]),
@@ -197,21 +195,16 @@ def test_attained_is_a_class_constant():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: OracleConfig(restarts=1.5),
-     "oracle needs integer restarts and iterations, got "
-     "OracleConfig(restarts=1.5, iterations=4000, seed=0)"),
-    (lambda: OracleConfig(iterations=True),
-     "oracle needs integer restarts and iterations, got "
-     "OracleConfig(restarts=8, iterations=True, seed=0)"),
-    (lambda: OracleConfig(0, 5),
-     "oracle needs restarts >= 1 and iterations >= 1, got "
-     "OracleConfig(restarts=0, iterations=5, seed=0)"),
     (lambda: AmplificationPlan(0, 3, F(3, 2)), "a plan of 0 steps cannot have block count 3"),
     (lambda: AmplificationPlan(2, None, F(3, 2)),
      "a plan of 2 steps cannot have block count None"),
     (lambda: AmplificationPlan(-1, 3, F(3, 2)), "a plan of -1 steps cannot have block count 3"),
     (lambda: AmplificationPlan(1, 1, F(3, 2)), "need at least 2 copies, got 1"),
     (lambda: ZeroSumSpace(LINE, 0), "need at least 2 copies, got 0"),
+    (lambda: MultiplicationLawReport(F(1), F(1), 1, 2), "need at least 2 copies, got 1"),
+    (lambda: MultiplicationLawReport(None, F(1), 2, 2),
+     "zero-sum value 1 without a base value"),
+    (lambda: MultiplicationLawReport(None, None, 2, 0), "invalid block dimension 0"),
     (lambda: BMParameterSet(F(2)), "2*2+1 is not the square of a rational"),
     (lambda: BMParameterSet(4), "shape parameter must be a positive Fraction or float, got 4"),
     (lambda: BMParameterSet(-2.0),
@@ -230,12 +223,9 @@ def test_checked_records_raise_their_messages(make, message):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: OracleConfig()._replace(restarts=0),
-     "oracle needs restarts >= 1 and iterations >= 1, got "
-     "OracleConfig(restarts=0, iterations=4000, seed=0)"),
-    (lambda: OracleConfig._make((8, 2.5, 0)),
-     "oracle needs integer restarts and iterations, got "
-     "OracleConfig(restarts=8, iterations=2.5, seed=0)"),
+    (lambda: MultiplicationLawReport(F(1), F(4, 3), 3, 2)._replace(base_lambda=None),
+     "zero-sum value 4/3 without a base value"),
+    (lambda: MultiplicationLawReport._make((None, None, 1, 2)), "need at least 2 copies, got 1"),
     (lambda: Clause(3, 0, 4, 2, F(1, 2))._replace(out_modulus=0),
      "clause needs moduli >= 1 and residues >= 0, got "
      "Clause(out_modulus=0, out_residue=0, in_modulus=4, in_residue=2, coeff=Fraction(1, 2))"),
@@ -257,7 +247,7 @@ def test_replace_and_make_check_like_the_constructor(make, message):
 
 
 def test_checked_records_take_keywords_and_defaults():
-    assert OracleConfig() == OracleConfig(8, 4000, 0) == OracleConfig(seed=0)
+    assert OracleConfig() == OracleConfig(0) == OracleConfig(seed=0)
     assert AmplificationPlan(m=0, copies=None, alpha=F(3, 2)).copies is None
     assert Clause(3, 0, 4, 2, coeff=F(1, 2)) == Clause(3, 0, 4, 2, F(1, 2))
     assert ZeroSumSpace(base=LINE, copies=2) == sigma_subspace(LINE, 2)
@@ -266,7 +256,7 @@ def test_checked_records_take_keywords_and_defaults():
 # the values each record derives from its fields; no field stores one
 DERIVED = {
     ZeroSumSpace: ("space", "ambient_dim", "mu"),
-    MultiplicationLawReport: ("mu", "status"),
+    MultiplicationLawReport: ("ambient_dim", "mu", "status"),
     BMParameterSet: ("mu", "nu", "b", "root", "bound", "bound_sq", "exact"),
     SymmetrizationDecomposition: ("a", "b"),
     SequenceModel: ("bound",),
@@ -288,10 +278,12 @@ def test_records_store_only_what_they_cannot_derive():
     lambda: ZeroSumSpace(LINE, 2, space=sigma_subspace(LINE, 2).space),
     lambda: MultiplicationLawReport(F(1), F(5), F(1), 3, 3, "ok"),
     lambda: MultiplicationLawReport(F(1), F(1), 3, 3, mu=F(5)),
+    lambda: MultiplicationLawReport(F(1), F(1), 2, ambient_dim=3),
     lambda: BMParameterSet(1, 5, 5, 5, 5, 5, 5, True),
     lambda: BMParameterSet(F(4), bound=5),
 ], ids=["ZeroSumSpace", "ZeroSumSpace-keyword", "MultiplicationLawReport",
-        "MultiplicationLawReport-keyword", "BMParameterSet", "BMParameterSet-keyword"])
+        "MultiplicationLawReport-keyword", "MultiplicationLawReport-ambient",
+        "BMParameterSet", "BMParameterSet-keyword"])
 def test_a_derived_value_cannot_be_passed(make):
     with pytest.raises(TypeError):
         make()
@@ -310,13 +302,26 @@ def test_a_zero_sum_space_follows_its_base_and_block_count():
 @pytest.mark.parametrize("copies", [2, 3, 4, 7, 100])
 def test_a_report_reads_mu_and_status_off_its_fields(copies):
     mu = 2 - F(2, copies)
-    done = MultiplicationLawReport(F(1), mu, copies, copies)
+    done = MultiplicationLawReport(F(1), mu, copies, 1)
     assert done.mu == mu and done.to_json_dict()["mu_N"] == str(mu)
+    assert done.ambient_dim == copies and done._replace(block_dim=3).ambient_dim == 3 * copies
     assert done.status == "ok" and done.equal is True
     assert done._replace(copies=3).mu == F(4, 3)
     for open_side in (done._replace(sigma_lambda=None),
-                      MultiplicationLawReport(None, None, copies, copies)):
+                      MultiplicationLawReport(None, None, copies, 1)):
         assert open_side.mu == mu and open_side.status == "inconclusive"
+
+
+def test_no_field_that_only_tests_read():
+    # derived on access (the witness, ambient_dim), a module constant (the
+    # oracle's budget) or gone (an operator's name, the norm's row index)
+    assert ProjectionConstantResult._fields == ("value", "minimizer_c", "space")
+    assert MultiplicationLawReport._fields == ("base_lambda", "sigma_lambda", "copies",
+                                               "block_dim")
+    assert SeqOperator._fields == ("clauses",)
+    assert OperatorNorm._fields == ("value", "witness")
+    assert OracleConfig._fields == ("seed",) and OracleConfig.__bases__ == (tuple,)
+    assert isinstance(ProjectionConstantResult.witness, property)
 
 
 def test_an_exact_parameter_set_needs_a_rational_root():

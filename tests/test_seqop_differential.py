@@ -22,7 +22,7 @@ WINDOW = 96
 
 
 def reference(op: SeqOperator) -> ReferenceSeqOperator:
-    return ReferenceSeqOperator.from_clauses(op.clauses, op.descriptor)
+    return ReferenceSeqOperator.from_clauses(op.clauses, "reference")
 
 
 def reference_model(stages) -> ReferenceSeqOperator:
@@ -37,11 +37,11 @@ def clause_fields(op: SeqOperator):
 
 def assert_agree(op, ref, rows=WINDOW, cols=WINDOW, vectors=()):
     for i in range(rows):
-        assert op.row(i) == ref.row(i), (op.descriptor, "row", i)
+        assert op.row(i) == ref.row(i), ("row", i)
     for j in range(cols):
-        assert op.col(j) == ref.col(j), (op.descriptor, "col", j)
+        assert op.col(j) == ref.col(j), ("col", j)
     for vec in vectors:
-        assert op.apply(vec) == ref.apply(vec), (op.descriptor, vec)
+        assert op.apply(vec) == ref.apply(vec), vec
 
 
 def random_vector(rng, size=WINDOW):
@@ -72,11 +72,9 @@ def test_model_clauses_are_pinned(a, root, nu, b):
         (2, 1, 8, 4, nu), (4, 0, 8, 0, root), (8, 2, 4, 2, 1 / root), (8, 6, 2, 1, b)]
     assert clause_fields(model.inverse) == [
         (2, 1, 8, 6, nu), (4, 2, 8, 2, root), (8, 0, 4, 0, 1 / root), (8, 4, 2, 1, b)]
-    assert model.forward.descriptor == "U_a∘S∘T_a"
-    assert model.inverse.descriptor == "T_a^-1∘S^-1∘U_a^-1"
 
 
-def random_operator(rng, name, offsets=False) -> SeqOperator:
+def random_operator(rng, offsets=False) -> SeqOperator:
     """1-3 clauses with moduli up to 4; residues below the moduli unless `offsets`."""
     clauses = []
     for _ in range(rng.randint(1, 3)):
@@ -85,7 +83,7 @@ def random_operator(rng, name, offsets=False) -> SeqOperator:
         coeff = F(rng.randint(-3, 3), rng.randint(1, 3))
         clauses.append(Clause(out_m, rng.randrange(reach * out_m), in_m,
                               rng.randrange(reach * in_m), coeff))
-    return SeqOperator(tuple(clauses), name)
+    return SeqOperator(tuple(clauses))
 
 
 def offset_reference(op: SeqOperator) -> ReferenceSeqOperator:
@@ -104,7 +102,7 @@ def offset_reference(op: SeqOperator) -> ReferenceSeqOperator:
         return found
 
     return ReferenceSeqOperator(lambda i: pairs(i, "row"), lambda j: pairs(j, "col"),
-                                op.descriptor)
+                                "offset reference")
 
 
 def needs_lift(outer: Clause, inner: Clause) -> bool:
@@ -121,7 +119,7 @@ def needs_lift(outer: Clause, inner: Clause) -> bool:
 
 def test_random_clause_sets_and_compositions():
     rng = random.Random(20261018)
-    ops = [random_operator(rng, f"R{n}") for n in range(RANDOM_SETS)]
+    ops = [random_operator(rng) for _ in range(RANDOM_SETS)]
     for n, op in enumerate(ops):
         vectors = [random_vector(rng) for _ in range(3)]
         assert_agree(op, reference(op), vectors=vectors)
@@ -138,7 +136,7 @@ def test_random_offset_clause_sets_and_compositions():
     # Composites of clauses with residues below their moduli keep that form,
     # so the s >= 0 lift only acts once offsets (R >= M) are in play.
     rng = random.Random(1018)
-    ops = [random_operator(rng, f"O{n}", offsets=True) for n in range(RANDOM_SETS)]
+    ops = [random_operator(rng, offsets=True) for _ in range(RANDOM_SETS)]
     lifted = 0
     for n, op in enumerate(ops):
         vectors = [random_vector(rng) for _ in range(3)]
@@ -155,8 +153,8 @@ def test_random_offset_clause_sets_and_compositions():
 def test_lift_to_nonnegative_inner_index():
     # inner: mid[k + 5] += in[k]; outer: out[k] += mid[k].  The congruence
     # t = s + 5 has least solution t = 0, s = -5, lifted to t = 5, s = 0.
-    inner = SeqOperator((Clause(1, 5, 1, 0, F(1)),), "shift")
-    outer = SeqOperator((Clause(1, 0, 1, 0, F(2)),), "double")
+    inner = SeqOperator((Clause(1, 5, 1, 0, F(1)),))
+    outer = SeqOperator((Clause(1, 0, 1, 0, F(2)),))
     composed = SeqOperator.compose(outer, inner)
     assert composed.clauses == (Clause(1, 5, 1, 0, F(2)),)
     assert composed.row(4) == ()
@@ -164,9 +162,9 @@ def test_lift_to_nonnegative_inner_index():
 
 
 def test_zero_and_cancelling_clauses_are_dropped():
-    plus = SeqOperator((Clause(2, 0, 2, 0, F(1)), Clause(2, 1, 2, 1, F(0))), "P")
-    minus = SeqOperator((Clause(1, 0, 1, 0, F(-1)),), "-I")
-    both = SeqOperator((Clause(1, 0, 1, 0, F(1)),), "I")
+    plus = SeqOperator((Clause(2, 0, 2, 0, F(1)), Clause(2, 1, 2, 1, F(0))))
+    minus = SeqOperator((Clause(1, 0, 1, 0, F(-1)),))
+    both = SeqOperator((Clause(1, 0, 1, 0, F(1)),))
     assert SeqOperator.compose(minus, plus).clauses == (Clause(2, 0, 2, 0, F(-1)),)
-    summed = SeqOperator((*minus.clauses, *both.clauses), "0")
+    summed = SeqOperator((*minus.clauses, *both.clauses))
     assert SeqOperator.compose(summed, plus).clauses == ()

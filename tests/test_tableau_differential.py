@@ -11,8 +11,10 @@ or raise the same exception after the identical number of pivots.  The slack dua
 price-out of the objective row are read differently in the two tableaux,
 so they are pinned here as well.  The reference tallies the free-variable
 events that make the condensed solver negate a stored column, and each test
-asserts that its programs reach them; two hand programs reach the phase-1
-drive-out of a free column stored under its negative label.  After phase 1
+asserts that its programs reach them; two hand programs and a seeded
+generator reach the phase-1 drive-out of a free column stored under its
+negative label, where each solve is also compared with the rational
+tableau of `simplex_reference`.  After phase 1
 the condensed solver deletes the artificials' dead positions from its
 labels and rows; hand programs put them first, last and side by side, and
 drop a redundant equality, and each must delete exactly those positions.  On projection programs of bases
@@ -30,7 +32,13 @@ from random import Random
 import linalg_reference
 import pytest
 import tableau_reference
-from simplex_reference import assignment, integer_program, slack_duals, sparse_row
+from simplex_reference import (
+    assignment,
+    integer_program,
+    reference_solve,
+    slack_duals,
+    sparse_row,
+)
 from test_linalg_differential import LARGE_PRIMES, pivot_checked
 from test_simplex import lp
 from test_simplex_differential import _entry, _kernel, random_program
@@ -228,6 +236,32 @@ def test_second_drive_out_under_the_negative_label(assert_same):
     solution, pivots = assert_same(HAND_CASES["drive-out-under-x1-"][0])
     assert (solution.value, pivots) == (0, 5)
     assert assert_same.events["drive-out under the negative label"] == 1, assert_same.events
+
+
+def zero_rhs_program(rng: Random) -> LinearProgram:
+    """4-5 equalities with zero right-hand sides over 5-6 variables, about
+    half of them free, with entries leaning negative and the last row the
+    negation of another.  Phase 1 then often ends with two artificials basic
+    at level 0, in rows that cancel, after a free variable's negative part
+    has entered the basis and left it."""
+    nv, n_eq = rng.randint(5, 6), rng.randint(4, 5)
+    rows = [[rng.choice((-2, -1, -1, 0, 0, 1)) for _ in range(nv)] for _ in range(n_eq - 1)]
+    rows.append([-x for x in rng.choice(rows)])
+    free = [rng.random() < 0.5 for _ in range(nv)]
+    return lp([rng.choice((0, 1, 2)) for _ in range(nv)], eq=rows, eq_rhs=[0] * n_eq, free=free)
+
+
+def test_drive_out_under_the_negative_label_on_seeded_programs(assert_same):
+    reached = 0
+    for seed in range(6000):
+        program = zero_rhs_program(Random(seed))
+        before = assert_same.events["drive-out under the negative label"]
+        solution, _ = assert_same(program)
+        reached += assert_same.events["drive-out under the negative label"] > before
+        want = outcome(reference_solve, program)
+        assert (solution if isinstance(solution, type)
+                else (solution.value, solution.assignment)) == want, seed
+    assert reached >= 20
 
 
 @pytest.fixture

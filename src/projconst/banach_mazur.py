@@ -103,7 +103,8 @@ def bm_params(a) -> BMParameterSet:
     """The coefficient set for a shape parameter a > 0.
 
     Accepts int, Fraction, 'p/q' strings or float; the parameter set is
-    exact precisely when 2a+1 is the square of a rational.
+    exact precisely when 2a+1 is the square of a rational, or else a float
+    set, which raises `ValueError` if its a or g leaves the float range.
     """
     a_exact = parse_rational(a) if isinstance(a, str) else Fraction(a)
     if a_exact <= 0:
@@ -111,7 +112,14 @@ def bm_params(a) -> BMParameterSet:
     try:
         return BMParameterSet(a_exact)
     except NonExactParameterError:
-        return BMParameterSet(float(a_exact))
+        pass
+    try:
+        params = BMParameterSet(float(a_exact))  # ValueError on an underflow to 0
+        if math.isfinite(params.bound_sq):
+            return params
+    except (OverflowError, ValueError):
+        pass
+    raise ValueError(f"shape parameter {a} is outside the float range")
 
 
 def bound_g(a) -> "Fraction | float":

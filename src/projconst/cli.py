@@ -12,7 +12,7 @@ Exit codes:
        numpy for minproj --oracle
     3  basis rows are linearly dependent
     4  internal solver-integrity failure
-    5  LP budget or pivot limit exceeded (result inconclusive)
+    5  LP budget, pivot limit or Sigma check limit exceeded (inconclusive)
     6  demonstration base constant does not match the plan
     7  non-exact shape parameter passed to the sequence model
 """
@@ -50,7 +50,7 @@ from .minproj import (
 )
 from .planner import BaseConstantMismatch, demonstrate_schedule, plan_parameters
 from .simplex import PivotLimitExceeded, SimplexError
-from .zerosum import verify_multiplication_law
+from .zerosum import CHECK_LIMIT, verify_multiplication_law
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
@@ -117,15 +117,10 @@ def emit(payload: dict):
 
 
 def _parse_budget(text: str) -> LPBudget:
-    try:
-        limits = [int(part) for part in text.split(",")]
-    except ValueError:
-        limits = []
-    if not 1 <= len(limits) <= 2:
-        raise InputError(f"budget must be 'AMBIENT' or 'AMBIENT,DIM', got {text!r}")
-    if min(limits) < 1:
-        raise InputError(f"budget limits must be positive, got {text!r}")
-    return LPBudget(*limits)
+    limit = int(text) if text.isdecimal() else 0
+    if limit < 1:
+        raise InputError(f"budget must be one positive integer 'AMBIENT', got {text!r}")
+    return LPBudget(limit)
 
 
 def cmd_minproj(args) -> tuple[int, str]:
@@ -259,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true",
                         help="machine-readable summary where a command has a plain form")
-    parser.add_argument("--budget", type=str, default=None, metavar="AMBIENT[,DIM]",
-                        help="LP size budget (default 12,6)")
+    parser.add_argument("--budget", type=str, default=None, metavar="AMBIENT",
+                        help=f"largest ambient dimension of an exact LP "
+                             f"(default {LPBudget().max_ambient})")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks and the oracle")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -277,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="subspace JSON document")
     p.add_argument("--copies", type=int, required=True, metavar="N",
                    help="number of blocks, at least 2; the zero-sum space "
-                        "lies in ell_inf^(N*n) and must fit the LP budget")
+                        f"lies in ell_inf^(N*n), at most ell_inf^{CHECK_LIMIT}")
     p.set_defaults(fn=cmd_zerosum)
 
     p = sub.add_parser("plan", help="amplification plan for a rational target > 1")

@@ -70,21 +70,15 @@ class BudgetExceededError(RuntimeError):
 
 
 class LPBudget(NamedTuple):
-    """Size gate for exact LP solves; generous enough for every shipped check."""
+    """Size gate for exact LP solves; the simplex's pivot limit bounds their work."""
 
-    max_ambient: int = 12
-    max_dim: int = 6
+    max_ambient: int = 16
 
     def require(self, space: Subspace):
-        self.require_shape(space.ambient_dim, space.dim)
-
-    def require_shape(self, ambient_dim: int, dim: int):
-        """`require` for a subspace known only by its shape, before it is built."""
-        if ambient_dim > self.max_ambient or dim > self.max_dim:
-            raise BudgetExceededError(
-                f"subspace of dimension {dim} in ell_inf^{ambient_dim} "
-                f"exceeds LP budget (ambient <= {self.max_ambient}, dim <= {self.max_dim})"
-            )
+        if space.ambient_dim > self.max_ambient:
+            raise BudgetExceededError(f"subspace of dimension {space.dim} in ell_inf^"
+                                      f"{space.ambient_dim} exceeds LP budget "
+                                      f"(ambient <= {self.max_ambient})")
 
 
 DEFAULT_BUDGET = LPBudget()

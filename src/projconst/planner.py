@@ -192,9 +192,9 @@ def demonstrate_schedule(base: Subspace, plan: AmplificationPlan, max_steps: int
     plan.alpha first (mismatch is a hard error).  Then it compares each level
     of `sigma_steps`, which tensors the base's primal-dual certificate with
     that of ker_N and proves the level by weak duality without an LP, with
-    the plan's staged constant lambda_k = mu_N^k * alpha.  A step beyond the
-    LP budget truncates the report rather than raising; the base's LP is the
-    only one that can run into the simplex pivot limit.
+    the plan's staged constant lambda_k = mu_N^k * alpha.  A step beyond
+    `zerosum.CHECK_LIMIT` truncates the report rather than raising; `budget`
+    and the simplex pivot limit bound the base's LP, the only one.
     """
     if max_steps < 0:
         raise ValueError(f"negative step count {max_steps}")
@@ -206,7 +206,7 @@ def demonstrate_schedule(base: Subspace, plan: AmplificationPlan, max_steps: int
         raise BaseConstantMismatch(
             f"lambda(base) = {certificate.value}, plan needs alpha = {plan.alpha}"
         )
-    levels = sigma_steps(base, certificate, plan.copies, max_steps, budget)
+    levels = sigma_steps(base, certificate, plan.copies, max_steps)
     steps = tuple(DemoStep(entry.step, ambient, entry.lambda_k, computed)
                   for entry, (ambient, computed) in zip(plan.schedule[1:], levels))
     return ScheduleReport(certificate.value, steps)

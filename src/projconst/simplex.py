@@ -79,7 +79,8 @@ from typing import Iterable, NamedTuple
 
 from .linalg import lowest_terms, pivot_rows
 
-PIVOT_LIMIT = 2_000_000
+# the one bound on LP work; a certifying program has taken 12 034 at most
+PIVOT_LIMIT = 20_000
 
 
 class SimplexError(RuntimeError):

@@ -15,7 +15,8 @@ def sigma_steps_by_lp(base, copies, steps, budget=DEFAULT_BUDGET):
     for _ in range(steps):
         ambient = current.ambient_dim * copies
         try:
-            budget.require_shape(ambient, (copies - 1) * current.dim)
+            if ambient > budget.max_ambient:
+                raise BudgetExceededError(f"ell_inf^{ambient}")
             current = sigma_subspace(current, copies).space
             lam = projection_constant(current).value
         except (BudgetExceededError, PivotLimitExceeded):

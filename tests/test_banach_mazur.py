@@ -2,11 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-
-pytest.importorskip("hypothesis")
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis_or_skip import given, settings, st
 
 from projconst.banach_mazur import (
     PRIOR_BOUND_SQ,

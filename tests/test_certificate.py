@@ -19,7 +19,6 @@ from projconst import minproj, zerosum
 from projconst.acceptance import Context, run_all
 from projconst.linalg import Mat, RankDeficientError, Subspace, inf_op_norm
 from projconst.minproj import (
-    LPBudget,
     ProjectionCertificate,
     SolverIntegrityError,
     check_certificate,
@@ -285,7 +284,7 @@ def test_a_sigma_level_converts_only_its_basis(monkeypatch):
     monkeypatch.setattr(Mat, "kron", counted_kron)
     monkeypatch.setattr(Mat, "__init__", counted_init)
     monkeypatch.setattr(Mat, "from_rows", classmethod(counted_from_rows))
-    assert list(zerosum.sigma_steps(base, cert, 2, 3, LPBudget(24, 4))) == [
+    assert list(zerosum.sigma_steps(base, cert, 2, 3)) == [
         (6, cert.value), (12, cert.value), (24, cert.value)]
     assert krons == []
     assert made == [(1, 2)]
@@ -302,8 +301,7 @@ def test_each_sigma_level_is_the_conversion_of_its_fraction_basis(monkeypatch, c
         return check_certificate(basis, cert)
 
     monkeypatch.setattr(zerosum, "check_certificate", recorded)
-    steps = list(zerosum.sigma_steps(base, projection_certificate(base), copies, 3,
-                                     LPBudget(2 * copies ** 3, (copies - 1) ** 3)))
+    steps = list(zerosum.sigma_steps(base, projection_certificate(base), copies, 3))
     assert [value for _, value in steps] == [zerosum.amplification_factor(copies) ** k
                                              for k in (1, 2, 3)]
     level = base.basis

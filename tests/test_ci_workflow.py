@@ -25,7 +25,8 @@ def _workflow() -> str:
 
 def test_every_named_path_exists():
     paths = set(re.findall(r"(?<![\w/$.-])((?:tests|perfbench)/[\w./-]*\w)", _workflow()))
-    assert {"tests/golden/ker3.json", "perfbench/run.py", "perfbench/tests"} <= paths
+    assert {"tests/golden/ker3.json", "tests/golden/ker16.json", "perfbench/run.py",
+            "perfbench/tests"} <= paths
     assert sorted(p for p in paths if not (ROOT / p).exists()) == []
 
 

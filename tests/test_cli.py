@@ -99,19 +99,37 @@ class TestMinproj:
         assert report(err)["command"] == "minproj" and report(err)["status"] == "error"
 
     def test_budget_exceeded(self, capsys, kernel3):
-        code, _, err = run(capsys, "--budget", "2", "minproj", kernel3)
-        assert code == 5
+        code, out, err = run(capsys, "--budget", "2", "minproj", kernel3)
+        assert (code, out) == (5, "")
+        assert err.splitlines()[0] == ("error: subspace of dimension 2 in ell_inf^3 "
+                                       "exceeds LP budget (ambient <= 2)")
         assert report(err)["status"] == "inconclusive"
 
     def test_custom_budget_pair(self, capsys, kernel3):
-        code, _, _ = run(capsys, "--budget", "3,2", "minproj", kernel3)
+        # the budget is one value, the ambient dimension: a pair is malformed
+        for budget in ("3,2", "12,6"):
+            code, out, err = run(capsys, "--budget", budget, "minproj", kernel3)
+            assert (code, out) == (2, "")
+            assert err.splitlines()[0] == (
+                f"error: budget must be one positive integer 'AMBIENT', got '{budget}'")
+            assert report(err)["status"] == "error"
+
+    def test_any_dimension_inside_the_default_budget(self, capsys, tmp_path):
+        # ker_8, a 7-dim subspace of ell_inf^8, takes 211 pivots
+        basis = [["1" if j == i else "-1" if j == i + 1 else "0" for j in range(8)]
+                 for i in range(7)]
+        path = tmp_path / "ker8.json"
+        path.write_text(json.dumps({"ambient_dim": 8, "basis": basis}))
+        code, out, _ = run(capsys, "minproj", str(path))
         assert code == 0
+        assert payload(out)["lambda"] == "7/4"
 
     def test_pivot_limit_is_inconclusive(self, capsys, monkeypatch, kernel3):
         monkeypatch.setattr(simplex, "PIVOT_LIMIT", 1)
         code, out, err = run(capsys, "minproj", kernel3)
         assert code == 5
         assert out == ""
+        assert err.splitlines()[0] == "error: exceeded 1 pivots"
         assert report(err)["status"] == "inconclusive"
 
 
@@ -173,7 +191,7 @@ class TestInputValidation:
         code, out, err = run(capsys, "--budget", "", "zerosum", kernel3, "--copies", "2")
         assert code == 2
         assert out == ""
-        assert "budget must be 'AMBIENT' or 'AMBIENT,DIM', got ''" in err
+        assert "budget must be one positive integer 'AMBIENT', got ''" in err
         assert report(err)["status"] == "error"
 
     @pytest.mark.parametrize("budget", ["--budget=0", "--budget=3,0", "--budget=-1"])
@@ -226,7 +244,9 @@ class TestZerosum:
         def refuse(*args):
             raise AssertionError("zero-sum space built beyond the budget")
 
-        monkeypatch.setattr(zerosum, "sigma_subspace", refuse)
+        # the level's basis would be built by integer_kron
+        for name in ("sigma_subspace", "integer_kron"):
+            monkeypatch.setattr(zerosum, name, refuse)
         code, out, _ = run(capsys, "zerosum", scalar_line, "--copies", "100000")
         assert code == 5
         doc = payload(out)
@@ -253,11 +273,26 @@ class TestZerosum:
             "ok", "1", "4/3")
 
     def test_budget_inconclusive(self, capsys, kernel3):
-        # the amplified side lives in ell_inf^6, beyond this budget
-        code, out, err = run(capsys, "--budget", "3", "zerosum", kernel3,
+        # the base lives in ell_inf^3, beyond this budget
+        code, out, err = run(capsys, "--budget", "2", "zerosum", kernel3,
                              "--copies", "2")
         assert code == 5
         assert payload(out)["status"] == "inconclusive"
+        assert report(err)["status"] == "inconclusive"
+
+    def test_the_budget_does_not_gate_the_zero_sum_side(self, capsys, kernel3):
+        # ell_inf^6 solves no LP, so an LP budget of the base's size admits it
+        code, out, _ = run(capsys, "--budget", "3", "zerosum", kernel3, "--copies", "2")
+        assert code == 0
+        assert payload(out)["sigma_lambda"] == "4/3"
+
+    def test_check_limit_inconclusive(self, capsys, kernel3):
+        # ell_inf^195 is past the check limit, ell_inf^192
+        code, out, err = run(capsys, "zerosum", kernel3, "--copies", "65")
+        assert code == 5
+        doc = payload(out)
+        assert (doc["status"], doc["base_lambda"], doc["sigma_lambda"], doc["ambient_dim"]) == (
+            "inconclusive", "4/3", None, 195)
         assert report(err)["status"] == "inconclusive"
 
 
@@ -300,7 +335,7 @@ class TestPlan:
         # target 32/15 plans N = 3 and alpha = 8/5 = lambda(ker_5); the base's
         # LP is the only one, so the pivots it needs certify the step in
         # ell_inf^15 too, and one pivot fewer stops the demonstration at its base
-        argv = ["--budget", "15,8", "plan", "--lambda", "32/15", "--demo", kernel5]
+        argv = ["plan", "--lambda", "32/15", "--demo", kernel5]
         limit = fewest_pivots(monkeypatch, load_subspace_document(kernel5))
         code, out, _ = run(capsys, *argv)
         assert code == 0
@@ -358,6 +393,23 @@ class TestBM:
         code, out, err = run(capsys, "bm", "--params", "x")
         assert (code, out) == (2, "")
         assert err.splitlines()[0] == "error: malformed rational literal 'x'"
+
+    @pytest.mark.parametrize("flag", ["--params", "--model"])
+    @pytest.mark.parametrize("value", [str(10 ** 400), f"1/{10 ** 400}", f"1/{10 ** 200}"],
+                             ids=["10^400", "10^-400", "10^-200"])
+    def test_a_non_exact_value_outside_the_float_range(self, capsys, flag, value):
+        # a float a overflows or underflows to 0, or g = K^2 overflows
+        code, out, err = run(capsys, "bm", flag, value)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"error: shape parameter {value} is outside the float range"
+        assert report(err)["status"] == "error"
+
+    def test_an_exact_huge_value_keeps_the_exact_path(self, capsys):
+        root = 2 * 10 ** 200 + 1
+        code, out, _ = run(capsys, "bm", "--params", str((root ** 2 - 1) // 2))
+        assert code == 0
+        doc = payload(out)
+        assert (doc["exact"], doc["root"]) == (True, str(root))
 
     def test_model(self, capsys):
         code, out, _ = run(capsys, "bm", "--model", "4")
@@ -417,8 +469,9 @@ class TestSelftest:
         assert "[FAIL] centring-norm" in out
 
     def test_raising_criterion_does_not_hide_the_others(self, capsys):
-        # the amplification demo needs ell_inf^9, so this budget makes it raise
-        code, out, _ = run(capsys, "--budget", "2,1", "selftest",
+        # the amplification demo's base, ker_3, lives in ell_inf^3, beyond this
+        # budget, so it raises
+        code, out, _ = run(capsys, "--budget", "2", "selftest",
                            "--only", "centring-norm,amplification-demo")
         assert code == 1
         assert "[PASS] centring-norm" in out

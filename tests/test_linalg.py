@@ -3,12 +3,8 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-
-pytest.importorskip("hypothesis")
-
 from blocks_reference import block_permutation
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis_or_skip import given, settings, st
 from linalg_reference import (
     column,
     entry,

@@ -4,9 +4,8 @@ from random import Random
 import pytest
 from pivot_limits import fewest_pivots
 
-from projconst import simplex
+from projconst import simplex, zerosum
 from projconst.linalg import Subspace
-from projconst.minproj import LPBudget
 from projconst.planner import (
     AmplificationPlan,
     BaseConstantMismatch,
@@ -175,10 +174,10 @@ class TestDemonstrateSchedule:
         with pytest.raises(ValueError):
             demonstrate_schedule(SCALAR_LINE, plan, -1)
 
-    def test_budget_truncates_midway(self):
+    def test_budget_truncates_midway(self, monkeypatch):
         plan = ad_hoc_plan(F(1), 3, 2)
-        tight = LPBudget(max_ambient=3, max_dim=4)
-        report = demonstrate_schedule(SCALAR_LINE, plan, 2, tight)
+        monkeypatch.setattr(zerosum, "CHECK_LIMIT", 8)
+        report = demonstrate_schedule(SCALAR_LINE, plan, 2)
         assert report.truncated
         assert report.status == "inconclusive"
         assert report.steps[0].certified

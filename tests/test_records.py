@@ -85,8 +85,8 @@ def _decomposition_repr() -> str:
 
 # (record, a factory that builds one instance afresh, the dataclass repr of it)
 RECORDS = [
-    (Context, lambda: Context(seed=3, budget=LPBudget(4, 2)),
-     lambda: "Context(seed=3, budget=LPBudget(max_ambient=4, max_dim=2))"),
+    (Context, lambda: Context(seed=3, budget=LPBudget(4)),
+     lambda: "Context(seed=3, budget=LPBudget(max_ambient=4))"),
     (Criterion, lambda: Criterion("k", "title", _criterion_run),
      lambda: f"Criterion(key='k', title='title', run={_criterion_run!r})"),
     (CriterionResult, lambda: CriterionResult("k", "t", True, "d"),
@@ -98,7 +98,7 @@ RECORDS = [
     (SeqOperator, lambda: SeqOperator((Clause(3, 0, 4, 2, F(1, 2)),)),
      lambda: f"SeqOperator(clauses=({CLAUSE_REPR},))"),
     (SequenceModel, lambda: build_model(4), _model_repr),
-    (LPBudget, lambda: LPBudget(), lambda: "LPBudget(max_ambient=12, max_dim=6)"),
+    (LPBudget, lambda: LPBudget(), lambda: "LPBudget(max_ambient=16)"),
     (ProjectionConstantResult,
      lambda: ProjectionConstantResult(F(1), Mat(1, 2, (1, 0)), LINE),
      lambda: ("ProjectionConstantResult(value=Fraction(1, 1), "
@@ -322,6 +322,13 @@ def test_no_field_that_only_tests_read():
     assert OperatorNorm._fields == ("value", "witness")
     assert OracleConfig._fields == ("seed",) and OracleConfig.__bases__ == (tuple,)
     assert isinstance(ProjectionConstantResult.witness, property)
+
+
+def test_the_lp_budget_is_one_value():
+    # an LP's size is its ambient dimension alone; the simplex's pivot limit
+    # bounds its work, and a Sigma level's check is bounded by CHECK_LIMIT
+    assert LPBudget._fields == ("max_ambient",) and LPBudget() == (16,)
+    assert not hasattr(LPBudget, "require_shape")
 
 
 def test_an_exact_parameter_set_needs_a_rational_root():

@@ -16,7 +16,7 @@ from pivot_limits import fewest_pivots
 
 from projconst import simplex, zerosum
 from projconst.linalg import Mat, Subspace, inf_op_norm
-from projconst.minproj import DEFAULT_BUDGET, LPBudget, projection_certificate, projection_constant
+from projconst.minproj import LPBudget, projection_certificate, projection_constant
 from projconst.zerosum import (
     DecompositionIntegrityError,
     NotAProjectionError,
@@ -272,16 +272,17 @@ class TestMultiplicationLaw:
         assert report.ambient_dim == 6
 
     def test_budget_truncation(self):
-        tight = LPBudget(max_ambient=2, max_dim=2)
+        tight = LPBudget(max_ambient=2)
         report = verify_multiplication_law(coordinate_sum_kernel(3), 2, tight)
         assert report.status == "inconclusive"
         assert report.base_lambda is None
         assert report.equal is None
         assert report.product is None
 
-    def test_budget_truncation_on_the_big_side(self):
-        tight = LPBudget(max_ambient=3, max_dim=2)
-        report = verify_multiplication_law(coordinate_sum_kernel(3), 2, tight)
+    def test_budget_truncation_on_the_big_side(self, monkeypatch):
+        # the zero-sum side in ell_inf^6 solves no LP: the check limit stops it
+        monkeypatch.setattr(zerosum, "CHECK_LIMIT", 5)
+        report = verify_multiplication_law(coordinate_sum_kernel(3), 2)
         assert report.status == "inconclusive"
         assert report.base_lambda == F(4, 3)
         assert report.sigma_lambda is None
@@ -312,9 +313,9 @@ class TestMultiplicationLaw:
         }
 
 
-def line_steps(copies: int, steps: int, budget: LPBudget = DEFAULT_BUDGET) -> list:
+def line_steps(copies: int, steps: int) -> list:
     return list(sigma_steps(SCALAR_LINE, projection_certificate(SCALAR_LINE),
-                            copies, steps, budget))
+                            copies, steps))
 
 
 class TestSigmaSteps:
@@ -322,9 +323,11 @@ class TestSigmaSteps:
         # Sigma_3(line) = ker_3 in ell_inf^3, then Sigma_3(ker_3) in ell_inf^9
         assert line_steps(3, 2) == [(3, F(4, 3)), (9, F(16, 9))]
 
-    def test_stops_after_the_first_step_beyond_the_budget(self):
-        tight = LPBudget(max_ambient=3, max_dim=4)
-        assert line_steps(3, 3, tight) == [(3, F(4, 3)), (9, None)]
+    def test_stops_after_the_first_step_beyond_the_budget(self, monkeypatch):
+        monkeypatch.setattr(zerosum, "CHECK_LIMIT", 8)
+        assert line_steps(3, 3) == [(3, F(4, 3)), (9, None)]
+        monkeypatch.setattr(zerosum, "CHECK_LIMIT", 9)
+        assert line_steps(3, 3) == [(3, F(4, 3)), (9, F(16, 9)), (27, None)]
 
     def test_stops_at_the_pivot_limit(self, monkeypatch):
         # only the base's LP can stop at the pivot limit: the levels above
@@ -346,6 +349,20 @@ class TestSigmaSteps:
 
     def test_zero_steps(self):
         assert line_steps(3, 0) == []
+
+    def test_a_level_past_the_check_limit_builds_nothing(self, monkeypatch):
+        # ker_3's level at N = 65 lies in ell_inf^195, past ell_inf^192
+        base = coordinate_sum_kernel(3)
+        certificate = projection_certificate(base)
+
+        def refuse(*args):
+            raise AssertionError("a level past the check limit was built")
+
+        for name in ("integer_kron", "_sum_kernel_rows", "sum_kernel_certificate",
+                     "check_certificate"):
+            monkeypatch.setattr(zerosum, name, refuse)
+        assert zerosum.CHECK_LIMIT == 192
+        assert list(sigma_steps(base, certificate, 65, 1)) == [(195, None)]
 
     @pytest.mark.parametrize("copies", [None, 0, 1, 2, 5])
     def test_zero_steps_need_no_block_count(self, copies):
